@@ -1721,11 +1721,10 @@ mod tests {
     #[test]
     fn corpus_exit_code_contract() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let dir = std::env::temp_dir().join("aos-cli-corpus-tests");
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir =
+            aos_util::scratch::ScratchDir::new("corpus_exit_code_contract").expect("scratch dir");
         let path = dir.join("contract.aosc");
         let path_str = path.display().to_string();
-        std::fs::remove_file(&path).ok();
 
         // Usage errors: missing required flags / unknown values.
         assert!(matches!(corpus(&[]), Err(CliError::Usage(_))));
@@ -1783,7 +1782,6 @@ mod tests {
             corpus(&args(&["verify", &path_str])),
             Err(CliError::Findings(_))
         ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

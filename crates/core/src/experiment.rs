@@ -112,9 +112,27 @@ impl SystemUnderTest {
 /// assert!(stats.cycles > 0);
 /// ```
 pub fn run(profile: &WorkloadProfile, sut: &SystemUnderTest) -> RunStats {
-    let trace = TraceGenerator::new(profile, sut.safety, sut.scale);
-    let mut machine = Machine::new(sut.machine_config());
+    let (trace, mut machine) = generator_and_machine(profile, sut);
     machine.run(trace)
+}
+
+/// A cell's trace generator and machine, the generator recording into
+/// the machine's telemetry handle so one snapshot covers generation
+/// (signs, PAC computations, heap allocations) and simulation.
+///
+/// The generator is built first: building it may evict the previous
+/// cell's Zipf table from the per-thread memo, which then frees before
+/// the machine's caches and tables are allocated.
+fn generator_and_machine(
+    profile: &WorkloadProfile,
+    sut: &SystemUnderTest,
+) -> (TraceGenerator, Machine) {
+    let generator = TraceGenerator::new(profile, sut.safety, sut.scale);
+    let machine = Machine::new(sut.machine_config());
+    (
+        generator.with_telemetry(machine.telemetry().clone()),
+        machine,
+    )
 }
 
 /// [`run`] through a stream meter: same simulation, but the trace
@@ -128,8 +146,8 @@ pub fn run(profile: &WorkloadProfile, sut: &SystemUnderTest) -> RunStats {
 pub fn run_metered(profile: &WorkloadProfile, sut: &SystemUnderTest) -> campaign::CellOutput {
     use aos_isa::stream::{BufferedOps, OpStream};
 
-    let mut trace = TraceGenerator::new(profile, sut.safety, sut.scale).metered();
-    let mut machine = Machine::new(sut.machine_config());
+    let (trace, mut machine) = generator_and_machine(profile, sut);
+    let mut trace = trace.metered();
     let stats = machine.run(&mut trace);
     campaign::CellOutput {
         stats,

@@ -25,9 +25,12 @@
 //! cell. The only observable difference is the two batch telemetry
 //! counters (`batch_ops_refilled`, `batch_fallback_ops`), which the
 //! per-op path leaves at zero; `tests/batch_equivalence.rs` pins both
-//! facts. The generator thread owns no telemetry handle — all counting
-//! happens on the simulating side, preserving the single-writer
-//! contract.
+//! facts. The generator records into the machine's telemetry handle
+//! from its own thread, but only the signer and heap counters
+//! (`pac_computations`, `ptr_signs`, `heap_*`), which the machine never
+//! writes, so every counter cell keeps a single writer. The generator
+//! is built on the calling thread, where the per-thread Zipf memo of
+//! [`aos_util::rng::Zipf`] persists across cells.
 //!
 //! [`run`]: super::run
 //! [`run_metered`]: super::run_metered
@@ -37,8 +40,7 @@
 use std::sync::mpsc;
 
 use aos_isa::stream::{BatchSource, BufferedOps, OpBatch, OpStream, DEFAULT_BATCH_OPS};
-use aos_sim::Machine;
-use aos_workloads::{TraceGenerator, WorkloadProfile};
+use aos_workloads::WorkloadProfile;
 
 use super::campaign::CellOutput;
 use super::SystemUnderTest;
@@ -57,8 +59,9 @@ pub struct OverlapSource {
     filled: mpsc::Receiver<OpBatch>,
     recycle: mpsc::Sender<OpBatch>,
     /// Whether the producing side fills arenas batch-natively (true
-    /// for [`TraceGenerator`]); forwarded so fallback telemetry stays
-    /// accurate through the channel hop.
+    /// for [`TraceGenerator`](aos_workloads::TraceGenerator));
+    /// forwarded so fallback telemetry stays accurate through the
+    /// channel hop.
     native: bool,
     done: bool,
 }
@@ -105,17 +108,18 @@ struct ProducerReport {
 ///
 /// On a single-hardware-thread host the rendezvous per batch costs
 /// more than the overlap returns, so the cell degrades to the
-/// in-thread batched driver ([`Machine::run_batched`]) — identical op
-/// sequence, identical stats and batch counters, one arena instead of
-/// two. The stats are bit-identical across all three shapes (per-op,
+/// in-thread batched driver
+/// ([`Machine::run_batched`](aos_sim::Machine::run_batched)) —
+/// identical op sequence, identical stats and batch counters, one
+/// arena instead of two. The stats are bit-identical across all three shapes (per-op,
 /// in-thread batched, threaded overlap); only the `peak_trace_bytes`
 /// metering reflects which shape ran.
 pub fn run_overlapped(profile: &WorkloadProfile, sut: &SystemUnderTest) -> CellOutput {
     if aos_util::par::effective_threads(None) >= 2 {
         return run_overlapped_threaded(profile, sut);
     }
-    let mut gen = TraceGenerator::new(profile, sut.safety, sut.scale).metered();
-    let mut machine = Machine::new(sut.machine_config());
+    let (gen, mut machine) = super::generator_and_machine(profile, sut);
+    let mut gen = gen.metered();
     let stats = machine.run_batched(&mut gen);
     CellOutput {
         stats,
@@ -140,11 +144,10 @@ pub fn run_overlapped_threaded(profile: &WorkloadProfile, sut: &SystemUnderTest)
         .send(OpBatch::with_capacity(batch_ops))
         .expect("receiver held below");
 
-    let profile = *profile;
-    let sut = *sut;
+    let (gen, mut machine) = super::generator_and_machine(profile, sut);
+    let mut gen = gen.metered();
     let (stats, report) = std::thread::scope(|scope| {
         let producer = scope.spawn(move || {
-            let mut gen = TraceGenerator::new(&profile, sut.safety, sut.scale).metered();
             while let Ok(mut arena) = recycle_rx.recv() {
                 arena.clear();
                 let n = gen.refill_batch(&mut arena);
@@ -167,7 +170,6 @@ pub fn run_overlapped_threaded(profile: &WorkloadProfile, sut: &SystemUnderTest)
             native: true,
             done: false,
         };
-        let mut machine = Machine::new(sut.machine_config());
         let stats = machine.run_batched(source);
         let report = producer
             .join()

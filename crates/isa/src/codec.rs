@@ -464,8 +464,7 @@ mod tests {
 
     #[test]
     fn file_helpers_roundtrip_and_type_their_errors() {
-        let dir = std::env::temp_dir().join("aos-isa-codec-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = aos_util::scratch::ScratchDir::new("file_helpers_roundtrip").unwrap();
         let path = dir.join("trace.aost");
         let ops = sample_ops();
         let n = write_trace_file(&path, "file test", ops.iter().copied()).unwrap();
@@ -486,7 +485,5 @@ mod tests {
         let err = read_trace_file(&garbage).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
         assert!(err.to_string().contains("bad magic"));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

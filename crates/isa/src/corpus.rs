@@ -44,8 +44,7 @@
 //! use aos_isa::{corpus, Op};
 //! use aos_util::Telemetry;
 //!
-//! let dir = std::env::temp_dir().join("aos-corpus-doc");
-//! std::fs::create_dir_all(&dir).unwrap();
+//! let dir = aos_util::scratch::ScratchDir::new("corpus-doc")?;
 //! let path = dir.join("demo.aosc");
 //! let ops = vec![Op::IntAlu, Op::Load { pointer: 0x40, bytes: 8, chained: false }];
 //!
@@ -57,8 +56,7 @@
 //! let entry = reader.find("mcf-aos").unwrap().clone();
 //! let replayed: Vec<Op> = reader.replay(&entry)?.collect::<Result<_, _>>()?;
 //! assert_eq!(replayed, ops);
-//! # std::fs::remove_dir_all(&dir).ok();
-//! # Ok::<(), aos_util::AosError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -665,6 +663,7 @@ impl Iterator for Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aos_util::scratch::ScratchDir;
 
     fn sample_ops(n: usize) -> Vec<Op> {
         (0..n)
@@ -692,15 +691,17 @@ mod tests {
             .collect()
     }
 
-    fn temp_corpus(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("aos-corpus-tests");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join(name)
+    /// A private scratch directory holding `name`; the guard removes it
+    /// when the test drops it.
+    fn temp_corpus(name: &str) -> (ScratchDir, PathBuf) {
+        let dir = ScratchDir::new(name).expect("scratch dir");
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
     fn record_replay_roundtrips_across_block_boundaries() {
-        let path = temp_corpus("roundtrip.aosc");
+        let (_dir, path) = temp_corpus("roundtrip.aosc");
         let ops = sample_ops(BLOCK_OPS * 2 + 17);
         let t = Telemetry::enabled();
         let mut w = CorpusWriter::create(&path, t.clone()).expect("create");
@@ -723,12 +724,11 @@ mod tests {
             .collect::<Result<_, _>>()
             .expect("clean replay");
         assert_eq!(replayed, ops);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn multiple_entries_index_and_verify() {
-        let path = temp_corpus("multi.aosc");
+        let (_dir, path) = temp_corpus("multi.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         w.record("a", "first", sample_ops(10).into_iter()).unwrap();
         w.record("b", "second", sample_ops(100).into_iter()).unwrap();
@@ -750,24 +750,22 @@ mod tests {
         let empty = r.find("empty").unwrap().clone();
         assert_eq!(empty.op_count, 0);
         assert_eq!(r.replay(&empty).unwrap().count(), 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unfinished_corpus_is_rejected() {
-        let path = temp_corpus("unfinished.aosc");
+        let (_dir, path) = temp_corpus("unfinished.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         w.record("x", "", sample_ops(4).into_iter()).unwrap();
         drop(w); // never finished
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
         assert!(err.to_string().contains("unfinished"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn flipped_block_bit_is_quarantined_with_a_typed_error() {
-        let path = temp_corpus("bitflip.aosc");
+        let (_dir, path) = temp_corpus("bitflip.aosc");
         let ops = sample_ops(64);
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         let entry = w.record("victim", "", ops.iter().copied()).unwrap();
@@ -801,12 +799,11 @@ mod tests {
         }
         assert!(saw_error);
         assert_eq!(yielded, 0, "no op from a corrupt block may be replayed");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncation_mid_frame_is_detected() {
-        let path = temp_corpus("truncated.aosc");
+        let (_dir, path) = temp_corpus("truncated.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         let entry = w.record("t", "", sample_ops(64).into_iter()).unwrap();
         w.finish().unwrap();
@@ -819,12 +816,11 @@ mod tests {
         // corruption rather than serving a file missing its index.
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn index_crc_mismatch_is_detected() {
-        let path = temp_corpus("badindex.aosc");
+        let (_dir, path) = temp_corpus("badindex.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         w.record("x", "", sample_ops(8).into_iter()).unwrap();
         w.finish().unwrap();
@@ -834,7 +830,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(err.to_string().contains("index CRC"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -846,10 +841,9 @@ mod tests {
 
     #[test]
     fn garbage_file_is_corruption_not_panic() {
-        let path = temp_corpus("garbage.aosc");
+        let (_dir, path) = temp_corpus("garbage.aosc");
         std::fs::write(&path, b"this is not a corpus at all").unwrap();
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -90,62 +90,6 @@ impl PointerSigner {
         )
     }
 
-    /// Batch [`PointerSigner::pac_for`]: `out[i]` becomes the truncated
-    /// PAC of `base_addrs[i]` under the shared `modifier`, computed
-    /// through the multi-lane [`Qarma64::compute_batch_uniform`] path.
-    /// Telemetry records the same per-pointer `PacComputations` events
-    /// as the per-call form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base_addrs` and `out` differ in length.
-    pub fn pac_for_batch(&self, base_addrs: &[u64], modifier: u64, out: &mut [u64]) {
-        self.telemetry
-            .add(Counter::PacComputations, base_addrs.len() as u64);
-        self.qarma.compute_batch_uniform(base_addrs, modifier, out);
-        for pac in out.iter_mut() {
-            *pac = truncate_pac(*pac, self.layout.pac_size());
-        }
-    }
-
-    /// Batch [`PointerSigner::pacma`]: signs `pointers[i]` with size
-    /// `sizes[i]` under the shared `modifier` into `out[i]`,
-    /// bit-identical to the per-call form. The QARMA lanes run over
-    /// stack-resident chunks, so the batch length is unbounded and no
-    /// scratch allocation happens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length, or if a stripped address
-    /// exceeds the layout's VA width.
-    pub fn pacma_batch(&self, pointers: &[u64], sizes: &[u64], modifier: u64, out: &mut [u64]) {
-        assert_eq!(pointers.len(), sizes.len(), "pointer/size length mismatch");
-        assert_eq!(pointers.len(), out.len(), "pointer/out length mismatch");
-        self.telemetry.add(Counter::PtrSigns, pointers.len() as u64);
-        self.telemetry
-            .add(Counter::PacComputations, pointers.len() as u64);
-        const LANES: usize = Qarma64::BATCH_LANES;
-        let mut addrs = [0u64; LANES];
-        let mut pacs = [0u64; LANES];
-        let chunks = pointers
-            .chunks(LANES)
-            .zip(sizes.chunks(LANES))
-            .zip(out.chunks_mut(LANES));
-        for ((ptr_chunk, size_chunk), out_chunk) in chunks {
-            let n = ptr_chunk.len();
-            for (addr, &pointer) in addrs[..n].iter_mut().zip(ptr_chunk) {
-                *addr = self.layout.address(pointer);
-            }
-            self.qarma
-                .compute_batch_uniform(&addrs[..n], modifier, &mut pacs[..n]);
-            for i in 0..n {
-                let pac = truncate_pac(pacs[i], self.layout.pac_size());
-                let ahc = compute_ahc(addrs[i], size_chunk[i], self.layout.va_size());
-                out_chunk[i] = self.layout.compose(addrs[i], pac, ahc.bits());
-            }
-        }
-    }
-
     /// `pacma <Xd>, <Xn|SP>, <Xm>` — signs `pointer` using `modifier`,
     /// embedding the PAC of its (stripped) address and the AHC derived
     /// from `size` (paper §IV-A). Passing `size == 0` models the `xzr`
@@ -288,49 +232,6 @@ mod tests {
         let s = signer();
         let garbage_upper = (1u64 << 47) | 0x2000;
         assert_eq!(s.pacma(garbage_upper, 7, 64), s.pacma(0x2000, 7, 64));
-    }
-
-    #[test]
-    fn pac_for_batch_matches_per_call() {
-        let s = signer();
-        // 19 addresses: two full lane groups plus a remainder.
-        let addrs: Vec<u64> = (0..19u64).map(|i| 0x1000 + (i << 7)).collect();
-        let mut out = vec![0u64; addrs.len()];
-        s.pac_for_batch(&addrs, 0xDEAD, &mut out);
-        for (i, &addr) in addrs.iter().enumerate() {
-            assert_eq!(out[i], s.pac_for(addr, 0xDEAD), "i={i}");
-        }
-    }
-
-    #[test]
-    fn pacma_batch_matches_per_call() {
-        let s = signer();
-        let pointers: Vec<u64> = (0..21u64).map(|i| 0x4000 + (i << 10)).collect();
-        let sizes: Vec<u64> = (0..21u64).map(|i| 16 << (i % 8)).collect();
-        let mut out = vec![0u64; pointers.len()];
-        s.pacma_batch(&pointers, &sizes, 7, &mut out);
-        for i in 0..pointers.len() {
-            assert_eq!(out[i], s.pacma(pointers[i], 7, sizes[i]), "i={i}");
-        }
-    }
-
-    #[test]
-    fn pacma_batch_records_same_telemetry_as_per_call() {
-        let batched = Telemetry::enabled();
-        let s = PointerSigner::new(PacKey::new(1, 2), PointerLayout::default())
-            .with_telemetry(batched.clone());
-        let pointers = [0x2000u64; 13];
-        let sizes = [64u64; 13];
-        let mut out = [0u64; 13];
-        s.pacma_batch(&pointers, &sizes, 7, &mut out);
-
-        let per_call = Telemetry::enabled();
-        let s2 = PointerSigner::new(PacKey::new(1, 2), PointerLayout::default())
-            .with_telemetry(per_call.clone());
-        for (&p, &sz) in pointers.iter().zip(&sizes) {
-            let _ = s2.pacma(p, 7, sz);
-        }
-        assert_eq!(batched.snapshot(), per_call.snapshot());
     }
 
     #[test]

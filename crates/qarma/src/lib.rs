@@ -30,6 +30,7 @@
 
 mod ops;
 mod pac;
+mod tables;
 
 pub use pac::{PacKey, Qarma64};
 

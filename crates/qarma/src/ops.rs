@@ -1,71 +1,84 @@
 //! The QARMA component operations from the Armv8.3 `ComputePAC`
 //! pseudocode, working directly on a 64-bit state viewed as sixteen
 //! 4-bit cells (cell *n* occupies bits `[4n+3:4n]`).
+//!
+//! These cell-by-cell ops are the readable form of the cipher. The
+//! forward datapath runs on byte-indexed tables that [`crate::tables`]
+//! builds from them at compile time (which is why the ops it needs are
+//! `const fn`); the ops themselves serve [`crate::Qarma64::invert`] and
+//! are the oracle the tables are tested against.
 
 /// Extracts the 4-bit cell `n`.
 #[inline]
-fn cell(state: u64, n: u32) -> u64 {
+const fn cell(state: u64, n: u32) -> u64 {
     (state >> (4 * n)) & 0xF
 }
 
 /// Rotates a 4-bit cell left by `n` (1..=3).
 #[inline]
-fn rot_cell(cell: u64, n: u32) -> u64 {
-    debug_assert!((1..4).contains(&n));
+const fn rot_cell(cell: u64, n: u32) -> u64 {
+    debug_assert!(n >= 1 && n < 4);
     ((cell << n) | (cell >> (4 - n))) & 0xF
 }
 
-/// `PACCellShuffle`: the QARMA cell permutation τ.
-pub(crate) fn cell_shuffle(i: u64) -> u64 {
-    // Source cell index, per output cell 0..15.
-    const SRC: [u32; 16] = [13, 6, 11, 0, 7, 12, 1, 10, 8, 3, 14, 5, 2, 9, 4, 15];
+/// Gathers output cell `n` from input cell `src[n]`.
+const fn permute_cells(i: u64, src: &[u32; 16]) -> u64 {
     let mut o = 0u64;
-    for (n, &s) in SRC.iter().enumerate() {
-        o |= cell(i, s) << (4 * n);
+    let mut n = 0;
+    while n < 16 {
+        o |= cell(i, src[n]) << (4 * n);
+        n += 1;
     }
     o
+}
+
+/// Applies a 4-bit S-box to every cell.
+const fn sub_cells(i: u64, sbox: &[u64; 16]) -> u64 {
+    let mut o = 0u64;
+    let mut n = 0;
+    while n < 16 {
+        o |= sbox[cell(i, n) as usize] << (4 * n);
+        n += 1;
+    }
+    o
+}
+
+/// `PACCellShuffle`: the QARMA cell permutation τ.
+pub(crate) const fn cell_shuffle(i: u64) -> u64 {
+    // Source cell index, per output cell 0..15.
+    const SRC: [u32; 16] = [13, 6, 11, 0, 7, 12, 1, 10, 8, 3, 14, 5, 2, 9, 4, 15];
+    permute_cells(i, &SRC)
 }
 
 /// `PACCellInvShuffle`: inverse of [`cell_shuffle`].
-pub(crate) fn cell_inv_shuffle(i: u64) -> u64 {
+pub(crate) const fn cell_inv_shuffle(i: u64) -> u64 {
     const SRC: [u32; 16] = [3, 6, 12, 9, 14, 11, 1, 4, 8, 13, 7, 2, 5, 0, 10, 15];
-    let mut o = 0u64;
-    for (n, &s) in SRC.iter().enumerate() {
-        o |= cell(i, s) << (4 * n);
-    }
-    o
+    permute_cells(i, &SRC)
 }
 
 /// `PACSub`: the σ2 S-box applied to every cell.
-pub(crate) fn sub(i: u64) -> u64 {
+pub(crate) const fn sub(i: u64) -> u64 {
     const SUB: [u64; 16] = [
         0xB, 0x6, 0x8, 0xF, 0xC, 0x0, 0x9, 0xE, 0x3, 0x7, 0x4, 0x5, 0xD, 0x2, 0x1, 0xA,
     ];
-    let mut o = 0u64;
-    for n in 0..16 {
-        o |= SUB[cell(i, n) as usize] << (4 * n);
-    }
-    o
+    sub_cells(i, &SUB)
 }
 
 /// `PACInvSub`: inverse of [`sub`].
-pub(crate) fn inv_sub(i: u64) -> u64 {
+pub(crate) const fn inv_sub(i: u64) -> u64 {
     const INV: [u64; 16] = [
         0x5, 0xE, 0xD, 0x8, 0xA, 0xB, 0x1, 0x9, 0x2, 0x6, 0xF, 0x0, 0x4, 0xC, 0x7, 0x3,
     ];
-    let mut o = 0u64;
-    for n in 0..16 {
-        o |= INV[cell(i, n) as usize] << (4 * n);
-    }
-    o
+    sub_cells(i, &INV)
 }
 
 /// `PACMult`: MixColumns with the involutory circulant matrix
 /// M = circ(0, 1, 2, 1) over the four cells of each column (cells n,
 /// n+4, n+8, n+12).
-pub(crate) fn mult(i: u64) -> u64 {
+pub(crate) const fn mult(i: u64) -> u64 {
     let mut o = 0u64;
-    for b in 0..4 {
+    let mut b = 0;
+    while b < 4 {
         let i0 = cell(i, b);
         let i4 = cell(i, b + 4);
         let i8 = cell(i, b + 8);
@@ -80,6 +93,7 @@ pub(crate) fn mult(i: u64) -> u64 {
         o |= t2 << (4 * (b + 4));
         o |= t1 << (4 * (b + 8));
         o |= t0 << (4 * (b + 12));
+        b += 1;
     }
     o
 }

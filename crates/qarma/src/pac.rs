@@ -2,6 +2,7 @@
 //! reflector, five backward rounds.
 
 use crate::ops::{cell_inv_shuffle, cell_shuffle, inv_sub, mult, sub, tweak_shuffle};
+use crate::tables::{apply, substitute, INV_SUB, INV_SUB_MULT_SHUFFLE, SHUFFLE_MULT, SUB};
 
 /// Round constants c₀..c₄ (leading digits of π, shared with PRINCE).
 const RC: [u64; 5] = [
@@ -136,65 +137,57 @@ impl Qarma64 {
     }
 
     /// The cipher datapath over `L` independent lanes sharing one tweak
-    /// schedule. The round structure is the outer loop and the lanes the
-    /// inner one, so every per-cell shuffle/S-box/MixColumns step runs
-    /// as `L` independent dependency chains — autovectorizable shifts
-    /// and masks with no per-call setup.
+    /// schedule, on the byte-indexed tables of [`crate::tables`]. The
+    /// round structure is the outer loop and the lanes the inner one,
+    /// so the table lookups of `L` lanes are independent loads the core
+    /// can overlap, with no per-call setup.
     #[inline]
     fn compute_lanes<const L: usize>(&self, data: &[u64; L], tweaks: &[u64; 6]) -> [u64; L] {
         let key0 = self.key.hi;
         let key1 = self.key.lo;
         let mut w = *data;
-        for lane in &mut w {
-            *lane ^= key0;
-        }
 
-        for (i, round_key) in self.fwd_keys.iter().enumerate() {
+        // Round 0 has no shuffle or MixColumns; rounds 1..=4 apply
+        // `mult ∘ cell_shuffle` before the S-box.
+        let k = key0 ^ self.fwd_keys[0] ^ tweaks[0];
+        for lane in &mut w {
+            *lane = substitute(&SUB, *lane ^ k);
+        }
+        for (i, round_key) in self.fwd_keys.iter().enumerate().skip(1) {
             let k = round_key ^ tweaks[i];
             for lane in &mut w {
-                let mut x = *lane ^ k;
-                if i > 0 {
-                    x = cell_shuffle(x);
-                    x = mult(x);
-                }
-                *lane = sub(x);
+                *lane = substitute(&SUB, apply(&SHUFFLE_MULT, *lane ^ k));
             }
         }
 
         // Central construction: full forward round keyed by
         // o(key0) ⊕ tweak, the keyed reflector, full backward round
-        // keyed by key0 ⊕ tweak.
+        // keyed by key0 ⊕ tweak. After the reflector's key the
+        // pseudocode runs `cell_inv_shuffle` twice around `mult` and
+        // `inv_sub`; the fused table covers the last three steps, and
+        // the leading shuffle runs as the cell op.
         let center_key = self.modk0 ^ tweaks[5];
         let exit_key = key0 ^ tweaks[5];
         for lane in &mut w {
-            let mut x = *lane ^ center_key;
-            x = cell_shuffle(x);
-            x = mult(x);
-            x = sub(x);
-            x = cell_shuffle(x);
-            x = mult(x);
-            x ^= key1;
-            x = cell_inv_shuffle(x);
-            x = inv_sub(x);
-            x = mult(x);
-            x = cell_inv_shuffle(x);
+            let mut x = apply(&SHUFFLE_MULT, *lane ^ center_key);
+            x = apply(&SHUFFLE_MULT, substitute(&SUB, x)) ^ key1;
+            x = apply(&INV_SUB_MULT_SHUFFLE, cell_inv_shuffle(x));
             *lane = x ^ exit_key;
         }
 
-        for (i, round_key) in self.bwd_keys.iter().enumerate() {
+        // Backward rounds 0..=3 undo a forward round with
+        // `cell_inv_shuffle ∘ mult ∘ inv_sub`; the last one only
+        // inverts the S-box.
+        let (last_key, keys) = self.bwd_keys.split_last().expect("five backward rounds");
+        for (i, round_key) in keys.iter().enumerate() {
             let k = round_key ^ tweaks[RC.len() - 1 - i];
             for lane in &mut w {
-                let mut x = inv_sub(*lane);
-                if i < RC.len() - 1 {
-                    x = mult(x);
-                    x = cell_inv_shuffle(x);
-                }
-                *lane = x ^ k;
+                *lane = apply(&INV_SUB_MULT_SHUFFLE, *lane) ^ k;
             }
         }
-
+        let k = last_key ^ tweaks[0] ^ self.modk0;
         for lane in &mut w {
-            *lane ^= self.modk0;
+            *lane = substitute(&INV_SUB, *lane) ^ k;
         }
         w
     }
@@ -272,21 +265,6 @@ impl Qarma64 {
         for (&d, o) in chunks.remainder().iter().zip(outs.into_remainder()) {
             *o = self.compute_lanes(&[d], &tweaks)[0];
         }
-    }
-
-    /// [`Qarma64::compute_batch`], recording one
-    /// [`Counter::PacComputations`](aos_util::telemetry::Counter) event
-    /// per element so batched signing stays indistinguishable from
-    /// per-call signing in the telemetry report.
-    pub fn compute_batch_with(
-        &self,
-        data: &[u64],
-        modifiers: &[u64],
-        out: &mut [u64],
-        telemetry: &aos_util::Telemetry,
-    ) {
-        telemetry.add(aos_util::Counter::PacComputations, data.len() as u64);
-        self.compute_batch(data, modifiers, out);
     }
 
     /// [`Qarma64::compute`], recording the invocation as a
@@ -478,9 +456,10 @@ mod tests {
         assert!(differing >= 16, "only {differing} bits differ");
     }
 
-    /// The pre-refactor `compute`: derives `modk0` and every round key
-    /// inline per call. Kept as the oracle for the precomputation
-    /// refactor — [`Qarma64::new`] now builds that material once.
+    /// `ComputePAC` as the pseudocode walks it: the cell-by-cell ops,
+    /// `modk0` and every round key derived inline per call, the tweak
+    /// run forward and back. The oracle for both the precomputed key
+    /// schedule of [`Qarma64::new`] and the table kernel.
     fn reference_compute(key: PacKey, data: u64, modifier: u64) -> u64 {
         let key0 = key.hi();
         let key1 = key.lo();
@@ -618,18 +597,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compute_batch_with_counts_every_element() {
-        let telemetry = aos_util::Telemetry::enabled();
-        let q = Qarma64::new(PacKey::new(1, 2));
-        let data = [3u64; 11];
-        let modifiers = [4u64; 11];
-        let mut out = [0u64; 11];
-        q.compute_batch_with(&data, &modifiers, &mut out, &telemetry);
-        assert_eq!(
-            telemetry.snapshot().counter(aos_util::Counter::PacComputations),
-            11
-        );
+    proptest::proptest! {
+        /// The table kernel against the cell-by-cell oracle for random
+        /// keys, data and modifiers: the scalar path, full 8-lane
+        /// groups, and every partial tail of a batch.
+        #[test]
+        fn table_kernel_matches_the_oracle_ops(
+            key in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            data in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..3 * Qarma64::BATCH_LANES),
+            modifier in proptest::prelude::any::<u64>(),
+        ) {
+            let key = PacKey::new(key.0, key.1);
+            let q = Qarma64::new(key);
+            let want: Vec<u64> = data.iter().map(|&d| reference_compute(key, d, modifier)).collect();
+            for (&d, &w) in data.iter().zip(&want) {
+                proptest::prop_assert_eq!(q.compute(d, modifier), w);
+            }
+            let mut out = vec![0u64; data.len()];
+            q.compute_batch_uniform(&data, modifier, &mut out);
+            proptest::prop_assert_eq!(&out, &want);
+            q.compute_batch(&data, &vec![modifier; data.len()], &mut out);
+            proptest::prop_assert_eq!(&out, &want);
+        }
     }
 
     #[test]

@@ -384,13 +384,16 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<String, AosError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aos_util::scratch::ScratchDir;
     use aos_util::Counter;
     use std::path::PathBuf;
 
-    fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("aos-serve-jobs-tests");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join(name)
+    /// A private scratch directory holding `name`; the guard removes it
+    /// when the test drops it.
+    fn temp(name: &str) -> (ScratchDir, PathBuf) {
+        let dir = ScratchDir::new(name).expect("scratch dir");
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
@@ -409,8 +412,7 @@ mod tests {
 
     #[test]
     fn record_then_replay_is_bit_identical_to_the_in_process_pipeline() {
-        let path = temp("identity.aosc");
-        std::fs::remove_file(&path).ok();
+        let (_dir, path) = temp("identity.aosc");
         let record = JobSpec::CorpusRecord {
             path: path.display().to_string(),
             workloads: vec!["mcf".into()],
@@ -435,13 +437,11 @@ mod tests {
             replayed.contains(&expect),
             "replay {replayed} != in-process digest {expect}"
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn replay_lint_matches_in_process_lint() {
-        let path = temp("lintid.aosc");
-        std::fs::remove_file(&path).ok();
+        let (_dir, path) = temp("lintid.aosc");
         execute(
             &JobSpec::CorpusRecord {
                 path: path.display().to_string(),
@@ -468,13 +468,11 @@ mod tests {
         );
         let expect = format!("\"report_digest\":\"{:016x}\"", report_digest(&report));
         assert!(via_corpus.contains(&expect), "{via_corpus} != {expect}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_replay_is_a_typed_quarantine() {
-        let path = temp("quarantine.aosc");
-        std::fs::remove_file(&path).ok();
+        let (_dir, path) = temp("quarantine.aosc");
         execute(
             &JobSpec::CorpusRecord {
                 path: path.display().to_string(),
@@ -521,7 +519,6 @@ mod tests {
         .expect("verify is a report, not a gate");
         assert!(verify.contains("\"quarantined\":1"));
         assert!(verify.contains("\"clean\":false"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

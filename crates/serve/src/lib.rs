@@ -47,14 +47,14 @@
 //! );
 //! // The writer moves to the collector thread, so hand it something
 //! // owned — a temp file here; a socket or stdout in real callers.
-//! let path = std::env::temp_dir().join("aos-serve-doc.ndjson");
+//! let dir = aos_util::scratch::ScratchDir::new("serve-doc")?;
+//! let path = dir.join("answers.ndjson");
 //! let file = std::fs::File::create(&path)?;
 //! let summary = serve(Cursor::new(script), file, &ServeOptions::default())?;
 //! assert_eq!(summary.succeeded, 1);
 //! assert!(summary.shutdown_requested);
 //! let answers = std::fs::read_to_string(&path)?;
 //! assert!(answers.contains("\"id\":\"j1\",\"status\":\"ok\""));
-//! # std::fs::remove_file(&path).ok();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -25,6 +25,8 @@
 //!   ([`telemetry::Telemetry`] handle, fixed counter/gauge/histogram
 //!   taxonomy, mergeable [`telemetry::TelemetrySnapshot`]) that every
 //!   pipeline stage records into.
+//! - [`scratch`] — per-test scratch directories ([`scratch::ScratchDir`]:
+//!   unique per process, name and call, removed on drop).
 //!
 //! # Examples
 //!
@@ -42,6 +44,7 @@ pub mod error;
 pub mod guard;
 pub mod par;
 pub mod rng;
+pub mod scratch;
 pub mod stats;
 pub mod telemetry;
 

@@ -6,6 +6,9 @@
 //! Vigna) rather than an external crate so that seeds produce identical
 //! streams on every platform and toolchain.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 /// SplitMix64: a tiny 64-bit generator, mainly used to seed
 /// [`Xoshiro256StarStar`] and to derive per-stream sub-seeds.
 ///
@@ -144,23 +147,38 @@ impl Xoshiro256StarStar {
 ///
 /// Used to model temporal locality: low ranks are chosen much more often
 /// than high ranks, which is how real programs revisit hot heap objects.
-/// Sampling uses a precomputed CDF with binary search, rebuilt only when
-/// `n` changes, so per-sample cost is `O(log n)`.
+/// Sampling uses a precomputed CDF with binary search, so per-sample
+/// cost is `O(log n)`.
+///
+/// Building the CDF costs one `powf` per rank — 150k of them for the
+/// largest workload profile — and every trace generator builds one, so
+/// the table is shared: it is held as an `Arc<[f64]>`, and each thread
+/// remembers the last table it built, keyed by `(n, exponent)`. A
+/// sampler built with the same key on that thread reuses the table
+/// instead of rebuilding it. The memo holds one table at most; a new
+/// key evicts the old one before its table is built, so the memo never
+/// keeps more than one CDF alive.
 ///
 /// # Examples
 ///
 /// ```
 /// use aos_util::rng::{Xoshiro256StarStar, Zipf};
 /// let mut rng = Xoshiro256StarStar::seed_from_u64(3);
-/// let mut zipf = Zipf::new(100, 1.0);
+/// let zipf = Zipf::new(100, 1.0);
 /// let r = zipf.sample(&mut rng);
 /// assert!(r < 100);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    n: usize,
-    exponent: f64,
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
+}
+
+/// Memo key of a Zipf table: the support size and the exponent's bits.
+type ZipfKey = (usize, u64);
+
+thread_local! {
+    /// The last Zipf table this thread built.
+    static ZIPF_MEMO: RefCell<Option<(ZipfKey, Arc<[f64]>)>> = const { RefCell::new(None) };
 }
 
 impl Zipf {
@@ -172,54 +190,58 @@ impl Zipf {
     /// Panics if `n == 0`.
     pub fn new(n: usize, exponent: f64) -> Self {
         assert!(n > 0, "Zipf support must be nonempty");
-        let mut z = Self {
-            n: 0,
-            exponent,
-            cdf: Vec::new(),
-        };
-        z.resize(n);
-        z
+        let key = (n, exponent.to_bits());
+        ZIPF_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            if let Some((k, cdf)) = memo.as_ref() {
+                if *k == key {
+                    return Self {
+                        cdf: Arc::clone(cdf),
+                    };
+                }
+            }
+            *memo = None;
+            let cdf = Self::build_cdf(n, exponent);
+            *memo = Some((key, Arc::clone(&cdf)));
+            Self { cdf }
+        })
+    }
+
+    /// The normalized CDF of ranks `0..n`.
+    fn build_cdf(n: usize, exponent: f64) -> Arc<[f64]> {
+        let mut cdf: Arc<[f64]> = std::iter::repeat_n(0.0, n).collect();
+        let slots = Arc::get_mut(&mut cdf).expect("fresh table has one owner");
+        let mut acc = 0.0;
+        for (k, slot) in slots.iter_mut().enumerate() {
+            acc += 1.0 / ((k + 1) as f64).powf(exponent);
+            *slot = acc;
+        }
+        let total = acc;
+        for v in slots {
+            *v /= total;
+        }
+        cdf
     }
 
     /// Number of ranks in the support.
     pub fn len(&self) -> usize {
-        self.n
+        self.cdf.len()
     }
 
     /// Returns `true` if the support is empty (never, by construction).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Changes the support size, rebuilding the CDF if needed.
-    pub fn resize(&mut self, n: usize) {
-        assert!(n > 0, "Zipf support must be nonempty");
-        if n == self.n {
-            return;
-        }
-        self.n = n;
-        self.cdf.clear();
-        self.cdf.reserve(n);
-        let mut acc = 0.0;
-        for k in 0..n {
-            acc += 1.0 / ((k + 1) as f64).powf(self.exponent);
-            self.cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut self.cdf {
-            *v /= total;
-        }
+        self.cdf.is_empty()
     }
 
     /// Draws a rank in `[0, n)`.
-    pub fn sample(&mut self, rng: &mut Xoshiro256StarStar) -> usize {
+    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
         let u = rng.next_f64();
         match self
             .cdf
             .binary_search_by(|probe| probe.partial_cmp(&u).expect("CDF contains no NaN"))
         {
             Ok(i) => i,
-            Err(i) => i.min(self.n - 1),
+            Err(i) => i.min(self.cdf.len() - 1),
         }
     }
 }
@@ -348,7 +370,7 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(21);
-        let mut zipf = Zipf::new(1000, 1.0);
+        let zipf = Zipf::new(1000, 1.0);
         let mut low = 0usize;
         let n = 50_000;
         for _ in 0..n {
@@ -364,7 +386,7 @@ mod tests {
     #[test]
     fn zipf_uniform_when_exponent_zero() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(23);
-        let mut zipf = Zipf::new(4, 0.0);
+        let zipf = Zipf::new(4, 0.0);
         let mut counts = [0usize; 4];
         for _ in 0..40_000 {
             counts[zipf.sample(&mut rng)] += 1;
@@ -375,15 +397,39 @@ mod tests {
     }
 
     #[test]
-    fn zipf_resize_keeps_sampling_valid() {
+    fn zipf_memo_shares_one_table_per_key() {
+        let a = Zipf::new(10, 1.2);
+        let b = Zipf::new(10, 1.2);
+        assert!(Arc::ptr_eq(&a.cdf, &b.cdf), "same key reuses the table");
+        assert_eq!(a.len(), 10);
+        assert!(!a.is_empty());
+
+        // A new key evicts the memo's table; samplers still holding it
+        // keep it, and rebuilding the first key reproduces it exactly.
+        let c = Zipf::new(3, 1.2);
+        assert_eq!(c.len(), 3);
+        let memo_holds_c = ZIPF_MEMO.with(|m| {
+            m.borrow()
+                .as_ref()
+                .is_some_and(|(_, t)| Arc::ptr_eq(t, &c.cdf))
+        });
+        assert!(memo_holds_c);
+        assert_eq!(
+            Arc::strong_count(&a.cdf),
+            2,
+            "only a and b hold the old table"
+        );
+        let d = Zipf::new(10, 1.2);
+        assert!(!Arc::ptr_eq(&a.cdf, &d.cdf), "the old table was evicted");
+        assert_eq!(a.cdf, d.cdf);
+
+        // The exponent is part of the key, bit for bit.
+        let e = Zipf::new(10, 1.2000000000000002);
+        assert_ne!(d.cdf, e.cdf);
         let mut rng = Xoshiro256StarStar::seed_from_u64(29);
-        let mut zipf = Zipf::new(10, 1.2);
-        zipf.resize(3);
         for _ in 0..100 {
-            assert!(zipf.sample(&mut rng) < 3);
+            assert!(c.sample(&mut rng) < 3);
         }
-        assert_eq!(zipf.len(), 3);
-        assert!(!zipf.is_empty());
     }
 
     #[test]

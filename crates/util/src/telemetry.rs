@@ -431,12 +431,14 @@ impl Telemetry {
     /// Adds `n` to a counter.
     ///
     /// Recording uses plain load+store on the cells rather than atomic
-    /// read-modify-write: a registry has a single writer (the machine
+    /// read-modify-write: every cell has a single writer (the machine
     /// that owns the handle and the components it hands clones to, all
-    /// on one thread), and dropping the `lock` prefix keeps the
-    /// hot-path cost at a couple of cycles. Concurrent *snapshots*
-    /// from other threads are safe; concurrent writers are not
-    /// supported and would lose increments.
+    /// on one thread; a trace generator filling batches on another
+    /// thread records only signer and heap counters, which nothing else
+    /// writes), and dropping the `lock` prefix keeps the hot-path cost
+    /// at a couple of cycles. Concurrent *snapshots* from other threads
+    /// are safe; concurrent writers of one cell are not supported and
+    /// would lose increments.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
         if let Some(r) = &self.registry {

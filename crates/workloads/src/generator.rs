@@ -17,6 +17,7 @@ use aos_isa::{expand, Op, SafetyConfig};
 use aos_ptrauth::{PointerLayout, PointerSigner};
 use aos_qarma::PacKey;
 use aos_util::rng::{DiscreteTable, Xoshiro256StarStar, Zipf};
+use aos_util::Telemetry;
 
 use crate::profile::WorkloadProfile;
 use crate::schedule::hash_name;
@@ -160,6 +161,18 @@ impl TraceGenerator {
             },
             extras: Vec::new(),
         }
+    }
+
+    /// Attaches a telemetry handle to the generator's signer and heap
+    /// allocator, so the `pacma` signs of AOS mallocs
+    /// (`pac_computations`, `ptr_signs`) and the allocator's work
+    /// (`heap_allocs`, `heap_frees`, the allocation-size histogram)
+    /// are recorded. Recording never feeds back into generation: the
+    /// trace is the same with any handle.
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.signer = self.signer.with_telemetry(telemetry.clone());
+        self.heap = self.heap.with_telemetry(telemetry);
+        self
     }
 
     /// Base (uninstrumented) ops emitted so far.

@@ -17,6 +17,14 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== tier-1: Fig. 11 PAC distribution is byte-identical =="
+# One million base addresses signed through the batched QARMA kernel:
+# any cipher change that moves a single PAC changes the histogram.
+fig11_out="${TMPDIR:-/tmp}/aos_fig11_$$.txt"
+cargo run -q --release -p aos-bench --bin fig11_pac_distribution >"$fig11_out"
+diff -u results/fig11_pac_distribution.txt "$fig11_out"
+rm -f "$fig11_out"
+
 echo "== tier-1: fault-injection smoke (strict) =="
 # Every fault class must be detected under AOS, missed by Baseline,
 # with zero false positives, and the static lint cross-check must be

@@ -18,6 +18,7 @@ use aos_fuzz::{
 };
 use aos_isa::SafetyConfig;
 use aos_ptrauth::PointerLayout;
+use aos_util::scratch::ScratchDir;
 use aos_util::{Counter, Telemetry};
 use aos_workloads::profile::by_name;
 use aos_workloads::TraceGenerator;
@@ -200,7 +201,8 @@ fn golden_corpus_matches_regeneration_bit_for_bit() {
         // comparing against a file mid-write would be a false alarm.
         return;
     }
-    let tmp = std::env::temp_dir().join("aos-fuzz-golden-regen.aosc");
+    let dir = ScratchDir::new("fuzz-golden-regen").expect("scratch dir");
+    let tmp = dir.join("regen.aosc");
     bank_scenarios(
         WORKLOAD,
         SCALE,
@@ -216,5 +218,4 @@ fn golden_corpus_matches_regeneration_bit_for_bit() {
         fresh, golden,
         "banked corpus bytes drifted from generation"
     );
-    std::fs::remove_file(&tmp).ok();
 }

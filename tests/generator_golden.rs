@@ -156,7 +156,10 @@ fn trace_digests_match_golden() {
     let golden = std::fs::read_to_string(GOLDEN)
         .expect("golden file missing; regenerate with AOS_UPDATE_GOLDEN=1");
     for (fresh, pinned) in rendered.lines().zip(golden.lines()) {
-        assert_eq!(fresh, pinned, "generated trace drifted from the golden digest");
+        assert_eq!(
+            fresh, pinned,
+            "generated trace drifted from the golden digest"
+        );
     }
     assert_eq!(
         rendered.lines().count(),
@@ -204,7 +207,12 @@ fn interleaved_generators_keep_their_digests() {
 
     // Built and drained one after another (A, B, A) on one thread.
     for cell in order {
-        assert_eq!(digest(cell).render(), expected(&golden, cell), "{}", label(cell));
+        assert_eq!(
+            digest(cell).render(),
+            expected(&golden, cell),
+            "{}",
+            label(cell)
+        );
     }
 }
 

@@ -17,6 +17,7 @@ use aos_serve::proto::{
     render_failed, render_ok, render_ready, render_rejected, render_shutdown,
 };
 use aos_serve::{execute, parse_request, JobSpec, ReplayMode};
+use aos_util::scratch::ScratchDir;
 use aos_util::Telemetry;
 
 const GOLDEN: &str = "tests/golden/serve_protocol_v1.keys";
@@ -59,10 +60,10 @@ fn run(spec: JobSpec) -> String {
 
 /// Every protocol shape as a named, deterministically rendered line.
 fn shapes() -> Vec<(&'static str, String)> {
-    let dir = std::env::temp_dir().join("aos-serve-protocol-golden");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    // Each call gets its own corpus: the tests calling this run in
+    // parallel.
+    let dir = ScratchDir::new("serve-protocol-golden").expect("scratch dir");
     let corpus = dir.join("proto.aosc").display().to_string();
-    std::fs::remove_file(&corpus).ok();
 
     // Canonical request lines (their key order is the documented
     // spelling; each must parse).
@@ -131,7 +132,6 @@ fn shapes() -> Vec<(&'static str, String)> {
     let verify = run(JobSpec::CorpusVerify {
         path: corpus.clone(),
     });
-    std::fs::remove_file(&corpus).ok();
 
     let mut shapes = requests;
     shapes.extend([

@@ -27,6 +27,7 @@ use std::time::Duration;
 use aos_core::experiment::{overlap, SystemUnderTest};
 use aos_isa::SafetyConfig;
 use aos_serve::{serve, stats_digest, ServeOptions, ServeSummary};
+use aos_util::scratch::ScratchDir;
 use aos_util::{Counter, Gauge, Telemetry};
 
 /// A writer the test can read back after the collector thread drops
@@ -69,10 +70,12 @@ fn response_for<'a>(output: &'a str, id: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no response for {id} in:\n{output}"))
 }
 
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("aos-serve-robustness");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
+/// A private scratch directory holding `name`; the guard removes it
+/// when the test drops it.
+fn temp(name: &str) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new(name).expect("scratch dir");
+    let path = dir.join(name);
+    (dir, path)
 }
 
 #[test]
@@ -211,8 +214,7 @@ fn shutdown_and_eof_drain_all_accepted_jobs() {
 
 #[test]
 fn corrupted_corpus_block_quarantines_and_the_service_keeps_serving() {
-    let path = temp("quarantine.aosc");
-    std::fs::remove_file(&path).ok();
+    let (_dir, path) = temp("quarantine.aosc");
     let path_str = path.display().to_string();
 
     // Record through the service, then corrupt the stored block.
@@ -263,13 +265,11 @@ fn corrupted_corpus_block_quarantines_and_the_service_keeps_serving() {
         telemetry.snapshot().counter(Counter::CorpusCrcFailures) >= 1,
         "the quarantine must be counted"
     );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn service_replay_is_bit_identical_to_the_in_process_pipeline() {
-    let path = temp("identity.aosc");
-    std::fs::remove_file(&path).ok();
+    let (_dir, path) = temp("identity.aosc");
     let path_str = path.display().to_string();
     let options = ServeOptions {
         workers: 1,
@@ -303,7 +303,6 @@ fn service_replay_is_bit_identical_to_the_in_process_pipeline() {
     );
     assert!(rep.contains(&format!("\"cycles\":{}", out.stats.cycles)));
     assert!(rep.contains(&format!("\"retired_ops\":{}", out.stats.retired_ops)));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -28,8 +28,13 @@ fn streaming_and_materialized_telemetry_snapshots_are_bit_identical() {
         let profile = by_name(name).unwrap();
         let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE).with_telemetry(true);
 
-        let trace: Vec<Op> = TraceGenerator::new(profile, SafetyConfig::Aos, SCALE).collect();
-        let materialized = Machine::new(sut.machine_config()).run(trace);
+        // The cell runners hand the machine's handle to the generator;
+        // the materialized trace records into it the same way.
+        let mut machine = Machine::new(sut.machine_config());
+        let trace: Vec<Op> = TraceGenerator::new(profile, SafetyConfig::Aos, SCALE)
+            .with_telemetry(machine.telemetry().clone())
+            .collect();
+        let materialized = machine.run(trace);
         let streamed = run(profile, &sut);
 
         assert_eq!(materialized, streamed, "{name}: RunStats diverged");
