@@ -113,11 +113,19 @@ fn main() {
         let p = profile::by_name(name).expect("known workload");
         let sut = SystemUnderTest::scaled(SafetyConfig::Aos, scale).with_telemetry(true);
 
+        // Every shape hands the machine's telemetry handle to the
+        // generator, as the campaign's cell runners do.
+        let generator = |machine: &Machine| {
+            TraceGenerator::new(p, SafetyConfig::Aos, scale)
+                .with_telemetry(machine.telemetry().clone())
+        };
+
         // Materialized: the whole trace lives in memory at once.
         let mat = best_of(reps, || {
             let start = Instant::now();
-            let trace: Vec<Op> = TraceGenerator::new(p, SafetyConfig::Aos, scale).collect();
-            let stats = Machine::new(sut.machine_config()).run(trace.iter().copied());
+            let mut machine = Machine::new(sut.machine_config());
+            let trace: Vec<Op> = generator(&machine).collect();
+            let stats = machine.run(trace.iter().copied());
             Measurement {
                 stats,
                 trace_ops: trace.len() as u64,
@@ -129,8 +137,9 @@ fn main() {
         // Streaming: generator feeds the machine one op at a time.
         let str_ = best_of(reps, || {
             let start = Instant::now();
-            let mut stream = TraceGenerator::new(p, SafetyConfig::Aos, scale).metered();
-            let stats = Machine::new(sut.machine_config()).run(&mut stream);
+            let mut machine = Machine::new(sut.machine_config());
+            let mut stream = generator(&machine).metered();
+            let stats = machine.run(&mut stream);
             Measurement {
                 stats,
                 trace_ops: stream.ops(),

@@ -75,7 +75,7 @@ fn words(op: &Op) -> [u64; 3] {
 }
 
 /// Streaming FNV-1a over the ops' words, plus the op count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 struct Digest {
     ops: u64,
     hash: u64,
