@@ -1,7 +1,7 @@
 //! The canonical, dependency-free throughput artifact: runs a scaled
 //! Fig. 14 campaign (`SPEC2006 × {Baseline..PA+AOS}`) through the
 //! parallel campaign runner and writes `BENCH_campaign.json`
-//! (schema `aos-campaign-report/v5`: campaign wall-clock, cells/sec,
+//! (schema `aos-campaign-report/v6`: campaign wall-clock, cells/sec,
 //! cell-health counters, per-cell status, sim-cycles/sec, per-cell
 //! telemetry counter columns, and the streaming-pipeline columns
 //! `trace_ops`, `ops_per_sec` and
@@ -100,8 +100,8 @@ fn main() {
     // advertises — catch a silent schema drift at generation time,
     // not at review time.
     assert!(
-        report.to_json().contains("\"schema\": \"aos-campaign-report/v5\""),
-        "campaign report schema drifted from aos-campaign-report/v5; \
+        report.to_json().contains("\"schema\": \"aos-campaign-report/v6\""),
+        "campaign report schema drifted from aos-campaign-report/v6; \
          bump this assert and regenerate the committed artifact together"
     );
     match report.write_json(&out_path) {

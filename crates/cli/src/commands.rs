@@ -5,7 +5,7 @@ use aos_core::experiment::campaign::{matrix, run_campaign, CampaignOptions};
 use aos_core::experiment::{run as run_experiment, SystemUnderTest};
 use aos_core::isa::SafetyConfig;
 use aos_core::security;
-use aos_core::sim::{Machine, RunStats, SimConfig, SimModel};
+use aos_core::sim::{Machine, RunStats, SimConfig};
 use aos_core::workloads::collisions;
 use aos_core::workloads::microbench::pac_distribution;
 use aos_core::workloads::profile::{self, REAL_WORLD, SPEC2006};
@@ -77,7 +77,7 @@ USAGE:
                                             JSON report
   aos ablate [--workload <w>] [--system aos|pa+aos] [--scale <f>]
              [--mcq <n1,n2,..>] [--bwb <n1,n2,..>]
-             [--model stage|approximate] [--json true] [--out <path>]
+             [--json true] [--out <path>]
                                             sweep the MCU geometry (MCQ
                                             depth x BWB entries) on the
                                             stage-structured core,
@@ -533,8 +533,7 @@ struct AblatePoint {
 }
 
 /// `aos ablate [--workload w] [--system aos|pa+aos] [--scale f]
-/// [--mcq n1,n2,..] [--bwb n1,n2,..] [--model stage|approximate]
-/// [--json true] [--out path]`.
+/// [--mcq n1,n2,..] [--bwb n1,n2,..] [--json true] [--out path]`.
 ///
 /// The MCU-geometry sensitivity study the stage-structured core makes
 /// possible: sweep MCQ depth x BWB entries over one benign workload
@@ -557,17 +556,20 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
         )
         .into());
     }
-    let model = match parsed.flag("model") {
-        None => SimModel::default(),
-        Some(name) => SimModel::parse(name)
-            .ok_or_else(|| format!("unknown model '{name}' (stage, approximate)"))?,
-    };
+    // `Parsed` ignores unknown flags; a stale `--model` must not
+    // silently run a sweep the caller did not ask for.
+    if parsed.flag("model").is_some() {
+        return Err(CliError::Usage(
+            "--model was removed: the analytic timing model is gone and \
+             ablate always runs the stage-structured core"
+                .to_string(),
+        ));
+    }
     let mcq_points = parse_geometry_list(parsed.flag("mcq").unwrap_or("12,24,48,96"), "mcq")?;
     let bwb_points = parse_geometry_list(parsed.flag("bwb").unwrap_or("16,64,128"), "bwb")?;
 
     let run_point = |mcq: usize, bwb: usize| -> AblatePoint {
-        let sut = SystemUnderTest::scaled(system, scale).with_model(model);
-        let mut config = sut.machine_config();
+        let mut config = SystemUnderTest::scaled(system, scale).machine_config();
         config.mcu.mcq_entries = mcq;
         config.mcu.bwb_entries = bwb;
         let mut machine = Machine::new(config);
@@ -590,9 +592,8 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
         .unwrap_or_else(|| run_point(ref_mcq, ref_bwb).stats);
 
     println!(
-        "== aos ablate: {} on {system} @ scale {scale} ({} model) ==",
-        workload.name,
-        model.name()
+        "== aos ablate: {} on {system} @ scale {scale} ==",
+        workload.name
     );
     println!(
         "reference: mcq={ref_mcq} bwb={ref_bwb} cycles={} (Table IV geometry)",
@@ -638,13 +639,12 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
             })
             .collect();
         format!(
-            "{{\n{indent}\"schema\": \"aos-ablate-report/v1\",\n\
+            "{{\n{indent}\"schema\": \"aos-ablate-report/v2\",\n\
              {indent}\"workload\": \"{}\",\n{indent}\"system\": \"{system}\",\n\
-             {indent}\"scale\": {scale},\n{indent}\"model\": \"{}\",\n\
+             {indent}\"scale\": {scale},\n\
              {indent}\"reference\": {{\"mcq\": {ref_mcq}, \"bwb\": {ref_bwb}, \
              \"cycles\": {}}},\n{indent}\"points\": [\n{}\n{indent}]\n}}",
             workload.name,
-            model.name(),
             reference.cycles,
             cells.join(",\n"),
         )
@@ -1622,12 +1622,10 @@ mod tests {
         assert!(text.contains("aos corpus verify"));
         assert!(text.contains("--entry"));
         assert!(text.contains("--mode sim|lint"));
-        // The geometry sweep is documented, axes and model flag
-        // included.
+        // The geometry sweep is documented, axes included.
         assert!(text.contains("aos ablate"));
         assert!(text.contains("--mcq"));
         assert!(text.contains("--bwb"));
-        assert!(text.contains("--model stage|approximate"));
         // The multi-policy surface is documented: the matrix command,
         // the --policy flag, the policy roster, and guided fuzzing.
         assert!(text.contains("aos matrix"));
@@ -1675,12 +1673,14 @@ mod tests {
     #[test]
     fn ablate_exit_code_contract() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // Usage errors: bad axes, bad model, non-AOS system.
+        // Usage errors: bad axes, the removed model flag, non-AOS
+        // system.
         for bad in [
             &["--mcq", "0"][..],
             &["--mcq", "twelve"],
             &["--bwb", "64,"],
             &["--model", "rtl"],
+            &["--model", "stage"],
             &["--system", "baseline"],
             &["--workload", "doom"],
         ] {
@@ -1695,11 +1695,14 @@ mod tests {
             "--scale", "0.002", "--mcq", "24,48", "--bwb", "64",
         ]))
         .is_ok());
-        // The legacy model is reachable for A/B sweeps.
-        assert!(ablate(&args(&[
+        // A stale `--model approximate` fails loudly instead of
+        // quietly sweeping the stage core.
+        match ablate(&args(&[
             "--scale", "0.002", "--mcq", "48", "--bwb", "64", "--model", "approximate",
-        ]))
-        .is_ok());
+        ])) {
+            Err(CliError::Usage(message)) => assert!(message.contains("removed"), "{message}"),
+            other => panic!("--model approximate must be a usage error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use aos_hbt::HbtConfig;
 use aos_isa::SafetyConfig;
-use aos_sim::{Machine, MachineConfig, RunStats, SimModel};
+use aos_sim::{Machine, MachineConfig, RunStats};
 use aos_workloads::{TraceGenerator, WorkloadProfile};
 
 pub mod campaign;
@@ -39,10 +39,6 @@ pub struct SystemUnderTest {
     /// behaviour is identical either way; see
     /// [`aos_util::telemetry`]).
     pub telemetry: bool,
-    /// Which simulation model executes the trace (the stage-structured
-    /// core by default; [`SimModel::Approximate`] selects the legacy
-    /// analytic loop for A/B comparison).
-    pub model: SimModel,
 }
 
 impl SystemUnderTest {
@@ -57,7 +53,6 @@ impl SystemUnderTest {
             forwarding: true,
             scale: 1.0,
             telemetry: false,
-            model: SimModel::default(),
         }
     }
 
@@ -75,12 +70,6 @@ impl SystemUnderTest {
         self
     }
 
-    /// Same system under a different simulation model.
-    pub fn with_model(mut self, model: SimModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// The machine configuration this system implies.
     pub fn machine_config(&self) -> MachineConfig {
         let mut config = MachineConfig::table_iv(self.safety);
@@ -92,7 +81,6 @@ impl SystemUnderTest {
         config.mcu.use_bwb = self.bwb;
         config.mcu.bounds_forwarding = self.forwarding;
         config.telemetry = self.telemetry;
-        config.model = self.model;
         config
     }
 }

@@ -4,9 +4,8 @@
 //! a cell list out across a scoped worker pool
 //! ([`aos_util::par::ordered_parallel_catch`]), returns per-cell
 //! [`CellResult`]s **in input order**, and renders a machine-readable
-//! JSON report (`aos-campaign-report/v5`, with per-cell telemetry
-//! counter columns and the cell's simulation model) so perf
-//! trajectories can be tracked across PRs.
+//! JSON report (`aos-campaign-report/v6`, with per-cell telemetry
+//! counter columns) so perf trajectories can be tracked across PRs.
 //!
 //! Determinism: a cell's simulation consumes no shared mutable state
 //! (each worker builds its own [`TraceGenerator`] and [`Machine`]
@@ -339,19 +338,19 @@ impl CampaignReport {
         self.annotations.push((key.into(), value.into()));
     }
 
-    /// The `aos-campaign-report/v5` JSON document (schema documented
+    /// The `aos-campaign-report/v6` JSON document (schema documented
     /// in DESIGN.md §11 and pinned by `tests/report_schema_golden.rs`):
     /// campaign wall-clock, cell-health counters and cells/sec at the
-    /// top, then one record per cell with its simulation model, status,
-    /// attempts, wall-clock, (for completed cells) simulated cycles per
-    /// second and the cell's telemetry counters — always present,
-    /// all-zero when the cell ran with telemetry disabled, so consumers
-    /// see a stable shape. Failed cells carry the captured error
-    /// instead. v5 added the per-cell `model` token and the stage-core
-    /// stall/replay/flush counters to the telemetry column.
+    /// top, then one record per cell with its status, attempts,
+    /// wall-clock, (for completed cells) simulated cycles per second
+    /// and the cell's telemetry counters — always present, all-zero
+    /// when the cell ran with telemetry disabled, so consumers see a
+    /// stable shape. Failed cells carry the captured error instead.
+    /// v6 dropped the per-cell `model` token that v5 added alongside
+    /// the stage-core stall/replay/flush counters.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"aos-campaign-report/v5\",\n");
+        out.push_str("  \"schema\": \"aos-campaign-report/v6\",\n");
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"cells\": {},\n", self.results.len()));
         out.push_str(&format!("  \"completed\": {},\n", self.completed()));
@@ -392,12 +391,11 @@ impl CampaignReport {
             };
             out.push_str(&format!(
                 "    {{\"workload\": \"{}\", \"system\": \"{}\", \"scale\": {}, \
-                 \"model\": \"{}\", \"status\": \"{}\", \"attempts\": {}, \
+                 \"status\": \"{}\", \"attempts\": {}, \
                  \"wall_seconds\": {:.6}, {}}}{}\n",
                 r.cell.profile.name,
                 r.cell.sut.safety,
                 r.cell.sut.scale,
-                r.cell.sut.model.name(),
                 r.status(),
                 r.attempts,
                 r.wall.as_secs_f64(),
@@ -594,12 +592,12 @@ mod tests {
         let mut report = run_campaign(&cells, &CampaignOptions::with_threads(2));
         report.annotate("note", "{\"tag\": \"smoke\"}");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v5\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v6\""));
         assert!(json.contains("\"cells\": 3"));
         assert!(json.contains("\"completed\": 3"));
         assert!(json.contains("\"failed\": 0"));
         assert!(json.contains("\"workload\": \"mcf\""));
-        assert_eq!(json.matches("\"model\": \"stage\"").count(), 3);
+        assert!(!json.contains("\"model\""));
         assert!(json.contains("\"note\": {\"tag\": \"smoke\"}"));
         assert_eq!(json.matches("sim_cycles_per_sec").count(), 3);
         assert_eq!(json.matches("\"trace_ops\": ").count(), 3);

@@ -1,7 +1,7 @@
 //! The fault-injection campaign: a `kind × seed × system` grid run
 //! through the hardened campaign runner, so each trial inherits the
 //! runner's panic isolation, timeout and retry machinery, and the
-//! detection summary rides the `aos-campaign-report/v5` document as a
+//! detection summary rides the `aos-campaign-report/v6` document as a
 //! `fault_detection` annotation.
 
 use std::sync::Arc;
@@ -680,7 +680,7 @@ mod tests {
         assert!(json.contains("\"lint_cross_check\": {\"clean_diagnostics\": 0, \"consistent\": true,"));
         assert!(json.contains("\"policy_cross_check\": [{\"policy\": \"aos\","));
         assert!(json.contains("\"policy\": \"pactight\""));
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v5\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v6\""));
         // Every cell streamed: ops were metered and the pipeline never
         // held more than a window of trace (the clean trace here is
         // tens of thousands of ops).

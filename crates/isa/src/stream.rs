@@ -764,7 +764,9 @@ impl<I> SpliceMany<I> {
     }
 
     /// Queues every edit targeting the current original index; returns
-    /// whether one of them replaces the original op.
+    /// whether one of them replaces the original op. Called only once
+    /// that op exists, so an edit at the end-of-stream index falls to
+    /// [`SpliceMany::take_tail_edits`] instead.
     fn take_edits_here(&mut self) -> bool {
         let mut replaced = false;
         while let Some(edit) = self.edits.get(self.next_edit) {
@@ -798,9 +800,9 @@ impl<I: Iterator<Item = Op>> Iterator for SpliceMany<I> {
             if let Some(op) = self.pending.pop_front() {
                 return Some(op);
             }
-            let replaced = self.take_edits_here();
             match self.inner.next() {
                 Some(op) => {
+                    let replaced = self.take_edits_here();
                     self.index += 1;
                     if !replaced {
                         self.pending.push_back(op);
@@ -844,7 +846,8 @@ impl<I: Iterator<Item = Op> + BatchSource> BatchSource for SpliceMany<I> {
             }
         }
         // Near an edit site (or at end-of-stream with tail edits):
-        // refill per op so all splice bookkeeping stays in `next`.
+        // refill per op so all splice bookkeeping — including the
+        // end-of-stream rule that drops replaces — stays in `next`.
         let mut added = 0;
         while !batch.is_full() {
             match self.next() {
@@ -1326,6 +1329,12 @@ mod tests {
                 Splice::insert(len + 10, vec![Op::Xpacm]),
                 Splice::replace(len + 11, vec![Op::FpAlu]),
             ],
+            // Edits at exactly the end-of-stream index: the insert
+            // appends, the replace has no op to replace and is dropped.
+            vec![
+                Splice::replace(len, vec![Op::FpAlu]),
+                Splice::insert(len, vec![Op::Xpacm]),
+            ],
             // Dense edits on consecutive sites.
             vec![
                 Splice::insert(3, vec![Op::FpAlu]),
@@ -1365,7 +1374,7 @@ mod tests {
     #[test]
     fn splice_many_agrees_with_the_single_op_adapters() {
         let base = every_op_variant();
-        for at in [0, 3, base.len() - 1, base.len() + 2] {
+        for at in [0, 3, base.len() - 1, base.len(), base.len() + 2] {
             let via_insert: Vec<Op> = base.iter().copied().insert_at(at, Op::FpAlu).collect();
             let via_many: Vec<Op> = base
                 .iter()

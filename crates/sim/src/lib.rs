@@ -14,19 +14,17 @@
 //!   fixed-latency DRAM; bounds traffic routes through the L1-B when
 //!   present, otherwise it contends with data in the L1-D — the
 //!   mechanism behind the Fig. 15 ablation;
-//! - [`pipeline`] — the default [`machine::SimModel::Stage`] core:
-//!   fetch, decode/rename (RAT + physical register file), dispatch,
-//!   execute, a load/store queue with store→load forwarding and
-//!   store-load replay, a circular reorder buffer with delayed
-//!   retirement for precise AOS exceptions (fault latched in the ROB,
-//!   raised at commit, everything younger squashed and refetched),
-//!   and in-order commit — with the MCU/MCQ and BWB attached as
-//!   structural units (MCQ full ⇒ dispatch stall);
-//! - [`machine`] — configuration, statistics, and the legacy analytic
-//!   cycle-approximate loop kept behind
-//!   [`machine::SimModel::Approximate`] as the A/B reference.
+//! - [`pipeline`] — the out-of-order core: fetch, decode/rename
+//!   (RAT and physical register file), dispatch, execute, a
+//!   load/store queue with store→load forwarding and store-load
+//!   replay, a circular reorder buffer with delayed retirement for
+//!   precise AOS exceptions (fault latched in the ROB, raised at
+//!   commit, everything younger squashed and refetched), and in-order
+//!   commit — with the MCU/MCQ and BWB attached as structural units
+//!   (MCQ full ⇒ dispatch stall);
+//! - [`machine`] — configuration, statistics, and [`Machine::run`].
 //!
-//! Neither model is RTL: they reproduce the throughput effects (extra
+//! The model is not RTL: it reproduces the throughput effects (extra
 //! µops, metadata cache pressure, delayed retirement, crypto latency)
 //! that produce the paper's normalized results, as documented in
 //! `DESIGN.md`.
@@ -58,4 +56,4 @@ pub mod tage;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{MemoryHierarchy, TrafficStats};
-pub use machine::{BranchModel, Machine, MachineConfig, RunStats, SimConfig, SimModel};
+pub use machine::{BranchModel, Machine, MachineConfig, RunStats, SimConfig};

@@ -1,16 +1,10 @@
-//! The machine front door: configuration, statistics, and the two
-//! simulation models behind [`Machine::run`] — the default
-//! stage-structured out-of-order core in [`crate::pipeline`] and the
-//! legacy cycle-approximate analytic loop kept in this module behind
-//! [`SimModel::Approximate`].
-
-use std::collections::VecDeque;
+//! The machine front door: configuration, statistics, and
+//! [`Machine::run`], which drives a trace through the stage-structured
+//! out-of-order core in [`crate::pipeline`].
 
 use aos_hbt::{HashedBoundsTable, HbtConfig};
 use aos_isa::{InstMix, Op, SafetyConfig};
-use aos_mcu::{
-    AosException, BoundsMemory, BwbStats, McuConfig, McuEvent, McuOp, McuStats, MemoryCheckUnit,
-};
+use aos_mcu::{BoundsMemory, BwbStats, McuConfig, McuEvent, McuStats, MemoryCheckUnit};
 use aos_ptrauth::PointerLayout;
 
 use crate::cache::CacheStats;
@@ -28,41 +22,6 @@ pub enum BranchModel {
     /// Run the in-simulator L-TAGE; mispredictions emerge from the
     /// predictor's actual behaviour on the branch stream.
     Tage,
-}
-
-/// Which simulation model executes the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimModel {
-    /// The stage-structured out-of-order core ([`crate::pipeline`]):
-    /// fetch / rename (RAT) / dispatch / execute / LSQ / ROB / commit
-    /// as first-class components, with precise AOS exceptions raised
-    /// at commit (delayed retirement) and a structural store→load
-    /// forwarding + replay path in the LSQ.
-    #[default]
-    Stage,
-    /// The legacy analytic cycle-approximate loop — kept as an A/B
-    /// escape hatch so campaign reports can quantify what the
-    /// structural model changes.
-    Approximate,
-}
-
-impl SimModel {
-    /// Stable wire token (CLI flags, campaign report).
-    pub fn name(self) -> &'static str {
-        match self {
-            SimModel::Stage => "stage",
-            SimModel::Approximate => "approximate",
-        }
-    }
-
-    /// Parses a wire token produced by [`SimModel::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "stage" => Some(SimModel::Stage),
-            "approximate" | "approx" => Some(SimModel::Approximate),
-            _ => None,
-        }
-    }
 }
 
 /// The named Table IV core-geometry constants. `table_iv`, the
@@ -128,10 +87,6 @@ pub struct MachineConfig {
     /// bookkeeping exactly, so statistics are bit-identical either way
     /// — the `event_skip_is_invisible` differential test pins this.
     pub event_skip: bool,
-    /// Which simulation model executes the trace (stage-structured
-    /// core by default; the analytic loop behind
-    /// [`SimModel::Approximate`]).
-    pub model: SimModel,
 }
 
 impl MachineConfig {
@@ -159,7 +114,6 @@ impl MachineConfig {
             branch_model: BranchModel::default(),
             telemetry: false,
             event_skip: true,
-            model: SimModel::default(),
         }
     }
 
@@ -243,13 +197,11 @@ pub struct RunStats {
     pub stalls_lsq: u64,
     /// Issue stalls charged to a full MCQ (the paper's back-pressure).
     pub stalls_mcq: u64,
-    /// Loads the stage-core LSQ replayed after an older in-window
-    /// store resolved to an overlapping address (always zero under
-    /// [`SimModel::Approximate`], which has no ordering speculation).
+    /// Loads the LSQ replayed after an older in-window store resolved
+    /// to an overlapping address.
     pub lsq_replays: u64,
     /// Precise-exception pipeline flushes: commits of a faulted op
-    /// that squashed everything younger (always zero under
-    /// [`SimModel::Approximate`], which charges faults at event time).
+    /// that squashed everything younger.
     pub flushes: u64,
     /// Pipeline telemetry snapshot (all-zero/disabled when the config
     /// did not enable telemetry). Deterministic for a given
@@ -279,30 +231,6 @@ impl RunStats {
     }
 }
 
-struct RobEntry {
-    complete_at: u64,
-    mcq_id: Option<u64>,
-    is_load: bool,
-    is_store: bool,
-}
-
-/// Which structural hazard ended an issue group that issued nothing.
-/// The event-skip fast-forward replays the per-cycle hazard counter
-/// the blocked cycle would have charged, once per skipped cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StallKind {
-    /// Nothing blocked; the group ended because the trace ran dry.
-    None,
-    /// The front end is flushed until `fetch_resume_at`.
-    Fetch,
-    /// The reorder buffer is full.
-    Rob,
-    /// The load or store queue is full.
-    Lsq,
-    /// The memory check queue is full.
-    Mcq,
-}
-
 pub(crate) struct BoundsPort<'a> {
     pub(crate) hierarchy: &'a mut MemoryHierarchy,
 }
@@ -326,10 +254,6 @@ pub struct Machine {
     pub(crate) mcu: MemoryCheckUnit,
     pub(crate) hbt: HashedBoundsTable,
     pub(crate) now: u64,
-    rob: VecDeque<RobEntry>,
-    loads_inflight: usize,
-    stores_inflight: usize,
-    fetch_resume_at: u64,
     pub(crate) prev_cycle_stalled: bool,
     pub(crate) mix: InstMix,
     pub(crate) retired_ops: u64,
@@ -351,13 +275,9 @@ pub struct Machine {
     /// Reusable buffer for HBT metadata-line drains — avoids a `Vec`
     /// allocation per simulated cycle on the checking path.
     pub(crate) bounds_lines: Vec<u64>,
-    /// Completion time of the most recent *chained* load — the running
-    /// pointer-traversal dependence (approximate model only; the stage
-    /// core tracks the dependence through its RAT).
-    last_chain_complete: u64,
     /// The L-TAGE instance, when `branch_model` is `Tage`.
     pub(crate) tage: Option<Tage>,
-    /// The stage-structured pipeline state ([`SimModel::Stage`]).
+    /// The stage-structured pipeline state.
     pub(crate) stage: StageCore,
     /// The registry handle shared with the MCU, BWB and HBT.
     pub(crate) telemetry: aos_util::Telemetry,
@@ -381,10 +301,6 @@ impl Machine {
             mcu,
             hbt: HashedBoundsTable::new(config.hbt).with_telemetry(telemetry.clone()),
             now: 0,
-            rob: VecDeque::with_capacity(config.rob_entries),
-            loads_inflight: 0,
-            stores_inflight: 0,
-            fetch_resume_at: 0,
             prev_cycle_stalled: false,
             mix: InstMix::default(),
             retired_ops: 0,
@@ -401,7 +317,6 @@ impl Machine {
             published_sim_counters: [0; 5],
             mcu_events: Vec::new(),
             bounds_lines: Vec::new(),
-            last_chain_complete: 0,
             tage: match config.branch_model {
                 BranchModel::Tage => Some(Tage::new(TageConfig::default())),
                 BranchModel::TraceProvided => None,
@@ -424,97 +339,19 @@ impl Machine {
         &self.config
     }
 
-    /// Runs a trace to completion and returns the statistics.
-    ///
-    /// Dispatches on [`MachineConfig::model`]: the stage-structured
-    /// out-of-order core by default, the legacy analytic loop under
-    /// [`SimModel::Approximate`].
+    /// Runs a trace to completion through the stage core and returns
+    /// the statistics.
     ///
     /// # Panics
     ///
     /// Panics if the simulation fails to make forward progress (a
     /// model bug, bounded at 2^40 cycles).
     pub fn run<I: IntoIterator<Item = Op>>(&mut self, trace: I) -> RunStats {
-        let trace = trace.into_iter();
-        match self.config.model {
-            SimModel::Stage => self.run_stage(trace),
-            SimModel::Approximate => self.run_approximate(trace),
-        }
-    }
-
-    /// The legacy analytic cycle-approximate loop ([`SimModel::Approximate`]).
-    fn run_approximate<I: Iterator<Item = Op>>(&mut self, mut trace: I) -> RunStats {
-        let mut pending: Option<Op> = None;
-        loop {
-            self.tick_mcu();
-            if self.hbt.in_migration() {
-                self.hbt.step_migration(self.config.migration_rows_per_cycle);
-            }
-            let retired = self.retire();
-            let (issued, stall_kind) = self.issue(&mut pending, &mut trace);
-            let stalled = issued == 0 && (pending.is_some() || !self.rob.is_empty());
-            if stalled && pending.is_some() {
-                self.stall_cycles += 1;
-            }
-            self.prev_cycle_stalled = stalled;
-            // Event-skip fast-forward: when this cycle did nothing and
-            // every in-flight operation is waiting on a known future
-            // cycle, jump there instead of idling through the gap one
-            // iteration at a time. The machine state is frozen across
-            // the gap (no retire, no issue, no MCU step can fire
-            // before the wake cycle), so only the per-cycle stall
-            // bookkeeping has to be replayed — the same counters the
-            // skipped iterations would have charged.
-            if self.config.event_skip
-                && issued == 0
-                && retired == 0
-                && !self.hbt.in_migration()
-                && !(pending.is_none() && self.rob.is_empty() && self.mcu.is_empty())
-            {
-                let wake = self.wake_cycle();
-                if wake != u64::MAX && wake > self.now + 1 {
-                    let skipped = wake - self.now - 1;
-                    if pending.is_some() {
-                        self.stall_cycles += skipped;
-                    }
-                    match stall_kind {
-                        StallKind::Rob => self.stalls_rob += skipped,
-                        StallKind::Lsq => self.stalls_lsq += skipped,
-                        StallKind::Mcq => self.stalls_mcq += skipped,
-                        StallKind::Fetch | StallKind::None => {}
-                    }
-                    // `prev_cycle_stalled` holds the same value every
-                    // skipped cycle recomputes, so it carries over.
-                    self.now += skipped;
-                }
-            }
-            self.now += 1;
-            if pending.is_none() && self.rob.is_empty() && self.mcu.is_empty() {
-                // Trace might still hold ops (issue broke on width).
-                match trace.next() {
-                    Some(op) => pending = Some(op),
-                    None => break,
-                }
-            }
-            if self.debug && self.now.is_multiple_of(1_000_000) {
-                eprintln!(
-                    "[sim] now={} retired={} rob={} mcu={} loads={} stores={} pending={}",
-                    self.now,
-                    self.retired_ops,
-                    self.rob.len(),
-                    self.mcu.len(),
-                    self.loads_inflight,
-                    self.stores_inflight,
-                    pending.is_some(),
-                );
-            }
-            assert!(self.now < 1 << 40, "simulation failed to make progress");
-        }
-        self.collect_stats()
+        self.run_stage(trace.into_iter())
     }
 
     /// Publishes run-loop telemetry deltas and snapshots the run's
-    /// statistics — shared by both simulation models.
+    /// statistics.
     pub(crate) fn collect_stats(&mut self) -> RunStats {
         // Publish the per-component counters accumulated during the
         // run before the snapshot below reads them.
@@ -564,266 +401,6 @@ impl Machine {
             flushes: self.flushes,
             telemetry: self.telemetry.snapshot(),
         }
-    }
-
-    /// The earliest future cycle at which a frozen pipeline can make
-    /// progress, or `u64::MAX` when no in-flight work exists. Only
-    /// meaningful right after a cycle that retired and issued nothing:
-    /// the machine state cannot change until one of the candidates
-    /// fires.
-    fn wake_cycle(&self) -> u64 {
-        let mut wake = u64::MAX;
-        if let Some(head) = self.rob.front() {
-            if head.complete_at > self.now {
-                wake = head.complete_at;
-            }
-            // A head that is complete but still blocked is waiting on
-            // its MCQ entry; the MCU candidate below covers it.
-        }
-        if self.config.aos_enabled && !self.mcu.is_empty() {
-            wake = wake.min(self.mcu.next_wake(self.now));
-        }
-        if self.fetch_resume_at > self.now {
-            wake = wake.min(self.fetch_resume_at);
-        }
-        wake
-    }
-
-    fn tick_mcu(&mut self) {
-        if !self.config.aos_enabled || self.mcu.is_empty() {
-            return;
-        }
-        let mut port = BoundsPort {
-            hierarchy: &mut self.hierarchy,
-        };
-        self.mcu
-            .tick(self.now, &mut self.hbt, &mut port, &mut self.mcu_events);
-        let events = std::mem::take(&mut self.mcu_events);
-        for ev in &events {
-            if let McuEvent::Exception { id, exception } = ev {
-                match exception {
-                    AosException::BoundsStoreFailure { .. } => {
-                        // OS handler: allocate a doubled table and let
-                        // the background manager migrate (§V-F3). A
-                        // table already at max associativity cannot
-                        // grow; the OS then kills the store — counted
-                        // as a violation so the pathology is visible —
-                        // instead of aborting the whole simulation.
-                        if self.hbt.try_begin_resize().is_ok() {
-                            self.hbt_resizes += 1;
-                            self.mcu.retry(*id);
-                        } else {
-                            self.violations += 1;
-                            self.telemetry.count(aos_util::Counter::SimViolations);
-                            self.mcu.drop_failed(*id);
-                        }
-                    }
-                    AosException::BoundsCheckFailure { .. }
-                    | AosException::BoundsClearFailure { .. }
-                    | AosException::MalformedBounds { .. } => {
-                        // Benign workloads never get here; count it and
-                        // let the process continue (the "report and
-                        // resume" OS policy). Malformed bndstr bounds
-                        // from a tampered trace land here too: the
-                        // store is dropped and the fault counted.
-                        self.violations += 1;
-                        self.telemetry.count(aos_util::Counter::SimViolations);
-                        self.mcu.drop_failed(*id);
-                    }
-                }
-            }
-        }
-        self.mcu_events = events;
-        self.mcu_events.clear();
-        // The FSM models metadata traffic through the BoundsPort
-        // directly, so HBT-side access recording stays empty in timing
-        // mode — but any functional-path operation interleaved between
-        // runs may have recorded lines. Drain them into the reusable
-        // buffer (no allocation) so the record cannot grow unboundedly.
-        if self.hbt.pending_accesses() > 0 {
-            self.bounds_lines.clear();
-            self.hbt.drain_accesses_into(&mut self.bounds_lines);
-        }
-    }
-
-    fn retire(&mut self) -> u32 {
-        let mut retired = 0;
-        while retired < self.config.issue_width {
-            let Some(head) = self.rob.front() else { break };
-            if head.complete_at > self.now {
-                break;
-            }
-            if let Some(id) = head.mcq_id {
-                // can_retire + mark_committed in one queue lookup.
-                if !self.mcu.commit_if_retirable(id) {
-                    break;
-                }
-            }
-            let head = self.rob.pop_front().expect("peeked above");
-            if head.is_load {
-                self.loads_inflight -= 1;
-            }
-            if head.is_store {
-                self.stores_inflight -= 1;
-            }
-            self.retired_ops += 1;
-            retired += 1;
-        }
-        retired
-    }
-
-    fn issue(
-        &mut self,
-        pending: &mut Option<Op>,
-        trace: &mut impl Iterator<Item = Op>,
-    ) -> (u32, StallKind) {
-        let mut issued = 0;
-        let mut stall = StallKind::None;
-        while issued < self.config.issue_width {
-            if self.now < self.fetch_resume_at {
-                stall = StallKind::Fetch;
-                break;
-            }
-            let Some(op) = pending.take().or_else(|| trace.next()) else {
-                break;
-            };
-            // Structural hazards.
-            if self.rob.len() == self.config.rob_entries {
-                self.stalls_rob += 1;
-                stall = StallKind::Rob;
-                *pending = Some(op);
-                break;
-            }
-            let memref = op.memory_ref(self.config.layout);
-            let takes_lsq = op.occupies_lsq();
-            if let Some(m) = memref {
-                // LSQ entries are held from issue until retirement,
-                // as in real hardware.
-                let full = takes_lsq
-                    && if m.is_store {
-                        self.stores_inflight >= self.config.lsq_stores
-                    } else {
-                        self.loads_inflight >= self.config.lsq_loads
-                    };
-                if full {
-                    self.stalls_lsq += 1;
-                    stall = StallKind::Lsq;
-                    *pending = Some(op);
-                    break;
-                }
-            }
-            let to_mcu = self.config.aos_enabled && op.needs_mcu();
-            if to_mcu && !self.mcu.has_capacity() {
-                self.stalls_mcq += 1;
-                stall = StallKind::Mcq;
-                *pending = Some(op);
-                break;
-            }
-
-            // Execute.
-            // Pointer-chasing loads cannot start until the previous
-            // link of the traversal delivered their address.
-            let chained = matches!(op, Op::Load { chained: true, .. });
-            let mut start_at = self.now;
-            if chained {
-                start_at = start_at.max(self.last_chain_complete);
-            }
-            let complete_at = if let Some(m) = memref {
-                let latency = if m.metadata {
-                    self.hierarchy.access_bounds(m.addr, m.bytes, m.is_store)
-                } else {
-                    self.hierarchy.access_data(m.addr, m.bytes, m.is_store)
-                };
-                if takes_lsq {
-                    if m.is_store {
-                        self.stores_inflight += 1;
-                    } else {
-                        self.loads_inflight += 1;
-                    }
-                }
-                if m.is_store {
-                    // Stores retire once address and data are ready and
-                    // drain from the post-commit store buffer; their
-                    // cache latency is charged as traffic, not as a
-                    // retirement block.
-                    self.now + 1
-                } else {
-                    let done = start_at + latency;
-                    if chained {
-                        self.last_chain_complete = done;
-                    }
-                    done
-                }
-            } else {
-                self.now + op.exec_latency()
-            };
-            if let Op::Branch {
-                pc,
-                taken,
-                mispredicted,
-            } = op
-            {
-                let missed = match &mut self.tage {
-                    Some(tage) => {
-                        let prediction = tage.predict(pc);
-                        tage.update(pc, taken, prediction)
-                    }
-                    None => mispredicted,
-                };
-                if missed {
-                    if self.prev_cycle_stalled {
-                        // The front end was already blocked, so the
-                        // wrong path never issued (§IX-A back-pressure
-                        // effect).
-                        self.waived_mispredicts += 1;
-                    } else {
-                        self.charged_mispredicts += 1;
-                        self.fetch_resume_at = self
-                            .fetch_resume_at
-                            .max(complete_at + self.config.mispredict_penalty);
-                    }
-                }
-            }
-            let mcq_id = if to_mcu {
-                let mcu_op = match op {
-                    Op::Load { pointer, .. } => McuOp::Access {
-                        pointer,
-                        is_store: false,
-                    },
-                    Op::Store { pointer, .. } => McuOp::Access {
-                        pointer,
-                        is_store: true,
-                    },
-                    Op::BndStr { pointer, size } => McuOp::BndStr { pointer, size },
-                    Op::BndClr { pointer } => McuOp::BndClr { pointer },
-                    _ => unreachable!("needs_mcu covers only memory and bounds ops"),
-                };
-                Some(
-                    self.mcu
-                        .issue(mcu_op, start_at)
-                        .unwrap_or_else(|_| unreachable!("capacity checked above")),
-                )
-            } else {
-                None
-            };
-            self.mix.record(&op, self.config.layout);
-            self.rob.push_back(RobEntry {
-                complete_at,
-                mcq_id,
-                is_load: takes_lsq && memref.is_some_and(|m| !m.is_store),
-                is_store: takes_lsq && memref.is_some_and(|m| m.is_store),
-            });
-            issued += 1;
-            // Call-path QARMA (pacia/autia, pointer authentication)
-            // sits on the critical path of the call or the pointer
-            // use: end the issue group, costing roughly one fetch
-            // bubble. Data-pointer signing at malloc sites (pacma) is
-            // off the critical path and pipelines freely.
-            if matches!(op, Op::PacCrypto) {
-                break;
-            }
-        }
-        (issued, stall)
     }
 
     /// [`Machine::run`] fed through a [`Batched`] driver: the source
@@ -1102,7 +679,6 @@ mod tests {
         assert_eq!(cfg.mispredict_penalty, SimConfig::MISPREDICT_PENALTY);
         assert_eq!(cfg.mcu.mcq_entries, SimConfig::MCQ_ENTRIES);
         assert_eq!(cfg.mcu.bwb_entries, SimConfig::BWB_ENTRIES);
-        assert_eq!(cfg.model, SimModel::Stage, "stage core is the default");
     }
 
     #[test]

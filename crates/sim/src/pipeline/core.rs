@@ -1,37 +1,52 @@
 //! The assembled stage core and its cycle loop.
 //!
-//! Each simulated cycle advances the stages back to front, mirroring
-//! the analytic loop's order so that clean-run statistics line up
-//! between the two models: MCU tick → HBT migration → writeback →
-//! commit → dispatch → stall bookkeeping → event-skip fast-forward.
+//! Each simulated cycle advances the stages back to front: MCU tick →
+//! HBT migration → writeback → commit → dispatch → stall bookkeeping →
+//! event-skip fast-forward.
 //!
-//! Where the models genuinely differ:
+//! Beyond issue width and structural occupancy, the core models:
 //!
 //! - **Precise exceptions.** A failing AOS check is latched on the
 //!   faulting op's ROB entry and raised only when that entry reaches
 //!   the commit point (delayed retirement). The flush squashes every
 //!   younger op — rolling back their renames, LSQ slots and MCQ
 //!   entries — and refetches them through the front end after a
-//!   redirect penalty. The analytic model charges the fault at event
-//!   time and never flushes, so `flushes` is always zero there.
+//!   redirect penalty (`flushes`).
 //! - **Memory-order speculation.** Loads probe the store queue: a full
 //!   cover by an older resolved store forwards, a same-cycle or
-//!   partial overlap replays (`lsq_replays`). The analytic model has
-//!   no store queue to disambiguate against.
-//! - **Chain dependences** thread through the RAT instead of a scalar
-//!   completion time, which is what makes rename rollback on a flush
-//!   meaningful.
+//!   partial overlap replays (`lsq_replays`).
+//! - **Chain dependences.** Pointer-chasing loads read a chain
+//!   register through the RAT, so a flush's rename rollback also
+//!   restores the traversal's dependence.
 
 use aos_isa::Op;
 use aos_mcu::{AosException, McuEvent, McuOp};
 
-use crate::machine::{BoundsPort, Machine, MachineConfig, RunStats, StallKind};
+use crate::machine::{BoundsPort, Machine, MachineConfig, RunStats};
 
 use super::fetch::FetchUnit;
 use super::issue::IssueQueue;
 use super::lsq::{LoadPath, LoadStoreQueue, LsqEntry};
 use super::rename::{RegisterAliasTable, CHAIN_REG};
 use super::rob::{ReorderBuffer, RobEntry};
+
+/// Which structural hazard ended a dispatch group that dispatched
+/// nothing. The event-skip fast-forward replays the per-cycle hazard
+/// counter the blocked cycle would have charged, once per skipped
+/// cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StallKind {
+    /// Nothing blocked; the group ended because the trace ran dry.
+    None,
+    /// The front end is redirected until [`FetchUnit::resume_at`].
+    Fetch,
+    /// The reorder buffer is full.
+    Rob,
+    /// The load or store queue is full.
+    Lsq,
+    /// The memory check queue is full.
+    Mcq,
+}
 
 /// The stage-structured pipeline state, one instance per [`Machine`].
 pub struct StageCore {
@@ -63,7 +78,7 @@ impl StageCore {
 }
 
 impl Machine {
-    /// The stage-structured run loop ([`crate::SimModel::Stage`]).
+    /// The stage-structured run loop behind [`Machine::run`].
     pub(crate) fn run_stage<I: Iterator<Item = Op>>(&mut self, mut trace: I) -> RunStats {
         loop {
             self.stage_tick_mcu();
@@ -79,13 +94,14 @@ impl Machine {
                 self.stall_cycles += 1;
             }
             self.prev_cycle_stalled = stalled;
-            // Event-skip fast-forward, exactly as in the analytic loop:
-            // when the cycle did nothing and every in-flight operation
-            // waits on a known future cycle, jump there and replay the
-            // per-cycle stall bookkeeping the skipped iterations would
-            // have charged. Writebacks inside the gap are safe to skip
-            // past — completion only matters once the entry reaches the
-            // commit point, and the ROB head is a wake candidate.
+            // Event-skip fast-forward: when the cycle did nothing and
+            // every in-flight operation waits on a known future cycle,
+            // jump there and replay the per-cycle stall bookkeeping the
+            // skipped iterations would have charged. The machine state
+            // is frozen across the gap, so nothing else needs replaying.
+            // Writebacks inside the gap are safe to skip past —
+            // completion only matters once the entry reaches the commit
+            // point, and the ROB head is a wake candidate.
             if self.config.event_skip
                 && dispatched == 0
                 && committed == 0
@@ -138,8 +154,10 @@ impl Machine {
     }
 
     /// The earliest future cycle at which the frozen pipeline can make
-    /// progress (see the analytic model's `wake_cycle`; the only
-    /// stage-specific candidate is the uncompleted ROB head).
+    /// progress, or `u64::MAX` when no in-flight work exists. Only
+    /// meaningful right after a cycle that committed and dispatched
+    /// nothing: the machine state cannot change until one of the
+    /// candidates fires.
     fn stage_wake_cycle(&self) -> u64 {
         let mut wake = u64::MAX;
         if let Some(head) = self.stage.rob.head() {
@@ -163,8 +181,7 @@ impl Machine {
     /// Steps the MCU and latches any raised exception on the faulting
     /// op's ROB entry, to be raised precisely at the commit point. The
     /// growable-table path (a bounds store that fails only because the
-    /// row is full) is an OS resize + retry, not a fault — identical
-    /// to the analytic model.
+    /// row is full) is an OS resize + retry, not a fault.
     fn stage_tick_mcu(&mut self) {
         if !self.config.aos_enabled || self.mcu.is_empty() {
             return;
@@ -212,8 +229,11 @@ impl Machine {
         }
         self.mcu_events = events;
         self.mcu_events.clear();
-        // Drain any functional-path access recording (see the analytic
-        // model's tick for why this stays empty in timing mode).
+        // The FSM models metadata traffic through the BoundsPort
+        // directly, so HBT-side access recording stays empty in timing
+        // mode — but any functional-path operation interleaved between
+        // runs may have recorded lines. Drain them into the reusable
+        // buffer (no allocation) so the record cannot grow unboundedly.
         if self.hbt.pending_accesses() > 0 {
             self.bounds_lines.clear();
             self.hbt.drain_accesses_into(&mut self.bounds_lines);
@@ -356,7 +376,7 @@ impl Machine {
             let complete_at = if let Some(m) = memref {
                 // The cache access always happens — even a forwarded
                 // load probes the hierarchy — so cache and traffic
-                // statistics stay comparable with the analytic model.
+                // statistics count every architectural access.
                 let latency = if m.metadata {
                     self.hierarchy.access_bounds(m.addr, m.bytes, m.is_store)
                 } else {

@@ -9,8 +9,8 @@
 //! L1 hit. A load dispatched in the same cycle as an overlapping older
 //! store speculated past an unresolved store address and *replays*
 //! (one bubble); a partial overlap cannot forward and replays too.
-//! The cache access is still performed either way so the memory
-//! hierarchy observes identical traffic to the analytic model.
+//! The cache access is still performed either way, so the memory
+//! hierarchy observes every architectural access.
 
 use std::collections::VecDeque;
 

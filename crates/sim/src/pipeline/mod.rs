@@ -1,6 +1,6 @@
-//! The stage-structured out-of-order core ([`SimModel::Stage`]): the
-//! pipeline decomposed into first-class components instead of the
-//! analytic shortcuts of the legacy loop.
+//! The stage-structured out-of-order core behind
+//! [`Machine::run`](crate::Machine::run): the pipeline decomposed into
+//! first-class components.
 //!
 //! - [`fetch::FetchUnit`] — the trace tap, structural-hazard parking
 //!   slot, post-flush refetch buffer, and redirect timer.
@@ -18,8 +18,6 @@
 //!   memory hierarchy. The MCU's check queue is a structural unit of
 //!   this pipeline: a full MCQ back-pressures dispatch exactly like a
 //!   full ROB or LSQ.
-//!
-//! [`SimModel::Stage`]: crate::SimModel::Stage
 
 pub mod core;
 pub mod fetch;

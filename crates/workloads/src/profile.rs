@@ -83,7 +83,7 @@ pub struct WorkloadProfile {
     /// (pointer chasing); serializes memory latency as in the real
     /// benchmark.
     pub load_chain_fraction: f64,
-    /// Approximate hot text-segment size in bytes; sizes the synthetic
+    /// Estimated hot text-segment size in bytes; sizes the synthetic
     /// branch-site population (and with it the pressure a
     /// `BranchModel::Tage` run puts on the predictor's tables).
     pub code_footprint: u64,

@@ -76,14 +76,11 @@ cargo run -q --release -p aos-cli -- corpus replay \
 cargo run -q --release -p aos-cli -- corpus verify "$corpus_file" >/dev/null
 rm -f "$corpus_file"
 
-echo "== tier-1: stage-core vs approximate model smoke =="
-# The stage-structured core is the default model; the legacy analytic
-# loop stays reachable for A/B runs. Both must finish a small benign
-# window cleanly (exit 0 = zero violations on every sweep point).
+echo "== tier-1: MCU geometry ablation smoke =="
+# A small benign MCQ x BWB sweep on the stage core must finish cleanly
+# (exit 0 = zero violations on every sweep point).
 cargo run -q --release -p aos-cli -- ablate \
     --scale 0.002 --mcq 24,48 --bwb 64 >/dev/null
-cargo run -q --release -p aos-cli -- ablate \
-    --scale 0.002 --mcq 48 --bwb 64 --model approximate >/dev/null
 
 echo "== tier-1: batched pipeline smoke =="
 # The streaming bench asserts bit-identical RunStats and telemetry

@@ -1,4 +1,4 @@
-//! Golden-file pin of the `aos-campaign-report/v5` JSON schema.
+//! Golden-file pin of the `aos-campaign-report/v6` JSON schema.
 //!
 //! The report is hand-rolled JSON consumed by scripts, so its shape —
 //! field names, their order, and the per-cell telemetry counter keys —
@@ -16,7 +16,7 @@ use aos_core::experiment::SystemUnderTest;
 use aos_isa::SafetyConfig;
 use aos_workloads::profile::by_name;
 
-const GOLDEN: &str = "tests/golden/campaign_report_v5.keys";
+const GOLDEN: &str = "tests/golden/campaign_report_v6.keys";
 
 /// Every JSON object key in document order: a quoted token directly
 /// followed by a colon. Values are never followed by `:` in this
@@ -64,7 +64,7 @@ fn one_cell_report(telemetry: bool) -> String {
 fn campaign_report_v5_key_sequence_matches_golden() {
     let json = one_cell_report(true);
     assert!(
-        json.contains("\"schema\": \"aos-campaign-report/v5\""),
+        json.contains("\"schema\": \"aos-campaign-report/v6\""),
         "schema version string drifted"
     );
     let keys = ordered_keys(&json).join("\n") + "\n";
@@ -76,7 +76,7 @@ fn campaign_report_v5_key_sequence_matches_golden() {
         .expect("golden file missing; regenerate with AOS_UPDATE_GOLDEN=1");
     assert_eq!(
         keys, golden,
-        "the v5 report's key names/order changed; if intentional, bump the \
+        "the v6 report's key names/order changed; if intentional, bump the \
          schema version and rerun with AOS_UPDATE_GOLDEN=1"
     );
 }
