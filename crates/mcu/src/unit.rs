@@ -220,6 +220,10 @@ pub struct MemoryCheckUnit {
     /// Stats already published to telemetry; see
     /// [`flush_telemetry`](Self::flush_telemetry).
     published: McuStats,
+    /// Bounds checks that found no covering record in any way since
+    /// the last [`flush_telemetry`](Self::flush_telemetry) — the miss
+    /// verdicts it publishes beside `completed_checks`, the hits.
+    unpublished_check_misses: u64,
     /// Whether [`tick`](Self::tick) reports clean completions as
     /// [`McuEvent::Retired`]. The timing simulator only consumes
     /// exception events, so it turns this off and saves one event
@@ -247,6 +251,7 @@ impl MemoryCheckUnit {
             next_id: 0,
             stats: McuStats::default(),
             published: McuStats::default(),
+            unpublished_check_misses: 0,
             emit_retired: true,
             sync_events: Vec::new(),
             telemetry: aos_util::Telemetry::disabled(),
@@ -264,9 +269,20 @@ impl MemoryCheckUnit {
     /// the internal BWB's counters). Called at the end of a run; the
     /// totals are identical to per-event counting, but the per-op hot
     /// paths stay free of telemetry traffic.
+    ///
+    /// The MCU reads bounds through the uncounted
+    /// [`HashedBoundsTable::peek_way`], so the HBT lookup counters are
+    /// published here from the unit's own check verdicts: each check
+    /// that walked the table is one lookup, a hit when it completed and
+    /// a miss when every way came up empty.
     pub fn flush_telemetry(&mut self) {
         use aos_util::Counter;
+        let hits = self.stats.completed_checks - self.published.completed_checks;
+        let misses = std::mem::take(&mut self.unpublished_check_misses);
         let d = [
+            (Counter::HbtLookups, hits + misses),
+            (Counter::HbtHits, hits),
+            (Counter::HbtMisses, misses),
             (Counter::McqEnqueued, self.stats.issued - self.published.issued),
             (Counter::McqRetired, self.stats.retired - self.published.retired),
             (Counter::McqForwards, self.stats.forwards - self.published.forwards),
@@ -795,6 +811,7 @@ impl MemoryCheckUnit {
         if count == ways {
             self.queue[i].count = count - 1;
             self.queue[i].state = McqState::Fail;
+            self.unpublished_check_misses += 1;
             return;
         }
         let next_way = (self.queue[i].start_way + count) % ways;

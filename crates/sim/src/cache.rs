@@ -57,13 +57,8 @@ pub enum Lookup {
     },
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
+/// The dirty bit of a packed tag.
+const DIRTY: u64 = 1 << 63;
 
 /// The cache proper.
 ///
@@ -85,11 +80,13 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// All lines in one flat allocation: set `s`, way `w` lives at
-    /// `s * ways + w`. The geometry is asserted power-of-two, so the
-    /// per-access address split is a shift and a mask instead of
-    /// three integer divisions.
-    lines: Vec<Line>,
+    /// Every set in one flat allocation, one block of `2 * ways` words
+    /// per set: `ways` packed tags, then `ways` LRU stamps. A packed
+    /// tag is `(tag + 1) | dirty << 63`, and 0 marks an invalid way,
+    /// so a zeroed allocation is an empty cache. The geometry is
+    /// asserted power-of-two, so the per-access address split is a
+    /// shift and a mask instead of three integer divisions.
+    blocks: Vec<u64>,
     ways: usize,
     line_shift: u32,
     set_mask: u64,
@@ -112,7 +109,7 @@ impl Cache {
         assert!(sets > 0 && sets.is_power_of_two(), "sets must be 2^k, got {sets}");
         Self {
             config,
-            lines: vec![Line::default(); (sets * config.ways as u64) as usize],
+            blocks: vec![0; (2 * sets * config.ways as u64) as usize],
             ways: config.ways as usize,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
@@ -152,36 +149,27 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = tick;
-            line.dirty |= is_write;
+        let packed = tag + 1;
+        let dirty = if is_write { DIRTY } else { 0 };
+        let ways = self.ways;
+        let block = &mut self.blocks[2 * ways * set_idx..2 * ways * (set_idx + 1)];
+        let (tags, stamps) = block.split_at_mut(ways);
+        if let Some(way) = tags.iter().position(|&t| t & !DIRTY == packed) {
+            stamps[way] = tick;
+            tags[way] |= dirty;
             return (true, None);
         }
-        // Victim: invalid line first, else LRU.
-        let victim_idx = set
-            .iter()
-            .position(|l| !l.valid)
-            .unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.lru)
-                    .map(|(i, _)| i)
-                    .expect("nonzero associativity")
-            });
-        let victim = std::mem::replace(
-            &mut set[victim_idx],
-            Line {
-                tag,
-                valid: true,
-                dirty: is_write,
-                lru: tick,
-            },
-        );
-        let writeback = if victim.valid && victim.dirty {
+        // Victim: invalid way first, else the lowest LRU stamp (the
+        // first such way on a tie).
+        let victim_way = tags.iter().position(|&t| t == 0).unwrap_or_else(|| {
+            (1..ways).fold(0, |min, w| if stamps[w] < stamps[min] { w } else { min })
+        });
+        let victim = std::mem::replace(&mut tags[victim_way], packed | dirty);
+        stamps[victim_way] = tick;
+        let writeback = if victim & DIRTY != 0 {
             self.stats.writebacks += 1;
             // Reconstruct the victim's address.
-            Some(self.victim_address(victim.tag, set_idx))
+            Some(self.victim_address((victim & !DIRTY) - 1, set_idx))
         } else {
             None
         };

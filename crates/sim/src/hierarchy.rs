@@ -104,7 +104,7 @@ impl MemoryHierarchy {
     /// interleave across the two slices by line address.
     fn is_remote_slice(&self, line_addr: u64) -> bool {
         self.l2_remote_penalty > 0
-            && (line_addr / self.l1d.config().line_bytes as u64) % 2 == 1
+            && (line_addr >> self.l1d.config().line_bytes.trailing_zeros()) & 1 == 1
     }
 
     /// Inter-level traffic so far.
@@ -145,12 +145,13 @@ impl MemoryHierarchy {
     }
 
     fn access_through_l1(&mut self, addr: u64, bytes: u32, is_write: bool, bounds: bool) -> u64 {
-        let line_bytes = self.l1d.config().line_bytes as u64;
-        let first = addr / line_bytes;
-        let last = (addr + bytes.max(1) as u64 - 1) / line_bytes;
+        // `Cache::new` asserts a power-of-two line size.
+        let line_shift = self.l1d.config().line_bytes.trailing_zeros();
+        let first = addr >> line_shift;
+        let last = (addr + bytes.max(1) as u64 - 1) >> line_shift;
         let mut latency = 0u64;
         for line in first..=last {
-            let line_addr = line * line_bytes;
+            let line_addr = line << line_shift;
             latency = latency.max(self.one_line(line_addr, is_write, bounds));
         }
         latency

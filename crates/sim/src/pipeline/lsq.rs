@@ -52,10 +52,6 @@ pub struct LoadStoreQueue {
     stores: VecDeque<LsqEntry>,
     load_cap: usize,
     store_cap: usize,
-    /// Loads served by store→load forwarding.
-    pub forwards: u64,
-    /// Loads replayed on a store-order conflict.
-    pub replays: u64,
 }
 
 impl LoadStoreQueue {
@@ -66,8 +62,6 @@ impl LoadStoreQueue {
             stores: VecDeque::with_capacity(store_cap),
             load_cap,
             store_cap,
-            forwards: 0,
-            replays: 0,
         }
     }
 
@@ -105,8 +99,9 @@ impl LoadStoreQueue {
 
     /// Classifies a load about to dispatch against the older stores in
     /// the window. Scans youngest-first so the forwarding source is
-    /// the most recent overlapping store, as in hardware.
-    pub fn classify_load(&mut self, addr: u64, bytes: u32, now: u64) -> LoadPath {
+    /// the most recent overlapping store, as in hardware. The core
+    /// counts replays off the returned path (`lsq_replays`).
+    pub fn classify_load(&self, addr: u64, bytes: u32, now: u64) -> LoadPath {
         let load_end = addr + bytes as u64;
         for store in self.stores.iter().rev() {
             let store_end = store.addr + store.bytes as u64;
@@ -115,14 +110,12 @@ impl LoadStoreQueue {
             }
             let covers = store.addr <= addr && store_end >= load_end;
             if covers && store.dispatched_at < now {
-                self.forwards += 1;
                 return LoadPath::Forward {
                     data_ready_at: store.data_ready_at,
                 };
             }
             // Same-cycle dispatch (address unresolved when the load
             // issued) or partial overlap: the load replays.
-            self.replays += 1;
             return LoadPath::Replay;
         }
         LoadPath::Normal
@@ -173,8 +166,6 @@ mod tests {
         // Dispatched a later cycle, fully inside the store's range.
         let path = lsq.classify_load(0x1008, 8, 6);
         assert_eq!(path, LoadPath::Forward { data_ready_at: 6 });
-        assert_eq!(lsq.forwards, 1);
-        assert_eq!(lsq.replays, 0);
     }
 
     #[test]
@@ -184,8 +175,6 @@ mod tests {
         let mut lsq = LoadStoreQueue::new(4, 4);
         lsq.push_store(store(1, 0x1000, 16, 5));
         assert_eq!(lsq.classify_load(0x1000, 8, 5), LoadPath::Replay);
-        assert_eq!(lsq.replays, 1);
-        assert_eq!(lsq.forwards, 0);
     }
 
     #[test]
@@ -194,7 +183,6 @@ mod tests {
         lsq.push_store(store(1, 0x1000, 8, 5));
         // Load straddles past the store's end: cannot forward.
         assert_eq!(lsq.classify_load(0x1004, 8, 9), LoadPath::Replay);
-        assert_eq!(lsq.replays, 1);
     }
 
     #[test]
@@ -202,7 +190,6 @@ mod tests {
         let mut lsq = LoadStoreQueue::new(4, 4);
         lsq.push_store(store(1, 0x1000, 8, 5));
         assert_eq!(lsq.classify_load(0x2000, 8, 6), LoadPath::Normal);
-        assert_eq!(lsq.forwards + lsq.replays, 0);
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub enum Counter {
     PtrAuths,
     /// `autm` attempts that failed authentication.
     AuthFailures,
-    /// HBT lookups (`check`, functional path).
+    /// HBT bounds-check lookups: `HashedBoundsTable::check` calls,
+    /// plus the MCU's table walks, published from its check verdicts.
     HbtLookups,
     /// HBT lookups that found a validating bounds record.
     HbtHits,

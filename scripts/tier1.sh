@@ -25,6 +25,14 @@ cargo run -q --release -p aos-bench --bin fig11_pac_distribution >"$fig11_out"
 diff -u results/fig11_pac_distribution.txt "$fig11_out"
 rm -f "$fig11_out"
 
+echo "== tier-1: Fig. 14 execution time is byte-identical at full scale =="
+# All 16 SPEC profiles x 5 systems at scale 1.0 through the stage core:
+# a timing-model change that moves one cycle moves a printed ratio.
+fig14_out="${TMPDIR:-/tmp}/aos_fig14_$$.txt"
+cargo run -q --release -p aos-bench --bin fig14_exec_time -- --scale 1.0 >"$fig14_out"
+diff -u results/fig14_exec_time.txt "$fig14_out"
+rm -f "$fig14_out"
+
 echo "== tier-1: fault-injection smoke (strict) =="
 # Every fault class must be detected under AOS, missed by Baseline,
 # with zero false positives, and the static lint cross-check must be

@@ -13,10 +13,19 @@
 //!
 //! The identities hold through every runner shape: per-op, metered,
 //! in-thread batched and threaded overlap.
+//!
+//! The HBT lookup counters are tied to the MCU's own ledger: on the
+//! AOS systems every table walk is one lookup, a hit exactly when the
+//! check completed (`McuStats::completed_checks`), and the sample must
+//! walk the table at all; the other systems never look bounds up. A
+//! use-after-free walks every way and comes up empty: a miss.
 
 use aos_core::experiment::overlap::{run_overlapped, run_overlapped_threaded};
 use aos_core::experiment::{run, run_metered, SystemUnderTest};
+use aos_fault::{plan_fault, FaultKind, FaultSpec};
 use aos_isa::{Op, SafetyConfig};
+use aos_ptrauth::PointerLayout;
+use aos_sim::Machine;
 use aos_util::{Counter, TelemetrySnapshot};
 use aos_workloads::profile::by_name;
 use aos_workloads::{TraceGenerator, WorkloadProfile};
@@ -92,4 +101,49 @@ fn disabled_cells_record_no_generator_counters() {
             "{shape}: a disabled handle recorded something"
         );
     }
+}
+
+#[test]
+fn hbt_lookups_reconcile_with_the_mcu_check_verdicts() {
+    for name in PROFILES {
+        let profile = by_name(name).unwrap();
+        for system in SafetyConfig::ALL {
+            let sut = SystemUnderTest::scaled(system, SCALE).with_telemetry(true);
+            let stats = run(profile, &sut);
+            let t = &stats.telemetry;
+            let (lookups, hits, misses) = (
+                t.counter(Counter::HbtLookups),
+                t.counter(Counter::HbtHits),
+                t.counter(Counter::HbtMisses),
+            );
+            let cell = format!("{name}/{system}");
+            if system.uses_aos() {
+                assert_eq!(lookups, hits + misses, "{cell}");
+                assert_eq!(hits, stats.mcu.completed_checks, "{cell}");
+                assert!(lookups > 0, "{cell}: the sample must check bounds");
+            } else {
+                assert_eq!((lookups, hits, misses), (0, 0, 0), "{cell}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_use_after_free_check_counts_as_an_hbt_miss() {
+    let profile = by_name("hmmer").unwrap();
+    let stream = || TraceGenerator::new(profile, SafetyConfig::Aos, SCALE);
+    let spec = FaultSpec {
+        kind: FaultKind::UseAfterFree,
+        seed: 1,
+    };
+    let plan = plan_fault(stream(), PointerLayout::default(), spec).unwrap();
+    let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE).with_telemetry(true);
+    let stats = Machine::new(sut.machine_config()).run(plan.apply(stream()));
+    let t = &stats.telemetry;
+    assert!(stats.violations > 0, "the fault must be detected");
+    assert!(t.counter(Counter::HbtMisses) > 0);
+    assert_eq!(
+        t.counter(Counter::HbtLookups),
+        stats.mcu.completed_checks + t.counter(Counter::HbtMisses)
+    );
 }
