@@ -1,7 +1,7 @@
 //! The canonical, dependency-free throughput artifact: runs a scaled
 //! Fig. 14 campaign (`SPEC2006 × {Baseline..PA+AOS}`) through the
 //! parallel campaign runner and writes `BENCH_campaign.json`
-//! (schema `aos-campaign-report/v6`: campaign wall-clock, cells/sec,
+//! (schema `aos-campaign-report/v7`: campaign wall-clock, cells/sec,
 //! cell-health counters, per-cell status, sim-cycles/sec, per-cell
 //! telemetry counter columns, and the streaming-pipeline columns
 //! `trace_ops`, `ops_per_sec` and
@@ -87,21 +87,20 @@ fn main() {
     let telemetry = report.telemetry();
     println!(
         "telemetry: bwb hit rate {:.2}%, mcq replays {}, forwards {}, \
-         peak occupancy {}, hbt migration rows {}, batch refills {}",
+         peak occupancy {}, hbt migration rows {}",
         telemetry.bwb_hit_rate() * 100.0,
         telemetry.counter(Counter::McqReplays),
         telemetry.counter(Counter::McqForwards),
         telemetry.gauge(Gauge::McqPeakOccupancy),
         telemetry.counter(Counter::HbtMigrationRows),
-        telemetry.counter(Counter::BatchOpsRefilled),
     );
     // The committed BENCH_campaign.json is only comparable across PRs
     // if the schema the runner renders is the one this artifact
     // advertises — catch a silent schema drift at generation time,
     // not at review time.
     assert!(
-        report.to_json().contains("\"schema\": \"aos-campaign-report/v6\""),
-        "campaign report schema drifted from aos-campaign-report/v6; \
+        report.to_json().contains("\"schema\": \"aos-campaign-report/v7\""),
+        "campaign report schema drifted from aos-campaign-report/v7; \
          bump this assert and regenerate the committed artifact together"
     );
     match report.write_json(&out_path) {

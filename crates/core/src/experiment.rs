@@ -127,10 +127,8 @@ fn generator_and_machine(
 /// flows through [`aos_isa::stream::Metered`] so the cell can report
 /// how many ops it simulated and how much trace the pipeline ever held
 /// buffered (the generator's event buffer — `O(window)`, not the
-/// trace). The campaign's default cell body is the double-buffered
-/// [`overlap::run_overlapped`], which produces identical stats; this
-/// per-op variant remains the equivalence reference the batched path
-/// is pinned against.
+/// trace). This is the campaign's cell body: the generator streams
+/// into the machine one op at a time.
 pub fn run_metered(profile: &WorkloadProfile, sut: &SystemUnderTest) -> campaign::CellOutput {
     use aos_isa::stream::{BufferedOps, OpStream};
 

@@ -4,7 +4,7 @@
 //! a cell list out across a scoped worker pool
 //! ([`aos_util::par::ordered_parallel_catch`]), returns per-cell
 //! [`CellResult`]s **in input order**, and renders a machine-readable
-//! JSON report (`aos-campaign-report/v6`, with per-cell telemetry
+//! JSON report (`aos-campaign-report/v7`, with per-cell telemetry
 //! counter columns) so perf trajectories can be tracked across PRs.
 //!
 //! Determinism: a cell's simulation consumes no shared mutable state
@@ -338,7 +338,7 @@ impl CampaignReport {
         self.annotations.push((key.into(), value.into()));
     }
 
-    /// The `aos-campaign-report/v6` JSON document (schema documented
+    /// The `aos-campaign-report/v7` JSON document (schema documented
     /// in DESIGN.md §11 and pinned by `tests/report_schema_golden.rs`):
     /// campaign wall-clock, cell-health counters and cells/sec at the
     /// top, then one record per cell with its status, attempts,
@@ -347,10 +347,11 @@ impl CampaignReport {
     /// when the cell ran with telemetry disabled, so consumers see a
     /// stable shape. Failed cells carry the captured error instead.
     /// v6 dropped the per-cell `model` token that v5 added alongside
-    /// the stage-core stall/replay/flush counters.
+    /// the stage-core stall/replay/flush counters; v7 dropped the two
+    /// batch-transport counters when cells became per-op only.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"aos-campaign-report/v6\",\n");
+        out.push_str("  \"schema\": \"aos-campaign-report/v7\",\n");
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"cells\": {},\n", self.results.len()));
         out.push_str(&format!("  \"completed\": {},\n", self.completed()));
@@ -459,9 +460,7 @@ pub fn run_campaign_with_progress(
         cells,
         options,
         progress,
-        Arc::new(|_index, cell: &CampaignCell| {
-            super::overlap::run_overlapped(&cell.profile, &cell.sut)
-        }),
+        Arc::new(|_index, cell: &CampaignCell| super::run_metered(&cell.profile, &cell.sut)),
     )
 }
 
@@ -592,7 +591,7 @@ mod tests {
         let mut report = run_campaign(&cells, &CampaignOptions::with_threads(2));
         report.annotate("note", "{\"tag\": \"smoke\"}");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v6\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v7\""));
         assert!(json.contains("\"cells\": 3"));
         assert!(json.contains("\"completed\": 3"));
         assert!(json.contains("\"failed\": 0"));
@@ -625,11 +624,10 @@ mod tests {
             assert!(r.ops_per_sec() > 0.0);
             let peak = r.peak_trace_bytes();
             assert!(peak > 0, "the generator buffers at least one event");
-            // Batch-granular, not trace-granular: the overlapped
-            // runner holds two ping-pong arenas plus the generator's
-            // event buffer, independent of trace length.
-            let bound = (2 * aos_isa::stream::DEFAULT_BATCH_OPS + 64) as u64
-                * std::mem::size_of::<aos_isa::Op>() as u64;
+            // Window-granular, not trace-granular: a per-op cell holds
+            // only the generator's event buffer (about a dozen ops), so
+            // a runner that buffers even one batch fails this bound.
+            let bound = 64 * std::mem::size_of::<aos_isa::Op>() as u64;
             assert!(
                 peak <= bound,
                 "peak {peak} bytes looks like a materialized trace"

@@ -1,7 +1,7 @@
 //! The fault-injection campaign: a `kind × seed × system` grid run
 //! through the hardened campaign runner, so each trial inherits the
 //! runner's panic isolation, timeout and retry machinery, and the
-//! detection summary rides the `aos-campaign-report/v6` document as a
+//! detection summary rides the `aos-campaign-report/v7` document as a
 //! `fault_detection` annotation.
 
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use aos_sim::Machine;
 use aos_util::{AosError, Telemetry};
 use aos_workloads::{TraceGenerator, WorkloadProfile};
 
-use crate::inject::{plan_fault_batched, FaultKind, FaultPlan, FaultSpec};
+use crate::inject::{plan_fault, FaultKind, FaultPlan, FaultSpec};
 use crate::oracle::{FaultTrial, TrialMatrix};
 
 /// What to sweep.
@@ -442,7 +442,7 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
     for &kind in &config.kinds {
         for &seed in &config.seeds {
             let spec = FaultSpec { kind, seed };
-            plans.push(plan_fault_batched(
+            plans.push(plan_fault(
                 stream(&config.profile, config.scale),
                 layout,
                 spec,
@@ -680,7 +680,7 @@ mod tests {
         assert!(json.contains("\"lint_cross_check\": {\"clean_diagnostics\": 0, \"consistent\": true,"));
         assert!(json.contains("\"policy_cross_check\": [{\"policy\": \"aos\","));
         assert!(json.contains("\"policy\": \"pactight\""));
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v6\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v7\""));
         // Every cell streamed: ops were metered and the pipeline never
         // held more than a window of trace (the clean trace here is
         // tens of thousands of ops).

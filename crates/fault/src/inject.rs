@@ -19,9 +19,7 @@
 //! [`inject`] survives as a thin wrapper for callers that already hold
 //! a materialized trace.
 
-use aos_isa::stream::{
-    BatchSource, BufferedOps, InsertAt, Lookahead, OpStream, PerOp, ReplaceAt, DEFAULT_BATCH_OPS,
-};
+use aos_isa::stream::{BufferedOps, InsertAt, Lookahead, OpStream, ReplaceAt};
 use aos_isa::Op;
 use aos_ptrauth::PointerLayout;
 use aos_util::rng::Xoshiro256StarStar;
@@ -181,25 +179,6 @@ impl<I: BufferedOps> BufferedOps for FaultStream<I> {
     }
 }
 
-/// A faulted stream stays batch-native: both splice adapters refill
-/// wholesale, so feeding a faulted trace through the batched pipeline
-/// never degrades to per-op pulls.
-impl<I: Iterator<Item = Op> + BatchSource> BatchSource for FaultStream<I> {
-    fn refill_batch(&mut self, batch: &mut aos_isa::stream::OpBatch) -> usize {
-        match self {
-            FaultStream::Insert(s) => s.refill_batch(batch),
-            FaultStream::Replace(s) => s.refill_batch(batch),
-        }
-    }
-
-    fn batch_native(&self) -> bool {
-        match self {
-            FaultStream::Insert(s) => s.batch_native(),
-            FaultStream::Replace(s) => s.batch_native(),
-        }
-    }
-}
-
 /// k=1 reservoir: offered the candidates in stream order, holds a
 /// uniformly chosen one without ever knowing the population size.
 struct Reservoir<T> {
@@ -242,23 +221,6 @@ pub fn plan_fault(
     layout: PointerLayout,
     spec: FaultSpec,
 ) -> Result<FaultPlan, AosError> {
-    plan_fault_batched(PerOp(trace), layout, spec)
-}
-
-/// [`plan_fault`] over a batch-capable stream: the UAF planner's
-/// lookahead window refills through the source's batch-native path
-/// ([`Lookahead::batched`]) instead of pulling one op at a time, so a
-/// planning pass over a [`TraceGenerator`]-backed stream shares the
-/// hot refill loop with the simulation pipeline. Plans are identical
-/// to [`plan_fault`]'s — the batched lookahead yields the same op
-/// sequence and window contents bit for bit.
-///
-/// [`TraceGenerator`]: aos_workloads::TraceGenerator
-pub fn plan_fault_batched(
-    trace: impl Iterator<Item = Op> + BatchSource,
-    layout: PointerLayout,
-    spec: FaultSpec,
-) -> Result<FaultPlan, AosError> {
     let mut rng = Xoshiro256StarStar::seed_from_u64(spec.seed ^ fault_salt(spec.kind));
     match spec.kind {
         FaultKind::OverflowWrite => {
@@ -297,7 +259,7 @@ pub fn plan_fault_batched(
             // re-signs the same PAC — that would be a legitimate
             // reallocation, not a UAF. The lookahead buffer holds at
             // most `UAF_DELAY_OPS + 1` ops however long the trace is.
-            let mut look = Lookahead::batched(trace, UAF_DELAY_OPS, DEFAULT_BATCH_OPS);
+            let mut look = Lookahead::new(trace, UAF_DELAY_OPS);
             let mut reservoir = Reservoir::new();
             while let Some((i, op)) = look.next_op() {
                 let Op::BndClr { pointer } = op else { continue };

@@ -23,7 +23,7 @@
 //!   [`aos_isa::corpus`];
 //! - [`campaign`] fans a `kind × seed × system` grid through the
 //!   hardened campaign runner and annotates the
-//!   `aos-campaign-report/v6` document with detection rates.
+//!   `aos-campaign-report/v7` document with detection rates.
 //!
 //! Every fault is a pure function of `(workload, kind, seed)` — two
 //! runs of the same spec inject the identical op at the identical
@@ -41,8 +41,7 @@ pub use campaign::{
     PolicyCrossCheck, PolicyKindCheck,
 };
 pub use inject::{
-    inject, plan_fault, plan_fault_batched, FaultAction, FaultKind, FaultPlan, FaultSpec,
-    FaultStream, Injection,
+    inject, plan_fault, FaultAction, FaultKind, FaultPlan, FaultSpec, FaultStream, Injection,
     UAF_DELAY_OPS,
 };
 pub use oracle::{run_trial, FaultTrial, TrialMatrix, Verdict};

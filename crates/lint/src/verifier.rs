@@ -458,21 +458,3 @@ impl<I: BufferedOps> BufferedOps for Linting<I> {
         self.inner.peak_buffered_ops()
     }
 }
-
-impl<I: aos_isa::stream::BatchSource> aos_isa::stream::BatchSource for Linting<I> {
-    /// Batch-native pass-through: refill from the inner stream, then
-    /// scan the newly added ops in place. Scan order equals yield
-    /// order, so the report is identical to the per-op path.
-    fn refill_batch(&mut self, batch: &mut aos_isa::stream::OpBatch) -> usize {
-        let start = batch.len();
-        let n = self.inner.refill_batch(batch);
-        for i in start..start + n {
-            self.linter.scan(&batch.get(i));
-        }
-        n
-    }
-
-    fn batch_native(&self) -> bool {
-        self.inner.batch_native()
-    }
-}

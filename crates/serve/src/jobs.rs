@@ -9,7 +9,7 @@
 //! across processes and sessions.
 
 use aos_core::experiment::campaign::{matrix, run_campaign, CampaignOptions};
-use aos_core::experiment::{overlap, SystemUnderTest};
+use aos_core::experiment::{run_metered, SystemUnderTest};
 use aos_isa::corpus::{CorpusReader, CorpusWriter};
 use aos_isa::SafetyConfig;
 use aos_lint::{lint_stream, LintReport};
@@ -35,7 +35,7 @@ pub enum ReplayMode {
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
     /// Run one workload on one system and report the machine's
-    /// statistics (the `aos run` cell, batched).
+    /// statistics (the `aos run` cell, streamed per op).
     Trace {
         /// Workload name.
         workload: String,
@@ -245,7 +245,7 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<String, AosError
         JobSpec::Trace { workload, system, scale } => {
             let p = find_workload(workload)?;
             let sut = SystemUnderTest::scaled(*system, *scale);
-            let out = overlap::run_overlapped(p, &sut);
+            let out = run_metered(p, &sut);
             let prefix = format!(
                 "{{\"workload\":\"{}\",\"system\":\"{system}\",\"scale\":{scale},",
                 escape(workload)
@@ -428,10 +428,10 @@ mod tests {
         };
         let replayed = execute(&replay, &Telemetry::disabled()).expect("replay");
 
-        // The in-process batched pipeline on the same cell.
+        // The in-process pipeline on the same cell.
         let p = profile::by_name("mcf").expect("profile");
         let sut = SystemUnderTest::scaled(SafetyConfig::Aos, 0.004);
-        let out = overlap::run_overlapped(p, &sut);
+        let out = run_metered(p, &sut);
         let expect = format!("\"stats_digest\":\"{:016x}\"", stats_digest(&out.stats));
         assert!(
             replayed.contains(&expect),

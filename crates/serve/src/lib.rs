@@ -22,7 +22,7 @@
 //!   jobs complete and answer before the final `shutdown` line.
 //!
 //! Replays of a recorded corpus are **bit-identical** to the
-//! in-process batched pipeline: results carry `stats_digest` /
+//! in-process pipeline: results carry `stats_digest` /
 //! `report_digest` fingerprints that match across processes and
 //! sessions (pinned by this crate's tests and
 //! `tests/serve_robustness.rs`).

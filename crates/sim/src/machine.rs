@@ -402,22 +402,6 @@ impl Machine {
             telemetry: self.telemetry.snapshot(),
         }
     }
-
-    /// [`Machine::run`] fed through a [`Batched`] driver: the source
-    /// refills a reusable struct-of-arrays [`OpBatch`] and the run loop
-    /// pulls decoded ops from it, shrinking per-op iterator dispatch to
-    /// an array read. Statistics are bit-identical to [`Machine::run`]
-    /// over the same op sequence; the machine's telemetry handle counts
-    /// the refills (`batch_ops_refilled` / `batch_fallback_ops`).
-    ///
-    /// [`Batched`]: aos_isa::stream::Batched
-    /// [`OpBatch`]: aos_isa::stream::OpBatch
-    pub fn run_batched<S: aos_isa::stream::BatchSource>(&mut self, source: S) -> RunStats {
-        let driver =
-            aos_isa::stream::Batched::new(source, aos_isa::stream::Batched::<S>::DEFAULT_BATCH_OPS)
-                .with_telemetry(self.telemetry.clone());
-        self.run(driver)
-    }
 }
 
 #[cfg(test)]
@@ -749,47 +733,6 @@ mod tests {
             let b = Machine::new(without).run(trace.clone());
             assert_eq!(a, b, "event skip changed statistics under {config:?}");
         }
-    }
-
-    #[test]
-    fn run_batched_matches_run() {
-        let layout = PointerLayout::default();
-        let signed = layout.compose(0x5000_0000, 0x31, 1);
-        let mut trace = vec![Op::BndStr {
-            pointer: signed,
-            size: 4096,
-        }];
-        for i in 0..3000u64 {
-            trace.push(Op::Load {
-                pointer: signed + (i % 512) * 8,
-                bytes: 8,
-                chained: false,
-            });
-            trace.push(Op::IntAlu);
-        }
-        let mut cfg = MachineConfig::table_iv(SafetyConfig::Aos);
-        cfg.telemetry = true;
-        let plain = Machine::new(cfg.clone()).run(trace.clone());
-        let batched = Machine::new(cfg)
-            .run_batched(aos_isa::stream::PerOp(trace.into_iter()));
-        // Batch-plumbing counters describe delivery, not simulation;
-        // everything else must match bit for bit.
-        let zeroed = [
-            aos_util::Counter::BatchOpsRefilled,
-            aos_util::Counter::BatchFallbackOps,
-        ];
-        assert_eq!(
-            plain.telemetry.with_counters_zeroed(&zeroed),
-            batched.telemetry.with_counters_zeroed(&zeroed)
-        );
-        assert_eq!(plain.without_telemetry(), batched.without_telemetry());
-        assert!(
-            batched
-                .telemetry
-                .counter(aos_util::Counter::BatchOpsRefilled)
-                > 0,
-            "the batched path must prove it ran"
-        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! - a fixed **taxonomy** of monotonic [`Counter`]s, high-watermark /
 //!   level [`Gauge`]s and power-of-two bucketed [`Hist`]ograms, each
-//!   with a stable wire name (the `aos-campaign-report/v6` counter
+//!   with a stable wire name (the `aos-campaign-report/v7` counter
 //!   keys);
 //! - a [`Telemetry`] **handle** threaded through construction — no
 //!   globals, no locks on the hot path. A disabled handle is a `None`
@@ -111,11 +111,6 @@ pub enum Counter {
     LintOpsScanned,
     /// Diagnostics the linter emitted (all rules, all severities).
     LintDiagnostics,
-    /// Ops delivered through batch refills of the streaming pipeline.
-    BatchOpsRefilled,
-    /// Refilled ops that degraded to the per-op fallback pull (≈ 0
-    /// when every stage of the pipeline is batch-native).
-    BatchFallbackOps,
     /// Jobs the service accepted into its bounded queue.
     ServeJobsAccepted,
     /// Jobs the service rejected with a retry-after backpressure
@@ -173,7 +168,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the taxonomy.
-    pub const COUNT: usize = 48;
+    pub const COUNT: usize = 46;
 
     /// Every counter, in cell (and wire) order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -204,8 +199,6 @@ impl Counter {
         Counter::HeapFrees,
         Counter::LintOpsScanned,
         Counter::LintDiagnostics,
-        Counter::BatchOpsRefilled,
-        Counter::BatchFallbackOps,
         Counter::ServeJobsAccepted,
         Counter::ServeJobsRejected,
         Counter::ServeJobsRetried,
@@ -256,8 +249,6 @@ impl Counter {
         "heap_frees",
         "lint_ops_scanned",
         "lint_diagnostics",
-        "batch_ops_refilled",
-        "batch_fallback_ops",
         "serve_jobs_accepted",
         "serve_jobs_rejected",
         "serve_jobs_retried",
@@ -433,10 +424,9 @@ impl Telemetry {
     ///
     /// Recording uses plain load+store on the cells rather than atomic
     /// read-modify-write: every cell has a single writer (the machine
-    /// that owns the handle and the components it hands clones to, all
-    /// on one thread; a trace generator filling batches on another
-    /// thread records only signer and heap counters, which nothing else
-    /// writes), and dropping the `lock` prefix keeps the hot-path cost
+    /// that owns the handle and the components it hands clones to,
+    /// the trace generator included, all on one thread), and dropping
+    /// the `lock` prefix keeps the hot-path cost
     /// at a couple of cycles. Concurrent *snapshots* from other threads
     /// are safe; concurrent writers of one cell are not supported and
     /// would lose increments.
@@ -552,19 +542,6 @@ impl TelemetrySnapshot {
         } else {
             hits as f64 / total as f64
         }
-    }
-
-    /// A copy with the given counters zeroed. The batch-plumbing
-    /// counters (`batch_ops_refilled` / `batch_fallback_ops`) describe
-    /// how ops were *delivered*, not what was simulated, so the
-    /// batched-vs-per-op equivalence tests zero them before comparing
-    /// snapshots bit for bit.
-    pub fn with_counters_zeroed(&self, zeroed: &[Counter]) -> TelemetrySnapshot {
-        let mut out = self.clone();
-        for &c in zeroed {
-            out.counters[c as usize] = 0;
-        }
-        out
     }
 
     /// Folds another snapshot in: counters and histogram buckets sum,

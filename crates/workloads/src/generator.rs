@@ -474,37 +474,6 @@ impl aos_isa::stream::BufferedOps for TraceGenerator {
     }
 }
 
-impl aos_isa::stream::BatchSource for TraceGenerator {
-    /// Batch-native refill: generates events and moves whole event
-    /// bursts into the batch, skipping the per-op iterator dispatch.
-    /// Event order, RNG draws and the buffer high-water mark are
-    /// exactly those of the per-op path, so the emitted trace is
-    /// bit-identical.
-    fn refill_batch(&mut self, batch: &mut aos_isa::stream::OpBatch) -> usize {
-        let mut added = 0;
-        loop {
-            if batch.capacity() - batch.len() >= self.buffer.len() {
-                added += self.buffer.len();
-                for op in self.buffer.drain(..) {
-                    batch.push(op);
-                }
-            } else {
-                while !batch.is_full() {
-                    let Some(op) = self.buffer.pop_front() else { break };
-                    batch.push(op);
-                    added += 1;
-                }
-            }
-            if batch.is_full() || self.base_ops >= self.target_base_ops {
-                break;
-            }
-            self.generate_event();
-            self.peak_buffered = self.peak_buffered.max(self.buffer.len());
-        }
-        added
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

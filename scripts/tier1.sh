@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the offline build-and-test cycle every change must pass.
 #
-# Works with no network access — proptest/criterion resolve to the
-# shims vendored under vendor/ (see DESIGN.md §3).
+# Works with no network access — proptest resolves to the shim
+# vendored under vendor/ (see DESIGN.md §3).
 #
 # Usage: scripts/tier1.sh [--with-smoke]
 #   --with-smoke  also run a scaled parallel campaign and emit
@@ -90,13 +90,13 @@ echo "== tier-1: MCU geometry ablation smoke =="
 cargo run -q --release -p aos-cli -- ablate \
     --scale 0.002 --mcq 24,48 --bwb 64 >/dev/null
 
-echo "== tier-1: batched pipeline smoke =="
+echo "== tier-1: streaming pipeline smoke =="
 # The streaming bench asserts bit-identical RunStats and telemetry
-# across the materialized, per-op and batched pipeline shapes on every
-# run — a tiny single-rep pass makes those equivalence asserts part of
+# between the materialized and the per-op streaming pipeline on every
+# run — a tiny single-rep pass makes that equivalence assert part of
 # the gate without the cost of the full artifact run.
 cargo run -q --release -p aos-bench --bin streaming_bench -- \
-    --scale 0.004 --reps 1 --out "${TMPDIR:-/tmp}/aos_batch_smoke.json" >/dev/null
+    --scale 0.004 --reps 1 --out "${TMPDIR:-/tmp}/aos_streaming_smoke.json" >/dev/null
 
 # Hardened crates must not grow new unwrap() on input-reachable paths,
 # the streaming pipeline must not regress into collect-then-iterate
@@ -139,7 +139,7 @@ if [[ "${1:-}" == "--with-smoke" ]]; then
     echo "== streaming smoke: campaign at 10x window scale =="
     cargo run -q --release -p aos-bench --bin campaign_smoke -- \
         --scale 0.1 --out BENCH_campaign_long.json
-    echo "== streaming bench: materialized / streaming / batched pipeline =="
+    echo "== streaming bench: materialized / streaming pipeline =="
     # Snapshot the committed artifact first so the regression note
     # below can compare against it after the file is overwritten.
     prev_bench="${TMPDIR:-/tmp}/aos_bench_prev.json"

@@ -17,14 +17,14 @@
 //!   corruption error and a `corpus_crc_failures` count while the
 //!   service keeps serving;
 //! - a corpus replay through the service is bit-identical to the
-//!   in-process batched pipeline (matching `stats_digest`).
+//!   in-process pipeline (matching `stats_digest`).
 
 use std::io::{Cursor, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use aos_core::experiment::{overlap, SystemUnderTest};
+use aos_core::experiment::{run_metered, SystemUnderTest};
 use aos_isa::SafetyConfig;
 use aos_serve::{serve, stats_digest, ServeOptions, ServeSummary};
 use aos_util::scratch::ScratchDir;
@@ -289,12 +289,9 @@ fn service_replay_is_bit_identical_to_the_in_process_pipeline() {
     let (summary, output) = run_script(script, &options);
     assert_eq!(summary.succeeded, 2, "{output}");
 
-    // The same cell through the in-process batched pipeline.
+    // The same cell through the in-process pipeline.
     let profile = aos_workloads::profile::by_name("mcf").expect("profile");
-    let out = overlap::run_overlapped(
-        profile,
-        &SystemUnderTest::scaled(SafetyConfig::Aos, 0.004),
-    );
+    let out = run_metered(profile, &SystemUnderTest::scaled(SafetyConfig::Aos, 0.004));
     let expected = format!("\"stats_digest\":\"{:016x}\"", stats_digest(&out.stats));
     let rep = response_for(&output, "rep");
     assert!(

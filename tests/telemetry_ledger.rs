@@ -11,8 +11,8 @@
 //! - the program is the same on every system, so `heap_allocs` equals
 //!   the profile's AOS `BndStr` count on all five.
 //!
-//! The identities hold through every runner shape: per-op, metered,
-//! in-thread batched and threaded overlap.
+//! The identities hold through every runner entry point: `run`,
+//! `run_metered` and its `run_overlapped` alias.
 //!
 //! The HBT lookup counters are tied to the MCU's own ledger: on the
 //! AOS systems every table walk is one lookup, a hit exactly when the
@@ -20,7 +20,7 @@
 //! walk the table at all; the other systems never look bounds up. A
 //! use-after-free walks every way and comes up empty: a miss.
 
-use aos_core::experiment::overlap::{run_overlapped, run_overlapped_threaded};
+use aos_core::experiment::overlap::run_overlapped;
 use aos_core::experiment::{run, run_metered, SystemUnderTest};
 use aos_fault::{plan_fault, FaultKind, FaultSpec};
 use aos_isa::{Op, SafetyConfig};
@@ -39,21 +39,17 @@ fn bndstr_count(profile: &WorkloadProfile, system: SafetyConfig) -> u64 {
         .count() as u64
 }
 
-/// The snapshot of every runner shape for one cell.
+/// The snapshot of every runner entry point for one cell.
 fn snapshots(
     profile: &WorkloadProfile,
     sut: &SystemUnderTest,
-) -> [(&'static str, TelemetrySnapshot); 4] {
+) -> [(&'static str, TelemetrySnapshot); 3] {
     [
         ("run", run(profile, sut).telemetry),
         ("run_metered", run_metered(profile, sut).stats.telemetry),
         (
             "run_overlapped",
             run_overlapped(profile, sut).stats.telemetry,
-        ),
-        (
-            "run_overlapped_threaded",
-            run_overlapped_threaded(profile, sut).stats.telemetry,
         ),
     ]
 }
