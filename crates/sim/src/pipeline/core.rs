@@ -480,17 +480,16 @@ impl Machine {
             });
             if takes_lsq {
                 if let Some(m) = memref {
-                    let entry = LsqEntry {
-                        seq,
-                        addr: m.addr,
-                        bytes: m.bytes,
-                        dispatched_at: self.now,
-                        data_ready_at: complete_at,
-                    };
                     if m.is_store {
-                        self.stage.lsq.push_store(entry);
+                        self.stage.lsq.push_store(LsqEntry {
+                            seq,
+                            addr: m.addr,
+                            bytes: m.bytes,
+                            dispatched_at: self.now,
+                            data_ready_at: complete_at,
+                        });
                     } else {
-                        self.stage.lsq.push_load(entry);
+                        self.stage.lsq.push_load(seq);
                     }
                 }
             }

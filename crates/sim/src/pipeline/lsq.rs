@@ -11,10 +11,14 @@
 //! (one bubble); a partial overlap cannot forward and replays too.
 //! The cache access is still performed either way, so the memory
 //! hierarchy observes every architectural access.
+//!
+//! Most loads share no cache line with any in-flight store. The queue
+//! keeps an exact count of in-flight stores per line bucket, so such a
+//! load returns [`LoadPath::Normal`] without scanning the store queue.
 
 use std::collections::VecDeque;
 
-/// One queue entry.
+/// One store-queue entry. Loads keep only their sequence number.
 #[derive(Debug, Clone, Copy)]
 pub struct LsqEntry {
     /// ROB sequence number of the owning op.
@@ -25,7 +29,7 @@ pub struct LsqEntry {
     pub bytes: u32,
     /// Cycle the op dispatched.
     pub dispatched_at: u64,
-    /// For stores: cycle the store's data value is produced.
+    /// Cycle the store's data value is produced.
     pub data_ready_at: u64,
 }
 
@@ -45,11 +49,34 @@ pub enum LoadPath {
     Replay,
 }
 
+/// Log2 of the cache-line size the store filter buckets addresses by.
+const LINE_SHIFT: u32 = 6;
+/// Line buckets in the store filter. A span of this many consecutive
+/// lines already touches every bucket.
+const LINE_BUCKETS: usize = 256;
+
+/// The filter buckets a byte range touches: one per cache line it
+/// spans, at most [`LINE_BUCKETS`]. Width 0 counts as one byte,
+/// matching `classify_load`'s overlap test, under which a zero-width
+/// access strictly inside another range overlaps it.
+fn line_buckets(addr: u64, bytes: u32) -> impl Iterator<Item = usize> {
+    let first = addr >> LINE_SHIFT;
+    let last = addr.saturating_add(u64::from(bytes.max(1)) - 1) >> LINE_SHIFT;
+    let end = last.min(first + LINE_BUCKETS as u64 - 1) + 1;
+    (first..end).map(|line| line as usize % LINE_BUCKETS)
+}
+
 /// The split load/store queues.
 #[derive(Debug)]
 pub struct LoadStoreQueue {
-    loads: VecDeque<LsqEntry>,
+    /// Sequence numbers of the in-flight loads, oldest first. Nothing
+    /// else about a load is read after dispatch.
+    loads: VecDeque<u64>,
     stores: VecDeque<LsqEntry>,
+    /// In-flight stores covering each line bucket (`line % 256`). Two
+    /// overlapping accesses share a byte, hence a line, hence a
+    /// bucket, so a load whose buckets are all zero overlaps no store.
+    store_lines: [u32; LINE_BUCKETS],
     load_cap: usize,
     store_cap: usize,
 }
@@ -60,6 +87,7 @@ impl LoadStoreQueue {
         Self {
             loads: VecDeque::with_capacity(load_cap),
             stores: VecDeque::with_capacity(store_cap),
+            store_lines: [0; LINE_BUCKETS],
             load_cap,
             store_cap,
         }
@@ -86,22 +114,39 @@ impl LoadStoreQueue {
     }
 
     /// Allocates a load entry (dispatch order = program order).
-    pub fn push_load(&mut self, entry: LsqEntry) {
+    pub fn push_load(&mut self, seq: u64) {
         debug_assert!(!self.loads_full());
-        self.loads.push_back(entry);
+        self.loads.push_back(seq);
     }
 
     /// Allocates a store entry.
     pub fn push_store(&mut self, entry: LsqEntry) {
         debug_assert!(!self.stores_full());
+        self.count_store_lines(&entry, true);
         self.stores.push_back(entry);
+    }
+
+    /// Adds or removes a store's lines in the filter.
+    fn count_store_lines(&mut self, store: &LsqEntry, add: bool) {
+        for bucket in line_buckets(store.addr, store.bytes) {
+            let count = &mut self.store_lines[bucket];
+            if add {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
     }
 
     /// Classifies a load about to dispatch against the older stores in
     /// the window. Scans youngest-first so the forwarding source is
-    /// the most recent overlapping store, as in hardware. The core
-    /// counts replays off the returned path (`lsq_replays`).
+    /// the most recent overlapping store, as in hardware. A load whose
+    /// lines hold no in-flight store skips the scan. The core counts
+    /// replays off the returned path (`lsq_replays`).
     pub fn classify_load(&self, addr: u64, bytes: u32, now: u64) -> LoadPath {
+        if line_buckets(addr, bytes).all(|bucket| self.store_lines[bucket] == 0) {
+            return LoadPath::Normal;
+        }
         let load_end = addr + bytes as u64;
         for store in self.stores.iter().rev() {
             let store_end = store.addr + store.bytes as u64;
@@ -124,23 +169,25 @@ impl LoadStoreQueue {
     /// Releases the head entry at commit. Commit is in order, so the
     /// retiring op's entry is always at the front of its queue.
     pub fn release(&mut self, seq: u64, is_store: bool) {
-        let queue = if is_store {
-            &mut self.stores
+        let front = if is_store {
+            self.stores.pop_front().map(|store| {
+                self.count_store_lines(&store, false);
+                store.seq
+            })
         } else {
-            &mut self.loads
+            self.loads.pop_front()
         };
-        let front = queue.pop_front();
-        debug_assert_eq!(front.map(|e| e.seq), Some(seq), "LSQ commit order");
-        let _ = front;
+        debug_assert_eq!(front, Some(seq), "LSQ commit order");
     }
 
     /// Squashes every entry younger than `seq` (flush path).
     pub fn squash_newer(&mut self, seq: u64) {
-        while self.loads.back().is_some_and(|e| e.seq > seq) {
+        while self.loads.back().is_some_and(|&s| s > seq) {
             self.loads.pop_back();
         }
-        while self.stores.back().is_some_and(|e| e.seq > seq) {
+        while let Some(store) = self.stores.back().copied().filter(|e| e.seq > seq) {
             self.stores.pop_back();
+            self.count_store_lines(&store, false);
         }
     }
 }
@@ -206,15 +253,21 @@ mod tests {
     }
 
     #[test]
+    fn released_and_squashed_stores_leave_the_filter() {
+        let mut lsq = LoadStoreQueue::new(4, 4);
+        lsq.push_store(store(1, 0x3c, 8, 0)); // straddles two lines
+        lsq.push_store(store(2, 0x10, 300 * 64, 0)); // every bucket
+        lsq.push_store(store(3, 0x4000, 0, 0));
+        assert!(lsq.store_lines.iter().all(|&c| c >= 1));
+        lsq.squash_newer(1);
+        lsq.release(1, true);
+        assert_eq!(lsq.store_lines, [0; LINE_BUCKETS]);
+    }
+
+    #[test]
     fn squash_and_release_maintain_the_windows() {
         let mut lsq = LoadStoreQueue::new(2, 2);
-        lsq.push_load(LsqEntry {
-            seq: 1,
-            addr: 0x10,
-            bytes: 8,
-            dispatched_at: 0,
-            data_ready_at: 0,
-        });
+        lsq.push_load(1);
         lsq.push_store(store(2, 0x20, 8, 0));
         lsq.push_store(store(3, 0x40, 8, 1));
         assert!(lsq.stores_full());

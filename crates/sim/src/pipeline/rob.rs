@@ -1,4 +1,4 @@
-//! The reorder buffer: a fixed-capacity circular buffer of in-flight
+//! The reorder buffer: a fixed-capacity ring (`VecDeque`) of in-flight
 //! ops in program order.
 //!
 //! Every dispatched op allocates the tail entry and receives a
@@ -6,6 +6,8 @@
 //! head, and a precise-exception flush pops from the tail. An entry
 //! carries the cycle its result is ready, which commit compares
 //! against the clock.
+
+use std::collections::VecDeque;
 
 use aos_isa::Op;
 
@@ -38,9 +40,8 @@ pub struct RobEntry {
 /// The circular reorder buffer.
 #[derive(Debug)]
 pub struct ReorderBuffer {
-    slots: Vec<Option<RobEntry>>,
-    head: usize,
-    len: usize,
+    entries: VecDeque<RobEntry>,
+    capacity: usize,
     /// Sequence number the next allocated entry receives.
     next_seq: u64,
 }
@@ -50,31 +51,30 @@ impl ReorderBuffer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ROB needs at least one entry");
         Self {
-            slots: (0..capacity).map(|_| None).collect(),
-            head: 0,
-            len: 0,
+            entries: VecDeque::with_capacity(capacity),
+            capacity,
             next_seq: 0,
         }
     }
 
     /// Occupied entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether no entries are in flight.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Whether dispatch must stall.
     pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
+        self.entries.len() >= self.capacity
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Allocates the tail entry, assigning and returning its sequence
@@ -89,9 +89,7 @@ impl ReorderBuffer {
         let seq = self.next_seq;
         self.next_seq += 1;
         entry.seq = seq;
-        let idx = (self.head + self.len) % self.slots.len();
-        self.slots[idx] = Some(entry);
-        self.len += 1;
+        self.entries.push_back(entry);
         seq
     }
 
@@ -102,11 +100,7 @@ impl ReorderBuffer {
 
     /// The oldest in-flight entry.
     pub fn head(&self) -> Option<&RobEntry> {
-        if self.len == 0 {
-            None
-        } else {
-            self.slots[self.head].as_ref()
-        }
+        self.entries.front()
     }
 
     /// Retires the oldest entry.
@@ -115,37 +109,20 @@ impl ReorderBuffer {
     ///
     /// Panics if the buffer is empty.
     pub fn pop_head(&mut self) -> RobEntry {
-        assert!(self.len > 0, "commit from an empty ROB");
-        let entry = self.slots[self.head]
-            .take()
-            .expect("occupied slot within len");
-        self.head = (self.head + 1) % self.slots.len();
-        self.len -= 1;
-        entry
+        self.entries.pop_front().expect("commit from an empty ROB")
     }
 
     /// Squashes the youngest entry (precise-exception flush walks the
     /// tail toward the head).
     pub fn pop_tail(&mut self) -> Option<RobEntry> {
-        if self.len == 0 {
-            return None;
-        }
-        let idx = (self.head + self.len - 1) % self.slots.len();
-        self.len -= 1;
-        Some(self.slots[idx].take().expect("occupied slot within len"))
+        self.entries.pop_back()
     }
 
     /// Mutable program-order iteration, oldest first (the exception
     /// latch path scans for the entry coupled to a faulting MCQ id —
     /// rare enough that a walk beats carrying an id→slot map).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        let (head, len, cap) = (self.head, self.len, self.slots.len());
-        let (tail_part, head_part) = self.slots.split_at_mut(head);
-        head_part
-            .iter_mut()
-            .chain(tail_part.iter_mut())
-            .filter_map(Option::as_mut)
-            .take(len.min(cap))
+        self.entries.iter_mut()
     }
 }
 

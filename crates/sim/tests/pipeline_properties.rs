@@ -1,11 +1,14 @@
 //! Property tests for the out-of-order stage structures: the LSQ's
 //! store→load forwarding path checked against an independent per-byte
-//! last-writer memory model, and ROB squash + RAT rollback checked to
-//! restore the exact pre-dispatch rename state for arbitrary flush
-//! points.
+//! last-writer memory model, its per-line store filter checked against
+//! the plain youngest-first store scan it short-circuits, and ROB
+//! squash + RAT rollback checked to restore the exact pre-dispatch
+//! rename state for arbitrary flush points.
 //!
 //! Scripts are drawn from the shared `aos_isa::strategy::action_script`
 //! generator, interpreted here against the pipeline structures.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
@@ -61,6 +64,122 @@ fn expected_path(stores: &[StoreRef], addr: u64, bytes: u32, now: u64) -> LoadPa
         }
     }
     LoadPath::Replay
+}
+
+/// The store-queue scan `classify_load` ran on every load before it
+/// gained its per-line filter, kept as the filter's oracle: the
+/// youngest overlapping store forwards if it covers the load and
+/// resolved on an earlier cycle, and forces a replay otherwise.
+fn linear_scan(stores: &[StoreRef], addr: u64, bytes: u32, now: u64) -> LoadPath {
+    let load_end = addr + bytes as u64;
+    for store in stores.iter().rev() {
+        let store_end = store.addr + store.bytes as u64;
+        if addr >= store_end || store.addr >= load_end {
+            continue; // disjoint
+        }
+        let covers = store.addr <= addr && store_end >= load_end;
+        if covers && store.dispatched_at < now {
+            return LoadPath::Forward {
+                data_ready_at: store.data_ready_at,
+            };
+        }
+        return LoadPath::Replay;
+    }
+    LoadPath::Normal
+}
+
+/// Addresses for the filter property: the same 256-byte window (four
+/// cache lines, so accesses straddle line boundaries) in three regions
+/// 16 KiB apart, where equal offsets share a filter bucket.
+fn filter_addr(a: u64) -> u64 {
+    (a % 3) * 0x4000 + (a / 3) % 256
+}
+
+/// Access widths from zero bytes through three cache lines.
+fn filter_width(b: u64) -> u32 {
+    [0, 1, 2, 4, 8, 16, 64, 130][b as usize % 8]
+}
+
+fn store_entry(store: &StoreRef) -> LsqEntry {
+    LsqEntry {
+        seq: store.seq,
+        addr: store.addr,
+        bytes: store.bytes,
+        dispatched_at: store.dispatched_at,
+        data_ready_at: store.data_ready_at,
+    }
+}
+
+/// A queue holding `stores` (dispatched in slice order) and the
+/// classification the filtered queue gives a load.
+fn classify_after(stores: &[StoreRef], addr: u64, bytes: u32, now: u64) -> LoadPath {
+    let mut lsq = LoadStoreQueue::new(STORE_CAP, STORE_CAP);
+    for store in stores {
+        lsq.push_store(store_entry(store));
+    }
+    lsq.classify_load(addr, bytes, now)
+}
+
+fn store_ref(seq: u64, addr: u64, bytes: u32) -> StoreRef {
+    StoreRef {
+        seq,
+        addr,
+        bytes,
+        dispatched_at: 0,
+        data_ready_at: 3,
+    }
+}
+
+#[test]
+fn zero_width_load_inside_a_store_still_forwards() {
+    // Strictly inside a 16-byte store, and on the first byte of the
+    // second line of a store that straddles a line boundary.
+    for (store, addr) in [
+        (store_ref(0, 0x1000, 16), 0x1008),
+        (store_ref(0, 0x1030, 32), 0x1040),
+    ] {
+        let want = linear_scan(&[store], addr, 0, 1);
+        assert_eq!(want, LoadPath::Forward { data_ready_at: 3 });
+        assert_eq!(classify_after(&[store], addr, 0, 1), want);
+    }
+}
+
+#[test]
+fn zero_width_store_inside_a_load_still_replays() {
+    let store = store_ref(0, 0x1048, 0);
+    let want = linear_scan(&[store], 0x1030, 32, 1);
+    assert_eq!(want, LoadPath::Replay);
+    assert_eq!(classify_after(&[store], 0x1030, 32, 1), want);
+}
+
+#[test]
+fn store_wider_than_the_filter_covers_every_bucket() {
+    // 300 lines: past the 256-line cap, so every bucket is counted
+    // once and lines 256..300 wrap onto buckets already counted.
+    let wide = store_ref(0, 0x10, 300 * 64);
+    for line in [0u64, 1, 255, 256, 299] {
+        let addr = 0x10 + line * 64;
+        let want = linear_scan(&[wide], addr, 8, 1);
+        assert_eq!(want, LoadPath::Forward { data_ready_at: 3 }, "line {line}");
+        assert_eq!(classify_after(&[wide], addr, 8, 1), want, "line {line}");
+    }
+    // Past the store's end the scan runs (every bucket is occupied)
+    // and finds nothing.
+    assert_eq!(
+        classify_after(&[wide], 0x10 + 300 * 64, 8, 1),
+        LoadPath::Normal
+    );
+    // The widest store a trace can carry.
+    let widest = store_ref(0, 0x4000, u32::MAX);
+    let addr = 0x4000 + u64::from(u32::MAX) - 8;
+    assert_eq!(
+        linear_scan(&[widest], addr, 8, 1),
+        LoadPath::Forward { data_ready_at: 3 }
+    );
+    assert_eq!(
+        classify_after(&[widest], addr, 8, 1),
+        LoadPath::Forward { data_ready_at: 3 }
+    );
 }
 
 const STORE_CAP: usize = 8;
@@ -142,6 +261,73 @@ proptest! {
             prop_assert_eq!(lsq.stores_len(), mirror.len(), "window drifted");
         }
         prop_assert_eq!(got_tally, want_tally);
+    }
+
+    /// The per-line store filter is exact: across arbitrary
+    /// interleavings of stores, loads, cycle advances, in-order
+    /// commits and squashes, every load classification equals the
+    /// plain youngest-first scan over the in-flight stores. Accesses
+    /// span up to three lines, straddle line boundaries, and alias in
+    /// the filter at 16 KiB apart.
+    #[test]
+    fn line_filter_matches_the_linear_store_scan(
+        script in action_script(0u8..5, 0u64..768, 0u64..64, 1..200),
+    ) {
+        let mut lsq = LoadStoreQueue::new(STORE_CAP, STORE_CAP);
+        // Every in-flight op in program order; stores carry their
+        // mirrored entry, loads none.
+        let mut window: VecDeque<(u64, Option<StoreRef>)> = VecDeque::new();
+        let mut now: u64 = 0;
+        let mut seq: u64 = 0;
+        for (kind, a, b) in script {
+            match kind {
+                0 if !lsq.stores_full() => {
+                    let store = StoreRef {
+                        seq,
+                        addr: filter_addr(a),
+                        bytes: filter_width(b),
+                        dispatched_at: now,
+                        data_ready_at: now + 1 + b % 3,
+                    };
+                    lsq.push_store(store_entry(&store));
+                    window.push_back((seq, Some(store)));
+                    seq += 1;
+                }
+                1 => {
+                    let (addr, bytes) = (filter_addr(a), filter_width(b));
+                    let stores: Vec<StoreRef> =
+                        window.iter().filter_map(|(_, store)| *store).collect();
+                    prop_assert_eq!(
+                        lsq.classify_load(addr, bytes, now),
+                        linear_scan(&stores, addr, bytes, now),
+                        "load [{:#x}..+{}) at cycle {} against {:?}",
+                        addr, bytes, now, stores
+                    );
+                    if !lsq.loads_full() {
+                        lsq.push_load(seq);
+                        window.push_back((seq, None));
+                        seq += 1;
+                    }
+                }
+                2 => now += 1 + a % 3,
+                3 => {
+                    if let Some((oldest, store)) = window.pop_front() {
+                        lsq.release(oldest, store.is_some());
+                    }
+                }
+                _ => {
+                    let cut = a as usize % (window.len() + 1);
+                    let keep_seq = window.get(cut).map_or(seq, |(s, _)| *s);
+                    lsq.squash_newer(keep_seq);
+                    window.retain(|(s, _)| *s <= keep_seq);
+                }
+            }
+            prop_assert_eq!(
+                lsq.loads_len() + lsq.stores_len(),
+                window.len(),
+                "window drifted"
+            );
+        }
     }
 
     /// A precise-exception flush is exact: for an arbitrary rename
