@@ -63,7 +63,7 @@ echo "== tier-1: serve smoke (graceful rejection + clean shutdown) =="
 # malformed line. The malformed line must answer "rejected" (not tear
 # the session down), the job must answer "ok", and EOF must drain to
 # a final "shutdown" line with exit 0.
-serve_out="${TMPDIR:-/tmp}/aos_serve_smoke.ndjson"
+serve_out="${TMPDIR:-/tmp}/aos_serve_smoke_$$.ndjson"
 printf '%s\n%s\n' \
     '{"proto":"aos-serve/v1","id":"smoke","kind":"lint","workload":"mcf","system":"aos","scale":0.004}' \
     'this is not a protocol line' \
@@ -71,11 +71,12 @@ printf '%s\n%s\n' \
 grep -q '"id":"smoke","status":"ok"' "$serve_out"
 grep -q '"status":"rejected"' "$serve_out"
 tail -n 1 "$serve_out" | grep -q '"status":"shutdown"'
+rm -f "$serve_out"
 
 echo "== tier-1: corpus record -> replay -> verify round-trip =="
 # Record a cell, replay it (exit 0 = CRC-clean and bit-identical
 # machinery engaged), verify the whole file.
-corpus_file="${TMPDIR:-/tmp}/aos_tier1_corpus.aosc"
+corpus_file="${TMPDIR:-/tmp}/aos_tier1_corpus_$$.aosc"
 rm -f "$corpus_file"
 cargo run -q --release -p aos-cli -- corpus record \
     --out "$corpus_file" --workloads mcf --systems aos --scale 0.004 >/dev/null
@@ -95,8 +96,10 @@ echo "== tier-1: streaming pipeline smoke =="
 # between the materialized and the per-op streaming pipeline on every
 # run — a tiny single-rep pass makes that equivalence assert part of
 # the gate without the cost of the full artifact run.
+streaming_out="${TMPDIR:-/tmp}/aos_streaming_smoke_$$.json"
 cargo run -q --release -p aos-bench --bin streaming_bench -- \
-    --scale 0.004 --reps 1 --out "${TMPDIR:-/tmp}/aos_streaming_smoke.json" >/dev/null
+    --scale 0.004 --reps 1 --out "$streaming_out" >/dev/null
+rm -f "$streaming_out"
 
 # Hardened crates must not grow new unwrap() on input-reachable paths,
 # the streaming pipeline must not regress into collect-then-iterate
@@ -142,8 +145,9 @@ if [[ "${1:-}" == "--with-smoke" ]]; then
     echo "== streaming bench: materialized / streaming pipeline =="
     # Snapshot the committed artifact first so the regression note
     # below can compare against it after the file is overwritten.
-    prev_bench="${TMPDIR:-/tmp}/aos_bench_prev.json"
-    git show HEAD:BENCH_streaming.json >"$prev_bench" 2>/dev/null || prev_bench=""
+    prev_bench="${TMPDIR:-/tmp}/aos_bench_prev_$$.json"
+    git show HEAD:BENCH_streaming.json >"$prev_bench" 2>/dev/null \
+        || { rm -f "$prev_bench"; prev_bench=""; }
     cargo run -q --release -p aos-bench --bin streaming_bench -- \
         --scale 0.02 --out BENCH_streaming.json
     echo "== bench regression note: sim-cycles/sec vs committed baseline (report-only) =="
@@ -152,6 +156,7 @@ if [[ "${1:-}" == "--with-smoke" ]]; then
     else
         echo "no committed BENCH_streaming.json (or no python3) to compare against"
     fi
+    [[ -z "$prev_bench" ]] || rm -f "$prev_bench"
 fi
 
 echo "tier-1 OK"

@@ -61,7 +61,7 @@ fn one_cell_report(telemetry: bool) -> String {
 }
 
 #[test]
-fn campaign_report_v5_key_sequence_matches_golden() {
+fn campaign_report_key_sequence_matches_golden() {
     let json = one_cell_report(true);
     assert!(
         json.contains("\"schema\": \"aos-campaign-report/v7\""),
@@ -85,7 +85,7 @@ fn campaign_report_v5_key_sequence_matches_golden() {
 /// a disabled cell emits the same keys with zero values, so consumers
 /// never need to branch on the flag.
 #[test]
-fn v5_key_sequence_does_not_depend_on_the_telemetry_flag() {
+fn key_sequence_does_not_depend_on_the_telemetry_flag() {
     let enabled = ordered_keys(&one_cell_report(true));
     let disabled = ordered_keys(&one_cell_report(false));
     assert_eq!(enabled, disabled);
