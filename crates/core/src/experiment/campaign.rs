@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use aos_sim::RunStats;
 use aos_util::guard::{run_guarded, Backoff, GuardOptions};
+use aos_util::json::escape;
 use aos_util::par::{effective_threads, ordered_parallel_map};
 use aos_workloads::WorkloadProfile;
 
@@ -370,7 +371,7 @@ impl CampaignReport {
             self.total_sim_cycles()
         ));
         for (key, value) in &self.annotations {
-            out.push_str(&format!("  \"{}\": {},\n", json_escape(key), value));
+            out.push_str(&format!("  \"{}\": {},\n", escape(key), value));
         }
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
@@ -387,7 +388,7 @@ impl CampaignReport {
                     output.stats.telemetry.to_json("    "),
                 ),
                 CellOutcome::Failed { error } => {
-                    format!("\"error\": \"{}\"", json_escape(error))
+                    format!("\"error\": \"{}\"", escape(error))
                 }
             };
             out.push_str(&format!(
@@ -412,25 +413,6 @@ impl CampaignReport {
     pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// enough for panic messages; keeps the report free of a JSON
-/// dependency.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The function a campaign invokes per cell. Shared (`Arc`) because a
@@ -702,13 +684,5 @@ mod tests {
         let cell = &report.results[0];
         assert!(cell.is_failed());
         assert!(cell.error().unwrap().contains("timed out after"));
-    }
-
-    #[test]
-    fn json_escape_neutralizes_panic_payloads() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("say \"hi\"\n"), "say \\\"hi\\\"\\n");
-        assert_eq!(json_escape("back\\slash\t"), "back\\\\slash\\t");
-        assert_eq!(json_escape("bell\u{7}"), "bell\\u0007");
     }
 }

@@ -4,6 +4,8 @@
 
 use std::fmt::Write as _;
 
+use aos_util::json::escape;
+
 use crate::rules::{Diagnostic, Rule, Severity};
 
 /// What one scan found. Per-rule counts are always exact; the stored
@@ -122,7 +124,7 @@ impl LintReport {
                 d.severity,
                 d.op_index,
                 d.pac,
-                json_escape(&d.detail),
+                escape(&d.detail),
                 if i + 1 < self.diagnostics.len() { "," } else { "" }
             );
         }
@@ -178,25 +180,6 @@ impl LintReport {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping, enough for diagnostic details.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -15,10 +15,9 @@ use aos_isa::SafetyConfig;
 use aos_lint::{lint_stream, LintReport};
 use aos_ptrauth::PointerLayout;
 use aos_sim::{Machine, RunStats};
+use aos_util::json::escape;
 use aos_util::{AosError, Telemetry};
 use aos_workloads::{profile, TraceGenerator, WorkloadProfile};
-
-use crate::json::escape;
 
 /// How a recorded corpus entry is replayed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

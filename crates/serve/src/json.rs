@@ -1,7 +1,7 @@
-//! A minimal JSON layer for the `aos-serve/v1` protocol: a parser for
-//! *flat* objects (string / number / bool / null values — the whole
-//! request vocabulary) and the escaping helper the response renderers
-//! share. Hand-rolled like every serializer in this workspace: the
+//! A minimal JSON parser for the `aos-serve/v1` protocol: *flat*
+//! objects (string / number / bool / null values — the whole request
+//! vocabulary). The response renderers escape through
+//! [`aos_util::json::escape`]. Hand-rolled like every serializer in this workspace: the
 //! repo takes no serde dependency, and a service that parses hostile
 //! stdin must fail typed, never panic.
 
@@ -232,23 +232,6 @@ pub fn parse_object(line: &str) -> Result<JsonObject, AosError> {
     Ok(object)
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,13 +249,6 @@ mod tests {
         assert_eq!(get(&o, "missing"), None);
     }
 
-    #[test]
-    fn escapes_round_trip() {
-        let hostile = "a\"b\\c\nd\te\u{0001}";
-        let line = format!("{{\"k\":\"{}\"}}", escape(hostile));
-        let o = parse_object(&line).expect("parse");
-        assert_eq!(get(&o, "k").unwrap().as_str(), Some(hostile));
-    }
 
     #[test]
     fn hostile_lines_fail_typed_never_panic() {

@@ -22,10 +22,11 @@
 //! `timeout`, or an [`AosError`] class).
 
 use aos_isa::SafetyConfig;
+use aos_util::json::escape;
 use aos_util::AosError;
 
 use crate::jobs::{JobSpec, ReplayMode};
-use crate::json::{self, escape, JsonObject, JsonValue};
+use crate::json::{self, JsonObject, JsonValue};
 
 /// The protocol identifier every line carries.
 pub const PROTO: &str = "aos-serve/v1";

@@ -25,6 +25,8 @@
 //!   ([`telemetry::Telemetry`] handle, fixed counter/gauge/histogram
 //!   taxonomy, mergeable [`telemetry::TelemetrySnapshot`]) that every
 //!   pipeline stage records into.
+//! - [`json`] — the JSON string escaper ([`json::escape`]) shared by
+//!   every hand-rolled report and protocol line.
 //! - [`scratch`] — per-test scratch directories ([`scratch::ScratchDir`]:
 //!   unique per process, name and call, removed on drop).
 //!
@@ -42,6 +44,7 @@
 
 pub mod error;
 pub mod guard;
+pub mod json;
 pub mod par;
 pub mod rng;
 pub mod scratch;
