@@ -35,7 +35,10 @@ fn arg_value(argv: &[String], flag: &str) -> Option<String> {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let scale = aos_bench::scale_from_args(argv.iter().cloned());
+    let scale: f64 = arg_value(&argv, "--scale")
+        .and_then(|s| s.parse().ok())
+        .filter(|s| *s > 0.0 && *s <= 1.0)
+        .unwrap_or(1.0);
     let threads = arg_value(&argv, "--threads").and_then(|s| s.parse().ok());
     let out_path = arg_value(&argv, "--out").unwrap_or_else(|| "BENCH_campaign.json".to_string());
 

@@ -86,7 +86,10 @@ fn best_of(reps: usize, mut run: impl FnMut() -> Measurement) -> Measurement {
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
-    let scale = aos_bench::scale_from_args(argv.iter().cloned());
+    let scale: f64 = arg_value(&argv, "--scale")
+        .and_then(|s| s.parse().ok())
+        .filter(|s| *s > 0.0 && *s <= 1.0)
+        .unwrap_or(1.0);
     let reps: usize = arg_value(&argv, "--reps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(3);

@@ -1,8 +1,8 @@
 //! The experiment runner: one place that builds a Table IV machine for
 //! a system-under-test and drives a calibrated workload through it.
 //!
-//! Every figure reproduction in `crates/bench/src/bin/` is a thin
-//! formatter over [`run`]:
+//! Every figure reproduction in `aos_bench::reports` (`aos repro`) is
+//! a thin formatter over [`run`]:
 //!
 //! - Fig. 14 — [`run`] per (workload × system), normalized to
 //!   Baseline;
