@@ -14,13 +14,22 @@
 //! - one AOS run per fault kind on hmmer at scale 0.01, so the
 //!   precise-exception flush path is pinned too.
 //!
-//! Regenerate it with:
+//! Every cell runs with telemetry enabled, the generator recording
+//! into the machine's handle as the campaign cells do. A second golden
+//! holds one FNV-1a digest over each cell's `TelemetrySnapshot`, so a
+//! change to how a counter is recorded cannot move a value unnoticed;
+//! the first file not moving with telemetry on is the zero observer
+//! effect.
+//!
+//! Regenerate both with:
 //!
 //! ```text
 //! AOS_UPDATE_GOLDEN=1 cargo test --test sim_stats_golden
 //! ```
 
-use aos_core::experiment::SystemUnderTest;
+use std::sync::OnceLock;
+
+use aos_core::experiment::{run, SystemUnderTest};
 use aos_fault::{plan_fault, FaultKind, FaultSpec};
 use aos_isa::SafetyConfig;
 use aos_ptrauth::PointerLayout;
@@ -29,6 +38,7 @@ use aos_workloads::profile::by_name;
 use aos_workloads::{TraceGenerator, SPEC2006};
 
 const GOLDEN: &str = "tests/golden/sim_stats_digests.txt";
+const TELEMETRY_GOLDEN: &str = "tests/golden/telemetry_digests.txt";
 const SCALE: f64 = 0.01;
 const FAULT_PROFILE: &str = "hmmer";
 const FAULT_SEED: u64 = 1;
@@ -46,32 +56,25 @@ macro_rules! simulated_fields {
     }};
 }
 
-/// FNV-1a over the simulated fields' `Debug` text.
-fn digest(stats: &RunStats) -> u64 {
-    let text = simulated_fields!(stats;
-        cycles, retired_ops, mix, l1d, l1b, l2, traffic, mcu, bwb,
-        hbt_resizes, hbt_ways, violations, charged_mispredicts,
-        waived_mispredicts, stall_cycles, stalls_rob, stalls_lsq,
-        stalls_mcq, lsq_replays, flushes,
-    );
+fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-fn render(label: &str, stats: &RunStats) -> String {
-    format!(
-        "{label} {} {} {:016x}\n",
-        stats.cycles,
-        stats.retired_ops,
-        digest(stats)
-    )
+/// FNV-1a over the simulated fields' `Debug` text.
+fn digest(stats: &RunStats) -> u64 {
+    fnv1a(&simulated_fields!(stats;
+        cycles, retired_ops, mix, l1d, l1b, l2, traffic, mcu, bwb,
+        hbt_resizes, hbt_ways, violations, charged_mispredicts,
+        waived_mispredicts, stall_cycles, stalls_rob, stalls_lsq,
+        stalls_mcq, lsq_replays, flushes,
+    ))
 }
 
 fn grid_cell(name: &str, system: SafetyConfig) -> RunStats {
     let profile = by_name(name).expect("known profile");
-    let sut = SystemUnderTest::scaled(system, SCALE);
-    Machine::new(sut.machine_config()).run(TraceGenerator::new(profile, system, SCALE))
+    run(profile, &SystemUnderTest::scaled(system, SCALE).with_telemetry(true))
 }
 
 fn fault_cell(kind: FaultKind) -> RunStats {
@@ -83,42 +86,78 @@ fn fault_cell(kind: FaultKind) -> RunStats {
     };
     let plan = plan_fault(stream(), PointerLayout::default(), spec)
         .expect("fault plans against the instrumented trace");
-    let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE);
-    Machine::new(sut.machine_config()).run(plan.apply(stream()))
+    let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE).with_telemetry(true);
+    let mut machine = Machine::new(sut.machine_config());
+    let faulted = plan.apply(stream().with_telemetry(machine.telemetry().clone()));
+    machine.run(faulted)
 }
 
-#[test]
-fn sim_stats_digests_match_golden() {
-    let mut rendered = String::new();
-    for profile in SPEC2006 {
-        for system in SafetyConfig::ALL {
-            let label = format!("{} {system} {SCALE} clean", profile.name);
-            rendered.push_str(&render(&label, &grid_cell(profile.name, system)));
+/// Every pinned cell with its label, simulated once and shared by both
+/// golden tests.
+fn cells() -> &'static [(String, RunStats)] {
+    static CELLS: OnceLock<Vec<(String, RunStats)>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let mut cells = Vec::new();
+        for profile in SPEC2006 {
+            for system in SafetyConfig::ALL {
+                let label = format!("{} {system} {SCALE} clean", profile.name);
+                cells.push((label, grid_cell(profile.name, system)));
+            }
         }
-    }
-    for kind in FaultKind::ALL {
-        let stats = fault_cell(kind);
-        assert!(
-            stats.violations > 0 && stats.flushes > 0,
-            "{kind}: the faulted run must raise and flush"
-        );
-        let label = format!("{FAULT_PROFILE} AOS {SCALE} {kind}");
-        rendered.push_str(&render(&label, &stats));
-    }
+        for kind in FaultKind::ALL {
+            let stats = fault_cell(kind);
+            assert!(
+                stats.violations > 0 && stats.flushes > 0,
+                "{kind}: the faulted run must raise and flush"
+            );
+            cells.push((format!("{FAULT_PROFILE} AOS {SCALE} {kind}"), stats));
+        }
+        cells
+    })
+}
+
+/// Diffs one rendered line per cell against `path` (or rewrites it
+/// under `AOS_UPDATE_GOLDEN`).
+fn check_golden(path: &str, rendered: &str, what: &str) {
     if std::env::var_os("AOS_UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &rendered).expect("write golden");
+        std::fs::write(path, rendered).expect("write golden");
     }
-    let golden = std::fs::read_to_string(GOLDEN)
+    let golden = std::fs::read_to_string(path)
         .expect("golden file missing; regenerate with AOS_UPDATE_GOLDEN=1");
     for (fresh, pinned) in rendered.lines().zip(golden.lines()) {
-        assert_eq!(
-            fresh, pinned,
-            "simulator output drifted from the golden digest"
-        );
+        assert_eq!(fresh, pinned, "{what} drifted from the golden digest");
     }
     assert_eq!(
         rendered.lines().count(),
         golden.lines().count(),
         "golden covers a different set of cells"
     );
+}
+
+#[test]
+fn sim_stats_digests_match_golden() {
+    let rendered: String = cells()
+        .iter()
+        .map(|(label, stats)| {
+            format!(
+                "{label} {} {} {:016x}\n",
+                stats.cycles,
+                stats.retired_ops,
+                digest(stats)
+            )
+        })
+        .collect();
+    check_golden(GOLDEN, &rendered, "simulator output");
+}
+
+#[test]
+fn telemetry_digests_match_golden() {
+    let rendered: String = cells()
+        .iter()
+        .map(|(label, stats)| {
+            assert!(stats.telemetry.enabled, "{label}: telemetry was off");
+            format!("{label} {:016x}\n", fnv1a(&format!("{:?}", stats.telemetry)))
+        })
+        .collect();
+    check_golden(TELEMETRY_GOLDEN, &rendered, "telemetry snapshot");
 }
