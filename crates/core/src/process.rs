@@ -28,8 +28,9 @@ pub struct ProcessConfig {
     pub hbt: HbtConfig,
     /// MCU parameters.
     pub mcu: McuConfig,
-    /// Whether to record pipeline telemetry (signer, heap, HBT, MCU
-    /// and BWB events share one registry).
+    /// Whether to record pipeline telemetry (signer and heap events
+    /// share one registry; the HBT, MCU and BWB stats are projected
+    /// into each snapshot).
     pub telemetry: bool,
 }
 
@@ -153,9 +154,8 @@ impl AosProcess {
             signer: PointerSigner::new(config.key, config.layout)
                 .with_telemetry(telemetry.clone()),
             heap: HeapAllocator::try_new(config.heap)?.with_telemetry(telemetry.clone()),
-            hbt: HashedBoundsTable::new(config.hbt).with_telemetry(telemetry.clone()),
-            mcu: MemoryCheckUnit::new(config.mcu, config.layout)
-                .with_telemetry(telemetry.clone()),
+            hbt: HashedBoundsTable::new(config.hbt),
+            mcu: MemoryCheckUnit::new(config.mcu, config.layout),
             memory: SparseMemory::new(),
             freed_regions: VecDeque::new(),
             resizes: 0,
@@ -164,10 +164,14 @@ impl AosProcess {
         })
     }
 
-    /// A snapshot of the process-wide telemetry registry (all-zero
-    /// when the config did not enable telemetry).
+    /// A snapshot of the process-wide telemetry registry with the
+    /// table's and the MCU's stats projected into it (all-zero when
+    /// the config did not enable telemetry).
     pub fn telemetry_snapshot(&self) -> aos_util::TelemetrySnapshot {
-        self.telemetry.snapshot()
+        let mut snapshot = self.telemetry.snapshot();
+        self.hbt.record_telemetry(&mut snapshot);
+        self.mcu.record_telemetry(&mut snapshot);
+        snapshot
     }
 
     /// The pointer layout in use.

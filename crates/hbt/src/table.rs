@@ -114,6 +114,16 @@ pub struct HbtStats {
     pub failed_clears: u64,
     /// Gradual resizes performed.
     pub resizes: u64,
+    /// Bounds records written: successful `store`s plus non-empty
+    /// [`poke_slot`](HashedBoundsTable::poke_slot) writes (the MCU's
+    /// post-commit `bndstr`).
+    pub records_inserted: u64,
+    /// Bounds records removed: successful `clear`s plus empty
+    /// [`poke_slot`](HashedBoundsTable::poke_slot) writes (the MCU's
+    /// post-commit `bndclr`).
+    pub records_cleared: u64,
+    /// Rows moved by the background migration engine.
+    pub migration_rows: u64,
 }
 
 /// In-flight state of a gradual resize.
@@ -142,7 +152,6 @@ pub struct HashedBoundsTable {
     migration: Option<Migration>,
     stats: HbtStats,
     accesses: Vec<u64>,
-    telemetry: aos_util::Telemetry,
 }
 
 impl HashedBoundsTable {
@@ -171,18 +180,7 @@ impl HashedBoundsTable {
             migration: None,
             stats: HbtStats::default(),
             accesses: Vec::new(),
-            telemetry: aos_util::Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle: lookups/hits/misses, inserts and
-    /// clears (including the MCU's post-commit slot writes), resizes
-    /// and migration-row movement are recorded into it, and the
-    /// `hbt_ways` gauge tracks the current associativity.
-    pub fn with_telemetry(mut self, telemetry: aos_util::Telemetry) -> Self {
-        telemetry.gauge_set(aos_util::Gauge::HbtWays, self.ways as u64);
-        self.telemetry = telemetry;
-        self
     }
 
     /// Number of rows (`2^pac_size`).
@@ -203,6 +201,24 @@ impl HashedBoundsTable {
     /// Operation counters.
     pub fn stats(&self) -> HbtStats {
         self.stats
+    }
+
+    /// Projects the table's stats into a telemetry snapshot: the eight
+    /// `hbt_*` counters and the `hbt_ways` gauge. Lookups here are the
+    /// table's own [`check`](Self::check) calls; the MCU adds the
+    /// table walks it makes through [`peek_way`](Self::peek_way).
+    pub fn record_telemetry(&self, snapshot: &mut aos_util::TelemetrySnapshot) {
+        use aos_util::Counter;
+        let s = &self.stats;
+        snapshot.add(Counter::HbtLookups, s.checks);
+        snapshot.add(Counter::HbtHits, s.checks - s.failed_checks);
+        snapshot.add(Counter::HbtMisses, s.failed_checks);
+        snapshot.add(Counter::HbtInserts, s.records_inserted);
+        snapshot.add(Counter::HbtClears, s.records_cleared);
+        snapshot.add(Counter::HbtFailedClears, s.failed_clears);
+        snapshot.add(Counter::HbtResizes, s.resizes);
+        snapshot.add(Counter::HbtMigrationRows, s.migration_rows);
+        snapshot.gauge_max(aos_util::Gauge::HbtWays, self.ways as u64);
     }
 
     /// Whether a gradual resize is still migrating rows.
@@ -319,7 +335,7 @@ impl HashedBoundsTable {
             for slot in 0..self.slots_per_way() {
                 if self.slot_value(pac, way, slot) == 0 {
                     self.set_slot_value(pac, way, slot, bounds.to_raw());
-                    self.telemetry.count(aos_util::Counter::HbtInserts);
+                    self.stats.records_inserted += 1;
                     return Ok(HbtSlot { way, slot });
                 }
             }
@@ -343,13 +359,12 @@ impl HashedBoundsTable {
                 let raw = self.slot_value(pac, way, slot);
                 if CompressedBounds::from_raw(raw).matches_base(addr) {
                     self.set_slot_value(pac, way, slot, 0);
-                    self.telemetry.count(aos_util::Counter::HbtClears);
+                    self.stats.records_cleared += 1;
                     return Ok(HbtSlot { way, slot });
                 }
             }
         }
         self.stats.failed_clears += 1;
-        self.telemetry.count(aos_util::Counter::HbtFailedClears);
         Err(ClearError { pac, addr })
     }
 
@@ -362,14 +377,12 @@ impl HashedBoundsTable {
     pub fn check(&mut self, pac: u64, addr: u64, start_way: u32) -> Option<HbtLookup> {
         self.assert_pac(pac);
         self.stats.checks += 1;
-        self.telemetry.count(aos_util::Counter::HbtLookups);
         for i in 0..self.ways {
             let way = (start_way + i) % self.ways;
             self.touch_line(pac, way);
             for slot in 0..self.slots_per_way() {
                 let bounds = CompressedBounds::from_raw(self.slot_value(pac, way, slot));
                 if bounds.check(addr) {
-                    self.telemetry.count(aos_util::Counter::HbtHits);
                     return Some(HbtLookup {
                         slot: HbtSlot { way, slot },
                         ways_touched: i + 1,
@@ -379,7 +392,6 @@ impl HashedBoundsTable {
             }
         }
         self.stats.failed_checks += 1;
-        self.telemetry.count(aos_util::Counter::HbtMisses);
         None
     }
 
@@ -446,9 +458,6 @@ impl HashedBoundsTable {
         self.base = new_base;
         self.generation += 1;
         self.stats.resizes += 1;
-        self.telemetry.count(aos_util::Counter::HbtResizes);
-        self.telemetry
-            .gauge_set(aos_util::Gauge::HbtWays, self.ways as u64);
         Ok(())
     }
 
@@ -479,7 +488,7 @@ impl HashedBoundsTable {
         if end == total_rows {
             self.migration = None;
         }
-        self.telemetry.add(aos_util::Counter::HbtMigrationRows, moved);
+        self.stats.migration_rows += moved;
         moved
     }
 
@@ -521,13 +530,13 @@ impl HashedBoundsTable {
         assert!(way < self.ways, "way {way} out of range");
         assert!(slot < BOUNDS_PER_WAY, "slot {slot} out of range");
         // The MCU's post-commit slot writes bypass store()/clear(), so
-        // record the insert/clear here to keep the telemetry ledger
+        // count the insert/clear here to keep the record stats
         // complete on the timing path.
-        self.telemetry.count(if bounds.is_empty() {
-            aos_util::Counter::HbtClears
+        if bounds.is_empty() {
+            self.stats.records_cleared += 1;
         } else {
-            aos_util::Counter::HbtInserts
-        });
+            self.stats.records_inserted += 1;
+        }
         self.set_slot_value(pac, way, slot, bounds.to_raw());
     }
 
@@ -764,6 +773,14 @@ mod tests {
         assert_eq!(s.clears, 1);
         assert_eq!(s.failed_checks, 1);
         assert!(s.way_accesses >= 4);
+        assert_eq!((s.records_inserted, s.records_cleared), (1, 1));
+        // A failed clear moves no record; the MCU's slot writes do.
+        assert!(t.clear(1, 0x4000).is_err());
+        t.poke_slot(2, 0, 3, bounds(0x8000, 32));
+        t.poke_slot(2, 0, 3, CompressedBounds::EMPTY);
+        let s = t.stats();
+        assert_eq!((s.records_inserted, s.records_cleared), (2, 2));
+        assert_eq!(s.failed_clears, 1);
     }
 
     #[test]

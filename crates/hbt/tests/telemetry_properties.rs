@@ -1,6 +1,8 @@
 //! Property tests for the HBT's telemetry counters.
 //!
-//! The contract: the counters are pure bookkeeping over the table's
+//! The table keeps plain stats and projects them into a snapshot
+//! through [`HashedBoundsTable::record_telemetry`]. The contract: the
+//! projected counters are pure bookkeeping over the table's
 //! observable behaviour, so for *any* sequence of stores, clears,
 //! checks and resizes the accounting identities hold exactly —
 //!
@@ -17,21 +19,20 @@ use proptest::prelude::*;
 
 use aos_hbt::{CompressedBounds, HashedBoundsTable, HbtConfig};
 use aos_isa::strategy::action_script;
-use aos_util::{Counter, Telemetry, TelemetrySnapshot};
+use aos_util::{Counter, Gauge, Telemetry, TelemetrySnapshot};
 
 /// The smallest legal table (11-bit PACs, 2048 rows) keeps each case
 /// cheap while leaving plenty of room for collisions.
 const PAC_SIZE: u32 = 11;
 const ROWS: u64 = 1 << PAC_SIZE;
 
-fn table(telemetry: &Telemetry) -> HashedBoundsTable {
+fn table() -> HashedBoundsTable {
     HashedBoundsTable::new(HbtConfig {
         pac_size: PAC_SIZE,
         initial_ways: 1,
         max_ways: 8,
         ..HbtConfig::default()
     })
-    .with_telemetry(telemetry.clone())
 }
 
 /// One scripted table operation: `(kind, pac, arg)` decodes to a
@@ -43,9 +44,9 @@ fn script() -> impl Strategy<Value = Vec<ScriptOp>> {
     action_script(0u8..4, 0u64..ROWS, 0u64..48, 1..160)
 }
 
-/// Replays a script against a fresh telemetry-enabled table and
-/// returns `(table, model)` where the model is derived only from the
-/// operations' observable results, never from the counters.
+/// Replays a script against a fresh table and returns `(table, model)`
+/// where the model is derived only from the operations' observable
+/// results, never from the counters.
 struct Model {
     inserts: u64,
     clears: u64,
@@ -53,8 +54,8 @@ struct Model {
     resizes: u64,
 }
 
-fn replay(ops: &[ScriptOp], telemetry: &Telemetry) -> (HashedBoundsTable, Model) {
-    let mut hbt = table(telemetry);
+fn replay(ops: &[ScriptOp]) -> (HashedBoundsTable, Model) {
+    let mut hbt = table();
     let mut model = Model {
         inserts: 0,
         clears: 0,
@@ -97,8 +98,11 @@ fn live_records(hbt: &HashedBoundsTable) -> u64 {
     (0..ROWS).map(|pac| hbt.row_occupancy(pac) as u64).sum()
 }
 
-fn counters(telemetry: &Telemetry) -> TelemetrySnapshot {
-    telemetry.snapshot()
+/// The table's stats, projected into a fresh enabled snapshot.
+fn counters(hbt: &HashedBoundsTable) -> TelemetrySnapshot {
+    let mut snap = Telemetry::enabled().snapshot();
+    hbt.record_telemetry(&mut snap);
+    snap
 }
 
 proptest! {
@@ -106,9 +110,8 @@ proptest! {
     /// of hit / miss, across resizes and partial migrations.
     #[test]
     fn lookups_decompose_into_hits_plus_misses(ops in script()) {
-        let telemetry = Telemetry::enabled();
-        let (_hbt, _model) = replay(&ops, &telemetry);
-        let snap = counters(&telemetry);
+        let (hbt, _model) = replay(&ops);
+        let snap = counters(&hbt);
         prop_assert_eq!(
             snap.counter(Counter::HbtLookups),
             snap.counter(Counter::HbtHits) + snap.counter(Counter::HbtMisses)
@@ -122,9 +125,8 @@ proptest! {
     /// actually changed the table.
     #[test]
     fn inserts_minus_clears_equals_live_entries(ops in script()) {
-        let telemetry = Telemetry::enabled();
-        let (hbt, model) = replay(&ops, &telemetry);
-        let snap = counters(&telemetry);
+        let (hbt, model) = replay(&ops);
+        let snap = counters(&hbt);
         prop_assert_eq!(snap.counter(Counter::HbtInserts), model.inserts);
         prop_assert_eq!(snap.counter(Counter::HbtClears), model.clears);
         prop_assert_eq!(snap.counter(Counter::HbtFailedClears), model.failed_clears);
@@ -140,9 +142,8 @@ proptest! {
     /// duplicated or dropped.
     #[test]
     fn migration_rows_are_bounded_and_exact_when_drained(ops in script()) {
-        let telemetry = Telemetry::enabled();
-        let (mut hbt, model) = replay(&ops, &telemetry);
-        let mid = counters(&telemetry);
+        let (mut hbt, model) = replay(&ops);
+        let mid = counters(&hbt);
         prop_assert_eq!(mid.counter(Counter::HbtResizes), model.resizes);
         prop_assert!(
             mid.counter(Counter::HbtMigrationRows) <= ROWS * model.resizes,
@@ -153,7 +154,7 @@ proptest! {
         );
 
         hbt.finish_migration();
-        let done = counters(&telemetry);
+        let done = counters(&hbt);
         prop_assert_eq!(done.counter(Counter::HbtMigrationRows), ROWS * model.resizes);
         prop_assert!(!hbt.in_migration());
         prop_assert_eq!(
@@ -167,12 +168,12 @@ proptest! {
     /// migration, then replay).
     #[test]
     fn identities_hold_at_post_resize_associativity(ops in script()) {
-        let telemetry = Telemetry::enabled();
-        let mut hbt = table(&telemetry);
+        let mut hbt = table();
         hbt.begin_resize();
         hbt.finish_migration();
-        let pre = counters(&telemetry);
+        let pre = counters(&hbt);
         prop_assert_eq!(pre.counter(Counter::HbtMigrationRows), ROWS);
+        prop_assert_eq!(pre.gauge(Gauge::HbtWays), 2);
 
         let mut inserts = 0u64;
         let mut clears = 0u64;
@@ -194,7 +195,7 @@ proptest! {
                 }
             }
         }
-        let snap = counters(&telemetry);
+        let snap = counters(&hbt);
         prop_assert_eq!(
             snap.counter(Counter::HbtLookups),
             snap.counter(Counter::HbtHits) + snap.counter(Counter::HbtMisses)

@@ -60,12 +60,6 @@ pub struct BoundsWayBuffer {
     slots: Vec<u32>,
     slot_mask: usize,
     stats: BwbStats,
-    /// Stats already published to telemetry; the hot paths only touch
-    /// the plain `stats` fields, and
-    /// [`flush_telemetry`](Self::flush_telemetry) publishes the delta
-    /// in one batch at the end of a run.
-    published: BwbStats,
-    telemetry: aos_util::Telemetry,
 }
 
 /// Null link in the recency list.
@@ -91,16 +85,7 @@ impl BoundsWayBuffer {
             slots: vec![0; slot_count],
             slot_mask: slot_count - 1,
             stats: BwbStats::default(),
-            published: BwbStats::default(),
-            telemetry: aos_util::Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle: hits, misses, updates and LRU
-    /// evictions are recorded into it.
-    pub fn with_telemetry(mut self, telemetry: aos_util::Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Number of live entries.
@@ -260,29 +245,6 @@ impl BoundsWayBuffer {
     /// Hit/miss counters.
     pub fn stats(&self) -> BwbStats {
         self.stats
-    }
-
-    /// Publishes whatever the stats counters accumulated since the
-    /// last flush into the telemetry registry, in one batch. Called at
-    /// the end of a run; keeps the per-lookup hot path free of
-    /// telemetry traffic while producing identical counter totals.
-    pub fn flush_telemetry(&mut self) {
-        use aos_util::Counter;
-        let d = [
-            (Counter::BwbHits, self.stats.hits - self.published.hits),
-            (Counter::BwbMisses, self.stats.misses - self.published.misses),
-            (Counter::BwbUpdates, self.stats.updates - self.published.updates),
-            (
-                Counter::BwbEvictions,
-                self.stats.evictions - self.published.evictions,
-            ),
-        ];
-        for (counter, delta) in d {
-            if delta > 0 {
-                self.telemetry.add(counter, delta);
-            }
-        }
-        self.published = self.stats;
     }
 }
 

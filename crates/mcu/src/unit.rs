@@ -217,13 +217,12 @@ pub struct MemoryCheckUnit {
     bwb: BoundsWayBuffer,
     next_id: u64,
     stats: McuStats,
-    /// Stats already published to telemetry; see
-    /// [`flush_telemetry`](Self::flush_telemetry).
-    published: McuStats,
-    /// Bounds checks that found no covering record in any way since
-    /// the last [`flush_telemetry`](Self::flush_telemetry) — the miss
-    /// verdicts it publishes beside `completed_checks`, the hits.
-    unpublished_check_misses: u64,
+    /// Bounds checks that found no covering record in any way — the
+    /// miss verdicts [`record_telemetry`](Self::record_telemetry)
+    /// projects beside `completed_checks`, the hits. Kept outside
+    /// [`McuStats`] so that struct's fields stay exactly the ones the
+    /// figures read.
+    check_misses: u64,
     /// Whether [`tick`](Self::tick) reports clean completions as
     /// [`McuEvent::Retired`]. The timing simulator only consumes
     /// exception events, so it turns this off and saves one event
@@ -234,7 +233,6 @@ pub struct MemoryCheckUnit {
     /// calls — the functional machine runs one `run_sync` per
     /// load/store, so a per-call `Vec` allocation is hot-path churn.
     sync_events: Vec<McuEvent>,
-    telemetry: aos_util::Telemetry,
 }
 
 impl MemoryCheckUnit {
@@ -250,11 +248,9 @@ impl MemoryCheckUnit {
             bwb: BoundsWayBuffer::new(config.bwb_entries),
             next_id: 0,
             stats: McuStats::default(),
-            published: McuStats::default(),
-            unpublished_check_misses: 0,
+            check_misses: 0,
             emit_retired: true,
             sync_events: Vec::new(),
-            telemetry: aos_util::Telemetry::disabled(),
         }
     }
 
@@ -264,56 +260,32 @@ impl MemoryCheckUnit {
         self.emit_retired = on;
     }
 
-    /// Publishes whatever the stats counters accumulated since the
-    /// last flush into the telemetry registry, in one batch (including
-    /// the internal BWB's counters). Called at the end of a run; the
-    /// totals are identical to per-event counting, but the per-op hot
-    /// paths stay free of telemetry traffic.
+    /// Projects the unit's stats and its BWB's into a telemetry
+    /// snapshot: the five `mcq_*` counters, the four `bwb_*` counters
+    /// and `mcq_peak_occupancy`.
     ///
     /// The MCU reads bounds through the uncounted
     /// [`HashedBoundsTable::peek_way`], so the HBT lookup counters are
-    /// published here from the unit's own check verdicts: each check
-    /// that walked the table is one lookup, a hit when it completed and
-    /// a miss when every way came up empty.
-    pub fn flush_telemetry(&mut self) {
+    /// added here from the unit's own check verdicts: each check that
+    /// walked the table is one lookup, a hit when it completed and a
+    /// miss when every way came up empty.
+    pub fn record_telemetry(&self, snapshot: &mut aos_util::TelemetrySnapshot) {
         use aos_util::Counter;
-        let hits = self.stats.completed_checks - self.published.completed_checks;
-        let misses = std::mem::take(&mut self.unpublished_check_misses);
-        let d = [
-            (Counter::HbtLookups, hits + misses),
-            (Counter::HbtHits, hits),
-            (Counter::HbtMisses, misses),
-            (Counter::McqEnqueued, self.stats.issued - self.published.issued),
-            (Counter::McqRetired, self.stats.retired - self.published.retired),
-            (Counter::McqForwards, self.stats.forwards - self.published.forwards),
-            (Counter::McqReplays, self.stats.replays - self.published.replays),
-            (
-                Counter::McqExceptions,
-                self.stats.exceptions - self.published.exceptions,
-            ),
-        ];
-        for (counter, delta) in d {
-            if delta > 0 {
-                self.telemetry.add(counter, delta);
-            }
-        }
-        self.telemetry
-            .gauge_max(aos_util::Gauge::McqPeakOccupancy, self.stats.peak_occupancy);
-        self.published = self.stats;
-        self.bwb.flush_telemetry();
-    }
-
-    /// Attaches a telemetry handle (shared with the internal BWB):
-    /// MCQ enqueues, peak occupancy, replays, forwards, exceptions and
-    /// clean retirements are recorded into it.
-    pub fn with_telemetry(mut self, telemetry: aos_util::Telemetry) -> Self {
-        self.bwb = std::mem::replace(
-            &mut self.bwb,
-            BoundsWayBuffer::new(self.config.bwb_entries),
-        )
-        .with_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-        self
+        let (s, bwb) = (&self.stats, self.bwb.stats());
+        let hits = s.completed_checks;
+        snapshot.add(Counter::HbtLookups, hits + self.check_misses);
+        snapshot.add(Counter::HbtHits, hits);
+        snapshot.add(Counter::HbtMisses, self.check_misses);
+        snapshot.add(Counter::McqEnqueued, s.issued);
+        snapshot.add(Counter::McqRetired, s.retired);
+        snapshot.add(Counter::McqForwards, s.forwards);
+        snapshot.add(Counter::McqReplays, s.replays);
+        snapshot.add(Counter::McqExceptions, s.exceptions);
+        snapshot.add(Counter::BwbHits, bwb.hits);
+        snapshot.add(Counter::BwbMisses, bwb.misses);
+        snapshot.add(Counter::BwbUpdates, bwb.updates);
+        snapshot.add(Counter::BwbEvictions, bwb.evictions);
+        snapshot.gauge_max(aos_util::Gauge::McqPeakOccupancy, s.peak_occupancy);
     }
 
     /// The configuration in use.
@@ -811,7 +783,7 @@ impl MemoryCheckUnit {
         if count == ways {
             self.queue[i].count = count - 1;
             self.queue[i].state = McqState::Fail;
-            self.unpublished_check_misses += 1;
+            self.check_misses += 1;
             return;
         }
         let next_way = (self.queue[i].start_way + count) % ways;
@@ -961,7 +933,6 @@ impl MemoryCheckUnit {
         }
         self.sync_events = events;
         self.emit_retired = saved_emit;
-        self.flush_telemetry();
         outcome.expect("MCQ FSM did not converge")
     }
 }

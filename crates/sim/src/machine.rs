@@ -77,9 +77,11 @@ pub struct MachineConfig {
     pub migration_rows_per_cycle: u64,
     /// Branch prediction mode.
     pub branch_model: BranchModel,
-    /// Whether to record pipeline telemetry (MCU/BWB/HBT event
-    /// counters). Disabled handles cost one branch per event and the
-    /// simulated behaviour is identical either way.
+    /// Whether runs carry a telemetry snapshot: the MCU/BWB/HBT and
+    /// run-loop stats projected into it when the stats are collected,
+    /// plus what the trace generator records into
+    /// [`Machine::telemetry`]. The simulated behaviour is identical
+    /// either way.
     pub telemetry: bool,
     /// Whether the run loop may fast-forward over cycles in which
     /// nothing can happen (every in-flight operation is waiting on a
@@ -267,10 +269,6 @@ pub struct Machine {
     pub(crate) stalls_mcq: u64,
     pub(crate) lsq_replays: u64,
     pub(crate) flushes: u64,
-    /// Counter values already published to telemetry by earlier runs
-    /// of this machine — `collect_stats` publishes only the delta so
-    /// accumulating runs never double-count.
-    published_sim_counters: [u64; 5],
     pub(crate) mcu_events: Vec<McuEvent>,
     /// Reusable buffer for HBT metadata-line drains — avoids a `Vec`
     /// allocation per simulated cycle on the checking path.
@@ -279,7 +277,10 @@ pub struct Machine {
     pub(crate) tage: Option<Tage>,
     /// The stage-structured pipeline state.
     pub(crate) stage: StageCore,
-    /// The registry handle shared with the MCU, BWB and HBT.
+    /// The registry handle the cell runners share with the trace
+    /// generator (signer and heap counters). The hardware records no
+    /// telemetry of its own: `collect_stats` projects its plain stats
+    /// into each snapshot.
     pub(crate) telemetry: aos_util::Telemetry,
     /// `AOS_SIM_DEBUG` presence, sampled once at construction — the
     /// run loop is the hottest code in the repository and must not
@@ -293,13 +294,12 @@ impl Machine {
         let telemetry = aos_util::Telemetry::new(config.telemetry);
         // The timing loop only consumes exception events, so clean
         // completions need not be materialized as events.
-        let mut mcu =
-            MemoryCheckUnit::new(config.mcu, config.layout).with_telemetry(telemetry.clone());
+        let mut mcu = MemoryCheckUnit::new(config.mcu, config.layout);
         mcu.set_emit_retired(false);
         Self {
             hierarchy: MemoryHierarchy::table_iv(config.with_l1b),
             mcu,
-            hbt: HashedBoundsTable::new(config.hbt).with_telemetry(telemetry.clone()),
+            hbt: HashedBoundsTable::new(config.hbt),
             now: 0,
             prev_cycle_stalled: false,
             mix: InstMix::default(),
@@ -314,7 +314,6 @@ impl Machine {
             stalls_mcq: 0,
             lsq_replays: 0,
             flushes: 0,
-            published_sim_counters: [0; 5],
             mcu_events: Vec::new(),
             bounds_lines: Vec::new(),
             tage: match config.branch_model {
@@ -329,7 +328,8 @@ impl Machine {
     }
 
     /// The machine's telemetry handle (disabled unless the config
-    /// enabled it).
+    /// enabled it), for the trace generator to record into; each run's
+    /// snapshot starts from it.
     pub fn telemetry(&self) -> &aos_util::Telemetry {
         &self.telemetry
     }
@@ -350,34 +350,22 @@ impl Machine {
         self.run_stage(trace.into_iter())
     }
 
-    /// Publishes run-loop telemetry deltas and snapshots the run's
-    /// statistics.
-    pub(crate) fn collect_stats(&mut self) -> RunStats {
-        // Publish the per-component counters accumulated during the
-        // run before the snapshot below reads them.
-        self.mcu.flush_telemetry();
-        let current = [
-            self.stalls_rob,
-            self.stalls_lsq,
-            self.stalls_mcq,
-            self.lsq_replays,
-            self.flushes,
-        ];
-        let counters = [
-            aos_util::Counter::SimStallRob,
-            aos_util::Counter::SimStallLsq,
-            aos_util::Counter::SimStallMcq,
-            aos_util::Counter::SimReplays,
-            aos_util::Counter::SimFlushes,
-        ];
-        for ((counter, &value), published) in counters
-            .iter()
-            .zip(current.iter())
-            .zip(self.published_sim_counters.iter_mut())
-        {
-            self.telemetry.add(*counter, value - *published);
-            *published = value;
-        }
+    /// Snapshots the statistics accumulated so far. The telemetry
+    /// snapshot is the registry's (the generator's counters) plus the
+    /// MCU, HBT and run-loop stats projected into it; every stat is
+    /// cumulative, so a second run on the same machine counts nothing
+    /// twice.
+    pub(crate) fn collect_stats(&self) -> RunStats {
+        use aos_util::Counter;
+        let mut telemetry = self.telemetry.snapshot();
+        self.mcu.record_telemetry(&mut telemetry);
+        self.hbt.record_telemetry(&mut telemetry);
+        telemetry.add(Counter::SimViolations, self.violations);
+        telemetry.add(Counter::SimStallRob, self.stalls_rob);
+        telemetry.add(Counter::SimStallLsq, self.stalls_lsq);
+        telemetry.add(Counter::SimStallMcq, self.stalls_mcq);
+        telemetry.add(Counter::SimReplays, self.lsq_replays);
+        telemetry.add(Counter::SimFlushes, self.flushes);
         RunStats {
             cycles: self.now,
             retired_ops: self.retired_ops,
@@ -399,7 +387,7 @@ impl Machine {
             stalls_mcq: self.stalls_mcq,
             lsq_replays: self.lsq_replays,
             flushes: self.flushes,
-            telemetry: self.telemetry.snapshot(),
+            telemetry,
         }
     }
 }

@@ -215,7 +215,6 @@ impl Machine {
                     // kept as a defensive fallback so a model bug
                     // degrades to event-time accounting, not a hang).
                     self.violations += 1;
-                    self.telemetry.count(aos_util::Counter::SimViolations);
                     self.mcu.drop_failed(*id);
                 }
             }
@@ -284,7 +283,6 @@ impl Machine {
     fn stage_raise_and_flush(&mut self) {
         let head = self.stage.rob.pop_head();
         self.violations += 1;
-        self.telemetry.count(aos_util::Counter::SimViolations);
         if let Some(id) = head.mcq_id {
             self.mcu.drop_failed(id);
             self.mcu.squash_newer(id);

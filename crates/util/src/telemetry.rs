@@ -10,16 +10,25 @@
 //!   level [`Gauge`]s and power-of-two bucketed [`Hist`]ograms, each
 //!   with a stable wire name (the `aos-campaign-report/v7` counter
 //!   keys);
-//! - a [`Telemetry`] **handle** threaded through construction — no
-//!   globals, no locks on the hot path. A disabled handle is a `None`
-//!   and every record call is a single branch; an enabled handle
-//!   shares one [`Arc`] of plain `u64` cells (relaxed atomics, so the
-//!   same registry can be read across the campaign runner's worker
-//!   threads without synchronization);
+//! - a [`Telemetry`] **handle** threaded through construction of the
+//!   software layers that have no stats of their own (signer/QARMA,
+//!   heap, linter, service, corpus, fuzzer) — no globals, no locks on
+//!   the hot path. A disabled handle is a `None` and every record call
+//!   is a single branch; an enabled handle shares one [`Arc`] of plain
+//!   `u64` cells (relaxed atomics, so the same registry can be read
+//!   across the campaign runner's worker threads without
+//!   synchronization);
 //! - an immutable [`TelemetrySnapshot`] for reporting: plain arrays,
 //!   `PartialEq`/`Eq` for the bit-identity differential tests,
 //!   [`TelemetrySnapshot::merge`] for campaign-level aggregation, and
 //!   JSON / human-table renderers.
+//!
+//! The simulated hardware holds no handle. The MCU, BWB and HBT and
+//! the machine's run loop keep plain `u64` stats — the ledger the
+//! figures read — and project them into a snapshot when it is taken
+//! ([`TelemetrySnapshot::add`] / [`TelemetrySnapshot::gauge_max`], via
+//! each component's `record_telemetry`), so every hardware event is
+//! counted once and the per-op paths carry no telemetry at all.
 //!
 //! Determinism contract: every counter in the taxonomy is driven by
 //! the simulation's deterministic event stream, so two runs of the
@@ -33,11 +42,11 @@
 //! use aos_util::telemetry::{Counter, Telemetry};
 //!
 //! let t = Telemetry::enabled();
-//! t.count(Counter::BwbHits);
-//! t.add(Counter::BwbMisses, 3);
+//! t.count(Counter::PtrSigns);
+//! t.add(Counter::PacComputations, 3);
 //! let snap = t.snapshot();
-//! assert_eq!(snap.counter(Counter::BwbHits), 1);
-//! assert_eq!(snap.counter(Counter::BwbMisses), 3);
+//! assert_eq!(snap.counter(Counter::PtrSigns), 1);
+//! assert_eq!(snap.counter(Counter::PacComputations), 3);
 //! assert!(Telemetry::disabled().snapshot().is_empty());
 //! ```
 
@@ -64,7 +73,7 @@ pub enum Counter {
     /// `autm` attempts that failed authentication.
     AuthFailures,
     /// HBT bounds-check lookups: `HashedBoundsTable::check` calls,
-    /// plus the MCU's table walks, published from its check verdicts.
+    /// plus the MCU's table walks, projected from its check verdicts.
     HbtLookups,
     /// HBT lookups that found a validating bounds record.
     HbtHits,
@@ -378,10 +387,10 @@ impl Registry {
 
 /// The handle threaded through construction.
 ///
-/// Cloning shares the registry: a machine hands clones to its MCU,
-/// BWB and HBT and every part records into the same cells. The
-/// default handle is disabled; [`Telemetry::enabled`] allocates a
-/// fresh zeroed registry.
+/// Cloning shares the registry: a machine hands a clone to its trace
+/// generator, which passes it to its signer and heap, and every part
+/// records into the same cells. The default handle is disabled;
+/// [`Telemetry::enabled`] allocates a fresh zeroed registry.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     registry: Option<Arc<Registry>>,
@@ -423,11 +432,11 @@ impl Telemetry {
     /// Adds `n` to a counter.
     ///
     /// Recording uses plain load+store on the cells rather than atomic
-    /// read-modify-write: every cell has a single writer (the machine
-    /// that owns the handle and the components it hands clones to,
-    /// the trace generator included, all on one thread), and dropping
-    /// the `lock` prefix keeps the hot-path cost
-    /// at a couple of cycles. Concurrent *snapshots* from other threads
+    /// read-modify-write: every cell has a single writer (the owner of
+    /// the handle and the components it hands clones to — a cell's
+    /// trace generator with its signer and heap — all on one thread),
+    /// and dropping the `lock` prefix keeps the hot-path cost at a
+    /// couple of cycles. Concurrent *snapshots* from other threads
     /// are safe; concurrent writers of one cell are not supported and
     /// would lose increments.
     #[inline]
@@ -513,6 +522,24 @@ impl TelemetrySnapshot {
     /// One counter cell.
     pub fn counter(&self, counter: Counter) -> u64 {
         self.counters[counter as usize]
+    }
+
+    /// Adds `n` to a counter cell — how a component projects a plain
+    /// stat it kept into the snapshot. A no-op on a disabled snapshot,
+    /// so disabled runs stay empty.
+    pub fn add(&mut self, counter: Counter, n: u64) {
+        if self.enabled {
+            self.counters[counter as usize] += n;
+        }
+    }
+
+    /// Raises a gauge cell to `value` if `value` is higher. A no-op on
+    /// a disabled snapshot.
+    pub fn gauge_max(&mut self, gauge: Gauge, value: u64) {
+        if self.enabled {
+            let cell = &mut self.gauges[gauge as usize];
+            *cell = (*cell).max(value);
+        }
     }
 
     /// One gauge cell.
@@ -643,7 +670,7 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing() {
         let t = Telemetry::disabled();
-        t.count(Counter::BwbHits);
+        t.count(Counter::PtrSigns);
         t.gauge_max(Gauge::McqPeakOccupancy, 10);
         t.observe(Hist::HeapAllocSize, 64);
         assert!(!t.is_enabled());
@@ -651,15 +678,20 @@ mod tests {
         assert!(snap.is_empty());
         assert!(!snap.enabled);
         assert_eq!(snap, TelemetrySnapshot::default());
+        // Projecting stats into a disabled snapshot records nothing.
+        let mut snap = snap;
+        snap.add(Counter::PtrSigns, 3);
+        snap.gauge_max(Gauge::McqPeakOccupancy, 10);
+        assert!(snap.is_empty());
     }
 
     #[test]
     fn clones_share_one_registry() {
         let t = Telemetry::enabled();
         let u = t.clone();
-        t.count(Counter::HbtInserts);
-        u.add(Counter::HbtInserts, 2);
-        assert_eq!(t.snapshot().counter(Counter::HbtInserts), 3);
+        t.count(Counter::HeapAllocs);
+        u.add(Counter::HeapAllocs, 2);
+        assert_eq!(t.snapshot().counter(Counter::HeapAllocs), 3);
         assert_eq!(t.snapshot(), u.snapshot());
     }
 
@@ -672,6 +704,15 @@ mod tests {
         t.gauge_set(Gauge::HbtWays, 4);
         t.gauge_set(Gauge::HbtWays, 2);
         assert_eq!(t.snapshot().gauge(Gauge::HbtWays), 2);
+        // The snapshot-side projection keeps the same semantics.
+        let mut snap = t.snapshot();
+        snap.gauge_max(Gauge::McqPeakOccupancy, 3);
+        snap.gauge_max(Gauge::HbtWays, 8);
+        snap.add(Counter::PtrSigns, 2);
+        snap.add(Counter::PtrSigns, 1);
+        assert_eq!(snap.gauge(Gauge::McqPeakOccupancy), 5);
+        assert_eq!(snap.gauge(Gauge::HbtWays), 8);
+        assert_eq!(snap.counter(Counter::PtrSigns), 3);
     }
 
     #[test]
@@ -691,15 +732,15 @@ mod tests {
     #[test]
     fn merge_sums_counters_and_maxes_gauges() {
         let a = Telemetry::enabled();
-        a.add(Counter::McqReplays, 2);
+        a.add(Counter::HeapFrees, 2);
         a.gauge_max(Gauge::McqPeakOccupancy, 7);
         let b = Telemetry::enabled();
-        b.add(Counter::McqReplays, 3);
+        b.add(Counter::HeapFrees, 3);
         b.gauge_max(Gauge::McqPeakOccupancy, 4);
         b.observe(Hist::HeapAllocSize, 100);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
-        assert_eq!(m.counter(Counter::McqReplays), 5);
+        assert_eq!(m.counter(Counter::HeapFrees), 5);
         assert_eq!(m.gauge(Gauge::McqPeakOccupancy), 7);
         assert_eq!(m.hist(Hist::HeapAllocSize)[hist_bucket_index(100)], 1);
         assert!(m.enabled);
