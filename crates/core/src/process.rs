@@ -819,6 +819,11 @@ mod tests {
         let _ = p.load(a).unwrap();
         p.free(b).unwrap();
         let _ = p.authenticate(p.signer().xpacm(a));
+        let before_uaf = p.telemetry_snapshot();
+        assert!(matches!(
+            p.load(b),
+            Err(MemorySafetyError::UseAfterFree { .. })
+        ));
 
         let t = p.telemetry_snapshot();
         assert!(t.enabled);
@@ -833,6 +838,17 @@ mod tests {
         assert_eq!(sizes, 2);
         // Table path: both allocations landed bounds records.
         assert!(t.counter(Counter::HbtInserts) >= 2);
+        // Check path: the MCU's and BWB's stats are projected.
+        assert_eq!(t.counter(Counter::McqEnqueued), p.mcu().stats().issued);
+        assert_eq!(t.counter(Counter::BwbHits), p.mcu().bwb_stats().hits);
+        assert!(t.counter(Counter::BwbHits) > 0);
+        // The load through the freed pointer walked the table in vain.
+        assert_eq!(before_uaf.counter(Counter::HbtMisses), 0);
+        assert_eq!(t.counter(Counter::HbtMisses), 1);
+        assert_eq!(
+            t.counter(Counter::HbtLookups),
+            t.counter(Counter::HbtHits) + t.counter(Counter::HbtMisses)
+        );
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!    what the machine does.
 
 use aos_core::experiment::{run, run_metered, SystemUnderTest};
-use aos_core::sim::Machine;
+use aos_core::sim::{Machine, RunStats};
+use aos_fault::{plan_fault, FaultKind, FaultSpec};
 use aos_isa::{Op, SafetyConfig};
+use aos_ptrauth::PointerLayout;
 use aos_util::{Counter, Gauge};
 use aos_workloads::profile::by_name;
 use aos_workloads::TraceGenerator;
@@ -91,19 +93,95 @@ fn disabled_telemetry_has_zero_observer_effect() {
     }
 }
 
+/// Every projected counter equals the plain stat it is derived from.
+/// Returns the counters (and gauges) the cell saw nonzero.
+fn assert_projected(stats: &RunStats, cell: &str) -> Vec<&'static str> {
+    let t = &stats.telemetry;
+    let (mcu, bwb) = (&stats.mcu, &stats.bwb);
+    let pairs = [
+        (Counter::McqEnqueued, mcu.issued),
+        (Counter::McqReplays, mcu.replays),
+        (Counter::McqForwards, mcu.forwards),
+        (Counter::McqExceptions, mcu.exceptions),
+        (Counter::McqRetired, mcu.retired),
+        (Counter::BwbHits, bwb.hits),
+        (Counter::BwbMisses, bwb.misses),
+        (Counter::BwbUpdates, bwb.updates),
+        (Counter::BwbEvictions, bwb.evictions),
+        (Counter::HbtHits, mcu.completed_checks),
+        (Counter::HbtResizes, stats.hbt_resizes),
+        (Counter::SimViolations, stats.violations),
+        (Counter::SimStallRob, stats.stalls_rob),
+        (Counter::SimStallLsq, stats.stalls_lsq),
+        (Counter::SimStallMcq, stats.stalls_mcq),
+        (Counter::SimReplays, stats.lsq_replays),
+        (Counter::SimFlushes, stats.flushes),
+    ];
+    let mut nonzero = Vec::new();
+    for (counter, stat) in pairs {
+        assert_eq!(t.counter(counter), stat, "{cell}: {}", counter.name());
+        if stat > 0 {
+            nonzero.push(counter.name());
+        }
+    }
+    assert_eq!(t.gauge(Gauge::McqPeakOccupancy), mcu.peak_occupancy, "{cell}");
+    assert_eq!(t.gauge(Gauge::HbtWays), stats.hbt_ways as u64, "{cell}");
+    let rate = t.bwb_hit_rate() - bwb.hit_rate();
+    assert!(rate.abs() < 1e-12, "{cell}: hit-rate ledgers diverged by {rate}");
+    nonzero
+}
+
 /// The snapshot agrees with the statistics the machine already kept:
-/// the two ledgers are independent paths to the same events.
+/// every MCQ, BWB and run-loop counter is projected from its
+/// `RunStats` field, checked on clean cells and on a faulted run
+/// through a 16-entry ROB and a 4-entry MCQ, so that each pair is
+/// nonzero somewhere. A
+/// machine run twice reports cumulative stats, and its second
+/// snapshot projects exactly those: nothing is counted twice, the
+/// generator's counters included.
 #[test]
 fn telemetry_cross_checks_run_stats() {
-    let profile = by_name("hmmer").unwrap();
+    let hmmer = by_name("hmmer").unwrap();
     let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE).with_telemetry(true);
-    let stats = run(profile, &sut);
-    let t = &stats.telemetry;
+    let stats = run(hmmer, &sut);
+    let mut nonzero = assert_projected(&stats, "hmmer");
+    nonzero.extend(assert_projected(&run(by_name("mcf").unwrap(), &sut), "mcf"));
 
-    assert_eq!(t.counter(Counter::BwbHits), stats.bwb.hits);
-    assert_eq!(t.counter(Counter::BwbMisses), stats.bwb.misses);
-    assert_eq!(t.counter(Counter::SimViolations), stats.violations);
-    assert_eq!(t.counter(Counter::HbtResizes), stats.hbt_resizes);
-    let rate = t.bwb_hit_rate() - stats.bwb.hit_rate();
-    assert!(rate.abs() < 1e-12, "hit-rate ledgers diverged by {rate}");
+    let stream = || TraceGenerator::new(hmmer, SafetyConfig::Aos, SCALE);
+    let spec = FaultSpec {
+        kind: FaultKind::UseAfterFree,
+        seed: 1,
+    };
+    let plan = plan_fault(stream(), PointerLayout::default(), spec).unwrap();
+    let mut config = sut.machine_config();
+    config.mcu.mcq_entries = 4;
+    config.rob_entries = 16;
+    let mut machine = Machine::new(config);
+    let faulted = machine.run(plan.apply(stream()));
+    nonzero.extend(assert_projected(&faulted, "hmmer, use-after-free"));
+    for counter in Counter::ALL {
+        let name = counter.name();
+        let projected = ["mcq_", "bwb_", "sim_"].iter().any(|p| name.starts_with(p));
+        assert!(
+            !projected || nonzero.contains(&name),
+            "{name} stayed zero on every cross-checked cell"
+        );
+    }
+
+    let mut machine = Machine::new(sut.machine_config());
+    let handle = machine.telemetry().clone();
+    let trace =
+        || TraceGenerator::new(hmmer, SafetyConfig::Aos, SCALE).with_telemetry(handle.clone());
+    let first = machine.run(trace());
+    let second = machine.run(trace());
+    assert_eq!(first, stats, "a fresh machine's first run is the cell");
+    assert_projected(&second, "hmmer, second run");
+    for counter in [Counter::PtrSigns, Counter::HeapAllocs, Counter::McqEnqueued] {
+        assert_eq!(
+            second.telemetry.counter(counter),
+            2 * first.telemetry.counter(counter),
+            "{} over two identical traces",
+            counter.name()
+        );
+    }
 }
