@@ -8,8 +8,9 @@
 //! counter columns) so perf trajectories can be tracked across PRs.
 //!
 //! Determinism: a cell's simulation consumes no shared mutable state
-//! (each worker builds its own [`TraceGenerator`] and [`Machine`]
-//! from the cell's profile and system), so the stats a cell produces
+//! (each worker builds its own
+//! [`TraceGenerator`](crate::workloads::TraceGenerator) and
+//! [`Machine`](crate::sim::Machine) from the cell's profile and system), so the stats a cell produces
 //! are identical whether the campaign runs on 1 thread or 64 — the
 //! parallel path only changes wall-clock, never results.
 //!

@@ -12,7 +12,7 @@
 //! [`plan_fault`] scans one pass over the op stream in `O(window)`
 //! memory (a k=1 reservoir picks the anchor uniformly; the
 //! use-after-free planner additionally carries a
-//! [`Lookahead`](aos_isa::stream::Lookahead) of [`UAF_DELAY_OPS`] ops
+//! [`Lookahead`] of [`UAF_DELAY_OPS`] ops
 //! to rule out same-PAC reallocations), producing a [`FaultPlan`];
 //! [`FaultPlan::apply`] then wraps a *fresh* stream of the same trace
 //! with a one-op splice/replace adapter. The legacy slice-based

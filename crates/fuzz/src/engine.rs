@@ -421,7 +421,7 @@ impl ReplayReport {
 /// # Errors
 ///
 /// Fails on corpus I/O or CRC corruption, or on metadata that does
-/// not parse as [`metadata_line`] output.
+/// not parse as `metadata_line` output.
 pub fn replay_corpus(
     path: impl Into<PathBuf>,
     telemetry: &Telemetry,

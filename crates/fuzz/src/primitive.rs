@@ -140,8 +140,8 @@ impl CompositeKind {
 
     /// The rules each static [`Policy`] is pinned to fire on this
     /// primitive — the composite rows of the cross-paper detection
-    /// matrix. The AOS column mirrors [`expectation`]
-    /// (CompositeKind::expectation); the others encode each paper's
+    /// matrix. The AOS column mirrors
+    /// [`expectation`](CompositeKind::expectation); the others encode each paper's
     /// blind spots: CryptSan has no size classes (misses
     /// `ahc-confusion`), PACSan's re-seal launders the dangling
     /// pointer (misses `dangling-resign`), PACTight only

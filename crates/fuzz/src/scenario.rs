@@ -12,7 +12,7 @@
 //! composite step), then once per base-injector step through
 //! [`plan_fault`]'s own `O(window)` scan. Every step's edit is
 //! expressed in *original* trace indices, so the whole chain applies
-//! in one [`SpliceMany`](aos_isa::stream::SpliceMany) pass.
+//! in one [`SpliceMany`] pass.
 
 use aos_fault::campaign::{expected_lint_rules, expected_policy_rules, LintClass};
 use aos_fault::{plan_fault, FaultAction, FaultKind, FaultSpec};

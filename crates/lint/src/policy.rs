@@ -6,7 +6,7 @@
 //! [`registry`](crate::registry)) and the same memory contract as the
 //! AOS linter: O(distinct PACs observed) state, zero buffered ops,
 //! stored diagnostics capped at
-//! [`MAX_STORED_DIAGNOSTICS`](crate::verifier::MAX_STORED_DIAGNOSTICS)
+//! [`MAX_STORED_DIAGNOSTICS`]
 //! while per-rule counts stay exact.
 //!
 //! Four implementations ship:

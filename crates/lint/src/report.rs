@@ -30,8 +30,9 @@ pub struct LintReport {
     /// High-water mark of simultaneously-live bounds records.
     pub peak_live_records: u64,
     /// The stream pipeline's op-buffering high-water mark, when the
-    /// scan ran through [`lint_stream_metered`]
-    /// (crate::verifier::lint_stream_metered); 0 otherwise. The
+    /// scan ran through
+    /// [`lint_stream_metered`](crate::verifier::lint_stream_metered);
+    /// 0 otherwise. The
     /// linter itself always buffers zero ops.
     pub pipeline_peak_buffered_ops: usize,
 }

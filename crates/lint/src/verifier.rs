@@ -1,7 +1,7 @@
 //! The streaming abstract interpreter: per-PAC lifecycle state
 //! machines driven by one forward scan of an [`Op`] stream.
 //!
-//! Memory discipline: the linter holds one small [`PacState`] per
+//! Memory discipline: the linter holds one small `PacState` per
 //! *distinct PAC observed* — bounded by the PAC space (2^16 under the
 //! default layout), independent of trace length — plus O(1) global
 //! state. It buffers no ops, so composing it with the

@@ -17,6 +17,12 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== tier-1: rustdoc gate (every intra-doc link resolves) =="
+# Unresolved links, links to private items and redundant link targets
+# fail the build. The vendored proptest shim is not ours, so it is
+# excluded.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --exclude proptest
+
 echo "== tier-1: every results/ file is byte-identical at full scale =="
 # All 11 figures and tables rendered from one shared 158-cell campaign
 # at scale 1.0 and diffed against results/: a QARMA change that moves
