@@ -220,8 +220,8 @@ pub struct MemoryCheckUnit {
     /// Bounds checks that found no covering record in any way — the
     /// miss verdicts [`record_telemetry`](Self::record_telemetry)
     /// projects beside `completed_checks`, the hits. Kept outside
-    /// [`McuStats`] so that struct's fields stay exactly the ones the
-    /// figures read.
+    /// [`McuStats`]: a field there would change its `Debug` text, which
+    /// the sim-stats golden digests.
     check_misses: u64,
     /// Whether [`tick`](Self::tick) reports clean completions as
     /// [`McuEvent::Retired`]. The timing simulator only consumes

@@ -448,7 +448,7 @@ impl Telemetry {
     }
 
     /// Raises a gauge to `value` if `value` is higher (high-watermark
-    /// semantics, e.g. peak MCQ occupancy).
+    /// semantics, e.g. the service's peak queue depth).
     #[inline]
     pub fn gauge_max(&self, gauge: Gauge, value: u64) {
         if let Some(r) = &self.registry {
@@ -456,15 +456,6 @@ impl Telemetry {
             if value > cell.load(Ordering::Relaxed) {
                 cell.store(value, Ordering::Relaxed);
             }
-        }
-    }
-
-    /// Sets a gauge to `value` (level semantics, e.g. current HBT
-    /// ways).
-    #[inline]
-    pub fn gauge_set(&self, gauge: Gauge, value: u64) {
-        if let Some(r) = &self.registry {
-            r.gauges[gauge as usize].store(value, Ordering::Relaxed);
         }
     }
 
@@ -701,9 +692,6 @@ mod tests {
         t.gauge_max(Gauge::McqPeakOccupancy, 5);
         t.gauge_max(Gauge::McqPeakOccupancy, 3);
         assert_eq!(t.snapshot().gauge(Gauge::McqPeakOccupancy), 5);
-        t.gauge_set(Gauge::HbtWays, 4);
-        t.gauge_set(Gauge::HbtWays, 2);
-        assert_eq!(t.snapshot().gauge(Gauge::HbtWays), 2);
         // The snapshot-side projection keeps the same semantics.
         let mut snap = t.snapshot();
         snap.gauge_max(Gauge::McqPeakOccupancy, 3);
