@@ -152,9 +152,6 @@ USAGE:
   aos pac [--allocations <n>] [--bits <b>] [--live <n>]
                                             Fig. 11 microbenchmark + §VI
                                             collision study
-  aos trace <workload> --out <path> [--system <s>] [--scale <f>]
-                                            capture a trace to a file
-  aos replay <path> [--system <s>]          replay a captured trace
   aos serve [--socket <path>] [--queue <n>] [--workers <n>]
             [--timeout-ms <n>] [--retries <n>] [--backoff-ms <n>]
             [--retry-after-ms <n>] [--test-jobs true] [--telemetry true]
@@ -219,16 +216,12 @@ fn parse_policies(parsed: &Parsed) -> Result<Vec<Policy>, String> {
 }
 
 fn parse_system(name: &str) -> Result<SafetyConfig, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "baseline" => Ok(SafetyConfig::Baseline),
-        "watchdog" => Ok(SafetyConfig::Watchdog),
-        "pa" => Ok(SafetyConfig::Pa),
-        "aos" => Ok(SafetyConfig::Aos),
-        "pa+aos" | "paaos" => Ok(SafetyConfig::PaAos),
-        other => Err(format!(
-            "unknown system '{other}' (baseline, watchdog, pa, aos, pa+aos)"
-        )),
-    }
+    SafetyConfig::parse(name).ok_or_else(|| {
+        format!(
+            "unknown system '{}' (baseline, watchdog, pa, aos, pa+aos)",
+            name.to_ascii_lowercase()
+        )
+    })
 }
 
 fn find_workload(name: &str) -> Result<&'static aos_core::workloads::WorkloadProfile, String> {
@@ -1262,67 +1255,6 @@ collision study for {live} simultaneously-live chunks (paper §VI):"
         );
         println!("  implied HBT resizes {}", s.implied_resizes);
     }
-    Ok(())
-}
-
-/// `aos trace <workload> [--system s] [--scale f] --out <path>`.
-pub fn trace(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
-    let name = parsed
-        .positional(0)
-        .ok_or_else(|| "trace requires a workload name".to_string())?;
-    let workload = find_workload(name)?;
-    let system = parse_system(parsed.flag("system").unwrap_or("aos"))?;
-    let scale = scale(&parsed)?;
-    let out = parsed
-        .flag("out")
-        .ok_or_else(|| "trace requires --out <path>".to_string())?;
-    let generator = aos_core::workloads::TraceGenerator::new(workload, system, scale);
-    let file = std::fs::File::create(out)
-        .map_err(|e| format!("cannot create '{out}': {e}"))?;
-    let metadata = format!("workload={name} system={system} scale={scale}");
-    let count = aos_core::isa::codec::write_trace(
-        std::io::BufWriter::new(file),
-        &metadata,
-        generator,
-    )
-    .map_err(|e| format!("write failed: {e}"))?;
-    println!("wrote {count} ops to {out} ({metadata})");
-    Ok(())
-}
-
-/// `aos replay <path> [--system s]`.
-pub fn replay(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
-    let path = parsed
-        .positional(0)
-        .ok_or_else(|| "replay requires a trace path".to_string())?;
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?;
-    let (metadata, ops) = aos_core::isa::codec::read_trace(std::io::BufReader::new(file))
-        .map_err(|e| format!("bad trace: {e}"))?;
-    // The machine config defaults to the system named in the metadata;
-    // --system overrides (e.g. replay an AOS trace on a
-    // no-optimizations machine).
-    let system = match parsed.flag("system") {
-        Some(s) => parse_system(s)?,
-        None => metadata
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix("system="))
-            .map(parse_system)
-            .transpose()?
-            .unwrap_or(SafetyConfig::Aos),
-    };
-    let mut machine =
-        aos_core::sim::Machine::new(SystemUnderTest::standard(system).machine_config());
-    let stats = machine.run(ops);
-    println!("replayed '{metadata}' on a {system} machine:");
-    println!("cycles {:>12}   ops {:>10}   ipc {:.3}", stats.cycles, stats.retired_ops, stats.ipc());
-    println!(
-        "violations {} resizes {} traffic {} B",
-        stats.violations,
-        stats.hbt_resizes,
-        stats.traffic.total_bytes()
-    );
     Ok(())
 }
 

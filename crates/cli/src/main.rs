@@ -15,7 +15,6 @@
 //! aos fig <11|14|15|16|17|18> [--scale f]   reproduce a paper figure
 //! aos repro (--out d | --check d)      every results/ file, written or diffed
 //! aos pac [--allocations n] [--bits b] the Fig. 11 microbenchmark
-//! aos trace / aos replay               capture & replay µop traces
 //! aos serve [options]                  long-running NDJSON job service
 //! aos corpus record|replay|verify      persistent CRC-checked corpora
 //! aos params                           the Table IV machine
@@ -53,8 +52,6 @@ fn main() -> ExitCode {
         "table" | "fig" => commands::report(command, rest).map_err(CliError::from),
         "repro" => commands::repro(rest),
         "pac" => commands::pac(rest).map_err(CliError::from),
-        "trace" => commands::trace(rest).map_err(CliError::from),
-        "replay" => commands::replay(rest).map_err(CliError::from),
         "serve" => commands::serve(rest),
         "corpus" => commands::corpus(rest),
         "params" => commands::params().map_err(CliError::from),

@@ -17,10 +17,11 @@ use aos_isa::{Op, SafetyConfig};
 use aos_lint::{MatrixScan, Policy};
 use aos_ptrauth::PointerLayout;
 use aos_sim::Machine;
+use aos_util::hash::{fnv1a64, FNV1A64_OFFSET};
 use aos_util::{AosError, Counter, Telemetry, Xoshiro256StarStar};
 use aos_workloads::{profile::by_name, TraceGenerator, WorkloadProfile};
 
-use crate::coverage::{fnv1a64, fnv1a64_init, CoverageMap};
+use crate::coverage::CoverageMap;
 use crate::differential::{run_scenario, CleanBaseline, DifferentialOutcome};
 use crate::scenario::{plan_scenario, ScenarioPlan, ScenarioSpec, StepKind};
 
@@ -99,7 +100,7 @@ impl FuzzReport {
     /// across two runs of the same config iff every scenario produced
     /// the identical static and dynamic verdicts.
     pub fn digest(&self) -> u64 {
-        let mut hash = fnv1a64_init();
+        let mut hash = FNV1A64_OFFSET;
         for outcome in &self.outcomes {
             hash = fnv1a64(hash, canonical_line(outcome).as_bytes());
             hash = fnv1a64(hash, b"\n");

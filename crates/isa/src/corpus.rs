@@ -23,7 +23,7 @@
 //! frame      [len u32][crc32 u32][kind u8][payload: len-1 bytes]
 //!            crc32 covers kind + payload
 //! kind 0     entry header: name_len u32, name, meta_len u32, metadata
-//! kind 1     op block: codec op records (≤ BLOCK_OPS ops)
+//! kind 1     op block: op records (≤ BLOCK_OPS ops)
 //! kind 2     entry trailer: op_count u64, block_count u32
 //!
 //! index      per entry: name_len u32, name, meta_len u32, metadata,
@@ -64,7 +64,6 @@ use std::path::{Path, PathBuf};
 
 use aos_util::{AosError, Counter, Telemetry};
 
-use crate::codec;
 use crate::Op;
 
 /// File magic: "AOSC".
@@ -139,6 +138,167 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> AosError {
 
 fn corrupt(path: &Path, detail: impl std::fmt::Display) -> AosError {
     AosError::corruption(format!("corpus {}", path.display()), detail)
+}
+
+// ------------------------------------------------------------ op records
+
+// Op record tags: one byte per record, then little-endian operands.
+const TAG_INT_ALU: u8 = 0;
+const TAG_INT_MUL: u8 = 1;
+const TAG_FP_ALU: u8 = 2;
+const TAG_BRANCH: u8 = 3;
+const TAG_LOAD: u8 = 4;
+const TAG_STORE: u8 = 5;
+const TAG_PACMA: u8 = 6;
+const TAG_XPACM: u8 = 7;
+const TAG_AUTM: u8 = 8;
+const TAG_PAC_CRYPTO: u8 = 9;
+const TAG_BNDSTR: u8 = 10;
+const TAG_BNDCLR: u8 = 11;
+const TAG_WDCHECK: u8 = 12;
+const TAG_WDMETA: u8 = 13;
+
+fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
+}
+
+/// Writes one op record: its tag byte, then its operands.
+fn write_op<W: Write>(w: &mut W, op: &Op) -> io::Result<()> {
+    match *op {
+        Op::IntAlu => w.write_all(&[TAG_INT_ALU]),
+        Op::IntMul => w.write_all(&[TAG_INT_MUL]),
+        Op::FpAlu => w.write_all(&[TAG_FP_ALU]),
+        Op::Branch {
+            pc,
+            taken,
+            mispredicted,
+        } => {
+            w.write_all(&[TAG_BRANCH, taken as u8, mispredicted as u8])?;
+            write_u64(w, pc)
+        }
+        Op::Load {
+            pointer,
+            bytes,
+            chained,
+        } => {
+            w.write_all(&[TAG_LOAD, chained as u8])?;
+            w.write_all(&bytes.to_le_bytes())?;
+            write_u64(w, pointer)
+        }
+        Op::Store { pointer, bytes } => {
+            w.write_all(&[TAG_STORE])?;
+            w.write_all(&bytes.to_le_bytes())?;
+            write_u64(w, pointer)
+        }
+        Op::Pacma { pointer, size } => {
+            w.write_all(&[TAG_PACMA])?;
+            write_u64(w, pointer)?;
+            write_u64(w, size)
+        }
+        Op::Xpacm => w.write_all(&[TAG_XPACM]),
+        Op::Autm { pointer } => {
+            w.write_all(&[TAG_AUTM])?;
+            write_u64(w, pointer)
+        }
+        Op::PacCrypto => w.write_all(&[TAG_PAC_CRYPTO]),
+        Op::BndStr { pointer, size } => {
+            w.write_all(&[TAG_BNDSTR])?;
+            write_u64(w, pointer)?;
+            write_u64(w, size)
+        }
+        Op::BndClr { pointer } => {
+            w.write_all(&[TAG_BNDCLR])?;
+            write_u64(w, pointer)
+        }
+        Op::WdCheck { pointer } => {
+            w.write_all(&[TAG_WDCHECK])?;
+            write_u64(w, pointer)
+        }
+        Op::WdMeta { pointer, is_store } => {
+            w.write_all(&[TAG_WDMETA, is_store as u8])?;
+            write_u64(w, pointer)
+        }
+    }
+}
+
+fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
+fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
+}
+
+/// Decodes one op record whose tag byte has already been consumed.
+fn read_op<R: Read>(tag: u8, reader: &mut R) -> io::Result<Op> {
+    Ok(match tag {
+        TAG_INT_ALU => Op::IntAlu,
+        TAG_INT_MUL => Op::IntMul,
+        TAG_FP_ALU => Op::FpAlu,
+        TAG_BRANCH => {
+            let mut flags = [0u8; 2];
+            reader.read_exact(&mut flags)?;
+            Op::Branch {
+                taken: flags[0] != 0,
+                mispredicted: flags[1] != 0,
+                pc: read_u64(reader)?,
+            }
+        }
+        TAG_LOAD => {
+            let mut chained = [0u8; 1];
+            reader.read_exact(&mut chained)?;
+            let bytes = read_u32(reader)?;
+            Op::Load {
+                chained: chained[0] != 0,
+                bytes,
+                pointer: read_u64(reader)?,
+            }
+        }
+        TAG_STORE => {
+            let bytes = read_u32(reader)?;
+            Op::Store {
+                bytes,
+                pointer: read_u64(reader)?,
+            }
+        }
+        TAG_PACMA => Op::Pacma {
+            pointer: read_u64(reader)?,
+            size: read_u64(reader)?,
+        },
+        TAG_XPACM => Op::Xpacm,
+        TAG_AUTM => Op::Autm {
+            pointer: read_u64(reader)?,
+        },
+        TAG_PAC_CRYPTO => Op::PacCrypto,
+        TAG_BNDSTR => Op::BndStr {
+            pointer: read_u64(reader)?,
+            size: read_u64(reader)?,
+        },
+        TAG_BNDCLR => Op::BndClr {
+            pointer: read_u64(reader)?,
+        },
+        TAG_WDCHECK => Op::WdCheck {
+            pointer: read_u64(reader)?,
+        },
+        TAG_WDMETA => {
+            let mut is_store = [0u8; 1];
+            reader.read_exact(&mut is_store)?;
+            Op::WdMeta {
+                is_store: is_store[0] != 0,
+                pointer: read_u64(reader)?,
+            }
+        }
+        other => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown op tag {other}"),
+            ))
+        }
+    })
 }
 
 // ---------------------------------------------------------------- writer
@@ -245,7 +405,7 @@ impl CorpusWriter {
         let mut payload = Vec::new();
         let mut ops_in_block = 0usize;
         for op in ops {
-            codec::write_op(&mut payload, &op).map_err(|e| io_err(&self.path, e))?;
+            write_op(&mut payload, &op).map_err(|e| io_err(&self.path, e))?;
             op_count += 1;
             ops_in_block += 1;
             if ops_in_block == BLOCK_OPS {
@@ -584,7 +744,7 @@ impl Replay {
                 let mut cursor = &frame.payload[..];
                 while let Some((&tag, rest)) = cursor.split_first() {
                     let mut rest = rest;
-                    let op = codec::read_op(tag, &mut rest).map_err(|e| {
+                    let op = read_op(tag, &mut rest).map_err(|e| {
                         self.telemetry.count(Counter::CorpusCrcFailures);
                         corrupt(&self.path, format!("op block decode failed: {e}"))
                     })?;
@@ -697,6 +857,132 @@ mod tests {
         let dir = ScratchDir::new(name).expect("scratch dir");
         let path = dir.join(name);
         (dir, path)
+    }
+
+    /// One op of each of the 14 kinds.
+    fn every_op_kind() -> Vec<Op> {
+        vec![
+            Op::IntAlu,
+            Op::IntMul,
+            Op::FpAlu,
+            Op::Branch {
+                pc: 0x400100,
+                taken: true,
+                mispredicted: false,
+            },
+            Op::Load {
+                pointer: 0xABCD_0000_1234,
+                bytes: 8,
+                chained: true,
+            },
+            Op::Store {
+                pointer: 0x4000_0010,
+                bytes: 4,
+            },
+            Op::Pacma {
+                pointer: 0x4000_0010,
+                size: 64,
+            },
+            Op::Xpacm,
+            Op::Autm { pointer: 0x77 },
+            Op::PacCrypto,
+            Op::BndStr {
+                pointer: 0x4000_0010,
+                size: 64,
+            },
+            Op::BndClr {
+                pointer: 0x4000_0010,
+            },
+            Op::WdCheck { pointer: 0x9 },
+            Op::WdMeta {
+                pointer: 0x9,
+                is_store: true,
+            },
+        ]
+    }
+
+    /// Records `ops` as the only entry of a fresh corpus at `path`
+    /// and replays it back.
+    fn record_and_replay(path: &Path, ops: &[Op]) -> Result<Vec<Op>, AosError> {
+        let mut w = CorpusWriter::create(path, Telemetry::disabled())?;
+        w.record("entry", "", ops.iter().copied())?;
+        w.finish()?;
+        let r = CorpusReader::open(path, Telemetry::disabled())?;
+        let entry = r.find("entry").expect("entry").clone();
+        r.replay(&entry)?.collect()
+    }
+
+    /// Overwrites the payload of `entry`'s first op block with
+    /// `payload` (same length) and re-seals the frame's CRC, so the
+    /// frame checks clean but its op records are whatever the test
+    /// wrote.
+    fn reseal_first_block(path: &Path, entry: &EntryMeta, payload: &[u8]) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let header_frame = 8 + 1 + 4 + entry.name.len() + 4 + entry.metadata.len();
+        let block = entry.offset as usize + header_frame;
+        let len = u32::from_le_bytes(bytes[block..block + 4].try_into().unwrap()) as usize;
+        assert_eq!(len, payload.len() + 1, "payload must keep the frame length");
+        let body = block + 8;
+        assert_eq!(bytes[body], KIND_OP_BLOCK);
+        bytes[body + 1..body + len].copy_from_slice(payload);
+        let crc = crc32(&bytes[body..body + len]);
+        bytes[block + 4..block + 8].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn every_op_kind_roundtrips() {
+        let (_dir, path) = temp_corpus("kinds.aosc");
+        let ops = every_op_kind();
+        assert_eq!(record_and_replay(&path, &ops).expect("clean replay"), ops);
+    }
+
+    #[test]
+    fn int_alu_record_is_one_byte() {
+        let mut buf = Vec::new();
+        write_op(&mut buf, &Op::IntAlu).unwrap();
+        assert_eq!(buf, [TAG_INT_ALU]);
+    }
+
+    #[test]
+    fn undecodable_op_records_are_corruption() {
+        // A lone Load record is 14 bytes: tag, chained, u32, u64.
+        let load = Op::Load {
+            pointer: 0x1234,
+            bytes: 8,
+            chained: false,
+        };
+        let mut unknown_tag = vec![200u8];
+        unknown_tag.resize(14, TAG_INT_ALU);
+        // Eleven IntAlu records, then a Load cut off after its flag
+        // and one operand byte.
+        let mut truncated = vec![TAG_INT_ALU; 11];
+        truncated.extend_from_slice(&[TAG_LOAD, 0, 8]);
+        for (case, payload) in [("unknown-tag", unknown_tag), ("truncated", truncated)] {
+            let (_dir, path) = temp_corpus(&format!("{case}.aosc"));
+            let mut w = CorpusWriter::create(&path, Telemetry::disabled()).unwrap();
+            let entry = w.record(case, "", std::iter::once(load)).unwrap();
+            w.finish().unwrap();
+            reseal_first_block(&path, &entry, &payload);
+
+            let r = CorpusReader::open(&path, Telemetry::disabled()).unwrap();
+            let err = r.verify_entry(&entry).unwrap_err();
+            assert!(matches!(err, AosError::Corruption { .. }), "{case}: {err}");
+            assert!(
+                err.to_string().contains("op block decode failed"),
+                "{case}: {err}"
+            );
+        }
+        let err = read_op(200, &mut &[][..]).unwrap_err();
+        assert!(err.to_string().contains("unknown op tag 200"), "{err}");
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error_naming_the_path() {
+        let (_dir, path) = temp_corpus("nope.aosc");
+        let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
+        assert!(matches!(err, AosError::Io { .. }), "{err}");
+        assert!(err.to_string().contains("nope.aosc"), "{err}");
     }
 
     #[test]
@@ -845,5 +1131,44 @@ mod tests {
         std::fs::write(&path, b"this is not a corpus at all").unwrap();
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                Just(Op::IntAlu),
+                Just(Op::IntMul),
+                Just(Op::FpAlu),
+                Just(Op::Xpacm),
+                Just(Op::PacCrypto),
+                (any::<u64>(), any::<bool>(), any::<bool>()).prop_map(|(pc, taken, mispredicted)| {
+                    Op::Branch { pc, taken, mispredicted }
+                }),
+                (any::<u64>(), any::<u32>(), any::<bool>()).prop_map(|(pointer, bytes, chained)| {
+                    Op::Load { pointer, bytes, chained }
+                }),
+                (any::<u64>(), any::<u32>()).prop_map(|(pointer, bytes)| Op::Store { pointer, bytes }),
+                (any::<u64>(), any::<u64>()).prop_map(|(pointer, size)| Op::Pacma { pointer, size }),
+                any::<u64>().prop_map(|pointer| Op::Autm { pointer }),
+                (any::<u64>(), any::<u64>()).prop_map(|(pointer, size)| Op::BndStr { pointer, size }),
+                any::<u64>().prop_map(|pointer| Op::BndClr { pointer }),
+                any::<u64>().prop_map(|pointer| Op::WdCheck { pointer }),
+                (any::<u64>(), any::<bool>()).prop_map(|(pointer, is_store)| Op::WdMeta {
+                    pointer,
+                    is_store
+                }),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn any_op_sequence_roundtrips(ops in proptest::collection::vec(op_strategy(), 0..200)) {
+                let (_dir, path) = temp_corpus("prop.aosc");
+                prop_assert_eq!(record_and_replay(&path, &ops).unwrap(), ops);
+            }
+        }
     }
 }

@@ -23,7 +23,6 @@
 //! assert!(matches!(ops[1], Op::BndStr { .. }));
 //! ```
 
-pub mod codec;
 pub mod corpus;
 pub mod expand;
 mod mix;
@@ -75,6 +74,19 @@ impl SafetyConfig {
     pub fn uses_pa(self) -> bool {
         matches!(self, SafetyConfig::Pa | SafetyConfig::PaAos)
     }
+
+    /// Parses a system name, case-insensitively: the [`Display`]
+    /// spelling (`pa+aos` for the combined system) or `paaos`.
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn parse(name: &str) -> Option<SafetyConfig> {
+        if name.eq_ignore_ascii_case("paaos") {
+            return Some(SafetyConfig::PaAos);
+        }
+        Self::ALL
+            .into_iter()
+            .find(|c| c.to_string().eq_ignore_ascii_case(name))
+    }
 }
 
 impl std::fmt::Display for SafetyConfig {
@@ -110,5 +122,16 @@ mod tests {
     fn display_names_match_figures() {
         let names: Vec<String> = SafetyConfig::ALL.iter().map(|c| c.to_string()).collect();
         assert_eq!(names, ["Baseline", "Watchdog", "PA", "AOS", "PA+AOS"]);
+    }
+
+    #[test]
+    fn display_names_parse_back() {
+        for config in SafetyConfig::ALL {
+            let name = config.to_string();
+            assert_eq!(SafetyConfig::parse(&name), Some(config), "{name}");
+            assert_eq!(SafetyConfig::parse(&name.to_ascii_lowercase()), Some(config));
+        }
+        assert_eq!(SafetyConfig::parse("paaos"), Some(SafetyConfig::PaAos));
+        assert_eq!(SafetyConfig::parse("bogus"), None);
     }
 }

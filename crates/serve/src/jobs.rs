@@ -15,6 +15,7 @@ use aos_isa::SafetyConfig;
 use aos_lint::{lint_stream, LintReport};
 use aos_ptrauth::PointerLayout;
 use aos_sim::{Machine, RunStats};
+use aos_util::hash::{fnv1a64, FNV1A64_OFFSET};
 use aos_util::json::escape;
 use aos_util::{AosError, Telemetry};
 use aos_workloads::{profile, TraceGenerator, WorkloadProfile};
@@ -119,12 +120,7 @@ impl JobSpec {
 
 /// FNV-1a over `bytes`: the stable 64-bit fingerprint results carry.
 pub fn digest64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a64(FNV1A64_OFFSET, bytes)
 }
 
 /// A [`RunStats`] fingerprint: FNV-1a over the full `Debug`
@@ -185,17 +181,12 @@ fn system_from_metadata(metadata: &str) -> Result<SafetyConfig, AosError> {
         .ok_or_else(|| {
             AosError::corruption("corpus entry metadata", "no system= field recorded")
         })?;
-    match token.to_ascii_lowercase().as_str() {
-        "baseline" => Ok(SafetyConfig::Baseline),
-        "watchdog" => Ok(SafetyConfig::Watchdog),
-        "pa" => Ok(SafetyConfig::Pa),
-        "aos" => Ok(SafetyConfig::Aos),
-        "pa+aos" => Ok(SafetyConfig::PaAos),
-        other => Err(AosError::corruption(
+    SafetyConfig::parse(token).ok_or_else(|| {
+        AosError::corruption(
             "corpus entry metadata",
-            format!("unknown system '{other}'"),
-        )),
-    }
+            format!("unknown system '{}'", token.to_ascii_lowercase()),
+        )
+    })
 }
 
 /// Adapter: drains a corpus [`Replay`](aos_isa::corpus::Replay) as a

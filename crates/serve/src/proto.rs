@@ -73,16 +73,12 @@ fn system_field(object: &JsonObject, name: &str) -> Result<SafetyConfig, AosErro
 /// Parses a system name (the CLI's spelling: case-insensitive,
 /// `pa+aos` for the combined system).
 pub fn parse_system(name: &str) -> Result<SafetyConfig, AosError> {
-    match name.to_ascii_lowercase().as_str() {
-        "baseline" => Ok(SafetyConfig::Baseline),
-        "watchdog" => Ok(SafetyConfig::Watchdog),
-        "pa" => Ok(SafetyConfig::Pa),
-        "aos" => Ok(SafetyConfig::Aos),
-        "pa+aos" | "paaos" => Ok(SafetyConfig::PaAos),
-        other => Err(bad(format!(
-            "unknown system '{other}' (baseline, watchdog, pa, aos, pa+aos)"
-        ))),
-    }
+    SafetyConfig::parse(name).ok_or_else(|| {
+        bad(format!(
+            "unknown system '{}' (baseline, watchdog, pa, aos, pa+aos)",
+            name.to_ascii_lowercase()
+        ))
+    })
 }
 
 /// Parses a comma-separated list of system names.

@@ -25,6 +25,8 @@
 //!   ([`telemetry::Telemetry`] handle, fixed counter/gauge/histogram
 //!   taxonomy, mergeable [`telemetry::TelemetrySnapshot`]) that every
 //!   pipeline stage records into.
+//! - [`hash`] — the FNV-1a 64 hash ([`hash::fnv1a64`]) behind workload
+//!   seeds, result digests and coverage fingerprints.
 //! - [`json`] — the JSON string escaper ([`json::escape`]) shared by
 //!   every hand-rolled report and protocol line.
 //! - [`scratch`] — per-test scratch directories ([`scratch::ScratchDir`]:
@@ -44,6 +46,7 @@
 
 pub mod error;
 pub mod guard;
+pub mod hash;
 pub mod json;
 pub mod par;
 pub mod rng;

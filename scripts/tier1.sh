@@ -70,14 +70,16 @@ tail -n 1 "$serve_out" | grep -q '"status":"shutdown"'
 rm -f "$serve_out"
 
 echo "== tier-1: corpus record -> replay -> verify round-trip =="
-# Record a cell, replay it (exit 0 = CRC-clean and bit-identical
-# machinery engaged), verify the whole file.
+# Record a cell, replay it in sim and lint mode (exit 0 = CRC-clean
+# and bit-identical machinery engaged), verify the whole file.
 corpus_file="${TMPDIR:-/tmp}/aos_tier1_corpus_$$.aosc"
 rm -f "$corpus_file"
 cargo run -q --release -p aos-cli -- corpus record \
     --out "$corpus_file" --workloads mcf --systems aos --scale 0.004 >/dev/null
 cargo run -q --release -p aos-cli -- corpus replay \
     "$corpus_file" --entry mcf-aos >/dev/null
+cargo run -q --release -p aos-cli -- corpus replay \
+    "$corpus_file" --entry mcf-aos --mode lint >/dev/null
 cargo run -q --release -p aos-cli -- corpus verify "$corpus_file" >/dev/null
 rm -f "$corpus_file"
 
