@@ -852,6 +852,31 @@ mod tests {
     }
 
     #[test]
+    fn double_free_counts_one_failed_clear() {
+        use aos_util::Counter;
+
+        let mut p = AosProcess::try_with_config(ProcessConfig {
+            telemetry: true,
+            ..ProcessConfig::default()
+        })
+        .unwrap();
+        let ptr = p.malloc(64).unwrap();
+        p.free(ptr).unwrap();
+        assert_eq!(p.telemetry_snapshot().counter(Counter::HbtFailedClears), 0);
+        assert!(matches!(
+            p.free(ptr),
+            Err(MemorySafetyError::InvalidFree { .. })
+        ));
+        let t = p.telemetry_snapshot();
+        assert_eq!(t.counter(Counter::HbtFailedClears), 1);
+        assert_eq!(
+            t.counter(Counter::HbtClears),
+            1,
+            "the failed clear moved no record"
+        );
+    }
+
+    #[test]
     fn disabled_process_telemetry_stays_empty() {
         let mut p = AosProcess::new();
         let ptr = p.malloc(64).unwrap();

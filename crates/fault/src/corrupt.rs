@@ -72,38 +72,70 @@ pub fn lose_way(table: &mut HashedBoundsTable, pac: u64, way: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aos_core::mcu::{McuConfig, McuOp, MemoryCheckUnit};
+    use aos_core::ptrauth::PointerLayout;
     use aos_hbt::HbtConfig;
 
-    #[test]
-    fn single_bit_tamper_fails_closed_at_the_table() {
-        let mut table = HashedBoundsTable::new(HbtConfig::default());
-        let pac = 0x42;
-        table
-            .store(pac, CompressedBounds::encode(0x1000, 64))
-            .unwrap();
-        assert!(table.check(pac, 0x1000 + 8, 0).is_some());
-        table.discard_accesses();
-        for bit in 0..64 {
-            tamper_slot(&mut table, pac, 0, 0, bit);
-            assert!(
-                table.check(pac, 0x1000 + 8, 0).is_none(),
-                "bit {bit} flip must not validate the access"
-            );
-            table.discard_accesses();
-            tamper_slot(&mut table, pac, 0, 0, bit); // restore
+    /// A table and the MCU that stores into and checks against it.
+    struct Checked {
+        table: HashedBoundsTable,
+        mcu: MemoryCheckUnit,
+        layout: PointerLayout,
+    }
+
+    impl Checked {
+        fn new() -> Self {
+            let layout = PointerLayout::default();
+            Self {
+                table: HashedBoundsTable::new(HbtConfig::default()),
+                mcu: MemoryCheckUnit::new(McuConfig::default(), layout),
+                layout,
+            }
+        }
+
+        fn store(&mut self, pac: u64, base: u64, size: u64) {
+            let pointer = self.layout.compose(base, pac, 1);
+            self.mcu
+                .run_sync(McuOp::BndStr { pointer, size }, &mut self.table)
+                .expect("bounds store");
+        }
+
+        /// Whether a signed load of `addr` passes its bounds check.
+        fn passes(&mut self, pac: u64, addr: u64) -> bool {
+            let pointer = self.layout.compose(addr, pac, 1);
+            let access = McuOp::Access {
+                pointer,
+                is_store: false,
+            };
+            self.mcu.run_sync(access, &mut self.table).is_ok()
         }
     }
 
     #[test]
+    fn single_bit_tamper_fails_closed_at_the_table() {
+        let mut c = Checked::new();
+        let pac = 0x42;
+        c.store(pac, 0x1000, 64);
+        assert!(c.passes(pac, 0x1000 + 8));
+        for bit in 0..64 {
+            tamper_slot(&mut c.table, pac, 0, 0, bit);
+            assert!(
+                !c.passes(pac, 0x1000 + 8),
+                "bit {bit} flip must not validate the access"
+            );
+            tamper_slot(&mut c.table, pac, 0, 0, bit); // restore
+        }
+        assert!(c.passes(pac, 0x1000 + 8), "restored record validates again");
+    }
+
+    #[test]
     fn lost_way_turns_valid_accesses_into_detected_misses() {
-        let mut table = HashedBoundsTable::new(HbtConfig::default());
+        let mut c = Checked::new();
         let pac = 0x17;
-        table
-            .store(pac, CompressedBounds::encode(0x2000, 128))
-            .unwrap();
-        assert_eq!(lose_way(&mut table, pac, 0), 1);
-        assert!(table.check(pac, 0x2000, 0).is_none());
-        assert_eq!(table.row_occupancy(pac), 0);
+        c.store(pac, 0x2000, 128);
+        assert_eq!(lose_way(&mut c.table, pac, 0), 1);
+        assert!(!c.passes(pac, 0x2000));
+        assert_eq!(c.table.row_occupancy(pac), 0);
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //! - **store-load replay** to preserve ordering between bounds stores
 //!   and younger checks with the same PAC (§V-E).
 //!
-//! The same FSM code serves two callers: the timing simulator steps it
-//! cycle by cycle through [`MemoryCheckUnit::tick`] with a real cache
-//! model behind the [`BoundsMemory`] port, and the functional machine
-//! drives [`MemoryCheckUnit::run_sync`] with zero-latency memory.
+//! These FSMs are the only implementation of `bndstr`, `bndclr` and
+//! the bounds check: the table itself only stores records, routes
+//! ways during a resize and migrates rows. The same FSM code serves
+//! two callers: the timing simulator steps it cycle by cycle through
+//! [`MemoryCheckUnit::tick`] with a real cache model behind the
+//! [`BoundsMemory`] port, and the functional machine drives
+//! [`MemoryCheckUnit::run_sync`] with zero-latency memory.
 //!
 //! # Examples
 //!

@@ -223,6 +223,11 @@ pub struct MemoryCheckUnit {
     /// [`McuStats`]: a field there would change its `Debug` text, which
     /// the sim-stats golden digests.
     check_misses: u64,
+    /// `bndclr`s that found no matching record, counted when their
+    /// [`AosException::BoundsClearFailure`] is raised at the queue head
+    /// (so a clear that a replay rescues is never counted). Kept
+    /// outside [`McuStats`] for the same reason as `check_misses`.
+    clear_failures: u64,
     /// Whether [`tick`](Self::tick) reports clean completions as
     /// [`McuEvent::Retired`]. The timing simulator only consumes
     /// exception events, so it turns this off and saves one event
@@ -249,6 +254,7 @@ impl MemoryCheckUnit {
             next_id: 0,
             stats: McuStats::default(),
             check_misses: 0,
+            clear_failures: 0,
             emit_retired: true,
             sync_events: Vec::new(),
         }
@@ -264,11 +270,11 @@ impl MemoryCheckUnit {
     /// snapshot: the five `mcq_*` counters, the four `bwb_*` counters
     /// and `mcq_peak_occupancy`.
     ///
-    /// The MCU reads bounds through the uncounted
-    /// [`HashedBoundsTable::peek_way`], so the HBT lookup counters are
-    /// added here from the unit's own check verdicts: each check that
-    /// walked the table is one lookup, a hit when it completed and a
-    /// miss when every way came up empty.
+    /// The MCU runs every bounds check and `bndclr` against the table,
+    /// so it also projects the HBT counters of those operations: each
+    /// check that walked the table is one lookup, a hit when it
+    /// completed and a miss when every way came up empty; each
+    /// `bndclr` that raised a clear failure is one `hbt_failed_clears`.
     pub fn record_telemetry(&self, snapshot: &mut aos_util::TelemetrySnapshot) {
         use aos_util::Counter;
         let (s, bwb) = (&self.stats, self.bwb.stats());
@@ -276,6 +282,7 @@ impl MemoryCheckUnit {
         snapshot.add(Counter::HbtLookups, hits + self.check_misses);
         snapshot.add(Counter::HbtHits, hits);
         snapshot.add(Counter::HbtMisses, self.check_misses);
+        snapshot.add(Counter::HbtFailedClears, self.clear_failures);
         snapshot.add(Counter::McqEnqueued, s.issued);
         snapshot.add(Counter::McqRetired, s.retired);
         snapshot.add(Counter::McqForwards, s.forwards);
@@ -633,7 +640,10 @@ impl MemoryCheckUnit {
                         AosException::MalformedBounds { pointer, size }
                     }
                     McuOp::BndStr { .. } => AosException::BoundsStoreFailure { pac: head.pac },
-                    McuOp::BndClr { pointer } => AosException::BoundsClearFailure { pointer },
+                    McuOp::BndClr { pointer } => {
+                        self.clear_failures += 1;
+                        AosException::BoundsClearFailure { pointer }
+                    }
                 };
                 events.push(McuEvent::Exception {
                     id: head.id,

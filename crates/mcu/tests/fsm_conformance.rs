@@ -3,9 +3,10 @@
 //! transitions, including way iteration (IncCnt), failure at the queue
 //! head, commit-gated bounds stores, and replay.
 
-use aos_hbt::{CompressedBounds, HashedBoundsTable, HbtConfig};
+use aos_hbt::{HashedBoundsTable, HbtConfig};
 use aos_mcu::{BoundsMemory, McqState, McuConfig, McuEvent, McuOp, MemoryCheckUnit};
 use aos_ptrauth::PointerLayout;
+use aos_util::{Counter, Telemetry};
 
 /// A memory port with scriptable latency.
 struct PortWithLatency(u64);
@@ -39,6 +40,27 @@ fn setup(ways: u32) -> (MemoryCheckUnit, HashedBoundsTable, PointerLayout) {
     )
 }
 
+/// Sets up bounds for `[base, base + size)` in row `pac` the way
+/// `malloc` does: a `bndstr` run to completion through the FSMs.
+fn bndstr(
+    mcu: &mut MemoryCheckUnit,
+    hbt: &mut HashedBoundsTable,
+    layout: PointerLayout,
+    pac: u64,
+    base: u64,
+    size: u64,
+) {
+    let pointer = layout.compose(base, pac, 1);
+    mcu.run_sync(McuOp::BndStr { pointer, size }, hbt)
+        .expect("setup bndstr");
+}
+
+/// Whether any record in row `pac` covers `addr`, read straight from
+/// the table's storage.
+fn covers(hbt: &HashedBoundsTable, pac: u64, addr: u64) -> bool {
+    (0..hbt.ways()).any(|way| hbt.peek_way(pac, way).iter().any(|b| b.check(addr)))
+}
+
 #[test]
 fn unsigned_access_goes_init_to_done_in_one_step() {
     let (mut mcu, mut hbt, _) = setup(1);
@@ -56,7 +78,7 @@ fn unsigned_access_goes_init_to_done_in_one_step() {
 #[test]
 fn signed_access_walks_init_bndchk_done() {
     let (mut mcu, mut hbt, layout) = setup(1);
-    hbt.store(7, CompressedBounds::encode(0x4000, 64)).unwrap();
+    bndstr(&mut mcu, &mut hbt, layout, 7, 0x4000, 64);
     let ptr = layout.compose(0x4000, 7, 1);
     let id = mcu
         .issue(McuOp::Access { pointer: ptr, is_store: false }, 0)
@@ -78,10 +100,9 @@ fn way_iteration_inccnt_until_found() {
     let (mut mcu, mut hbt, layout) = setup(2);
     // Fill way 0 for PAC 7, target bounds land in way 1.
     for i in 0..8u64 {
-        hbt.store(7, CompressedBounds::encode(0x10_000 + i * 0x100, 64))
-            .unwrap();
+        bndstr(&mut mcu, &mut hbt, layout, 7, 0x10_000 + i * 0x100, 64);
     }
-    hbt.store(7, CompressedBounds::encode(0x9_0000, 64)).unwrap();
+    bndstr(&mut mcu, &mut hbt, layout, 7, 0x9_0000, 64);
     let ptr = layout.compose(0x9_0000, 7, 1);
     let id = mcu
         .issue(McuOp::Access { pointer: ptr, is_store: false }, 0)
@@ -106,7 +127,7 @@ fn way_iteration_inccnt_until_found() {
 #[test]
 fn count_exhaustion_fails_and_faults_at_head() {
     let (mut mcu, mut hbt, layout) = setup(2);
-    hbt.store(7, CompressedBounds::encode(0x10_000, 64)).unwrap();
+    bndstr(&mut mcu, &mut hbt, layout, 7, 0x10_000, 64);
     // Address with PAC 7 covered by nothing.
     let ptr = layout.compose(0x9_0000, 7, 1);
     let id = mcu
@@ -142,19 +163,19 @@ fn bndstr_occchk_waits_for_commit_then_stores() {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert_eq!(mcu.state_of(id), Some(McqState::BndStr));
-    assert!(hbt.check(7, 0x4000, 0).is_none(), "no store before commit");
+    assert!(!covers(&hbt, 7, 0x4000), "no store before commit");
     // Commit releases the store.
     mcu.mark_committed(id);
     mcu.tick(10, &mut hbt, &mut port, &mut events);
     mcu.tick(11, &mut hbt, &mut port, &mut events);
     assert_eq!(mcu.state_of(id), None);
-    assert!(hbt.check(7, 0x4000, 0).is_some(), "bounds landed at commit");
+    assert!(covers(&hbt, 7, 0x4000), "bounds landed at commit");
 }
 
 #[test]
 fn bndclr_occchk_matches_base_only() {
     let (mut mcu, mut hbt, layout) = setup(1);
-    hbt.store(7, CompressedBounds::encode(0x4000, 64)).unwrap();
+    bndstr(&mut mcu, &mut hbt, layout, 7, 0x4000, 64);
     // bndclr with an interior pointer must NOT match (occupancy check
     // compares the lower bound, §V-A2).
     let interior = layout.compose(0x4010, 7, 1);
@@ -166,7 +187,7 @@ fn bndclr_occchk_matches_base_only() {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert_eq!(mcu.state_of(id), Some(McqState::Fail));
-    assert!(hbt.check(7, 0x4000, 0).is_some(), "bounds untouched");
+    assert!(covers(&hbt, 7, 0x4000), "bounds untouched");
 }
 
 #[test]
@@ -219,8 +240,7 @@ fn replay_rescues_fail_before_it_reaches_the_head() {
 fn retry_after_resize_reruns_the_fsm() {
     let (mut mcu, mut hbt, layout) = setup(1);
     for i in 0..8u64 {
-        hbt.store(7, CompressedBounds::encode(0x10_000 + i * 0x100, 64))
-            .unwrap();
+        bndstr(&mut mcu, &mut hbt, layout, 7, 0x10_000 + i * 0x100, 64);
     }
     let ptr = layout.compose(0x9_0000, 7, 1);
     let id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
@@ -238,5 +258,39 @@ fn retry_after_resize_reruns_the_fsm() {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert!(mcu.is_empty());
-    assert!(hbt.check(7, 0x9_0000, 0).is_some(), "store succeeded after resize");
+    assert!(covers(&hbt, 7, 0x9_0000), "store succeeded after resize");
+}
+
+#[test]
+fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
+    // A bndclr younger than the bndstr of the same chunk fails its
+    // occupancy check before the store lands; the store's replay
+    // rescues it, so it is no failed clear. A second bndclr of the same
+    // chunk (a double free) fails at the head and is counted once.
+    let (mut mcu, mut hbt, layout) = setup(1);
+    let ptr = layout.compose(0x4000, 7, 1);
+    let str_id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
+    let clr_id = mcu.issue(McuOp::BndClr { pointer: ptr }, 0).unwrap();
+    let mut events = Vec::new();
+    let mut port = PortWithLatency(0);
+    for now in 0..4 {
+        mcu.tick(now, &mut hbt, &mut port, &mut events);
+    }
+    assert_eq!(mcu.state_of(clr_id), Some(McqState::Fail));
+    mcu.mark_committed(str_id);
+    mcu.mark_committed(clr_id);
+    for now in 4..12 {
+        mcu.tick(now, &mut hbt, &mut port, &mut events);
+    }
+    assert!(mcu.is_empty(), "both completed after the replay");
+    assert!(!events.iter().any(|e| matches!(e, McuEvent::Exception { .. })));
+    let failed_clears = |mcu: &MemoryCheckUnit| {
+        let mut snap = Telemetry::enabled().snapshot();
+        mcu.record_telemetry(&mut snap);
+        snap.counter(Counter::HbtFailedClears)
+    };
+    assert_eq!(failed_clears(&mcu), 0);
+
+    assert!(mcu.run_sync(McuOp::BndClr { pointer: ptr }, &mut hbt).is_err());
+    assert_eq!(failed_clears(&mcu), 1);
 }

@@ -270,9 +270,6 @@ pub struct Machine {
     pub(crate) lsq_replays: u64,
     pub(crate) flushes: u64,
     pub(crate) mcu_events: Vec<McuEvent>,
-    /// Reusable buffer for HBT metadata-line drains — avoids a `Vec`
-    /// allocation per simulated cycle on the checking path.
-    pub(crate) bounds_lines: Vec<u64>,
     /// The L-TAGE instance, when `branch_model` is `Tage`.
     pub(crate) tage: Option<Tage>,
     /// The stage-structured pipeline state.
@@ -315,7 +312,6 @@ impl Machine {
             lsq_replays: 0,
             flushes: 0,
             mcu_events: Vec::new(),
-            bounds_lines: Vec::new(),
             tage: match config.branch_model {
                 BranchModel::Tage => Some(Tage::new(TageConfig::default())),
                 BranchModel::TraceProvided => None,
@@ -553,10 +549,18 @@ mod tests {
                 size: 64,
             });
         }
-        let stats = Machine::new(MachineConfig::table_iv(SafetyConfig::Aos)).run(trace);
+        let mut config = MachineConfig::table_iv(SafetyConfig::Aos);
+        config.telemetry = true;
+        let stats = Machine::new(config).run(trace);
         assert_eq!(stats.hbt_resizes, 1);
         assert_eq!(stats.hbt_ways, 2);
         assert_eq!(stats.violations, 0);
+        // The projected counters see the resize and the migration
+        // steps that ran before the trace drained.
+        let t = &stats.telemetry;
+        assert_eq!(t.counter(aos_util::Counter::HbtResizes), 1);
+        let rows = t.counter(aos_util::Counter::HbtMigrationRows);
+        assert!((1..=1 << 16).contains(&rows), "{rows} rows migrated");
     }
 
     #[test]

@@ -221,15 +221,6 @@ impl Machine {
         }
         self.mcu_events = events;
         self.mcu_events.clear();
-        // The FSM models metadata traffic through the BoundsPort
-        // directly, so HBT-side access recording stays empty in timing
-        // mode — but any functional-path operation interleaved between
-        // runs may have recorded lines. Drain them into the reusable
-        // buffer (no allocation) so the record cannot grow unboundedly.
-        if self.hbt.pending_accesses() > 0 {
-            self.bounds_lines.clear();
-            self.hbt.drain_accesses_into(&mut self.bounds_lines);
-        }
     }
 
     /// Retires up to `issue_width` completed ops from the ROB head

@@ -72,20 +72,20 @@ pub enum Counter {
     PtrAuths,
     /// `autm` attempts that failed authentication.
     AuthFailures,
-    /// HBT bounds-check lookups: `HashedBoundsTable::check` calls,
-    /// plus the MCU's table walks, projected from its check verdicts.
+    /// HBT bounds-check lookups: the MCU's table walks, projected from
+    /// its check verdicts.
     HbtLookups,
     /// HBT lookups that found a validating bounds record.
     HbtHits,
     /// HBT lookups that fell through every way.
     HbtMisses,
-    /// Bounds records inserted (successful `store`s, plus MCU-driven
-    /// slot writes of non-empty bounds).
+    /// Bounds records inserted (MCU-driven slot writes of non-empty
+    /// bounds).
     HbtInserts,
-    /// Bounds records cleared (successful `clear`s, plus MCU-driven
-    /// slot writes of empty bounds).
+    /// Bounds records cleared (MCU-driven slot writes of empty bounds).
     HbtClears,
-    /// `clear` calls that found no matching record.
+    /// `bndclr`s that found no matching record (double or invalid
+    /// frees), counted when the MCU raises the failure.
     HbtFailedClears,
     /// Gradual resizes begun.
     HbtResizes,

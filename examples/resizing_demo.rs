@@ -6,13 +6,16 @@
 //! cargo run --release --example resizing_demo
 //! ```
 
-use aos_core::hbt::{CompressedBounds, HashedBoundsTable, HbtConfig};
-use aos_core::{AosProcess, ProcessConfig};
+use aos_core::hbt::{HashedBoundsTable, HbtConfig};
+use aos_core::mcu::{AosException, McuConfig, McuOp, MemoryCheckUnit};
 use aos_core::ptrauth::PointerLayout;
+use aos_core::{AosProcess, ProcessConfig};
 
 fn main() {
     // Part 1: the raw table mechanics, with a tiny 11-bit PAC space so
-    // collisions are easy to provoke.
+    // collisions are easy to provoke. Every bounds store and check is
+    // an MCQ entry run through the memory check unit's FSMs, as
+    // `AosProcess::malloc` and `load` run them.
     println!("== Part 1: raw table mechanics ==");
     let mut hbt = HashedBoundsTable::new(HbtConfig {
         pac_size: 11,
@@ -21,6 +24,8 @@ fn main() {
         base_addr: 0x1000_0000,
         compressed: true,
     });
+    let layout = PointerLayout::default();
+    let mut mcu = MemoryCheckUnit::new(McuConfig::default(), layout);
     println!(
         "start: {} rows x {} way(s), {} bounds capacity per row",
         hbt.rows(),
@@ -28,26 +33,50 @@ fn main() {
         hbt.row_capacity()
     );
     let pac = 0x2A;
-    for i in 0..8u64 {
-        hbt.store(pac, CompressedBounds::encode(0x4000 + i * 0x1000, 64))
-            .expect("row has space");
-    }
-    println!("row {pac:#x} now holds {} records — full", hbt.row_occupancy(pac));
-    let overflow = hbt.store(pac, CompressedBounds::encode(0x10_0000, 64));
-    println!("ninth store: {overflow:?} -> OS begins a gradual resize");
-    hbt.begin_resize();
+    let chunk = |i: u64| layout.compose(0x4000 + i * 0x1000, pac, 1);
+    let mut stored = 0;
+    let overflow = loop {
+        let bndstr = McuOp::BndStr {
+            pointer: chunk(stored),
+            size: 64,
+        };
+        match mcu.run_sync(bndstr, &mut hbt) {
+            Ok(_) => stored += 1,
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(overflow, AosException::BoundsStoreFailure { pac });
+    println!(
+        "row {pac:#x} now holds {} records — full",
+        hbt.row_occupancy(pac)
+    );
+    println!(
+        "bndstr #{}: {overflow} -> OS begins a gradual resize",
+        stored + 1
+    );
+    hbt.try_begin_resize().expect("below max associativity");
     println!(
         "resized to {} ways; migration in flight: {}",
         hbt.ways(),
         hbt.in_migration()
     );
-    hbt.store(pac, CompressedBounds::encode(0x10_0000, 64))
-        .expect("space after resize");
-    // The table stays queryable while rows migrate.
+    let retry = McuOp::BndStr {
+        pointer: chunk(stored),
+        size: 64,
+    };
+    mcu.run_sync(retry, &mut hbt).expect("space after resize");
+    // The table stays checkable while rows migrate.
     let mut migrated = 0;
     while hbt.in_migration() {
         migrated += hbt.step_migration(256);
-        assert!(hbt.check(pac, 0x4000 + 8, 0).is_some(), "live during migration");
+        for i in 0..=stored {
+            let access = McuOp::Access {
+                pointer: chunk(i) + 8,
+                is_store: false,
+            };
+            mcu.run_sync(access, &mut hbt)
+                .expect("live during migration");
+        }
     }
     println!("migrated {migrated} rows row-by-row; all bounds still present\n");
 

@@ -17,6 +17,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== tier-1: table, MCU and fault crate tests =="
+# The root package's tests do not run the member crates' own tests;
+# these three hold the bounds-table, MCU FSM and corruption properties.
+cargo test -q -p aos-hbt -p aos-mcu -p aos-fault
+
 echo "== tier-1: rustdoc gate (every intra-doc link resolves) =="
 # Unresolved links, links to private items and redundant link targets
 # fail the build. The vendored proptest shim is not ours, so it is

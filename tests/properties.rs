@@ -9,6 +9,7 @@ use proptest::prelude::*;
 
 use aos_core::experiment::SystemUnderTest;
 use aos_core::hbt::{CompressedBounds, HashedBoundsTable, HbtConfig};
+use aos_core::mcu::{McuConfig, McuOp, MemoryCheckUnit};
 use aos_core::ptrauth::{bwb_tag, compute_ahc, Ahc, PointerLayout};
 use aos_core::qarma::{truncate_pac, PacKey, Qarma64};
 use aos_core::AosProcess;
@@ -106,8 +107,9 @@ proptest! {
         }
     }
 
-    /// HBT store → check → clear → check behaves like a map keyed by
-    /// (pac, base), under arbitrary interleavings of distinct chunks.
+    /// HBT store → check → clear → check, each run through the MCU's
+    /// FSMs, behaves like a map keyed by (pac, base), under arbitrary
+    /// interleavings of distinct chunks.
     #[test]
     fn hbt_behaves_like_a_bounds_map(
         script in action_script(0u8..1, 0u64..2048, 1u64..64, 1..24),
@@ -123,6 +125,9 @@ proptest! {
             base_addr: 0x1000_0000,
             compressed: true,
         });
+        let layout = PointerLayout::default();
+        let mut mcu = MemoryCheckUnit::new(McuConfig::default(), layout);
+        let signed = |pac: u64, addr: u64| layout.compose(addr, pac, 1);
         // Deduplicate bases so entries are distinct.
         let mut seen = std::collections::HashSet::new();
         let chunks: Vec<(u64, u64, u64)> = chunks
@@ -132,16 +137,20 @@ proptest! {
             .filter(|(_, base, _)| seen.insert(*base))
             .collect();
         for &(pac, base, size) in &chunks {
-            hbt.store(pac, CompressedBounds::encode(base, size)).unwrap();
+            let bndstr = McuOp::BndStr { pointer: signed(pac, base), size };
+            prop_assert!(mcu.run_sync(bndstr, &mut hbt).is_ok());
         }
         for &(pac, base, size) in &chunks {
-            prop_assert!(hbt.check(pac, base + size / 2, 0).is_some());
+            let access = McuOp::Access { pointer: signed(pac, base + size / 2), is_store: false };
+            prop_assert!(mcu.run_sync(access, &mut hbt).is_ok());
         }
         for &(pac, base, _) in &chunks {
-            hbt.clear(pac, base).unwrap();
+            let bndclr = McuOp::BndClr { pointer: signed(pac, base) };
+            prop_assert!(mcu.run_sync(bndclr, &mut hbt).is_ok());
         }
         for &(pac, base, _) in &chunks {
-            prop_assert!(hbt.check(pac, base, 0).is_none());
+            let access = McuOp::Access { pointer: signed(pac, base), is_store: false };
+            prop_assert!(mcu.run_sync(access, &mut hbt).is_err());
         }
     }
 
