@@ -1,5 +1,7 @@
 //! Tiny flag parser for the CLI (`--name value` pairs plus
 //! positionals); hand-rolled to keep the dependency set minimal.
+//! Each subcommand names the flags it accepts, so a misspelt or
+//! removed flag is a usage error instead of a silently ignored one.
 
 use aos_util::AosError;
 
@@ -11,16 +13,25 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Parses `argv`. Every `--flag` must be followed by a value.
+    /// Parses `argv` against the subcommand's `allowed` flag names
+    /// (space-separated, without the leading `--`). Every `--flag`
+    /// must be followed by a value.
     ///
     /// # Errors
     ///
-    /// Returns a message when a flag has no value.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Returns a message when a flag is not in `allowed` or has no
+    /// value.
+    pub fn parse(argv: &[String], allowed: &str) -> Result<Self, String> {
         let mut parsed = Parsed::default();
         let mut it = argv.iter();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
+                if !allowed.split(' ').any(|flag| flag == name) {
+                    return Err(format!(
+                        "unknown flag --{name} (accepted: --{})",
+                        allowed.replace(' ', ", --")
+                    ));
+                }
                 let value = it
                     .next()
                     .ok_or_else(|| format!("--{name} requires a value"))?;
@@ -100,7 +111,11 @@ mod tests {
 
     #[test]
     fn positionals_and_flags() {
-        let p = Parsed::parse(&argv(&["gcc", "--scale", "0.5", "--system", "aos"])).unwrap();
+        let p = Parsed::parse(
+            &argv(&["gcc", "--scale", "0.5", "--system", "aos"]),
+            "scale system",
+        )
+        .unwrap();
         assert_eq!(p.positional(0), Some("gcc"));
         assert_eq!(p.flag("scale"), Some("0.5"));
         assert_eq!(p.flag("system"), Some("aos"));
@@ -109,27 +124,33 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let err = Parsed::parse(&argv(&["--bogus", "1"]), "scale seed").unwrap_err();
+        assert_eq!(err, "unknown flag --bogus (accepted: --scale, --seed)");
+    }
+
+    #[test]
     fn flag_requires_value() {
-        assert!(Parsed::parse(&argv(&["--scale"])).is_err());
+        assert!(Parsed::parse(&argv(&["--scale"]), "scale").is_err());
     }
 
     #[test]
     fn flag_or_defaults_and_parses() {
-        let p = Parsed::parse(&argv(&["--n", "42"])).unwrap();
+        let p = Parsed::parse(&argv(&["--n", "42"]), "n m").unwrap();
         assert_eq!(p.flag_or("n", 0u64).unwrap(), 42);
         assert_eq!(p.flag_or("m", 7u64).unwrap(), 7);
         assert!(p.flag_or::<u64>("n", 0).is_ok());
-        let bad = Parsed::parse(&argv(&["--n", "x"])).unwrap();
+        let bad = Parsed::parse(&argv(&["--n", "x"]), "n").unwrap();
         assert!(bad.flag_or::<u64>("n", 0).is_err());
     }
 
     #[test]
     fn scale_bounds() {
-        let ok = Parsed::parse(&argv(&["--scale", "0.25"])).unwrap();
+        let ok = Parsed::parse(&argv(&["--scale", "0.25"]), "scale").unwrap();
         assert_eq!(scale(&ok).unwrap(), 0.25);
-        let bad = Parsed::parse(&argv(&["--scale", "2.0"])).unwrap();
+        let bad = Parsed::parse(&argv(&["--scale", "2.0"]), "scale").unwrap();
         assert!(scale(&bad).is_err());
-        let none = Parsed::parse(&argv(&[])).unwrap();
+        let none = Parsed::parse(&argv(&[]), "").unwrap();
         assert_eq!(scale(&none).unwrap(), 1.0);
         assert_eq!(scale_or(&none, 0.004).unwrap(), 0.004);
     }
@@ -137,7 +158,7 @@ mod tests {
     #[test]
     fn degenerate_scales_are_typed_errors() {
         for bad in ["0", "-0.5", "NaN", "inf", "bogus"] {
-            let p = Parsed::parse(&argv(&["--scale", bad])).unwrap();
+            let p = Parsed::parse(&argv(&["--scale", bad]), "scale").unwrap();
             let err = scale(&p).unwrap_err();
             assert!(
                 matches!(err, AosError::InvalidInput { .. }),

@@ -117,17 +117,16 @@ USAGE:
                                             --replay-corpus re-checks a
                                             banked corpus's verdicts instead
   aos lint [--workload <w>] [--system <s>] [--scale <f>]
-           [--fault <kind>] [--seed <n>] [--policy <p|all>]
+           [--fault <kind>] [--seed <n>]
            [--json true] [--strict false] [--telemetry true]
                                             statically verify the generated
                                             op stream against the Fig. 7
                                             instrumentation protocol (no
                                             machine run); --fault lints a
                                             seeded faulted stream instead;
-                                            --policy scans the same stream
-                                            under cryptsan/pacsan/pactight
-                                            abstract models too; strict by
-                                            default — any finding exits 1
+                                            strict by default — any finding
+                                            exits 1; the other policies'
+                                            scans are aos matrix
   aos matrix [--workload <w>] [--scale <f>] [--seeds <n>]
              [--policy <p|all>] [--kinds <k1,k2,..>] [--json true]
              [--out <path>] [--telemetry true]
@@ -187,14 +186,14 @@ THREADS: --threads beats the AOS_CAMPAIGN_THREADS env var, which beats
 EXIT CODES: 0 = success / gate clean; 1 = a strict gate found real
          findings (aos lint findings, aos faults --strict true
          failures, aos repro --check differences); 2 = unusable
-         invocation or execution error.
+         invocation (an unknown flag included) or execution error.
 "
     .to_string()
 }
 
 /// Parses a `--policy <name|all>` flag (comma lists allowed) into a
 /// static-policy set; absent means AOS alone — the paper's own
-/// verifier, bit-identical to the pre-framework linter.
+/// verifier.
 fn parse_policies(parsed: &Parsed) -> Result<Vec<Policy>, String> {
     let Some(list) = parsed.flag("policy") else {
         return Ok(vec![Policy::Aos]);
@@ -328,7 +327,7 @@ fn run_cmd_impl(parsed: &Parsed) -> Result<(), String> {
 
 /// `aos run`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    run_cmd_impl(&Parsed::parse(args)?)
+    run_cmd_impl(&Parsed::parse(args, "system scale json telemetry")?)
 }
 
 /// Parses an optional `--threads <n>` flag into campaign options.
@@ -349,7 +348,7 @@ fn campaign_options(parsed: &Parsed) -> Result<CampaignOptions, String> {
 
 /// `aos compare <workload> [--scale f] [--threads n]`.
 pub fn compare(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "scale threads telemetry")?;
     let name = parsed
         .positional(0)
         .ok_or_else(|| "compare requires a workload name".to_string())?;
@@ -403,7 +402,7 @@ pub fn compare(args: &[String]) -> Result<(), String> {
 /// [--json true]`: the telemetry surface. Runs a small campaign with
 /// pipeline telemetry enabled and prints the merged snapshot.
 pub fn stats(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "workload system scale threads json")?;
     // Telemetry campaigns exist to read counters, not to time the
     // machine: default to a small window.
     let scale = scale_or(&parsed, 0.01).map_err(|e| e.to_string())?;
@@ -468,7 +467,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
 
 /// `aos campaign [--suite s] [--scale f] [--threads n] [--out path]`.
 pub fn campaign(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "suite scale threads out")?;
     let scale = scale(&parsed)?;
     let options = campaign_options(&parsed)?;
     let suite = parsed.flag("suite").unwrap_or("spec2006");
@@ -545,7 +544,7 @@ struct AblatePoint {
 /// a queue may slow the machine down but must never change what it
 /// detects.
 pub fn ablate(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "workload system scale mcq bwb json out")?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Each sweep point is a full machine run: default to a small
     // window, like the fault sweep does.
@@ -557,15 +556,6 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
              systems; --system must be aos or pa+aos, not {system}"
         )
         .into());
-    }
-    // `Parsed` ignores unknown flags; a stale `--model` must not
-    // silently run a sweep the caller did not ask for.
-    if parsed.flag("model").is_some() {
-        return Err(CliError::Usage(
-            "--model was removed: the analytic timing model is gone and \
-             ablate always runs the stage-structured core"
-                .to_string(),
-        ));
     }
     let mcq_points = parse_geometry_list(parsed.flag("mcq").unwrap_or("12,24,48,96"), "mcq")?;
     let bwb_points = parse_geometry_list(parsed.flag("bwb").unwrap_or("16,64,128"), "bwb")?;
@@ -675,9 +665,15 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `aos faults [--workload w] [--scale f] [--seeds n] [--kinds k,..]
-/// [--threads n] [--out path] [--strict true]`.
+/// [--policy p|all] [--threads n] [--out path] [--strict true]
+/// [--telemetry true]`: one cross-check block per policy (AOS alone
+/// by default); `--strict` gates on detection and on every policy's
+/// pinned split.
 pub fn faults(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(
+        args,
+        "workload scale seeds kinds policy threads out strict telemetry",
+    )?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Fault sweeps replay the trace once per (kind, seed, system):
     // default to a small window instead of the global full-scale one.
@@ -738,24 +734,7 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
         outcome.matrix.false_positives(),
         outcome.report.failed(),
     );
-    println!(
-        "\nstatic cross-check (aos-lint): clean trace raised {} diagnostic(s)",
-        outcome.lint.clean_diagnostics
-    );
-    for check in &outcome.lint.kinds {
-        println!(
-            "{:<12} {:<14} {}/{} seeds flagged{}{}",
-            check.kind.name(),
-            check.classification().to_string(),
-            check.flagged,
-            check.seeds,
-            if check.rules.is_empty() { "" } else { "; rules: " },
-            check.rules.join(", "),
-        );
-    }
-    // The AOS rows above *are* the first policy cross-check; any
-    // extra `--policy` entries get their own blocks.
-    for check in outcome.policies.iter().filter(|c| c.policy != Policy::Aos) {
+    for check in &outcome.policies {
         println!(
             "\npolicy cross-check ({}): clean trace raised {} diagnostic(s)",
             check.policy.name(),
@@ -787,8 +766,6 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
     if strict
         && (!outcome.matrix.is_sound()
             || outcome.report.failed() > 0
-            || !outcome.lint.is_consistent()
-            || !outcome.lint.matches_pinned_split()
             || outcome.policies.iter().any(|p| !p.matches_pinned_split()))
     {
         let policy_json: Vec<String> = outcome
@@ -797,9 +774,8 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
             .map(|p| p.to_json_value())
             .collect();
         return Err(CliError::Findings(format!(
-            "strict fault gate failed: {} {} [{}]",
+            "strict fault gate failed: {} [{}]",
             outcome.matrix.to_json_value(),
-            outcome.lint.to_json_value(),
             policy_json.join(", ")
         )));
     }
@@ -817,7 +793,11 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
 /// static/dynamic expectation (or a replayed corpus is verdict
 /// stable), 1 on findings/instability, 2 on unusable invocations.
 pub fn fuzz(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(
+        args,
+        "workload scale seed budget max-chain coverage-guided corpus-out out json telemetry \
+         replay-corpus",
+    )?;
     let telemetry = if bool_flag(&parsed, "telemetry") {
         Telemetry::enabled()
     } else {
@@ -899,7 +879,7 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
                 "{:<34} {:<30} {:>6} {:>8} {:>9}",
                 o.scenario,
                 o.steps.join("+"),
-                o.lint_diagnostics,
+                o.aos().diagnostics,
                 format!("+{aos_delta}"),
                 o.findings.len()
             );
@@ -959,7 +939,17 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
 /// Strict is the *default* (the linter is a gate): any finding exits
 /// 1; pass `--strict false` to always exit 0 on a completed scan.
 pub fn lint(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(
+        args,
+        "workload system scale fault seed json strict telemetry",
+    )
+    .map_err(|e| {
+        if e.starts_with("unknown flag --policy ") {
+            format!("{e}; scan other policies with aos matrix --policy <p|all> --kinds <k>")
+        } else {
+            e
+        }
+    })?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Lint scans only generate the trace (no machine): small default
     // window, validated exactly like the other subcommands.
@@ -973,71 +963,6 @@ pub fn lint(args: &[String]) -> Result<(), CliError> {
     };
     let layout = PointerLayout::default();
     let stream = || TraceGenerator::new(workload, system, scale);
-    let policies = parse_policies(&parsed)?;
-
-    // `--policy` beyond the AOS default switches to the matrix scan:
-    // the same stream (clean or faulted) through every requested
-    // policy in one pass, rendered as a one-row detection matrix. The
-    // default path below stays byte-identical to the pre-framework
-    // linter.
-    if policies != [Policy::Aos] {
-        let (seeds, subject, description, reports) = match parsed.flag("fault") {
-            None => (
-                Vec::new(),
-                "clean".to_string(),
-                None,
-                MatrixScan::run(&policies, stream(), layout, &telemetry),
-            ),
-            Some(kind) => {
-                if !system.uses_aos() {
-                    return Err(format!(
-                        "--fault needs an instrumented stream, but system '{system}' \
-                         carries no AOS protocol ops; use --system aos or pa+aos"
-                    )
-                    .into());
-                }
-                let kind = FaultKind::parse(kind).map_err(|e| e.to_string())?;
-                let seed: u64 = parsed.flag_or("seed", 1u64)?;
-                let plan = plan_fault(stream(), layout, FaultSpec { kind, seed })
-                    .map_err(|e| e.to_string())?;
-                let reports =
-                    MatrixScan::run(&policies, plan.apply(stream()), layout, &telemetry);
-                (
-                    vec![seed],
-                    kind.name().to_string(),
-                    Some(plan.description.clone()),
-                    reports,
-                )
-            }
-        };
-        let mut matrix = MatrixReport::new(workload.name, scale, seeds, policies);
-        matrix.absorb(&subject, &reports);
-        if bool_flag(&parsed, "json") {
-            print!("{}", matrix.to_json());
-        } else {
-            println!(
-                "== aos-lint matrix: {} on {system} @ scale {scale} ==",
-                workload.name
-            );
-            if let Some(description) = description {
-                println!("injected: {description}");
-            }
-            print!("{}", matrix.to_table());
-            if bool_flag(&parsed, "telemetry") {
-                println!();
-                print!("{}", telemetry.snapshot().to_table());
-            }
-        }
-        let entry = &matrix.entries[0];
-        let total: u64 = (0..matrix.policies.len()).map(|p| entry.diagnostics(p)).sum();
-        if strict && total > 0 {
-            return Err(CliError::Findings(format!(
-                "lint gate failed: {total} finding(s) across {} policies",
-                matrix.policies.len()
-            )));
-        }
-        return Ok(());
-    }
 
     let (report, faulted) = match parsed.flag("fault") {
         None => (lint_stream_metered(stream(), layout, &telemetry), None),
@@ -1095,7 +1020,7 @@ pub fn lint(args: &[String]) -> Result<(), CliError> {
 /// The clean row is a false-positive gate: any policy that flags the
 /// uninjected instrumented trace is a real finding (exit 1).
 pub fn matrix_cmd(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "workload scale seeds policy kinds json out telemetry")?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Each (kind, seed) cell replays the generated trace once:
     // default to the fault sweep's small window.
@@ -1177,7 +1102,7 @@ pub fn matrix_cmd(args: &[String]) -> Result<(), CliError> {
 /// `aos fig <n>` / `aos table <n>` (`kind` is `fig` or `table`): one
 /// `results/` report, simulating only the cells it reads.
 pub fn report(kind: &str, args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "scale")?;
     let which = parsed
         .positional(0)
         .ok_or_else(|| format!("{kind} requires a number"))?;
@@ -1192,7 +1117,7 @@ pub fn report(kind: &str, args: &[String]) -> Result<(), String> {
 /// `--out` or diffs them byte for byte against `--check` (any
 /// difference or missing file exits 1).
 pub fn repro(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "scale out check")?;
     let scale = scale(&parsed)?;
     let (dir, write_out) = match (parsed.flag("out"), parsed.flag("check")) {
         (Some(dir), None) => (dir, true),
@@ -1224,7 +1149,7 @@ pub fn repro(args: &[String]) -> Result<(), CliError> {
 
 /// `aos pac [--allocations n] [--bits b] [--live n]`.
 pub fn pac(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = Parsed::parse(args, "allocations bits live")?;
     let allocations: u64 = parsed.flag_or("allocations", 1_000_000)?;
     let bits: u32 = parsed.flag_or("bits", 16)?;
     if !(11..=24).contains(&bits) {
@@ -1290,7 +1215,11 @@ pub fn workloads() -> Result<(), String> {
 /// [--timeout-ms <n>] [--retries <n>] [--backoff-ms <n>]
 /// [--retry-after-ms <n>] [--test-jobs true] [--telemetry true]`.
 pub fn serve(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args).map_err(CliError::Usage)?;
+    let parsed = Parsed::parse(
+        args,
+        "socket queue workers timeout-ms retries backoff-ms retry-after-ms test-jobs telemetry",
+    )
+    .map_err(CliError::Usage)?;
     let telemetry_on = bool_flag(&parsed, "telemetry");
     let telemetry = if telemetry_on {
         Telemetry::enabled()
@@ -1369,7 +1298,8 @@ fn corpus_out_flag<'a>(parsed: &'a Parsed, name: &str) -> Result<&'a str, CliErr
 /// aos corpus verify <path>
 /// ```
 pub fn corpus(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args).map_err(CliError::Usage)?;
+    let parsed = Parsed::parse(args, "out workloads systems scale entry mode telemetry")
+        .map_err(CliError::Usage)?;
     let action = parsed
         .positional(0)
         .ok_or_else(|| CliError::Usage("corpus requires record, replay or verify".into()))?;
@@ -1504,9 +1434,9 @@ mod tests {
 
     #[test]
     fn campaign_flags_parse() {
-        let p = Parsed::parse(&["--threads".into(), "2".into()]).unwrap();
+        let p = Parsed::parse(&["--threads".into(), "2".into()], "threads").unwrap();
         assert_eq!(campaign_options(&p).unwrap().threads, Some(2));
-        let zero = Parsed::parse(&["--threads".into(), "0".into()]).unwrap();
+        let zero = Parsed::parse(&["--threads".into(), "0".into()], "threads").unwrap();
         assert!(campaign_options(&zero).is_err());
         assert!(campaign(&["--suite".into(), "mystery".into()]).is_err());
     }
@@ -1617,15 +1547,12 @@ mod tests {
             matrix_cmd(&args(&["--seeds", "0"])),
             Err(CliError::Usage(_))
         ));
-        // A clean instrumented trace scans clean under every policy.
-        assert!(lint(&args(&["--scale", "0.002", "--policy", "all"])).is_ok());
-        // The UAF split of the detection matrix: CryptSan's revoked
-        // key catches what PACSan's size-0 re-sign launders away.
-        assert!(matches!(
-            lint(&args(&["--fault", "uaf", "--policy", "cryptsan"])),
-            Err(CliError::Findings(_))
-        ));
-        assert!(lint(&args(&["--fault", "uaf", "--policy", "pacsan"])).is_ok());
+        // `aos lint` is the AOS linter alone: a policy request is a
+        // usage error that points at the matrix command.
+        match lint(&args(&["--scale", "0.002", "--policy", "all"])) {
+            Err(CliError::Usage(message)) => assert!(message.contains("aos matrix"), "{message}"),
+            other => panic!("lint --policy all must be a usage error, got {other:?}"),
+        }
         // A small matrix sweep passes its clean-row gate end to end.
         assert!(matrix_cmd(&args(&[
             "--scale", "0.002", "--seeds", "1", "--kinds", "uaf,pac-tamper",
@@ -1663,8 +1590,34 @@ mod tests {
         match ablate(&args(&[
             "--scale", "0.002", "--mcq", "48", "--bwb", "64", "--model", "approximate",
         ])) {
-            Err(CliError::Usage(message)) => assert!(message.contains("removed"), "{message}"),
+            Err(CliError::Usage(message)) => {
+                assert!(message.contains("unknown flag --model"), "{message}")
+            }
             other => panic!("--model approximate must be a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_unknown_flags() {
+        let bogus = || vec!["--bogus".to_string(), "1".to_string()];
+        let usage = |result: Result<(), CliError>| matches!(result, Err(CliError::Usage(_)));
+        assert!(run(&bogus()).is_err());
+        assert!(compare(&bogus()).is_err());
+        assert!(stats(&bogus()).is_err());
+        assert!(campaign(&bogus()).is_err());
+        assert!(report("table", &bogus()).is_err());
+        assert!(pac(&bogus()).is_err());
+        for (name, result) in [
+            ("ablate", ablate(&bogus())),
+            ("faults", faults(&bogus())),
+            ("fuzz", fuzz(&bogus())),
+            ("lint", lint(&bogus())),
+            ("matrix", matrix_cmd(&bogus())),
+            ("repro", repro(&bogus())),
+            ("serve", serve(&bogus())),
+            ("corpus", corpus(&bogus())),
+        ] {
+            assert!(usage(result), "aos {name} --bogus 1 must be a usage error");
         }
     }
 

@@ -12,7 +12,7 @@ use aos_core::experiment::campaign::{
 use aos_core::experiment::SystemUnderTest;
 use aos_isa::stream::{BufferedOps, OpStream};
 use aos_isa::{Op, SafetyConfig};
-use aos_lint::{MatrixScan, Policy, Rule};
+use aos_lint::{MatrixScan, Policy};
 use aos_ptrauth::PointerLayout;
 use aos_sim::Machine;
 use aos_util::{AosError, Telemetry};
@@ -35,11 +35,10 @@ pub struct FaultCampaignConfig {
     /// Systems to replay each faulted trace on. Defaults pair the
     /// protected AOS machine with the unprotected Baseline.
     pub systems: Vec<SafetyConfig>,
-    /// Static policies to cross-check every stream against. The AOS
-    /// policy is always scanned (it backs the legacy
-    /// `lint_cross_check`); listing more policies here adds their
-    /// verdicts to the same single-pass matrix scan and to the
-    /// `policy_cross_check` report annotation.
+    /// Static policies to cross-check every stream against, all in
+    /// one single-pass matrix scan per stream. Each gets a
+    /// [`PolicyCrossCheck`] and an entry in the `policy_cross_check`
+    /// report annotation.
     pub policies: Vec<Policy>,
     /// Runner execution knobs (threads, timeout, retries).
     pub options: CampaignOptions,
@@ -67,20 +66,17 @@ impl FaultCampaignConfig {
 }
 
 /// The campaign's product: the annotated v4 report plus the oracle
-/// matrix it summarizes and the static-lint cross-check.
+/// matrix it summarizes and the static cross-checks.
 #[derive(Debug, Clone)]
 pub struct FaultCampaignOutcome {
     /// The v4 campaign report, annotated with `fault_detection` and
-    /// `lint_cross_check`.
+    /// `policy_cross_check`.
     pub report: CampaignReport,
     /// Every trial's verdict.
     pub matrix: TrialMatrix,
-    /// The differential static-analysis cross-check: what `aos-lint`
-    /// sees in the same clean and faulted streams.
-    pub lint: LintCrossCheck,
-    /// Per-policy cross-checks, one per configured [`Policy`], in
-    /// [`Policy::ALL`] order. Each policy's verdicts come from the
-    /// same single-pass matrix scan as the legacy `lint` field.
+    /// The differential static-analysis cross-checks — what each
+    /// configured [`Policy`] sees in the same clean and faulted
+    /// streams — in [`Policy::ALL`] order.
     pub policies: Vec<PolicyCrossCheck>,
 }
 
@@ -100,41 +96,11 @@ pub enum LintClass {
     Mixed,
 }
 
-impl LintClass {
-    /// The *pinned* static/dynamic split of the six base fault kinds
-    /// — the design fact the differential harness and the strict gate
-    /// defend. Spatial faults splice protocol-legal accesses (only
-    /// the machine's bounds check can see an address is wrong);
-    /// temporal and forgery faults break the Fig. 7 lifecycle itself,
-    /// which the linter proves without running a machine.
-    pub fn expected_for(kind: FaultKind) -> LintClass {
-        match kind {
-            FaultKind::OverflowWrite | FaultKind::UnderflowWrite => LintClass::DynamicOnly,
-            FaultKind::UseAfterFree
-            | FaultKind::DoubleFree
-            | FaultKind::PacTamper
-            | FaultKind::AhcForge => LintClass::StaticallyDetectable,
-        }
-    }
-}
-
-/// The exact lint rules each base fault kind is pinned to fire (in
-/// taxonomy order; empty for the dynamic-only kinds). The companion
-/// of [`LintClass::expected_for`].
-pub fn expected_lint_rules(kind: FaultKind) -> &'static [Rule] {
-    match kind {
-        FaultKind::OverflowWrite | FaultKind::UnderflowWrite => &[],
-        FaultKind::UseAfterFree => &[Rule::AccessAfterClear],
-        FaultKind::DoubleFree => &[Rule::DoubleBndclr, Rule::UnbalancedAtEnd],
-        FaultKind::PacTamper => &[Rule::UnknownPac],
-        FaultKind::AhcForge => &[Rule::UnknownPac],
-    }
-}
-
 /// The pinned static rules each policy fires on each base fault kind
-/// — the per-policy analogue of [`expected_lint_rules`], in wire
-/// names because every policy owns its own taxonomy. An empty slice
-/// pins the kind as invisible to that policy's static model:
+/// — the design fact the differential harness and the strict gate
+/// defend — in wire names because every policy owns its own taxonomy.
+/// An empty slice pins the kind as invisible to that policy's static
+/// model:
 ///
 /// - spatial faults are protocol-clean under every policy;
 /// - `use-after-free` splits CryptSan (revoked key — caught) from
@@ -193,117 +159,8 @@ impl std::fmt::Display for LintClass {
     }
 }
 
-/// The lint verdicts for one fault kind across the campaign's seeds.
-#[derive(Debug, Clone)]
-pub struct LintKindCheck {
-    /// The fault class.
-    pub kind: FaultKind,
-    /// Seeds whose plan succeeded and whose faulted stream was
-    /// linted.
-    pub seeds: usize,
-    /// Seeds whose faulted stream raised at least one diagnostic.
-    pub flagged: usize,
-    /// Union of rule names that fired, in taxonomy order.
-    pub rules: Vec<&'static str>,
-}
-
-impl LintKindCheck {
-    /// The kind's static-vs-dynamic classification.
-    pub fn classification(&self) -> LintClass {
-        if self.flagged == 0 {
-            LintClass::DynamicOnly
-        } else if self.flagged == self.seeds {
-            LintClass::StaticallyDetectable
-        } else {
-            LintClass::Mixed
-        }
-    }
-}
-
-/// The campaign's differential static-analysis summary: the clean
-/// stream's diagnostic count (must be zero) and each fault kind's
-/// [`LintClass`]. Rides the report as the `lint_cross_check`
-/// annotation.
-#[derive(Debug, Clone, Default)]
-pub struct LintCrossCheck {
-    /// Diagnostics the clean (unfaulted) stream raised — any nonzero
-    /// value is a lint false positive.
-    pub clean_diagnostics: u64,
-    /// One entry per fault kind, in sweep order.
-    pub kinds: Vec<LintKindCheck>,
-}
-
-impl LintCrossCheck {
-    /// `true` when the clean stream linted clean and every kind is
-    /// unambiguously static or dynamic-only — the property the
-    /// strict gate and `tests/lint_matrix.rs` pin.
-    pub fn is_consistent(&self) -> bool {
-        self.clean_diagnostics == 0
-            && self
-                .kinds
-                .iter()
-                .all(|k| k.classification() != LintClass::Mixed)
-    }
-
-    /// The kinds the linter proves statically.
-    pub fn static_kinds(&self) -> impl Iterator<Item = &LintKindCheck> {
-        self.kinds
-            .iter()
-            .filter(|k| k.classification() == LintClass::StaticallyDetectable)
-    }
-
-    /// `true` when every swept kind's observed classification *and*
-    /// fired rule set equal the pinned split
-    /// ([`LintClass::expected_for`] / [`expected_lint_rules`]).
-    /// Stronger than [`LintCrossCheck::is_consistent`]: a kind that
-    /// silently drifted from `static` to `dynamic-only` (or started
-    /// firing a different rule) is still self-consistent, but it is
-    /// no longer the system the paper describes — the strict gate
-    /// fails it instead of annotating it.
-    pub fn matches_pinned_split(&self) -> bool {
-        self.clean_diagnostics == 0
-            && self.kinds.iter().all(|k| {
-                let rules: Vec<&'static str> = expected_lint_rules(k.kind)
-                    .iter()
-                    .map(|r| r.name())
-                    .collect();
-                k.classification() == LintClass::expected_for(k.kind) && k.rules == rules
-            })
-    }
-
-    /// A single-line JSON value for the report annotation.
-    pub fn to_json_value(&self) -> String {
-        let kinds = self
-            .kinds
-            .iter()
-            .map(|k| {
-                let rules = k
-                    .rules
-                    .iter()
-                    .map(|r| format!("\"{r}\""))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    "{{\"kind\": \"{}\", \"classification\": \"{}\", \
-                     \"seeds\": {}, \"flagged\": {}, \"rules\": [{rules}]}}",
-                    k.kind.name(),
-                    k.classification(),
-                    k.seeds,
-                    k.flagged
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"clean_diagnostics\": {}, \"consistent\": {}, \"kinds\": [{kinds}]}}",
-            self.clean_diagnostics,
-            self.is_consistent()
-        )
-    }
-}
-
 /// One policy's lint verdicts for one fault kind across the
-/// campaign's seeds — the per-policy analogue of [`LintKindCheck`].
+/// campaign's seeds.
 #[derive(Debug, Clone)]
 pub struct PolicyKindCheck {
     /// The verifying policy.
@@ -336,7 +193,7 @@ impl PolicyKindCheck {
 
 /// One policy's differential summary across the whole sweep: the
 /// clean stream's verdict plus each fault kind's classification —
-/// the `--policy` strict gate's evidence.
+/// the strict gate's evidence.
 #[derive(Debug, Clone)]
 pub struct PolicyCrossCheck {
     /// The verifying policy.
@@ -362,6 +219,10 @@ impl PolicyCrossCheck {
     /// `true` when every swept kind's observed classification and
     /// fired rule set equal the policy's pinned table
     /// ([`expected_policy_class`] / [`expected_policy_rules`]).
+    /// Stronger than [`PolicyCrossCheck::is_consistent`]: a kind that
+    /// silently drifted from `static` to `dynamic-only` (or started
+    /// firing a different rule) is still self-consistent, but it is
+    /// no longer the system the paper describes.
     pub fn matches_pinned_split(&self) -> bool {
         self.clean_diagnostics == 0
             && self.kinds.iter().all(|k| {
@@ -461,110 +322,67 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
     // The differential static cross-check: every configured policy
     // scans the same streams the machines will replay — the clean
     // stream once, then each planned fault's spliced stream — in one
-    // shared-decode matrix pass per stream. The AOS policy is always
-    // scanned (it backs the legacy `lint_cross_check`, bit-identical
-    // to the pre-framework linter); extra policies ride the same
-    // pass.
-    let requested: Vec<Policy> = Policy::ALL
+    // shared-decode matrix pass per stream.
+    let policies: Vec<Policy> = Policy::ALL
         .into_iter()
         .filter(|p| config.policies.contains(p))
         .collect();
-    let scan_policies: Vec<Policy> = Policy::ALL
-        .into_iter()
-        .filter(|p| *p == Policy::Aos || requested.contains(p))
-        .collect();
-    let slot = |p: Policy| {
-        scan_policies
-            .iter()
-            .position(|&q| q == p)
-            .expect("policy was scanned")
-    };
     let clean_reports = MatrixScan::run(
-        &scan_policies,
+        &policies,
         stream(&config.profile, config.scale),
         layout,
         &Telemetry::disabled(),
     );
-    let mut lint = LintCrossCheck {
-        clean_diagnostics: clean_reports[slot(Policy::Aos)].total_diagnostics(),
-        kinds: Vec::new(),
-    };
-    let mut policy_checks: Vec<PolicyCrossCheck> = requested
+    let mut policy_checks: Vec<PolicyCrossCheck> = clean_reports
         .iter()
-        .map(|&p| PolicyCrossCheck {
-            policy: p,
-            clean_diagnostics: clean_reports[slot(p)].total_diagnostics(),
+        .map(|clean| PolicyCrossCheck {
+            policy: clean.policy,
+            clean_diagnostics: clean.total_diagnostics(),
             kinds: Vec::new(),
         })
         .collect();
-    for (ki, &kind) in config.kinds.iter().enumerate() {
-        let mut check = LintKindCheck {
-            kind,
-            seeds: 0,
-            flagged: 0,
-            rules: Vec::new(),
-        };
-        let mut fired = [false; Rule::COUNT];
-        let mut kind_checks: Vec<PolicyKindCheck> = requested
+    // `plans` holds each kind's seeds contiguously, in sweep order.
+    for (&kind, kind_plans) in config.kinds.iter().zip(plans.chunks(config.seeds.len())) {
+        let mut kind_checks: Vec<PolicyKindCheck> = policies
             .iter()
-            .map(|&p| PolicyKindCheck {
-                policy: p,
+            .map(|&policy| PolicyKindCheck {
+                policy,
                 kind,
                 seeds: 0,
                 flagged: 0,
                 rules: Vec::new(),
             })
             .collect();
-        let mut policy_fired: Vec<Vec<bool>> = requested
+        // Per policy, per rule: whether any seed fired it.
+        let mut fired: Vec<Vec<bool>> = policies
             .iter()
-            .map(|&p| vec![false; p.rules().len()])
+            .map(|p| vec![false; p.rules().len()])
             .collect();
-        for si in 0..config.seeds.len() {
-            if let Ok(plan) = &plans[ki * config.seeds.len() + si] {
-                let reports = MatrixScan::run(
-                    &scan_policies,
-                    plan.apply(stream(&config.profile, config.scale)),
-                    layout,
-                    &Telemetry::disabled(),
-                );
-                let aos = &reports[slot(Policy::Aos)];
+        for plan in kind_plans.iter().flatten() {
+            let reports = MatrixScan::run(
+                &policies,
+                plan.apply(stream(&config.profile, config.scale)),
+                layout,
+                &Telemetry::disabled(),
+            );
+            for ((check, fired), report) in kind_checks.iter_mut().zip(&mut fired).zip(&reports) {
                 check.seeds += 1;
-                if !aos.clean() {
-                    check.flagged += 1;
-                }
-                for rule in aos.aos_rules_fired() {
-                    fired[rule as usize] = true;
-                }
-                for (pi, &p) in requested.iter().enumerate() {
-                    let report = &reports[slot(p)];
-                    kind_checks[pi].seeds += 1;
-                    if !report.clean() {
-                        kind_checks[pi].flagged += 1;
-                    }
-                    for (ri, &count) in report.rule_counts.iter().enumerate() {
-                        if count > 0 {
-                            policy_fired[pi][ri] = true;
-                        }
-                    }
+                check.flagged += usize::from(!report.clean());
+                for (f, &count) in fired.iter_mut().zip(&report.rule_counts) {
+                    *f |= count > 0;
                 }
             }
         }
-        check.rules = Rule::ALL
-            .iter()
-            .filter(|r| fired[**r as usize])
-            .map(|r| r.name())
-            .collect();
-        lint.kinds.push(check);
-        for (pi, mut kind_check) in kind_checks.into_iter().enumerate() {
-            kind_check.rules = kind_check
+        for ((cross, mut check), fired) in policy_checks.iter_mut().zip(kind_checks).zip(fired) {
+            check.rules = check
                 .policy
                 .rules()
                 .iter()
-                .enumerate()
-                .filter(|(ri, _)| policy_fired[pi][*ri])
-                .map(|(_, info)| info.name)
+                .zip(fired)
+                .filter(|(_, f)| *f)
+                .map(|(info, _)| info.name)
                 .collect();
-            policy_checks[pi].kinds.push(kind_check);
+            cross.kinds.push(check);
         }
     }
 
@@ -615,7 +433,6 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
         }
     }
     report.annotate("fault_detection", matrix.to_json_value());
-    report.annotate("lint_cross_check", lint.to_json_value());
     let policy_json = policy_checks
         .iter()
         .map(PolicyCrossCheck::to_json_value)
@@ -625,7 +442,6 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
     Ok(FaultCampaignOutcome {
         report,
         matrix,
-        lint,
         policies: policy_checks,
     })
 }
@@ -651,33 +467,17 @@ mod tests {
             .matrix
             .unprotected()
             .all(|t| t.verdict() == crate::oracle::Verdict::Missed));
-        // The static cross-check rides the report and must be
-        // internally consistent: clean stream clean, every kind
-        // unambiguously static or dynamic-only.
-        assert!(outcome.lint.is_consistent(), "{}", outcome.lint.to_json_value());
-        assert_eq!(outcome.lint.kinds.len(), 6);
-        assert!(outcome.lint.static_kinds().count() >= 1);
         // Every configured policy's verdicts must land exactly on its
-        // pinned per-kind table, and the AOS policy's check must agree
-        // with the legacy lint cross-check (same scan, same linter).
+        // pinned per-kind table, in `Policy::ALL` order.
         assert_eq!(outcome.policies.len(), Policy::ALL.len());
-        for check in &outcome.policies {
-            assert!(
-                check.matches_pinned_split(),
-                "{}",
-                check.to_json_value()
-            );
-        }
-        let aos_check = &outcome.policies[0];
-        assert_eq!(aos_check.policy, Policy::Aos);
-        assert_eq!(aos_check.clean_diagnostics, outcome.lint.clean_diagnostics);
-        for (pk, lk) in aos_check.kinds.iter().zip(&outcome.lint.kinds) {
-            assert_eq!(pk.flagged, lk.flagged);
-            assert_eq!(pk.rules, lk.rules);
+        for (check, policy) in outcome.policies.iter().zip(Policy::ALL) {
+            assert_eq!(check.policy, policy);
+            assert_eq!(check.kinds.len(), 6);
+            assert!(check.matches_pinned_split(), "{}", check.to_json_value());
         }
         let json = outcome.report.to_json();
         assert!(json.contains("\"fault_detection\": {\"trials\": 24,"));
-        assert!(json.contains("\"lint_cross_check\": {\"clean_diagnostics\": 0, \"consistent\": true,"));
+        assert!(!json.contains("lint_cross_check"));
         assert!(json.contains("\"policy_cross_check\": [{\"policy\": \"aos\","));
         assert!(json.contains("\"policy\": \"pactight\""));
         assert!(json.contains("\"schema\": \"aos-campaign-report/v7\""));

@@ -255,14 +255,25 @@ pub fn plan_fault(
             // the free has architecturally committed (the machine's
             // ROB is smaller than this window, so in-order retirement
             // forces the bndclr's table clear before the load can
-            // issue), and the window must not contain a bndstr that
+            // issue), so only a bndclr with a full window after it is
+            // an anchor. The window must not contain a bndstr that
             // re-signs the same PAC — that would be a legitimate
-            // reallocation, not a UAF. The lookahead buffer holds at
-            // most `UAF_DELAY_OPS + 1` ops however long the trace is.
+            // reallocation, not a UAF — and the free must leave no
+            // other same-PAC record live, or no PAC-keyed model could
+            // tell the dangling access from one through the live
+            // alias. The lookahead buffer holds at most
+            // `UAF_DELAY_OPS + 1` ops however long the trace is; the
+            // live counts are O(PAC-space).
             let mut look = Lookahead::new(trace, UAF_DELAY_OPS);
             let mut reservoir = Reservoir::new();
+            let mut live = LiveRecords::default();
             while let Some((i, op)) = look.next_op() {
-                let Op::BndClr { pointer } = op else { continue };
+                let Some((pointer, aliased)) = live.track(&op, layout) else {
+                    continue;
+                };
+                if aliased || look.window().len() < UAF_DELAY_OPS {
+                    continue;
+                }
                 let pac = layout.pac(pointer);
                 let reallocated = look.window().any(|o| {
                     matches!(o, Op::BndStr { pointer: q, .. } if layout.pac(*q) == pac)
@@ -271,32 +282,32 @@ pub fn plan_fault(
                     reservoir.offer(&mut rng, (i, pointer));
                 }
             }
-            let (i, pointer) = reservoir.chosen.ok_or_else(|| {
-                AosError::invalid_input(
-                    "fault injection",
-                    "trace has no bndclr (free) without a same-PAC reallocation \
-                     inside the retirement window to anchor a uaf fault on",
-                )
-            })?;
-            let len = look.consumed();
+            let (i, pointer) = reservoir.into_chosen(
+                spec.kind,
+                "bndclr (free) without a same-PAC reallocation inside the retirement window",
+            )?;
             Ok(FaultPlan {
-                site: (i + 1 + UAF_DELAY_OPS).min(len),
+                site: i + 1 + UAF_DELAY_OPS,
                 action: FaultAction::Insert(Op::Load {
                     pointer,
                     bytes: 8,
                     chained: false,
                 }),
                 description: format!("load through the pointer freed by the bndclr at op {i}"),
-                scanned_ops: len,
+                scanned_ops: look.consumed(),
                 peak_buffered_ops: look.peak_buffered_ops(),
             })
         }
         FaultKind::DoubleFree => {
+            // A free that leaves another same-PAC record live is no
+            // anchor: its repeat would clear the live alias, which no
+            // PAC-keyed model can tell from a legal free.
             let mut reservoir = Reservoir::new();
+            let mut live = LiveRecords::default();
             let mut scanned = 0usize;
             for (i, op) in trace.enumerate() {
                 scanned = i + 1;
-                if let Op::BndClr { pointer } = op {
+                if let Some((pointer, false)) = live.track(&op, layout) {
                     reservoir.offer(&mut rng, (i, pointer));
                 }
             }
@@ -391,6 +402,30 @@ fn fault_salt(kind: FaultKind) -> u64 {
         FaultKind::DoubleFree => 0x4446_5245,
         FaultKind::PacTamper => 0x5041_4354,
         FaultKind::AhcForge => 0x4148_4346,
+    }
+}
+
+/// Per-PAC count of live bounds records, fed every op in stream
+/// order: O(PAC-space) memory, independent of trace length.
+#[derive(Default)]
+struct LiveRecords(std::collections::HashMap<u64, usize>);
+
+impl LiveRecords {
+    /// Counts `op` in. For a `bndclr`, returns its pointer and whether
+    /// another record under the same PAC is still live after it.
+    fn track(&mut self, op: &Op, layout: PointerLayout) -> Option<(u64, bool)> {
+        match *op {
+            Op::BndStr { pointer, .. } => {
+                *self.0.entry(layout.pac(pointer)).or_default() += 1;
+                None
+            }
+            Op::BndClr { pointer } => {
+                let live = self.0.entry(layout.pac(pointer)).or_default();
+                *live = live.saturating_sub(1);
+                Some((pointer, *live > 0))
+            }
+            _ => None,
+        }
     }
 }
 

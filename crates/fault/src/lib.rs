@@ -36,9 +36,8 @@ pub mod inject;
 pub mod oracle;
 
 pub use campaign::{
-    expected_lint_rules, expected_policy_class, expected_policy_rules, run_fault_campaign,
-    FaultCampaignConfig, FaultCampaignOutcome, LintClass, LintCrossCheck, LintKindCheck,
-    PolicyCrossCheck, PolicyKindCheck,
+    expected_policy_class, expected_policy_rules, run_fault_campaign, FaultCampaignConfig,
+    FaultCampaignOutcome, LintClass, PolicyCrossCheck, PolicyKindCheck,
 };
 pub use inject::{
     inject, plan_fault, FaultAction, FaultKind, FaultPlan, FaultSpec, FaultStream, Injection,

@@ -9,15 +9,13 @@
 //! the pinned expectation do not triangulate — a bug in a policy
 //! verifier, in the machine model, or in the primitive's own
 //! pinning, and in every case worth banking as a regression input.
-//! The AOS column keeps its dedicated finding kinds
-//! ([`FindingKind::StaticDisagreement`], [`FindingKind::MissingRule`])
-//! and stays bit-identical to the pre-framework `lint_stream` pass;
-//! the cross-paper columns report through
+//! Every static column, the paper's own AOS verifier included, is
+//! held to its pinned rule split the same way and reports through
 //! [`FindingKind::PolicyDisagreement`].
 
 use aos_core::experiment::SystemUnderTest;
 use aos_isa::SafetyConfig;
-use aos_lint::{MatrixScan, Policy, PolicyReport, Rule};
+use aos_lint::{MatrixScan, Policy, PolicyReport};
 use aos_ptrauth::PointerLayout;
 use aos_sim::Machine;
 use aos_util::Telemetry;
@@ -28,12 +26,6 @@ use crate::scenario::ScenarioPlan;
 /// Why a scenario was flagged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingKind {
-    /// The linter's verdict contradicts the pinned static class
-    /// (flagged a pinned dynamic-only chain, or fired rules outside
-    /// a fully pinned chain's expected set).
-    StaticDisagreement,
-    /// A pinned rule did not fire on a statically detectable chain.
-    MissingRule,
     /// An AOS-checked machine executed the faulted stream without an
     /// extra violation.
     DynamicMiss,
@@ -49,7 +41,7 @@ pub enum FindingKind {
     /// The clean trace did not lint clean, so static expectations
     /// cannot be trusted for this workload.
     DirtyCleanLint,
-    /// A cross-paper policy's verdict contradicts the chain's pinned
+    /// A static policy's verdict contradicts the chain's pinned
     /// per-policy rule split (a pinned rule stayed silent, or a rule
     /// outside the pinned set fired beyond its clean-trace count).
     PolicyDisagreement,
@@ -59,8 +51,6 @@ impl FindingKind {
     /// Stable wire name.
     pub fn name(self) -> &'static str {
         match self {
-            FindingKind::StaticDisagreement => "static-disagreement",
-            FindingKind::MissingRule => "missing-rule",
             FindingKind::DynamicMiss => "dynamic-miss",
             FindingKind::UnexpectedDetection => "unexpected-detection",
             FindingKind::DeltaMismatch => "delta-mismatch",
@@ -132,15 +122,10 @@ impl SystemVerdict {
 pub struct CleanBaseline {
     /// Clean violations per system, in [`SafetyConfig::ALL`] order.
     pub violations: Vec<(SafetyConfig, u64)>,
-    /// Diagnostics the clean trace raises in the AOS linter (expected
-    /// 0; anything else poisons static expectations). Always equals
-    /// the AOS row of `policy_rule_counts` — kept separate because it
-    /// is the pre-framework wire field.
-    pub lint_diagnostics: u64,
     /// Per-policy per-rule counts on the clean trace, in
-    /// [`Policy::ALL`] order. Faulted-stream verdicts are judged on
-    /// the *delta* against this row, so a policy with inherent
-    /// clean-trace noise cannot fake (or mask) a detection.
+    /// [`Policy::ALL`] order (AOS first). Faulted-stream verdicts are
+    /// judged on the *delta* against this row, so a policy with
+    /// inherent clean-trace noise cannot fake (or mask) a detection.
     pub policy_rule_counts: Vec<Vec<u64>>,
 }
 
@@ -163,12 +148,16 @@ impl CleanBaseline {
             PointerLayout::default(),
             &Telemetry::disabled(),
         );
-        let lint_diagnostics = reports[0].total_diagnostics();
         CleanBaseline {
             violations,
-            lint_diagnostics,
             policy_rule_counts: reports.into_iter().map(|r| r.rule_counts).collect(),
         }
+    }
+
+    /// Diagnostics the clean trace raises in the AOS linter (expected
+    /// 0; anything else poisons static expectations).
+    pub fn lint_diagnostics(&self) -> u64 {
+        self.policy_rule_counts[0].iter().sum()
     }
 
     fn clean_violations(&self, system: SafetyConfig) -> u64 {
@@ -198,12 +187,8 @@ pub struct DifferentialOutcome {
     pub scenario: String,
     /// Step names in chain order (dropped steps excluded).
     pub steps: Vec<&'static str>,
-    /// Total diagnostics the AOS linter raised on the faulted stream.
-    pub lint_diagnostics: u64,
-    /// The AOS rules that fired, in taxonomy order.
-    pub lint_rules: Vec<Rule>,
-    /// Every static policy's verdict, in [`Policy::ALL`] order (the
-    /// AOS entry restates `lint_diagnostics`/`lint_rules`).
+    /// Every static policy's verdict, in [`Policy::ALL`] order (AOS
+    /// first; see [`DifferentialOutcome::aos`]).
     pub policies: Vec<PolicyVerdict>,
     /// Per-system dynamic measurements, in [`SafetyConfig::ALL`]
     /// order.
@@ -217,6 +202,12 @@ impl DifferentialOutcome {
     /// Whether this scenario produced at least one finding.
     pub fn is_finding(&self) -> bool {
         !self.findings.is_empty()
+    }
+
+    /// The AOS linter's verdict on the faulted stream — the `lint`
+    /// column of the fuzz report, digest and corpus metadata.
+    pub fn aos(&self) -> &PolicyVerdict {
+        &self.policies[0]
     }
 }
 
@@ -233,105 +224,54 @@ pub fn run_scenario(
     let layout = PointerLayout::default();
     let mut findings = Vec::new();
 
-    if baseline.lint_diagnostics > 0 {
+    if baseline.lint_diagnostics() > 0 {
         findings.push(Finding {
             scenario: scenario.clone(),
             system: None,
             kind: FindingKind::DirtyCleanLint,
             detail: format!(
                 "clean trace raised {} lint diagnostics",
-                baseline.lint_diagnostics
+                baseline.lint_diagnostics()
             ),
         });
     }
 
     // Static oracles: one matrix pass over the faulted stream drives
-    // all four policies. The AOS report is the Linter's own output
-    // (bit-identical to the pre-framework lint_stream pass).
+    // all four policies, each held to the chain's pinned rule split
+    // as a delta over the clean baseline. A pinned rule that stays
+    // silent is always a finding. An unpinned rule that fires is one
+    // only on fully pinned chains: a collision-unpinned tamper/forge
+    // step makes every policy's verdict legitimately input-dependent.
     let policy_reports = MatrixScan::run(
         &Policy::ALL,
         plan.apply(stream()),
         layout,
         &Telemetry::disabled(),
     );
-    let report = &policy_reports[0];
-    let lint_rules = report.aos_rules_fired();
     let all_pinned = plan.steps.iter().all(|s| s.static_pinned);
-    match plan.expected_static() {
-        Some(true) => {
-            let expected = plan.expected_rules();
-            for rule in &expected {
-                if report.count(*rule as usize) == 0 {
-                    findings.push(Finding {
-                        scenario: scenario.clone(),
-                        system: None,
-                        kind: FindingKind::MissingRule,
-                        detail: format!("pinned rule '{}' did not fire", rule.name()),
-                    });
-                }
-            }
-            if all_pinned && lint_rules != expected {
-                let fired: Vec<&str> = lint_rules.iter().map(|r| r.name()).collect();
-                let pinned: Vec<&str> = expected.iter().map(|r| r.name()).collect();
-                findings.push(Finding {
-                    scenario: scenario.clone(),
-                    system: None,
-                    kind: FindingKind::StaticDisagreement,
-                    detail: format!("fired {fired:?}, pinned exactly {pinned:?}"),
-                });
-            }
-        }
-        // Every step is pinned dynamic-only: the faulted stream must
-        // lint exactly as clean as the trace itself.
-        Some(false) if report.total_diagnostics() != baseline.lint_diagnostics => {
-            let fired: Vec<&str> = lint_rules.iter().map(|r| r.name()).collect();
+    for (report, clean_counts) in policy_reports.iter().zip(&baseline.policy_rule_counts) {
+        let policy = report.policy;
+        let expected = plan.expected_policy_rules(policy);
+        let counts = report.rule_counts.iter().zip(clean_counts);
+        for (info, (&count, &clean)) in policy.rules().iter().zip(counts) {
+            let delta = count.saturating_sub(clean);
+            let pinned = expected.contains(&info.name);
+            let detail = if pinned && delta == 0 {
+                format!("{policy}: pinned rule '{}' did not fire", info.name)
+            } else if !pinned && delta > 0 && all_pinned {
+                format!(
+                    "{policy}: unpinned rule '{}' fired {delta} time(s) over baseline",
+                    info.name
+                )
+            } else {
+                continue;
+            };
             findings.push(Finding {
                 scenario: scenario.clone(),
                 system: None,
-                kind: FindingKind::StaticDisagreement,
-                detail: format!(
-                    "dynamic-only chain raised {} diagnostics ({fired:?})",
-                    report.total_diagnostics()
-                ),
+                kind: FindingKind::PolicyDisagreement,
+                detail,
             });
-        }
-        Some(false) => {}
-        None => {} // a collision unpinned the static side; nothing to hold it to
-    }
-
-    // Cross-paper policies: each non-AOS column is held to the
-    // chain's pinned per-policy rule split, measured as a delta over
-    // the clean baseline. Only fully pinned chains are judged — a
-    // collision-unpinned tamper/forge step makes every policy's
-    // verdict legitimately input-dependent, exactly as it does for
-    // the AOS column above.
-    if all_pinned {
-        for (p, policy_report) in policy_reports.iter().enumerate().skip(1) {
-            let policy = policy_report.policy;
-            let expected = plan.expected_policy_rules(policy);
-            for (ri, info) in policy.rules().iter().enumerate() {
-                let clean = baseline.policy_rule_counts[p][ri];
-                let delta = policy_report.rule_counts[ri].saturating_sub(clean);
-                let pinned = expected.contains(&info.name);
-                if pinned && delta == 0 {
-                    findings.push(Finding {
-                        scenario: scenario.clone(),
-                        system: None,
-                        kind: FindingKind::PolicyDisagreement,
-                        detail: format!("{policy}: pinned rule '{}' did not fire", info.name),
-                    });
-                } else if !pinned && delta > 0 {
-                    findings.push(Finding {
-                        scenario: scenario.clone(),
-                        system: None,
-                        kind: FindingKind::PolicyDisagreement,
-                        detail: format!(
-                            "{policy}: unpinned rule '{}' fired {delta} time(s) over baseline",
-                            info.name
-                        ),
-                    });
-                }
-            }
         }
     }
 
@@ -391,8 +331,6 @@ pub fn run_scenario(
     DifferentialOutcome {
         scenario,
         steps: plan.steps.iter().map(|s| s.kind.name()).collect(),
-        lint_diagnostics: report.total_diagnostics(),
-        lint_rules,
         policies: policy_reports.iter().map(policy_verdict).collect(),
         systems,
         findings,
@@ -421,7 +359,11 @@ mod tests {
     fn every_composite_chain_is_clean_of_findings() {
         let profile = by_name("mcf").expect("mcf profile exists");
         let baseline = CleanBaseline::measure(profile, SCALE);
-        assert_eq!(baseline.lint_diagnostics, 0, "clean trace must lint clean");
+        assert_eq!(
+            baseline.lint_diagnostics(),
+            0,
+            "clean trace must lint clean"
+        );
         let trace = || TraceGenerator::new(profile, SafetyConfig::Aos, SCALE);
         for kind in CompositeKind::ALL {
             let spec = ScenarioSpec {
@@ -440,11 +382,7 @@ mod tests {
                 .iter()
                 .find(|v| v.system == SafetyConfig::Aos)
                 .expect("aos verdict");
-            assert_eq!(
-                Some(aos.delta()),
-                kind.expectation().exact_delta,
-                "{kind} delta"
-            );
+            assert_eq!(aos.delta(), kind.exact_delta(), "{kind} delta");
         }
     }
 
@@ -466,11 +404,17 @@ mod tests {
         plan.edits.clear();
         let outcome = run_scenario(profile, SCALE, &plan, &baseline);
         let kinds: Vec<FindingKind> = outcome.findings.iter().map(|f| f.kind).collect();
-        assert!(kinds.contains(&FindingKind::MissingRule), "{kinds:?}");
         assert!(kinds.contains(&FindingKind::DynamicMiss), "{kinds:?}");
-        // The cross-policy oracle must catch the same lie: CryptSan's
-        // pinned revoked-key cannot fire on the clean trace either.
-        assert!(kinds.contains(&FindingKind::PolicyDisagreement), "{kinds:?}");
+        // Every policy with a pinned rule must flag the same lie: the
+        // AOS access-after-clear and CryptSan's revoked-key cannot
+        // fire on the clean trace.
+        let details: Vec<&str> = outcome.findings.iter().map(|f| f.detail.as_str()).collect();
+        for silent in [
+            "aos: pinned rule 'access-after-clear' did not fire",
+            "cryptsan: pinned rule 'revoked-key' did not fire",
+        ] {
+            assert!(details.contains(&silent), "{details:?}");
+        }
     }
 
     #[test]
@@ -499,8 +443,8 @@ mod tests {
         };
         // AOS and CryptSan see the dangling pointer; PACSan's re-seal
         // laundering and PACTight's liveness-blindness miss it.
-        assert_eq!(verdict(Policy::Aos).rules, vec!["access-after-clear"]);
-        assert_eq!(verdict(Policy::Aos).diagnostics, outcome.lint_diagnostics);
+        assert_eq!(outcome.aos().policy, Policy::Aos);
+        assert_eq!(outcome.aos().rules, vec!["access-after-clear"]);
         assert_eq!(verdict(Policy::CryptSan).rules, vec!["revoked-key"]);
         assert_eq!(verdict(Policy::PacSan).diagnostics, 0);
         assert_eq!(verdict(Policy::PacTight).diagnostics, 0);

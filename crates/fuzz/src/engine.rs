@@ -18,6 +18,7 @@ use aos_lint::{MatrixScan, Policy};
 use aos_ptrauth::PointerLayout;
 use aos_sim::Machine;
 use aos_util::hash::{fnv1a64, FNV1A64_OFFSET};
+use aos_util::json::escape;
 use aos_util::{AosError, Counter, Telemetry, Xoshiro256StarStar};
 use aos_workloads::{profile::by_name, TraceGenerator, WorkloadProfile};
 
@@ -115,7 +116,10 @@ impl FuzzReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"schema\": \"aos-fuzz-report/v1\",\n");
-        out.push_str(&format!("  \"workload\": \"{}\",\n", esc(&self.workload)));
+        out.push_str(&format!(
+            "  \"workload\": \"{}\",\n",
+            escape(&self.workload)
+        ));
         out.push_str(&format!("  \"scale\": {},\n", self.scale));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"budget\": {},\n", self.budget));
@@ -129,7 +133,7 @@ impl FuzzReport {
         out.push_str("  \"scenarios\": [\n");
         for (i, o) in self.outcomes.iter().enumerate() {
             out.push_str("    {");
-            out.push_str(&format!("\"id\": \"{}\", ", esc(&o.scenario)));
+            out.push_str(&format!("\"id\": \"{}\", ", escape(&o.scenario)));
             out.push_str(&format!(
                 "\"steps\": [{}], ",
                 o.steps
@@ -140,10 +144,11 @@ impl FuzzReport {
             ));
             out.push_str(&format!(
                 "\"lint\": {{\"diagnostics\": {}, \"rules\": [{}]}}, ",
-                o.lint_diagnostics,
-                o.lint_rules
+                o.aos().diagnostics,
+                o.aos()
+                    .rules
                     .iter()
-                    .map(|r| format!("\"{}\"", r.name()))
+                    .map(|r| format!("\"{r}\""))
                     .collect::<Vec<_>>()
                     .join(", ")
             ));
@@ -185,7 +190,7 @@ impl FuzzReport {
                         f.system
                             .map(|s| format!("\"{s}\""))
                             .unwrap_or_else(|| "null".to_string()),
-                        esc(&f.detail)
+                        escape(&f.detail)
                     ))
                     .collect::<Vec<_>>()
                     .join(", ")
@@ -201,7 +206,13 @@ impl FuzzReport {
             "  \"planning_failures\": [{}],\n",
             self.planning_failures
                 .iter()
-                .map(|(id, e)| format!("{{\"id\": \"{}\", \"error\": \"{}\"}}", esc(id), esc(e)))
+                .map(|(id, e)| {
+                    format!(
+                        "{{\"id\": \"{}\", \"error\": \"{}\"}}",
+                        escape(id),
+                        escape(e)
+                    )
+                })
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
@@ -211,7 +222,7 @@ impl FuzzReport {
             "  \"corpus\": {}\n",
             self.corpus
                 .as_ref()
-                .map(|p| format!("\"{}\"", esc(p)))
+                .map(|p| format!("\"{}\"", escape(p)))
                 .unwrap_or_else(|| "null".to_string())
         ));
         out.push_str("}\n");
@@ -436,7 +447,7 @@ pub fn replay_corpus(
         let ops: Vec<Op> = reader.replay(&entry)?.collect::<Result<_, _>>()?;
         let mut mismatches = Vec::new();
         // One matrix pass re-derives every static verdict; the AOS
-        // report is bit-identical to the old dedicated lint pass.
+        // column is the banked `lint=` count.
         let reports = MatrixScan::run(
             &Policy::ALL,
             ops.iter().copied(),
@@ -507,7 +518,7 @@ fn metadata_line(
         format!("scale={scale}"),
         format!("seed={}", plan.spec.seed),
         format!("steps={}", outcome.steps.join("+")),
-        format!("lint={}", outcome.lint_diagnostics),
+        format!("lint={}", outcome.aos().diagnostics),
     ];
     for v in &outcome.systems {
         parts.push(format!("{}={}", v.system, v.faulty_violations));
@@ -585,7 +596,6 @@ fn parse_metadata(metadata: &str) -> Result<BankedExpectation, AosError> {
 
 /// The canonical one-line verdict summary the report digest hashes.
 fn canonical_line(o: &DifferentialOutcome) -> String {
-    let rules: Vec<&str> = o.lint_rules.iter().map(|r| r.name()).collect();
     let systems: Vec<String> = o
         .systems
         .iter()
@@ -601,16 +611,12 @@ fn canonical_line(o: &DifferentialOutcome) -> String {
         "{}|steps={}|lint={}|rules={}|policies={}|{}|findings={}",
         o.scenario,
         o.steps.join("+"),
-        o.lint_diagnostics,
-        rules.join(","),
+        o.aos().diagnostics,
+        o.aos().rules.join(","),
         policies.join(","),
         systems.join("|"),
         findings.join(";")
     )
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -44,5 +44,5 @@ pub mod scenario;
 pub use coverage::CoverageMap;
 pub use differential::{DifferentialOutcome, Finding, FindingKind, PolicyVerdict};
 pub use engine::{bank_scenarios, replay_corpus, run_fuzz, FuzzConfig, FuzzReport, ReplayReport};
-pub use primitive::{CompositeKind, Expectation};
+pub use primitive::CompositeKind;
 pub use scenario::{ScenarioPlan, ScenarioSpec, StepKind};

@@ -8,10 +8,10 @@
 //! [`PreScan`]), so its static and dynamic behaviour is a pure
 //! function of the block itself — independent of where in the trace
 //! it lands and of which workload generated the surrounding ops.
-//! That independence is what lets every primitive pin an exact
-//! [`Expectation`]: its static lint class, the precise rules it
-//! fires, and the exact number of extra dynamic violations it adds
-//! on an AOS machine.
+//! That independence is what lets every primitive pin exactly the
+//! rules each static policy fires ([`CompositeKind::policy_rules`])
+//! and the number of extra dynamic violations it adds on an AOS
+//! machine ([`CompositeKind::exact_delta`]).
 //!
 //! Synthetic chunks live in an address region
 //! ([`SYNTHETIC_REGION`]) disjoint from the generator's heap and
@@ -20,9 +20,9 @@
 //! surrounding trace can satisfy — or collide with — a primitive's
 //! probes.
 
-use aos_fault::{LintClass, UAF_DELAY_OPS};
+use aos_fault::UAF_DELAY_OPS;
 use aos_isa::Op;
-use aos_lint::{Policy, Rule};
+use aos_lint::Policy;
 use aos_ptrauth::{compute_ahc, PointerLayout};
 use aos_util::rng::Xoshiro256StarStar;
 
@@ -107,42 +107,23 @@ impl CompositeKind {
         Self::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// The pinned differential expectation of this primitive.
-    pub fn expectation(self) -> Expectation {
+    /// The exact number of extra violations this primitive adds on
+    /// an AOS machine: one per probe, since the block controls its
+    /// victims fully.
+    pub fn exact_delta(self) -> u64 {
         match self {
-            CompositeKind::HeapSpray => Expectation {
-                static_class: LintClass::DynamicOnly,
-                rules: &[],
-                exact_delta: Some(1),
-            },
-            CompositeKind::PacBruteForce => Expectation {
-                static_class: LintClass::StaticallyDetectable,
-                rules: &[Rule::UnknownPac],
-                exact_delta: Some(BRUTE_FORCE_PROBES as u64),
-            },
-            CompositeKind::AhcConfusion => Expectation {
-                static_class: LintClass::StaticallyDetectable,
-                rules: &[Rule::AccessAhcMismatch],
-                exact_delta: Some(1),
-            },
-            CompositeKind::DanglingResign => Expectation {
-                static_class: LintClass::StaticallyDetectable,
-                rules: &[Rule::AccessAfterClear],
-                exact_delta: Some(1),
-            },
-            CompositeKind::ToctouResize => Expectation {
-                static_class: LintClass::DynamicOnly,
-                rules: &[],
-                exact_delta: Some(1),
-            },
+            CompositeKind::PacBruteForce => BRUTE_FORCE_PROBES as u64,
+            CompositeKind::HeapSpray
+            | CompositeKind::AhcConfusion
+            | CompositeKind::DanglingResign
+            | CompositeKind::ToctouResize => 1,
         }
     }
 
     /// The rules each static [`Policy`] is pinned to fire on this
     /// primitive — the composite rows of the cross-paper detection
-    /// matrix. The AOS column mirrors
-    /// [`expectation`](CompositeKind::expectation); the others encode each paper's
-    /// blind spots: CryptSan has no size classes (misses
+    /// matrix. Beside the AOS column, they encode each paper's blind
+    /// spots: CryptSan has no size classes (misses
     /// `ahc-confusion`), PACSan's re-seal launders the dangling
     /// pointer (misses `dangling-resign`), PACTight only
     /// authenticates signatures (catches forgery, nothing temporal),
@@ -182,23 +163,6 @@ impl std::fmt::Display for CompositeKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// What a scenario step is pinned to do on each oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Expectation {
-    /// Whether the linter must flag the step
-    /// ([`LintClass::StaticallyDetectable`]) or must stay silent
-    /// ([`LintClass::DynamicOnly`]).
-    pub static_class: LintClass,
-    /// The exact rules a statically detectable step fires (empty for
-    /// dynamic-only steps).
-    pub rules: &'static [Rule],
-    /// The exact number of extra violations the step adds on an AOS
-    /// machine, when the step controls its victims fully (composite
-    /// primitives). `None` for base injector steps, whose anchors
-    /// live in the workload trace — those pin only `delta >= 1`.
-    pub exact_delta: Option<u64>,
 }
 
 /// One pass of clean-trace facts every composite planner draws on.
@@ -536,24 +500,13 @@ mod tests {
     }
 
     #[test]
-    fn expectations_cover_every_kind_and_name_roundtrip() {
+    fn names_roundtrip_and_policy_rule_pins_name_real_rules() {
         for kind in CompositeKind::ALL {
             assert_eq!(CompositeKind::parse(kind.name()), Some(kind));
-            let e = kind.expectation();
-            match e.static_class {
-                LintClass::StaticallyDetectable => assert!(!e.rules.is_empty()),
-                LintClass::DynamicOnly => assert!(e.rules.is_empty()),
-                LintClass::Mixed => panic!("no composite pins a mixed class"),
-            }
-            assert!(e.exact_delta.is_some(), "composites pin exact deltas");
-        }
-    }
-
-    #[test]
-    fn policy_rule_pins_agree_with_the_aos_expectation() {
-        for kind in CompositeKind::ALL {
-            let aos: Vec<&str> = kind.expectation().rules.iter().map(|r| r.name()).collect();
-            assert_eq!(kind.policy_rules(Policy::Aos), aos.as_slice(), "{kind}");
+            assert!(
+                kind.exact_delta() >= 1,
+                "{kind} adds at least one violation"
+            );
             for policy in Policy::ALL {
                 for rule in kind.policy_rules(policy) {
                     assert!(

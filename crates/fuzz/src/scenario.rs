@@ -14,7 +14,7 @@
 //! expressed in *original* trace indices, so the whole chain applies
 //! in one [`SpliceMany`] pass.
 
-use aos_fault::campaign::{expected_lint_rules, expected_policy_rules, LintClass};
+use aos_fault::campaign::expected_policy_rules;
 use aos_fault::{plan_fault, FaultAction, FaultKind, FaultSpec};
 use aos_lint::Policy;
 use aos_isa::stream::{Splice, SpliceMany};
@@ -23,9 +23,7 @@ use aos_ptrauth::PointerLayout;
 use aos_util::rng::Xoshiro256StarStar;
 use aos_util::AosError;
 
-use crate::primitive::{
-    plan_composite, CompositeKind, Expectation, PreScan, REGION_STRIDE, SYNTHETIC_REGION,
-};
+use crate::primitive::{plan_composite, CompositeKind, PreScan, REGION_STRIDE, SYNTHETIC_REGION};
 
 /// One step of an attack chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,21 +62,14 @@ impl StepKind {
             .or_else(|| CompositeKind::parse(name).map(StepKind::Composite))
     }
 
-    /// The step's pinned expectation, before any per-instance
-    /// adjustment (a tampered PAC that happens to collide with a
-    /// signed key unpins the static side; see
-    /// [`PlannedStep::expectation`]).
-    pub fn expectation(self) -> Expectation {
+    /// The exact number of extra violations the step adds on an AOS
+    /// machine. Base anchors live in the workload trace; their exact
+    /// violation arithmetic is the trace's business, so chains
+    /// containing them pin only `delta >= 1` (`None`).
+    pub fn exact_delta(self) -> Option<u64> {
         match self {
-            StepKind::Base(kind) => Expectation {
-                static_class: LintClass::expected_for(kind),
-                rules: expected_lint_rules(kind),
-                // Base anchors live in the workload trace; their
-                // exact violation arithmetic is the trace's business,
-                // so chains containing them pin only `delta >= 1`.
-                exact_delta: None,
-            },
-            StepKind::Composite(kind) => kind.expectation(),
+            StepKind::Base(_) => None,
+            StepKind::Composite(kind) => Some(kind.exact_delta()),
         }
     }
 
@@ -130,13 +121,10 @@ pub struct PlannedStep {
     pub kind: StepKind,
     /// Where/what was planned, for reports.
     pub description: String,
-    /// The step's expectation. `static_class` is `None`-like (see
-    /// `static_pinned`) when a randomly forged PAC collided with a
-    /// key the clean trace signs — the linter's verdict is then
+    /// Whether the step's static verdicts are pinned for this
+    /// instance: `false` when a randomly forged PAC collided with a
+    /// key the clean trace signs — every policy's verdict is then
     /// legitimately input-dependent and the harness must not pin it.
-    pub expectation: Expectation,
-    /// Whether the static side of `expectation` is pinned for this
-    /// instance.
     pub static_pinned: bool,
 }
 
@@ -160,47 +148,9 @@ impl ScenarioPlan {
         SpliceMany::new(stream, self.edits.clone())
     }
 
-    /// Whether the chain must raise lint errors (some step is pinned
-    /// statically detectable), must lint clean (every step is pinned
-    /// dynamic-only), or is unpinned for this instance (`None`: a
-    /// collision-unpinned step could flag or not).
-    pub fn expected_static(&self) -> Option<bool> {
-        let mut any_static = false;
-        let mut all_pinned = true;
-        for step in &self.steps {
-            if !step.static_pinned {
-                all_pinned = false;
-                continue;
-            }
-            any_static |= step.expectation.static_class == LintClass::StaticallyDetectable;
-        }
-        if any_static {
-            Some(true)
-        } else if all_pinned {
-            Some(false)
-        } else {
-            None
-        }
-    }
-
-    /// The rules every pinned statically-detectable step must fire.
-    pub fn expected_rules(&self) -> Vec<aos_lint::Rule> {
-        let mut rules: Vec<aos_lint::Rule> = self
-            .steps
-            .iter()
-            .filter(|s| s.static_pinned)
-            .flat_map(|s| s.expectation.rules.iter().copied())
-            .collect();
-        rules.sort_by_key(|r| *r as usize);
-        rules.dedup();
-        rules
-    }
-
     /// The rule wire-names the chain's pinned steps oblige `policy`
-    /// to fire — the per-policy analogue of
-    /// [`expected_rules`](ScenarioPlan::expected_rules), honoring the
-    /// same collision unpinning (a step whose static side is unpinned
-    /// contributes nothing).
+    /// to fire. A step whose static side is unpinned (see
+    /// [`PlannedStep::static_pinned`]) contributes nothing.
     pub fn expected_policy_rules(&self, policy: Policy) -> Vec<&'static str> {
         let mut rules: Vec<&'static str> = self
             .steps
@@ -218,7 +168,7 @@ impl ScenarioPlan {
     pub fn expected_exact_delta(&self) -> Option<u64> {
         self.steps
             .iter()
-            .map(|s| s.expectation.exact_delta)
+            .map(|s| s.kind.exact_delta())
             .sum::<Option<u64>>()
     }
 }
@@ -256,7 +206,6 @@ where
     let mut replaced_sites: Vec<usize> = Vec::new();
     let mut composites = 0u64;
     for (index, &kind) in spec.steps.iter().enumerate() {
-        let expectation = kind.expectation();
         let mut static_pinned = true;
         match kind {
             StepKind::Base(fault) => {
@@ -283,8 +232,8 @@ where
                         }
                         replaced_sites.push(plan.site);
                         // A tamper/forge that lands on a PAC the clean
-                        // trace signs is legitimately ambiguous to the
-                        // linter: unpin the static side.
+                        // trace signs is legitimately ambiguous to every
+                        // static policy: unpin the static side.
                         if let Some(pointer) = op_pointer(&op) {
                             if scan.is_signed(layout.pac(pointer)) {
                                 static_pinned = false;
@@ -297,7 +246,6 @@ where
                 steps.push(PlannedStep {
                     kind,
                     description: format!("[op {site}] {}", plan.description),
-                    expectation,
                     static_pinned,
                 });
             }
@@ -318,7 +266,6 @@ where
                 steps.push(PlannedStep {
                     kind,
                     description: format!("[op {site}] {}", plan.description),
-                    expectation,
                     static_pinned,
                 });
             }
@@ -402,8 +349,10 @@ mod tests {
         };
         let trace = mcf_stream();
         let plan = plan_scenario(&spec, &trace, PointerLayout::default()).expect("plan");
-        assert_eq!(plan.expected_static(), Some(true), "dangling-resign is static");
-        assert_eq!(plan.expected_rules(), vec![aos_lint::Rule::AccessAfterClear]);
+        assert_eq!(
+            plan.expected_policy_rules(Policy::Aos),
+            vec!["access-after-clear"]
+        );
         assert_eq!(plan.expected_exact_delta(), Some(2), "one probe per primitive");
         assert!(plan.dropped.is_empty());
         // Cross-policy split: only CryptSan shares AOS's view of the

@@ -456,7 +456,7 @@ impl<I: Iterator<Item = Op>> Lookahead<I> {
 
     /// The buffered lookahead: the ops that *follow* the one most
     /// recently yielded by [`Lookahead::next_op`], in stream order.
-    pub fn window(&self) -> impl Iterator<Item = &Op> {
+    pub fn window(&self) -> impl ExactSizeIterator<Item = &Op> {
         self.buf.iter()
     }
 

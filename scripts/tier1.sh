@@ -17,10 +17,12 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== tier-1: table, MCU and fault crate tests =="
-# The root package's tests do not run the member crates' own tests;
-# these three hold the bounds-table, MCU FSM and corruption properties.
-cargo test -q -p aos-hbt -p aos-mcu -p aos-fault
+echo "== tier-1: member crate tests =="
+# The root package's tests do not run the member crates' own tests.
+# These hold the bounds-table, MCU FSM and corruption properties, the
+# per-policy verifiers, the fuzz harness's finding classification and
+# the CLI's flag and exit-code contract.
+cargo test -q -p aos-hbt -p aos-mcu -p aos-fault -p aos-lint -p aos-fuzz -p aos-cli
 
 echo "== tier-1: rustdoc gate (every intra-doc link resolves) =="
 # Unresolved links, links to private items and redundant link targets
@@ -36,8 +38,9 @@ cargo run -q --release -p aos-cli -- repro --check results
 
 echo "== tier-1: fault-injection smoke (strict) =="
 # Every fault class must be detected under AOS, missed by Baseline,
-# with zero false positives, and the static lint cross-check must be
-# consistent — nonzero exit otherwise.
+# with zero false positives, and every static policy's pinned split
+# (here the AOS policy, the default) must hold — nonzero exit
+# otherwise.
 cargo run -q --release -p aos-cli -- faults --seeds 2 --strict true
 
 echo "== tier-1: static protocol lint smoke (strict) =="

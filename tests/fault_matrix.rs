@@ -14,14 +14,14 @@
 use aos_core::experiment::SystemUnderTest;
 use aos_fault::campaign::FaultCampaignConfig;
 use aos_fault::{
-    expected_lint_rules, expected_policy_class, expected_policy_rules, plan_fault,
-    run_fault_campaign, FaultKind, FaultSpec, LintClass,
+    expected_policy_class, expected_policy_rules, plan_fault, run_fault_campaign, FaultKind,
+    FaultSpec,
 };
 use aos_isa::SafetyConfig;
-use aos_lint::Policy;
+use aos_lint::{MatrixScan, Policy};
 use aos_ptrauth::PointerLayout;
 use aos_sim::Machine;
-use aos_util::{Counter, TelemetrySnapshot};
+use aos_util::{Counter, Telemetry, TelemetrySnapshot};
 use aos_workloads::profile::by_name;
 use aos_workloads::TraceGenerator;
 
@@ -122,8 +122,9 @@ fn baseline_faulted_runs_keep_the_safety_ledger_empty() {
     }
 }
 
-/// The static/dynamic split of the six base kinds, pinned as a table
-/// instead of merely annotated: the spatial writes are invisible to
+/// The static/dynamic split of the six base kinds under the default
+/// sweep, pinned as a table instead of merely annotated: the campaign
+/// scans the AOS policy alone, the spatial writes are invisible to
 /// the linter (protocol-clean streams) while the temporal and forgery
 /// kinds each fire an exact rule set. A kind silently drifting across
 /// the split — or firing a different rule — fails here even though it
@@ -135,38 +136,40 @@ fn lint_cross_check_matches_the_pinned_static_dynamic_split() {
     let config = FaultCampaignConfig::standard(*profile, SCALE, vec![1, 7]);
     let outcome = run_fault_campaign(&config).expect("fault campaign runs");
     assert_eq!(
-        outcome.lint.clean_diagnostics, 0,
-        "the clean trace must lint clean"
+        outcome.policies.len(),
+        1,
+        "the default sweep scans AOS alone"
     );
-    assert_eq!(outcome.lint.kinds.len(), FaultKind::ALL.len());
-    for check in &outcome.lint.kinds {
+    let aos = &outcome.policies[0];
+    assert_eq!(aos.policy, Policy::Aos);
+    assert_eq!(aos.clean_diagnostics, 0, "the clean trace must lint clean");
+    assert_eq!(aos.kinds.len(), FaultKind::ALL.len());
+    for check in &aos.kinds {
         assert_eq!(
             check.classification(),
-            LintClass::expected_for(check.kind),
+            expected_policy_class(Policy::Aos, check.kind),
             "{} drifted across the static/dynamic split",
             check.kind.name()
         );
-        let pinned: Vec<&'static str> = expected_lint_rules(check.kind)
-            .iter()
-            .map(|r| r.name())
-            .collect();
         assert_eq!(
             check.rules,
-            pinned,
+            expected_policy_rules(Policy::Aos, check.kind),
             "{} fired a different rule set than pinned",
             check.kind.name()
         );
     }
-    assert!(outcome.lint.matches_pinned_split());
-    assert!(outcome.lint.is_consistent());
+    assert!(aos.matches_pinned_split());
+    assert!(aos.is_consistent());
+    // One static verdict, one annotation.
+    let json = outcome.report.to_json();
+    assert!(!json.contains("lint_cross_check"));
+    assert!(json.contains("\"policy_cross_check\": [{\"policy\": \"aos\","));
 }
 
 /// The `--policy all` strict gate's evidence, end to end: sweeping
 /// the campaign under every static policy lands each one exactly on
-/// its own pinned rule table (zero clean-trace noise included), the
-/// AOS policy column reproduces the legacy lint cross-check verdict
-/// for verdict, and the campaign report carries one annotation per
-/// policy.
+/// its own pinned rule table (zero clean-trace noise included), and
+/// the campaign report carries one annotation per policy.
 #[test]
 fn every_policy_cross_check_lands_on_its_pinned_table() {
     let profile = by_name("hmmer").unwrap();
@@ -206,21 +209,52 @@ fn every_policy_cross_check_lands_on_its_pinned_table() {
             );
         }
     }
-    // The AOS policy column and the legacy lint cross-check are the
-    // same scan — verdict-identical, kind by kind.
-    let aos = &outcome.policies[0];
-    assert_eq!(aos.policy, Policy::Aos);
-    assert_eq!(aos.clean_diagnostics, outcome.lint.clean_diagnostics);
-    for (k, legacy) in aos.kinds.iter().zip(&outcome.lint.kinds) {
-        assert_eq!(k.kind, legacy.kind);
-        assert_eq!(k.flagged, legacy.flagged, "{}", k.kind.name());
-        assert_eq!(k.rules, legacy.rules, "{}", k.kind.name());
-    }
     // The report annotation carries every policy's verdict.
     let json = outcome.report.to_json();
     assert!(json.contains("\"policy_cross_check\""));
     for p in Policy::ALL {
         assert!(json.contains(&format!("\"policy\": \"{}\"", p.name())), "{p:?}");
+    }
+}
+
+/// The `uaf` injector's anchor rules, on the omnetpp seeds that broke
+/// them: seed 13 anchored on a free within `UAF_DELAY_OPS` of the
+/// trace end, so the load was clamped into the retirement window and
+/// the machine missed it; seeds 14 and 24 anchored on a free that left
+/// another record with the victim's PAC live, so no PAC-keyed model
+/// could tell the access from one through the live alias. Every seed
+/// must be flagged statically and detected dynamically.
+#[test]
+fn uaf_anchors_have_a_full_window_and_no_live_alias() {
+    let profile = by_name("omnetpp").unwrap();
+    let layout = PointerLayout::default();
+    let stream = || TraceGenerator::new(profile, SafetyConfig::Aos, SCALE);
+    let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE);
+    let clean = Machine::new(sut.machine_config()).run(stream()).violations;
+    for seed in [13, 14, 24] {
+        let spec = FaultSpec {
+            kind: FaultKind::UseAfterFree,
+            seed,
+        };
+        let plan = plan_fault(stream(), layout, spec).expect("uaf plans on omnetpp");
+        let reports = MatrixScan::run(
+            &[Policy::Aos],
+            plan.apply(stream()),
+            layout,
+            &Telemetry::disabled(),
+        );
+        assert_eq!(
+            reports[0].rule_names_fired(),
+            expected_policy_rules(Policy::Aos, FaultKind::UseAfterFree),
+            "seed {seed}: {}",
+            plan.description
+        );
+        let faulty = Machine::new(sut.machine_config()).run(plan.apply(stream()));
+        assert!(
+            faulty.violations > clean,
+            "seed {seed}: the AOS machine missed {}",
+            plan.description
+        );
     }
 }
 

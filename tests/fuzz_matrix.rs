@@ -11,12 +11,14 @@
 //! AOS_UPDATE_GOLDEN=1 cargo test --test fuzz_matrix
 //! ```
 
+use aos_fault::FaultKind;
 use aos_fuzz::differential::{run_scenario, CleanBaseline};
 use aos_fuzz::scenario::plan_scenario;
 use aos_fuzz::{
     bank_scenarios, replay_corpus, run_fuzz, CompositeKind, FuzzConfig, ScenarioSpec, StepKind,
 };
 use aos_isa::SafetyConfig;
+use aos_lint::Policy;
 use aos_ptrauth::PointerLayout;
 use aos_util::scratch::ScratchDir;
 use aos_util::{Counter, Telemetry};
@@ -66,7 +68,7 @@ fn every_composite_chain_is_detected_by_aos_and_missed_by_baseline() {
             "{kind}: {:?}",
             outcome.findings
         );
-        let pinned = kind.expectation().exact_delta.expect("composites pin deltas");
+        let pinned = kind.exact_delta();
         for verdict in &outcome.systems {
             assert_eq!(verdict.clean_violations, 0, "{kind} on {}", verdict.system);
             let expected = if verdict.system.uses_aos() { pinned } else { 0 };
@@ -77,10 +79,10 @@ fn every_composite_chain_is_detected_by_aos_and_missed_by_baseline() {
                 verdict.system
             );
         }
-        let statically_flagged = outcome.lint_diagnostics > 0;
+        let statically_flagged = outcome.aos().diagnostics > 0;
         assert_eq!(
             statically_flagged,
-            !kind.expectation().rules.is_empty(),
+            !kind.policy_rules(Policy::Aos).is_empty(),
             "{kind}: linter verdict off the pinned static/dynamic split"
         );
     }
@@ -104,7 +106,7 @@ fn the_full_composite_chain_composes_without_interference() {
     let plan = plan_scenario(&spec, &trace, PointerLayout::default()).expect("plan");
     let expected_delta: u64 = CompositeKind::ALL
         .into_iter()
-        .filter_map(|k| k.expectation().exact_delta)
+        .map(CompositeKind::exact_delta)
         .sum();
     let outcome = run_scenario(profile, SCALE, &plan, &baseline);
     assert!(outcome.findings.is_empty(), "{:?}", outcome.findings);
@@ -115,6 +117,42 @@ fn the_full_composite_chain_composes_without_interference() {
             0
         };
         assert_eq!(verdict.delta(), expected, "on {}", verdict.system);
+    }
+}
+
+/// Base-injector chains on omnetpp that once anchored on a free
+/// leaving another record with the victim's PAC live: the `uaf` load
+/// or the repeated `bndclr` then went through the live alias, and the
+/// AOS and CryptSan pinned rules stayed silent. The injectors now skip
+/// such frees, so every chain lands on its pins.
+#[test]
+fn base_chains_on_aliased_frees_stay_on_their_pins() {
+    let profile = by_name("omnetpp").expect("workload profile exists");
+    let baseline = CleanBaseline::measure(profile, SCALE);
+    let trace = || TraceGenerator::new(profile, SafetyConfig::Aos, SCALE);
+    let uaf = StepKind::Base(FaultKind::UseAfterFree);
+    for spec in [
+        ScenarioSpec {
+            seed: 11010449909530149182,
+            steps: vec![uaf, StepKind::Composite(CompositeKind::HeapSpray)],
+        },
+        ScenarioSpec {
+            seed: 8292508428407620880,
+            steps: vec![StepKind::Base(FaultKind::OverflowWrite), uaf],
+        },
+        ScenarioSpec {
+            seed: 7729296927948608918,
+            steps: vec![StepKind::Base(FaultKind::DoubleFree)],
+        },
+    ] {
+        let plan = plan_scenario(&spec, trace, PointerLayout::default()).expect("plan");
+        let outcome = run_scenario(profile, SCALE, &plan, &baseline);
+        assert!(
+            !outcome.is_finding(),
+            "{}: {:?}",
+            spec.id(),
+            outcome.findings
+        );
     }
 }
 

@@ -132,9 +132,9 @@ fn static_and_dynamic_detectors_cover_every_kind() {
     }
 }
 
-/// The full campaign's cross-check annotation agrees with the pinned
-/// matrix: consistent, clean-trace clean, and each kind classified
-/// exactly as above.
+/// The full campaign's AOS cross-check agrees with the pinned matrix:
+/// consistent, clean-trace clean, and each kind classified exactly as
+/// above.
 #[test]
 fn campaign_cross_check_agrees_with_the_pinned_matrix() {
     use aos_core::experiment::campaign::CampaignOptions;
@@ -143,15 +143,12 @@ fn campaign_cross_check_agrees_with_the_pinned_matrix() {
         ..FaultCampaignConfig::standard(*profile(), SCALE, vec![1, 7])
     };
     let outcome = run_fault_campaign(&config).expect("campaign runs");
-    assert!(
-        outcome.lint.is_consistent(),
-        "{}",
-        outcome.lint.to_json_value()
-    );
-    assert_eq!(outcome.lint.clean_diagnostics, 0);
+    let aos = &outcome.policies[0];
+    assert_eq!(aos.policy, Policy::Aos);
+    assert!(aos.is_consistent(), "{}", aos.to_json_value());
+    assert_eq!(aos.clean_diagnostics, 0);
     for (kind, class, rules) in PINNED {
-        let check = outcome
-            .lint
+        let check = aos
             .kinds
             .iter()
             .find(|c| c.kind == kind)
@@ -161,7 +158,10 @@ fn campaign_cross_check_agrees_with_the_pinned_matrix() {
         assert_eq!(check.rules, names, "{kind}");
     }
     let json = outcome.report.to_json();
-    assert!(json.contains("\"lint_cross_check\": {\"clean_diagnostics\": 0, \"consistent\": true,"));
+    assert!(json.contains(
+        "\"policy_cross_check\": [{\"policy\": \"aos\", \"clean_diagnostics\": 0, \
+         \"consistent\": true,"
+    ));
 }
 
 /// The cross-paper detection matrix, pinned by rule name over all
