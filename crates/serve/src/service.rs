@@ -29,6 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use aos_util::guard::{run_guarded, Backoff, GuardOptions};
+use aos_util::json::Json;
 use aos_util::{AosError, Counter, Gauge, Telemetry};
 
 use crate::jobs::{self, JobSpec};
@@ -126,7 +127,7 @@ enum Event {
     Succeeded {
         id: String,
         attempts: u32,
-        result: String,
+        result: Json,
     },
     Failed {
         id: String,
@@ -180,7 +181,7 @@ fn collector_loop(
                         telemetry.count(Counter::ServeJobsRetried);
                     }
                 }
-                write_line(&mut writer, &proto::render_ok(&id, attempts, &result))?;
+                write_line(&mut writer, &proto::render_ok(&id, attempts, result))?;
             }
             Event::Failed {
                 id,
@@ -245,7 +246,7 @@ fn worker_loop(shared: &Shared, events: &mpsc::Sender<Event>, guard: &GuardOptio
         // Workers run concurrently, so the job body gets a disabled
         // telemetry handle (see the module docs); the collector does
         // all counting.
-        let work: aos_util::guard::Work<Result<String, AosError>> = {
+        let work: aos_util::guard::Work<Result<Json, AosError>> = {
             let spec = spec.clone();
             Arc::new(move || jobs::execute(&spec, &Telemetry::disabled()))
         };
