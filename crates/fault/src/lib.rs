@@ -40,7 +40,6 @@ pub use campaign::{
     FaultCampaignOutcome, LintClass, PolicyCrossCheck, PolicyKindCheck,
 };
 pub use inject::{
-    inject, plan_fault, FaultAction, FaultKind, FaultPlan, FaultSpec, FaultStream, Injection,
-    UAF_DELAY_OPS,
+    plan_fault, FaultAction, FaultKind, FaultPlan, FaultSpec, FaultStream, UAF_DELAY_OPS,
 };
-pub use oracle::{run_trial, FaultTrial, TrialMatrix, Verdict};
+pub use oracle::{FaultTrial, TrialMatrix, Verdict};

@@ -41,7 +41,9 @@ echo "== tier-1: fault-injection smoke (strict) =="
 # with zero false positives, and every static policy's pinned split
 # (here the AOS policy, the default) must hold — nonzero exit
 # otherwise.
-cargo run -q --release -p aos-cli -- faults --seeds 2 --strict true
+# The report is kept for the JSON parse step below.
+faults_json="${TMPDIR:-/tmp}/aos_tier1_faults_$$.json"
+cargo run -q --release -p aos-cli -- faults --seeds 2 --strict true --out "$faults_json"
 
 echo "== tier-1: static protocol lint smoke (strict) =="
 # A clean generated trace must carry zero protocol findings.
@@ -96,6 +98,25 @@ echo "== tier-1: MCU geometry ablation smoke =="
 # (exit 0 = zero violations on every sweep point).
 cargo run -q --release -p aos-cli -- ablate \
     --scale 0.002 --mcq 24,48 --bwb 64 >/dev/null
+
+echo "== tier-1: every JSON document parses =="
+# With --json true each command's stdout is exactly one JSON document
+# (no banner or table around it); the fault report file is one too.
+# Skipped when python3 is absent.
+if command -v python3 >/dev/null 2>&1; then
+    parse_json() { python3 -c 'import json,sys; json.load(sys.stdin)'; }
+    aos() { cargo run -q --release -p aos-cli -- "$@"; }
+    aos run hmmer --scale 0.004 --json true --telemetry true | parse_json
+    aos stats --scale 0.004 --threads 2 --json true | parse_json
+    aos lint --json true | parse_json
+    aos matrix --scale 0.01 --seeds 1 --json true | parse_json
+    aos fuzz --seed 7 --budget 4 --json true | parse_json
+    aos ablate --scale 0.002 --mcq 24,48 --bwb 64 --json true | parse_json
+    parse_json <"$faults_json"
+else
+    echo "no python3, skipping the JSON parse step"
+fi
+rm -f "$faults_json"
 
 echo "== tier-1: streaming pipeline smoke =="
 # The streaming bench asserts bit-identical RunStats and telemetry
