@@ -1,9 +1,9 @@
 //! A minimal JSON parser for the `aos-serve/v1` protocol: *flat*
 //! objects (string / number / bool / null values — the whole request
-//! vocabulary). The response renderers escape through
-//! [`aos_util::json::escape`]. Hand-rolled like every serializer in this workspace: the
-//! repo takes no serde dependency, and a service that parses hostile
-//! stdin must fail typed, never panic.
+//! vocabulary). Responses are written by the workspace's one JSON
+//! writer, [`aos_util::json::Json`]. The parser is hand-rolled because
+//! the repo takes no serde dependency, and a service that parses
+//! hostile stdin must fail typed, never panic.
 
 use aos_util::AosError;
 
