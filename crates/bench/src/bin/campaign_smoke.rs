@@ -101,12 +101,13 @@ fn main() {
     // if the schema the runner renders is the one this artifact
     // advertises — catch a silent schema drift at generation time,
     // not at review time.
+    let json = report.to_json();
     assert!(
-        report.to_json().contains("\"schema\": \"aos-campaign-report/v7\""),
+        json.contains("\"schema\": \"aos-campaign-report/v7\""),
         "campaign report schema drifted from aos-campaign-report/v7; \
          bump this assert and regenerate the committed artifact together"
     );
-    match report.write_json(&out_path) {
+    match std::fs::write(&out_path, json) {
         Ok(()) => println!("report written to {out_path}"),
         Err(e) => {
             eprintln!("failed to write {out_path}: {e}");
