@@ -757,8 +757,10 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
         }
     }
     if telemetry {
-        println!("\naggregate over all faulted cells:");
-        print!("{}", outcome.report.telemetry().to_table());
+        println!("\naggregate over all faulted cells and static scans:");
+        let mut merged = outcome.report.telemetry();
+        merged.merge(&outcome.telemetry);
+        print!("{}", merged.to_table());
     }
     write_out(&parsed, &outcome.report.to_json(), false)?;
     if strict
@@ -999,12 +1001,13 @@ pub fn lint(args: &[String]) -> Result<(), CliError> {
             print!("{}", telemetry.snapshot().to_table());
         }
     }
-    if strict && !report.clean() {
+    let findings = &report.findings;
+    if strict && !findings.clean() {
         return Err(CliError::Findings(format!(
             "lint gate failed: {} finding(s) ({} error(s), {} warning(s))",
-            report.total_diagnostics(),
-            report.errors(),
-            report.warnings()
+            findings.total_diagnostics(),
+            findings.errors(),
+            findings.warnings()
         )));
     }
     Ok(())

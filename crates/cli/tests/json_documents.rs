@@ -1,5 +1,6 @@
 //! Byte pins of the JSON documents the `aos` binary renders itself
-//! (`run`, `stats`, `ablate`) and of the strict fault gate's message,
+//! (`run`, `stats`, `ablate`, `lint`), of the `lint` and `matrix`
+//! tables and of the strict fault gate's message,
 //! which carries the fault report's annotations. Each is one FNV-1a
 //! digest of the exact output, so a change to how JSON is written
 //! cannot move a byte unnoticed.
@@ -97,10 +98,43 @@ fn ablate_report_is_pinned() {
     assert_pinned("ablate --out", &report, "5d6ef94f803767cf");
 }
 
+/// The `aos lint` table, clean and faulted (with the telemetry table
+/// that carries the lint counters), its faulted JSON report, and the
+/// `aos matrix` table: the linter's two front ends byte for byte.
+#[test]
+fn lint_and_matrix_outputs_are_pinned() {
+    assert_pinned(
+        "lint",
+        &stdout(&["lint", "--scale", "0.004"]),
+        "b121fb4660759fb8",
+    );
+    let faulted = [
+        "lint",
+        "--scale",
+        "0.004",
+        "--fault",
+        "double-free",
+        "--telemetry",
+        "true",
+        "--strict",
+        "false",
+    ];
+    assert_pinned("lint --fault", &stdout(&faulted), "37dc41de81787ec5");
+    let mut json = faulted.to_vec();
+    json.extend(["--json", "true"]);
+    assert_pinned("lint --fault --json", &stdout(&json), "7255423c2021771e");
+    assert_pinned(
+        "matrix",
+        &stdout(&["matrix", "--scale", "0.004", "--seeds", "1"]),
+        "2c77154280fbc91d",
+    );
+}
+
 /// The strict gate's failure message embeds the report's
 /// `fault_detection` and `policy_cross_check` annotations inline.
 /// mcf's window has no usable free, so its `uaf` and `double-free`
-/// cells fail and the gate trips.
+/// cells fail, both kinds read `unplanned` (no seed planned, so no
+/// static/dynamic verdict) and the gate trips.
 #[test]
 fn strict_fault_gate_message_is_pinned() {
     let out = aos(&[
@@ -122,7 +156,7 @@ fn strict_fault_gate_message_is_pinned() {
         .lines()
         .find(|l| l.starts_with("strict fault gate failed: "))
         .unwrap_or_else(|| panic!("no gate message in:\n{stderr}"));
-    assert_pinned("strict gate message", message, "bb8cd9801b31e028");
+    assert_pinned("strict gate message", message, "d0c19422aa4a897f");
 }
 
 /// With `--json true` stdout is exactly one JSON document: for the

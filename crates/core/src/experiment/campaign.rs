@@ -2,7 +2,7 @@
 //! `(workload × system)` simulations, and each cell is an independent
 //! deterministic run — embarrassingly parallel work. This module fans
 //! a cell list out across a scoped worker pool
-//! ([`aos_util::par::ordered_parallel_catch`]), returns per-cell
+//! ([`aos_util::par::ordered_parallel_map`]), returns per-cell
 //! [`CellResult`]s **in input order**, and renders a machine-readable
 //! JSON report (`aos-campaign-report/v7`, with per-cell telemetry
 //! counter columns) so perf trajectories can be tracked across PRs.

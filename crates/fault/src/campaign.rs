@@ -16,7 +16,7 @@ use aos_lint::{MatrixScan, Policy};
 use aos_ptrauth::PointerLayout;
 use aos_sim::Machine;
 use aos_util::json::{Json, Layout};
-use aos_util::{AosError, Telemetry};
+use aos_util::{AosError, Telemetry, TelemetrySnapshot};
 use aos_workloads::{TraceGenerator, WorkloadProfile};
 
 use crate::inject::{plan_fault, FaultKind, FaultPlan, FaultSpec};
@@ -43,9 +43,10 @@ pub struct FaultCampaignConfig {
     pub policies: Vec<Policy>,
     /// Runner execution knobs (threads, timeout, retries).
     pub options: CampaignOptions,
-    /// Whether each cell's machine records pipeline telemetry (the
-    /// verdicts are identical either way; the v4 report then carries
-    /// real counter columns instead of zeros).
+    /// Whether each cell records generator and pipeline telemetry and
+    /// the static cross-check records its scan counters (the verdicts
+    /// are identical either way; the report then carries real counter
+    /// columns instead of zeros).
     pub telemetry: bool,
 }
 
@@ -79,12 +80,17 @@ pub struct FaultCampaignOutcome {
     /// configured [`Policy`] sees in the same clean and faulted
     /// streams — in [`Policy::ALL`] order.
     pub policies: Vec<PolicyCrossCheck>,
+    /// The cross-check scans' counters (`lint_ops_scanned`,
+    /// `lint_diagnostics`, `lint_policy_diagnostics`); empty unless
+    /// [`FaultCampaignConfig::telemetry`] is set. The cells' own
+    /// counters are in [`CampaignReport::telemetry`].
+    pub telemetry: TelemetrySnapshot,
 }
 
 /// How the static linter relates to one [`FaultKind`]: either the
 /// fault is a protocol break the linter sees without running a
 /// machine, or it is a runtime-only phenomenon the dynamic oracle
-/// must catch.
+/// must catch — or no seed could be planned, so there is no verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LintClass {
     /// Every seeded instance raised at least one lint diagnostic.
@@ -95,6 +101,10 @@ pub enum LintClass {
     /// Some seeds flagged, some not — the classification is unstable
     /// and the campaign's consistency gate fails.
     Mixed,
+    /// No seed planned (the trace has no anchor for the kind), so no
+    /// stream was scanned: neither static nor dynamic, and the
+    /// consistency gate fails.
+    Unplanned,
 }
 
 /// The pinned static rules each policy fires on each base fault kind
@@ -156,6 +166,7 @@ impl std::fmt::Display for LintClass {
             LintClass::StaticallyDetectable => "static",
             LintClass::DynamicOnly => "dynamic-only",
             LintClass::Mixed => "mixed",
+            LintClass::Unplanned => "unplanned",
         })
     }
 }
@@ -182,7 +193,9 @@ pub struct PolicyKindCheck {
 impl PolicyKindCheck {
     /// The kind's static-vs-dynamic classification under the policy.
     pub fn classification(&self) -> LintClass {
-        if self.flagged == 0 {
+        if self.seeds == 0 {
+            LintClass::Unplanned
+        } else if self.flagged == 0 {
             LintClass::DynamicOnly
         } else if self.flagged == self.seeds {
             LintClass::StaticallyDetectable
@@ -211,10 +224,12 @@ impl PolicyCrossCheck {
     /// unambiguously static or dynamic-only under this policy.
     pub fn is_consistent(&self) -> bool {
         self.clean_diagnostics == 0
-            && self
-                .kinds
-                .iter()
-                .all(|k| k.classification() != LintClass::Mixed)
+            && self.kinds.iter().all(|k| {
+                matches!(
+                    k.classification(),
+                    LintClass::StaticallyDetectable | LintClass::DynamicOnly
+                )
+            })
     }
 
     /// `true` when every swept kind's observed classification and
@@ -319,11 +334,12 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
         .into_iter()
         .filter(|p| config.policies.contains(p))
         .collect();
+    let scan_telemetry = Telemetry::new(config.telemetry);
     let clean_reports = MatrixScan::run(
         &policies,
         stream(&config.profile, config.scale),
         layout,
-        &Telemetry::disabled(),
+        &scan_telemetry,
     );
     let mut policy_checks: Vec<PolicyCrossCheck> = clean_reports
         .iter()
@@ -355,7 +371,7 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
                 &policies,
                 plan.apply(stream(&config.profile, config.scale)),
                 layout,
-                &Telemetry::disabled(),
+                &scan_telemetry,
             );
             for ((check, fired), report) in kind_checks.iter_mut().zip(&mut fired).zip(&reports) {
                 check.seeds += 1;
@@ -385,14 +401,13 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
         let plan = plans[index / systems_per_plan]
             .as_ref()
             .map_err(AosError::clone)?;
-        let mut faulty = plan
-            .apply(TraceGenerator::new(
-                &cell.profile,
-                SafetyConfig::Aos,
-                cell.sut.scale,
-            ))
-            .metered();
-        let stats = Machine::new(cell.sut.machine_config()).run(&mut faulty);
+        // The generator records into the machine's telemetry handle,
+        // so one snapshot covers generation and simulation.
+        let generator = TraceGenerator::new(&cell.profile, SafetyConfig::Aos, cell.sut.scale);
+        let mut machine = Machine::new(cell.sut.machine_config());
+        let generator = generator.with_telemetry(machine.telemetry().clone());
+        let mut faulty = plan.apply(generator).metered();
+        let stats = machine.run(&mut faulty);
         Ok(CellOutput {
             stats,
             trace_ops: faulty.ops(),
@@ -423,12 +438,14 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
         report,
         matrix,
         policies: policy_checks,
+        telemetry: scan_telemetry.snapshot(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aos_util::Counter;
     use aos_workloads::profile::by_name;
 
     #[test]
@@ -498,6 +515,61 @@ mod tests {
                 )
             );
         }
+    }
+
+    /// A kind whose every plan failed scanned no stream: it has no
+    /// static/dynamic verdict, so neither gate may pass it.
+    #[test]
+    fn a_kind_with_no_planned_seed_is_unplanned() {
+        let config = FaultCampaignConfig {
+            kinds: vec![FaultKind::UseAfterFree, FaultKind::DoubleFree],
+            options: CampaignOptions::with_threads(1),
+            ..FaultCampaignConfig::standard(*by_name("mcf").unwrap(), 0.004, vec![1, 2])
+        };
+        let outcome = run_fault_campaign(&config).unwrap();
+        let aos = &outcome.policies[0];
+        for check in &aos.kinds {
+            assert_eq!(check.seeds, 0, "{}", check.kind);
+            assert_eq!(check.classification(), LintClass::Unplanned);
+        }
+        assert!(!aos.is_consistent(), "{}", aos.to_json_value());
+        assert!(!aos.matches_pinned_split(), "{}", aos.to_json_value());
+        let json = aos.to_json_value().to_string();
+        assert!(json.contains("\"classification\": \"unplanned\""), "{json}");
+    }
+
+    /// With telemetry on, the cells count generation as well as
+    /// simulation, and the static cross-check counts its scans: all
+    /// six counters below read zero when either half is dropped.
+    #[test]
+    fn telemetry_covers_generation_simulation_and_the_static_scans() {
+        let config = FaultCampaignConfig {
+            kinds: vec![FaultKind::DoubleFree],
+            policies: Policy::ALL.to_vec(),
+            options: CampaignOptions::with_threads(1),
+            telemetry: true,
+            ..FaultCampaignConfig::standard(*by_name("hmmer").unwrap(), 0.004, vec![1])
+        };
+        let outcome = run_fault_campaign(&config).unwrap();
+        let mut merged = outcome.report.telemetry();
+        merged.merge(&outcome.telemetry);
+        for counter in [
+            Counter::HeapAllocs,
+            Counter::PtrSigns,
+            Counter::PacComputations,
+            Counter::LintOpsScanned,
+            Counter::LintDiagnostics,
+            Counter::LintPolicyDiagnostics,
+        ] {
+            assert!(merged.counter(counter) > 0, "{} stayed 0", counter.name());
+        }
+        let quiet = run_fault_campaign(&FaultCampaignConfig {
+            telemetry: false,
+            ..config
+        })
+        .unwrap();
+        assert!(quiet.telemetry.is_empty());
+        assert!(quiet.report.telemetry().is_empty());
     }
 
     #[test]

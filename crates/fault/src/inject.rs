@@ -14,10 +14,10 @@
 //! use-after-free planner additionally carries a
 //! [`Lookahead`] of [`UAF_DELAY_OPS`] ops
 //! to rule out same-PAC reallocations), producing a [`FaultPlan`];
-//! [`FaultPlan::apply`] then wraps a *fresh* stream of the same trace
-//! with a one-op splice/replace adapter.
+//! [`FaultPlan::apply`] then splices the plan's one-op edit into a
+//! *fresh* stream of the same trace.
 
-use aos_isa::stream::{BufferedOps, InsertAt, Lookahead, OpStream, ReplaceAt};
+use aos_isa::stream::{BufferedOps, Lookahead, OpStream, Splice, SpliceMany};
 use aos_isa::Op;
 use aos_ptrauth::PointerLayout;
 use aos_util::rng::Xoshiro256StarStar;
@@ -105,15 +105,6 @@ pub struct FaultSpec {
 /// the peak buffered ops) of the streaming UAF planner.
 pub const UAF_DELAY_OPS: usize = 256;
 
-/// The single-op edit a plan performs at its site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Splice this op in so it is yielded at the site index.
-    Insert(Op),
-    /// Replace the op at the site index with this one.
-    Replace(Op),
-}
-
 /// A planned fault: where to edit the stream and what to edit in.
 ///
 /// Produced by one `O(window)`-memory scan of the trace stream
@@ -123,10 +114,9 @@ pub enum FaultAction {
 /// stream many times (once per system under test) is sound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Stream index of the injected/modified op after applying.
-    pub site: usize,
-    /// The edit to perform at `site`.
-    pub action: FaultAction,
+    /// The one-op edit: an insert yields its op at `splice.at`, a
+    /// replace swaps out the op at that index.
+    pub splice: Splice,
     /// Human-readable description of the fault, for reports.
     pub description: String,
     /// Ops the planning scan consumed (the clean trace length).
@@ -138,42 +128,10 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Wraps `stream` (a fresh replay of the planned trace) with the
-    /// one-op edit adapter. The result is itself an op stream.
-    pub fn apply<I: Iterator<Item = Op>>(&self, stream: I) -> FaultStream<I> {
-        match self.action {
-            FaultAction::Insert(op) => FaultStream::Insert(stream.insert_at(self.site, op)),
-            FaultAction::Replace(op) => FaultStream::Replace(stream.replace_at(self.site, op)),
-        }
-    }
-}
-
-/// A clean op stream with a planned fault spliced in; see
-/// [`FaultPlan::apply`]. Buffers exactly one op.
-#[derive(Debug, Clone)]
-pub enum FaultStream<I> {
-    /// An insertion splice.
-    Insert(InsertAt<I>),
-    /// An in-place replacement.
-    Replace(ReplaceAt<I>),
-}
-
-impl<I: Iterator<Item = Op>> Iterator for FaultStream<I> {
-    type Item = Op;
-
-    fn next(&mut self) -> Option<Op> {
-        match self {
-            FaultStream::Insert(s) => s.next(),
-            FaultStream::Replace(s) => s.next(),
-        }
-    }
-}
-
-impl<I: BufferedOps> BufferedOps for FaultStream<I> {
-    fn peak_buffered_ops(&self) -> usize {
-        match self {
-            FaultStream::Insert(s) => s.peak_buffered_ops(),
-            FaultStream::Replace(s) => s.peak_buffered_ops(),
-        }
+    /// plan's edit. The result is itself an op stream and buffers
+    /// exactly one op.
+    pub fn apply<I: Iterator<Item = Op>>(&self, stream: I) -> SpliceMany<I> {
+        stream.splice_many(vec![self.splice.clone()])
     }
 }
 
@@ -225,11 +183,13 @@ pub fn plan_fault(
             let (scanned, (i, pointer, size)) =
                 pick_bndstr(trace, layout, &mut rng, spec.kind)?;
             Ok(FaultPlan {
-                site: i + 1,
-                action: FaultAction::Insert(Op::Store {
-                    pointer: pointer.wrapping_add(size),
-                    bytes: 8,
-                }),
+                splice: Splice::insert(
+                    i + 1,
+                    vec![Op::Store {
+                        pointer: pointer.wrapping_add(size),
+                        bytes: 8,
+                    }],
+                ),
                 description: format!("overflow store at base+{size} of the bndstr at op {i}"),
                 scanned_ops: scanned,
                 peak_buffered_ops: 0,
@@ -238,11 +198,13 @@ pub fn plan_fault(
         FaultKind::UnderflowWrite => {
             let (scanned, (i, pointer, _)) = pick_bndstr(trace, layout, &mut rng, spec.kind)?;
             Ok(FaultPlan {
-                site: i + 1,
-                action: FaultAction::Insert(Op::Store {
-                    pointer: pointer.wrapping_sub(8),
-                    bytes: 8,
-                }),
+                splice: Splice::insert(
+                    i + 1,
+                    vec![Op::Store {
+                        pointer: pointer.wrapping_sub(8),
+                        bytes: 8,
+                    }],
+                ),
                 description: format!("underflow store at base-8 of the bndstr at op {i}"),
                 scanned_ops: scanned,
                 peak_buffered_ops: 0,
@@ -285,12 +247,14 @@ pub fn plan_fault(
                 "bndclr (free) without a same-PAC reallocation inside the retirement window",
             )?;
             Ok(FaultPlan {
-                site: i + 1 + UAF_DELAY_OPS,
-                action: FaultAction::Insert(Op::Load {
-                    pointer,
-                    bytes: 8,
-                    chained: false,
-                }),
+                splice: Splice::insert(
+                    i + 1 + UAF_DELAY_OPS,
+                    vec![Op::Load {
+                        pointer,
+                        bytes: 8,
+                        chained: false,
+                    }],
+                ),
                 description: format!("load through the pointer freed by the bndclr at op {i}"),
                 scanned_ops: look.consumed(),
                 peak_buffered_ops: look.peak_buffered_ops(),
@@ -311,8 +275,7 @@ pub fn plan_fault(
             }
             let (i, pointer) = reservoir.into_chosen(spec.kind, "bndclr (free)")?;
             Ok(FaultPlan {
-                site: i + 1,
-                action: FaultAction::Insert(Op::BndClr { pointer }),
+                splice: Splice::insert(i + 1, vec![Op::BndClr { pointer }]),
                 description: format!("second bndclr of the pointer freed at op {i}"),
                 scanned_ops: scanned,
                 peak_buffered_ops: 0,
@@ -330,8 +293,7 @@ pub fn plan_fault(
             let (i, op) = reservoir.into_chosen(spec.kind, "signed heap access")?;
             let bit = layout.pac_shift() + (rng.next_u64() % u64::from(layout.pac_size())) as u32;
             Ok(FaultPlan {
-                site: i,
-                action: FaultAction::Replace(retarget(&op, |p| p ^ (1u64 << bit))),
+                splice: Splice::replace(i, vec![retarget(&op, |p| p ^ (1u64 << bit))]),
                 description: format!("flipped PAC bit {bit} of the access at op {i}"),
                 scanned_ops: scanned,
                 peak_buffered_ops: 0,
@@ -365,10 +327,12 @@ pub fn plan_fault(
                 forged_pac = rng.next_u64() % layout.pac_space();
             }
             Ok(FaultPlan {
-                site: i,
-                action: FaultAction::Replace(retarget(&op, |p| {
-                    layout.compose(layout.address(p), forged_pac, forged_ahc)
-                })),
+                splice: Splice::replace(
+                    i,
+                    vec![retarget(&op, |p| {
+                        layout.compose(layout.address(p), forged_pac, forged_ahc)
+                    })],
+                ),
                 description: format!(
                     "forged AHC={forged_ahc} PAC={forged_pac:#x} onto the access at op {i}"
                 ),
@@ -528,7 +492,7 @@ mod tests {
             let (plan, ops) = faulted(&trace, FaultSpec { kind, seed: 8 });
             // Different seeds are allowed to coincide for tiny traces,
             // but the plan must still be self-consistent.
-            assert!(plan.site < ops.len());
+            assert!(plan.splice.at < ops.len());
         }
     }
 
@@ -547,7 +511,7 @@ mod tests {
         for kind in [FaultKind::PacTamper, FaultKind::AhcForge] {
             let (plan, ops) = faulted(&trace, FaultSpec { kind, seed: 1 });
             assert_eq!(ops.len(), trace.len(), "{kind} rewrites in place");
-            assert_ne!(ops[plan.site], trace[plan.site], "{kind}");
+            assert_ne!(ops[plan.splice.at], trace[plan.splice.at], "{kind}");
         }
     }
 

@@ -39,7 +39,5 @@ pub use campaign::{
     expected_policy_class, expected_policy_rules, run_fault_campaign, FaultCampaignConfig,
     FaultCampaignOutcome, LintClass, PolicyCrossCheck, PolicyKindCheck,
 };
-pub use inject::{
-    plan_fault, FaultAction, FaultKind, FaultPlan, FaultSpec, FaultStream, UAF_DELAY_OPS,
-};
+pub use inject::{plan_fault, FaultKind, FaultPlan, FaultSpec, UAF_DELAY_OPS};
 pub use oracle::{FaultTrial, TrialMatrix, Verdict};

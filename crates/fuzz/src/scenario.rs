@@ -15,7 +15,7 @@
 //! in one [`SpliceMany`] pass.
 
 use aos_fault::campaign::expected_policy_rules;
-use aos_fault::{plan_fault, FaultAction, FaultKind, FaultSpec};
+use aos_fault::{plan_fault, FaultKind, FaultSpec};
 use aos_lint::Policy;
 use aos_isa::stream::{Splice, SpliceMany};
 use aos_isa::Op;
@@ -217,32 +217,26 @@ where
                         seed: step_seed(spec.seed, index),
                     },
                 )?;
-                let (site, splice) = match plan.action {
-                    FaultAction::Insert(op) => (plan.site, Splice::insert(plan.site, vec![op])),
-                    FaultAction::Replace(op) => {
-                        if replaced_sites.contains(&plan.site) {
-                            dropped.push((
-                                kind,
-                                format!(
-                                    "replace site {} already claimed by an earlier step",
-                                    plan.site
-                                ),
-                            ));
-                            continue;
-                        }
-                        replaced_sites.push(plan.site);
-                        // A tamper/forge that lands on a PAC the clean
-                        // trace signs is legitimately ambiguous to every
-                        // static policy: unpin the static side.
-                        if let Some(pointer) = op_pointer(&op) {
-                            if scan.is_signed(layout.pac(pointer)) {
-                                static_pinned = false;
-                            }
-                        }
-                        (plan.site, Splice::replace(plan.site, vec![op]))
+                let site = plan.splice.at;
+                if plan.splice.replace {
+                    if replaced_sites.contains(&site) {
+                        dropped.push((
+                            kind,
+                            format!("replace site {site} already claimed by an earlier step"),
+                        ));
+                        continue;
                     }
-                };
-                edits.push(splice);
+                    replaced_sites.push(site);
+                    // A tamper/forge that lands on a PAC the clean
+                    // trace signs is legitimately ambiguous to every
+                    // static policy: unpin the static side.
+                    if let Some(pointer) = plan.splice.ops.first().and_then(op_pointer) {
+                        if scan.is_signed(layout.pac(pointer)) {
+                            static_pinned = false;
+                        }
+                    }
+                }
+                edits.push(plan.splice);
                 steps.push(PlannedStep {
                     kind,
                     description: format!("[op {site}] {}", plan.description),

@@ -8,12 +8,10 @@
 //! `Iterator<Item = Op>`, and the adapters below buffer at most a
 //! fixed number of ops regardless of trace length —
 //!
-//! - [`InsertAt`] / [`ReplaceAt`] — positional single-op splices
-//!   (the streaming form of the fault injectors' trace rewrites);
-//! - [`SpliceMany`] — the multi-edit generalization used by the
-//!   adversarial scenario engine: any number of positional
-//!   insert/replace edits applied in one pass, buffering only the
-//!   un-emitted edit ops;
+//! - [`SpliceMany`] — positional insert/replace edits applied in one
+//!   pass, buffering only the un-emitted edit ops: the streaming form
+//!   of a fault plan's one-op rewrite and of the adversarial scenario
+//!   engine's multi-step attack chains;
 //! - [`Lookahead`] — a bounded lookahead window over a stream, used
 //!   by the use-after-free planner that must prove no same-PAC
 //!   reallocation lands inside the ROB-sized retirement window;
@@ -25,12 +23,14 @@
 //! # Examples
 //!
 //! ```
-//! use aos_isa::stream::{BufferedOps, OpStream};
+//! use aos_isa::stream::{BufferedOps, OpStream, Splice};
 //! use aos_isa::Op;
 //!
 //! // Splice one op into a stream at index 2, without collecting it.
 //! let base = std::iter::repeat(Op::IntAlu).take(4);
-//! let spliced: Vec<Op> = base.insert_at(2, Op::FpAlu).collect();
+//! let spliced: Vec<Op> = base
+//!     .splice_many(vec![Splice::insert(2, vec![Op::FpAlu])])
+//!     .collect();
 //! assert_eq!(spliced.len(), 5);
 //! assert_eq!(spliced[2], Op::FpAlu);
 //!
@@ -59,41 +59,11 @@ pub trait BufferedOps {
 /// producer — a `TraceGenerator`, a decoded trace file, a `Vec` being
 /// drained — composes for free.
 pub trait OpStream: Iterator<Item = Op> {
-    /// Splices `op` into the stream so it is yielded at index `at`
-    /// (everything from `at` onward shifts one position later). An
-    /// `at` beyond the end of the stream appends the op.
-    fn insert_at(self, at: usize, op: Op) -> InsertAt<Self>
-    where
-        Self: Sized,
-    {
-        InsertAt {
-            inner: self,
-            at,
-            op: Some(op),
-            index: 0,
-        }
-    }
-
-    /// Replaces the op at index `at` with `op`, preserving stream
-    /// length. A stream shorter than `at` is passed through unchanged.
-    fn replace_at(self, at: usize, op: Op) -> ReplaceAt<Self>
-    where
-        Self: Sized,
-    {
-        ReplaceAt {
-            inner: self,
-            at,
-            op: Some(op),
-            index: 0,
-        }
-    }
-
     /// Applies a whole set of positional [`Splice`] edits in one
-    /// streaming pass — the multi-edit generalization of
-    /// [`OpStream::insert_at`] / [`OpStream::replace_at`] used by the
-    /// adversarial scenario engine to compose attack chains. Edit
-    /// sites are original-stream indices; see [`Splice`] for the
-    /// exact per-site semantics.
+    /// streaming pass: one edit for a fault plan, several for an
+    /// adversarial scenario's attack chain. Edit sites are
+    /// original-stream indices; see [`Splice`] for the exact per-site
+    /// semantics.
     fn splice_many(self, edits: Vec<Splice>) -> SpliceMany<Self>
     where
         Self: Sized,
@@ -115,101 +85,16 @@ pub trait OpStream: Iterator<Item = Op> {
 
 impl<I: Iterator<Item = Op>> OpStream for I {}
 
-/// Yields the wrapped stream with one extra op spliced in at a fixed
-/// index. See [`OpStream::insert_at`]. Buffers exactly one op.
-#[derive(Debug, Clone)]
-pub struct InsertAt<I> {
-    inner: I,
-    at: usize,
-    op: Option<Op>,
-    index: usize,
-}
-
-impl<I> InsertAt<I> {
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &I {
-        &self.inner
-    }
-}
-
-impl<I: Iterator<Item = Op>> Iterator for InsertAt<I> {
-    type Item = Op;
-
-    fn next(&mut self) -> Option<Op> {
-        if self.index == self.at {
-            if let Some(op) = self.op.take() {
-                self.index += 1;
-                return Some(op);
-            }
-        }
-        match self.inner.next() {
-            Some(op) => {
-                self.index += 1;
-                Some(op)
-            }
-            // The splice point lies at (or past) the end: append.
-            None => self.op.take().inspect(|_| self.index += 1),
-        }
-    }
-}
-
-impl<I: BufferedOps> BufferedOps for InsertAt<I> {
-    fn peak_buffered_ops(&self) -> usize {
-        // The pending splice op is this adapter's entire buffer.
-        self.inner.peak_buffered_ops() + 1
-    }
-}
-
-/// Yields the wrapped stream with the op at one fixed index swapped
-/// out. See [`OpStream::replace_at`]. Buffers exactly one op.
-#[derive(Debug, Clone)]
-pub struct ReplaceAt<I> {
-    inner: I,
-    at: usize,
-    op: Option<Op>,
-    index: usize,
-}
-
-impl<I> ReplaceAt<I> {
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &I {
-        &self.inner
-    }
-}
-
-impl<I: Iterator<Item = Op>> Iterator for ReplaceAt<I> {
-    type Item = Op;
-
-    fn next(&mut self) -> Option<Op> {
-        let op = self.inner.next()?;
-        let index = self.index;
-        self.index += 1;
-        if index == self.at {
-            if let Some(replacement) = self.op.take() {
-                return Some(replacement);
-            }
-        }
-        Some(op)
-    }
-}
-
-impl<I: BufferedOps> BufferedOps for ReplaceAt<I> {
-    fn peak_buffered_ops(&self) -> usize {
-        self.inner.peak_buffered_ops() + 1
-    }
-}
-
 /// One positional edit for [`SpliceMany`], addressed in *original*
 /// stream indices (the coordinate space the fault planners report
 /// their sites in, unaffected by earlier edits in the same set).
 ///
 /// An insert edit emits `ops` immediately before the original op at
-/// `at` — the ops are *yielded at* index `at`, exactly like
-/// [`OpStream::insert_at`]. A replace edit emits `ops` *instead of*
+/// `at` — the ops are *yielded at* index `at`, and everything from
+/// `at` onward shifts later. A replace edit emits `ops` *instead of*
 /// the original op at `at` (an empty `ops` deletes it). Edits whose
 /// `at` lies past the end of the stream append their ops in edit
-/// order when they insert, and are dropped when they replace —
-/// mirroring the single-op adapters' end-of-stream behavior.
+/// order when they insert, and are dropped when they replace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Splice {
     /// Original-stream index the edit targets.
@@ -321,6 +206,15 @@ impl<I: Iterator<Item = Op>> Iterator for SpliceMany<I> {
             }
             match self.inner.next() {
                 Some(op) => {
+                    // Nothing queued and no edit here: pass the op through.
+                    if self
+                        .edits
+                        .get(self.next_edit)
+                        .is_none_or(|e| e.at != self.index)
+                    {
+                        self.index += 1;
+                        return Some(op);
+                    }
                     let replaced = self.take_edits_here();
                     self.index += 1;
                     if !replaced {
@@ -481,11 +375,16 @@ mod tests {
         std::iter::repeat(Op::IntAlu).take(n)
     }
 
+    /// `base` with the single edit `edit` applied.
+    fn one_edit(base: &[Op], edit: Splice) -> Vec<Op> {
+        base.iter().copied().splice_many(vec![edit]).collect()
+    }
+
     #[test]
-    fn insert_at_matches_vec_splice() {
+    fn insert_matches_vec_insert() {
         let base = every_op_variant();
         for at in 0..=base.len() + 2 {
-            let streamed: Vec<Op> = base.iter().copied().insert_at(at, Op::FpAlu).collect();
+            let streamed = one_edit(&base, Splice::insert(at, vec![Op::FpAlu]));
             let mut expected = base.clone();
             expected.insert(at.min(base.len()), Op::FpAlu);
             assert_eq!(streamed, expected, "at {at}");
@@ -494,18 +393,20 @@ mod tests {
 
     #[test]
     fn insert_past_the_end_appends() {
-        let streamed: Vec<Op> = ints(3).insert_at(100, Op::FpAlu).collect();
+        let streamed: Vec<Op> = ints(3)
+            .splice_many(vec![Splice::insert(100, vec![Op::FpAlu])])
+            .collect();
         assert_eq!(streamed.len(), 4);
         assert_eq!(streamed[3], Op::FpAlu);
     }
 
     #[test]
-    fn replace_at_swaps_exactly_one_op() {
+    fn replace_swaps_exactly_one_op() {
         let base = every_op_variant();
         // A payload no variant carries, so the swap is always visible.
         let marker = Op::Autm { pointer: 0xfeed };
         for at in 0..=base.len() + 2 {
-            let streamed: Vec<Op> = base.iter().copied().replace_at(at, marker).collect();
+            let streamed = one_edit(&base, Splice::replace(at, vec![marker]));
             let mut expected = base.clone();
             // An index past the end has no op to replace: pass-through.
             if let Some(slot) = expected.get_mut(at) {
@@ -564,7 +465,7 @@ mod tests {
 
     #[test]
     fn adapters_report_their_buffering() {
-        let inserted = ints(4).insert_at(1, Op::FpAlu);
+        let inserted = ints(4).splice_many(vec![Splice::insert(1, vec![Op::FpAlu])]);
         assert_eq!(inserted.peak_buffered_ops(), 1);
         let metered = ints(4).metered();
         assert_eq!(metered.peak_buffered_ops(), 0);
@@ -695,27 +596,6 @@ mod tests {
             let expected = splice_reference(&base, &edits);
             let streamed: Vec<Op> = base.iter().copied().splice_many(edits.clone()).collect();
             assert_eq!(streamed, expected, "edits {edits:?}");
-        }
-    }
-
-    #[test]
-    fn splice_many_agrees_with_the_single_op_adapters() {
-        let base = every_op_variant();
-        for at in [0, 3, base.len() - 1, base.len(), base.len() + 2] {
-            let via_insert: Vec<Op> = base.iter().copied().insert_at(at, Op::FpAlu).collect();
-            let via_many: Vec<Op> = base
-                .iter()
-                .copied()
-                .splice_many(vec![Splice::insert(at, vec![Op::FpAlu])])
-                .collect();
-            assert_eq!(via_many, via_insert, "insert at {at}");
-            let via_replace: Vec<Op> = base.iter().copied().replace_at(at, Op::IntMul).collect();
-            let via_many: Vec<Op> = base
-                .iter()
-                .copied()
-                .splice_many(vec![Splice::replace(at, vec![Op::IntMul])])
-                .collect();
-            assert_eq!(via_many, via_replace, "replace at {at}");
         }
     }
 

@@ -14,12 +14,11 @@
 //!   Signed → Bounds-live → Cleared → Re-signed-dangling) per
 //!   distinct PAC observed — `O(live-PACs)` memory, no trace
 //!   materialization, same discipline as [`aos_isa::stream`];
-//! - [`Rule`] names each protocol obligation; violations surface as
-//!   typed [`Diagnostic`]s in a [`LintReport`] with exact per-rule
+//! - [`Rule`] names each protocol obligation and indexes its entry in
+//!   [`registry::AOS_RULES`]; violations surface as
+//!   [`PolicyDiagnostic`]s in a [`LintReport`] with exact per-rule
 //!   counts and stable `aos-lint-report/v1` JSON;
 //! - [`lint_stream`] / [`lint_stream_metered`] scan a whole stream;
-//!   the [`Linting`] adapter lints in flight while a consumer (e.g. a
-//!   machine replay) drains the same pass;
 //! - scan counters thread through [`aos_util::telemetry`]
 //!   (`lint_ops_scanned`, `lint_diagnostics`).
 //!
@@ -30,11 +29,12 @@
 //! streams whose addresses are simply wrong — runtime phenomena only
 //! the HBT bounds check can catch. `aos_fault` pins that split.
 //!
-//! The AOS verifier is one of four pluggable static policies: the
+//! The [`Linter`] is one of four pluggable static policies: the
 //! [`policy`] module adds abstract models of CryptSan (lock-and-key),
 //! PACSan (PAC-sealed shadow) and PACTight (pointer integrity), each
 //! encoding what that paper's instrumentation can and cannot prove
-//! about a trace, behind one [`PolicyVerifier`] trait. The [`matrix`]
+//! about a trace, behind one [`PolicyVerifier`] trait, each counting
+//! its findings into a [`PolicyReport`]. The [`matrix`]
 //! module runs any subset of them in a single streaming pass and
 //! renders the policy × rule × fault-kind detection matrix
 //! (`aos-lint-matrix/v1`); per-policy rule metadata lives in the
@@ -58,7 +58,7 @@
 //!     Op::Xpacm,
 //!     Op::Pacma { pointer: ptr, size: 0 },
 //! ];
-//! assert!(lint_stream(ops.into_iter(), layout).clean());
+//! assert!(lint_stream(ops.into_iter(), layout).findings.clean());
 //!
 //! // A second bndclr is the static shadow of a double free.
 //! let double_free = ops.into_iter().chain([Op::BndClr { pointer: ptr }]);
@@ -74,24 +74,20 @@ pub mod rules;
 pub mod verifier;
 
 pub use matrix::{MatrixEntry, MatrixReport, MatrixScan};
-pub use policy::{Policy, PolicyDiagnostic, PolicyReport, PolicyVerifier};
+pub use policy::{Policy, PolicyDiagnostic, PolicyReport, PolicyVerifier, MAX_STORED_DIAGNOSTICS};
 pub use registry::RuleInfo;
 pub use report::LintReport;
-pub use rules::{Diagnostic, Rule, Severity};
-pub use verifier::{
-    lint_stream, lint_stream_metered, lint_stream_with_telemetry, Linter, Linting,
-    MAX_STORED_DIAGNOSTICS,
-};
+pub use rules::{Rule, Severity};
+pub use verifier::{lint_stream, lint_stream_metered, Linter};
 
 #[cfg(test)]
 mod tests {
-    use aos_isa::stream::{BufferedOps, OpStream};
+    use aos_isa::stream::{OpStream, Splice};
     use aos_isa::Op;
     use aos_ptrauth::{compute_ahc, PointerLayout};
     use aos_util::{Counter, Telemetry};
 
     use super::*;
-
 
     fn layout() -> PointerLayout {
         PointerLayout::default()
@@ -140,9 +136,9 @@ mod tests {
             .chain(free(p))
             .collect();
         let report = lint(ops);
-        assert!(report.clean(), "{}", report.to_table());
-        assert_eq!(report.ops_scanned, 7);
-        assert_eq!(report.distinct_pacs, 1);
+        assert!(report.findings.clean(), "{}", report.to_table());
+        assert_eq!(report.findings.ops_scanned, 7);
+        assert_eq!(report.findings.tracked_pacs, 1);
         assert_eq!(report.live_records_at_end, 0);
         assert_eq!(report.peak_live_records, 1);
     }
@@ -152,7 +148,7 @@ mod tests {
         let p = signed(0x4000, 7, 64);
         let ops: Vec<Op> = malloc(p, 64).into_iter().chain([load(p)]).collect();
         let report = lint(ops);
-        assert!(report.clean(), "{}", report.to_table());
+        assert!(report.findings.clean(), "{}", report.to_table());
         assert_eq!(report.live_records_at_end, 1);
     }
 
@@ -166,8 +162,8 @@ mod tests {
             .collect();
         let report = lint(ops);
         assert_eq!(report.count(Rule::AccessAfterClear), 1);
-        assert_eq!(report.diagnostics[0].op_index, 5);
-        assert_eq!(report.diagnostics[0].pac, 7);
+        assert_eq!(report.findings.diagnostics[0].op_index, 5);
+        assert_eq!(report.findings.diagnostics[0].pac, 7);
     }
 
     #[test]
@@ -192,7 +188,7 @@ mod tests {
         let ops: Vec<Op> = malloc(p, 64).into_iter().chain([load(forged)]).collect();
         let report = lint(ops);
         assert_eq!(report.count(Rule::UnknownPac), 1);
-        assert_eq!(report.diagnostics[0].pac, 0x1234);
+        assert_eq!(report.findings.diagnostics[0].pac, 0x1234);
     }
 
     #[test]
@@ -203,6 +199,18 @@ mod tests {
         assert_eq!(report.count(Rule::UseBeforeBndstr), 1);
         // ... and the unpaired sign surfaces at end of stream.
         assert_eq!(report.count(Rule::UnbalancedAtEnd), 1);
+    }
+
+    #[test]
+    fn unpaired_signs_at_end_are_reported_in_pac_order() {
+        let pacs = [0x9000, 7, 0x42, 0x1234, 3];
+        let ops = pacs.map(|pac| Op::Pacma {
+            pointer: signed(0x4000, pac, 64),
+            size: 64,
+        });
+        let report = lint(ops);
+        let reported: Vec<u64> = report.findings.diagnostics.iter().map(|d| d.pac).collect();
+        assert_eq!(reported, [3, 7, 0x42, 0x1234, 0x9000]);
     }
 
     #[test]
@@ -233,7 +241,7 @@ mod tests {
             Op::BndStr { pointer: p, size: 32 },
         ]);
         assert_eq!(report.count(Rule::BndstrWithoutPacma), 1);
-        assert!(report.diagnostics[0].detail.contains("disagrees"));
+        assert!(report.findings.diagnostics[0].detail.contains("disagrees"));
     }
 
     #[test]
@@ -252,7 +260,7 @@ mod tests {
             .chain(free(small))
             .collect();
         let report = lint(ops);
-        assert!(report.clean(), "{}", report.to_table());
+        assert!(report.findings.clean(), "{}", report.to_table());
     }
 
     #[test]
@@ -272,8 +280,8 @@ mod tests {
             Op::IntAlu,
             Op::PacCrypto,
         ]);
-        assert!(report.clean());
-        assert_eq!(report.distinct_pacs, 0);
+        assert!(report.findings.clean());
+        assert_eq!(report.findings.tracked_pacs, 0);
     }
 
     #[test]
@@ -283,8 +291,8 @@ mod tests {
         let ops = std::iter::repeat_n(load(p), n as usize);
         let report = lint_stream(ops, layout());
         assert_eq!(report.count(Rule::UnknownPac), n);
-        assert_eq!(report.diagnostics.len(), MAX_STORED_DIAGNOSTICS);
-        assert_eq!(report.dropped_diagnostics, 100);
+        assert_eq!(report.findings.diagnostics.len(), MAX_STORED_DIAGNOSTICS);
+        assert_eq!(report.findings.dropped_diagnostics, 100);
     }
 
     #[test]
@@ -292,37 +300,28 @@ mod tests {
         let p = signed(0x4000, 7, 64);
         let t = Telemetry::enabled();
         let ops: Vec<Op> = malloc(p, 64).into_iter().chain(free(p)).chain([load(p)]).collect();
-        let report = lint_stream_with_telemetry(ops.into_iter(), layout(), &t);
+        let report = lint_stream_metered(ops.iter().copied(), layout(), &t);
         let snap = t.snapshot();
-        assert_eq!(snap.counter(Counter::LintOpsScanned), report.ops_scanned);
+        assert_eq!(snap.counter(Counter::LintOpsScanned), report.findings.ops_scanned);
         assert_eq!(
             snap.counter(Counter::LintDiagnostics),
-            report.total_diagnostics()
+            report.findings.total_diagnostics()
         );
-    }
-
-    #[test]
-    fn linting_adapter_is_transparent_and_bufferless() {
-        let p = signed(0x4000, 7, 64);
-        let ops: Vec<Op> = malloc(p, 64).into_iter().chain(free(p)).collect();
-        let mut adapter = Linting::new(ops.iter().copied(), layout());
-        let seen: Vec<Op> = (&mut adapter).collect();
-        assert_eq!(seen, ops, "ops must flow through unchanged");
-        assert_eq!(adapter.peak_buffered_ops(), 0, "the linter buffers nothing");
-        assert_eq!(adapter.linter().tracked_pacs(), 1);
-        let report = adapter.into_report(&Telemetry::disabled());
-        assert!(report.clean());
+        assert_eq!(snap.counter(Counter::LintPolicyDiagnostics), 0);
     }
 
     #[test]
     fn metered_scan_reports_the_pipeline_high_water_mark() {
         let p = signed(0x4000, 7, 64);
         let ops: Vec<Op> = malloc(p, 64).into_iter().chain(free(p)).collect();
-        // insert_at buffers at most one op; the linter adds none.
-        let stream = ops.iter().copied().insert_at(2, load(p));
+        // A one-op splice buffers one op; the linter adds none.
+        let stream = ops
+            .iter()
+            .copied()
+            .splice_many(vec![Splice::insert(2, vec![load(p)])]);
         let report = lint_stream_metered(stream, layout(), &Telemetry::disabled());
-        assert_eq!(report.ops_scanned, 6);
+        assert_eq!(report.findings.ops_scanned, 6);
         assert!(report.pipeline_peak_buffered_ops <= 1);
-        assert!(report.clean());
+        assert!(report.findings.clean());
     }
 }

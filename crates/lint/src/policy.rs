@@ -3,17 +3,16 @@
 //!
 //! A [`PolicyVerifier`] is a per-op transfer function over an
 //! abstract heap/PAC state, with a policy-owned rule taxonomy (the
-//! [`registry`](crate::registry)) and the same memory contract as the
-//! AOS linter: O(distinct PACs observed) state, zero buffered ops,
-//! stored diagnostics capped at
-//! [`MAX_STORED_DIAGNOSTICS`]
-//! while per-rule counts stay exact.
+//! [`registry`](crate::registry)) and one memory contract:
+//! O(distinct PACs observed) state, zero buffered ops, stored
+//! diagnostics capped at [`MAX_STORED_DIAGNOSTICS`] while per-rule
+//! counts stay exact. Every policy counts its findings and ops into
+//! a [`PolicyReport`] as it scans.
 //!
 //! Four implementations ship:
 //!
 //! - [`Policy::Aos`] — the Fig. 7 / Algorithm 1 lifecycle verifier,
-//!   a transparent wrapper around [`Linter`] producing bit-identical
-//!   findings;
+//!   the [`Linter`] itself;
 //! - [`Policy::CryptSan`] — a lock-and-key model: allocation
 //!   registers a key, free revokes it, dereference checks it. Sees
 //!   temporal bugs and forged keys; blind to spatial overflow and to
@@ -40,13 +39,20 @@ use aos_ptrauth::PointerLayout;
 use aos_util::{Counter, Telemetry};
 
 use crate::registry::{RuleInfo, AOS_RULES, CRYPTSAN_RULES, PACSAN_RULES, PACTIGHT_RULES};
-use crate::report::LintReport;
-use crate::verifier::{Linter, MAX_STORED_DIAGNOSTICS};
+use crate::rules::Severity;
+use crate::verifier::Linter;
+
+/// Cap on *stored* [`PolicyDiagnostic`]s per scan. Per-rule counts
+/// are always exact; beyond the cap further findings only increment
+/// counters ([`PolicyReport::dropped_diagnostics`] says how many), so
+/// a pathological stream cannot make a verifier's memory grow with
+/// its violation count.
+pub const MAX_STORED_DIAGNOSTICS: usize = 256;
 
 /// The static policies the matrix can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
-    /// The AOS Fig. 7 lifecycle verifier (the pre-existing linter).
+    /// The AOS Fig. 7 lifecycle verifier ([`Linter`]).
     Aos,
     /// CryptSan's lock-and-key heap metadata, modeled statically.
     CryptSan,
@@ -103,23 +109,21 @@ impl Policy {
     /// A fresh verifier for this policy.
     pub fn new_verifier(self, layout: PointerLayout) -> Box<dyn PolicyVerifier> {
         match self {
-            Policy::Aos => Box::new(AosPolicy {
-                linter: Linter::new(layout),
-            }),
+            Policy::Aos => Box::new(Linter::new(layout)),
             Policy::CryptSan => Box::new(CryptSanPolicy {
                 layout,
                 pacs: HashMap::new(),
-                findings: Findings::new(self),
+                findings: PolicyReport::new(self),
             }),
             Policy::PacSan => Box::new(PacSanPolicy {
                 layout,
                 pacs: HashMap::new(),
-                findings: Findings::new(self),
+                findings: PolicyReport::new(self),
             }),
             Policy::PacTight => Box::new(PacTightPolicy {
                 layout,
                 pacs: HashMap::new(),
-                findings: Findings::new(self),
+                findings: PolicyReport::new(self),
             }),
         }
     }
@@ -162,11 +166,11 @@ pub trait PolicyVerifier {
     fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport;
 }
 
-/// What one policy's scan found. The policy analogue of
-/// [`LintReport`]: exact per-rule counts (indexed like
+/// What one policy's scan found: exact per-rule counts (indexed like
 /// [`Policy::rules`]), capped stored diagnostics, and the memory
-/// bound.
-#[derive(Debug, Clone, PartialEq)]
+/// bound. The AOS one is the core of a
+/// [`LintReport`](crate::LintReport).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyReport {
     /// Which policy produced the report.
     pub policy: Policy,
@@ -210,51 +214,37 @@ impl PolicyReport {
             .collect()
     }
 
-    /// The AOS policy report equivalent to a [`LintReport`] — the
-    /// bridge the bit-identity tests compare across.
-    pub fn from_lint(report: &LintReport) -> PolicyReport {
-        PolicyReport {
-            policy: Policy::Aos,
-            ops_scanned: report.ops_scanned,
-            rule_counts: report.rule_counts.to_vec(),
-            diagnostics: report
-                .diagnostics
-                .iter()
-                .map(|d| PolicyDiagnostic {
-                    rule: d.rule as usize,
-                    op_index: d.op_index,
-                    pac: d.pac,
-                    detail: d.detail.clone(),
-                })
-                .collect(),
-            dropped_diagnostics: report.dropped_diagnostics,
-            tracked_pacs: report.distinct_pacs,
-        }
+    /// Findings under [`Severity::Error`] rules.
+    pub fn errors(&self) -> u64 {
+        self.rule_counts
+            .iter()
+            .zip(self.policy.rules())
+            .filter(|(_, info)| info.severity == Severity::Error)
+            .map(|(count, _)| count)
+            .sum()
     }
-}
 
-/// Shared finding accumulator: exact counts, capped storage.
-#[derive(Debug)]
-struct Findings {
-    policy: Policy,
-    rule_counts: Vec<u64>,
-    diagnostics: Vec<PolicyDiagnostic>,
-    dropped: u64,
-    ops_scanned: u64,
-}
+    /// Findings under [`Severity::Warning`] rules.
+    pub fn warnings(&self) -> u64 {
+        self.total_diagnostics() - self.errors()
+    }
 
-impl Findings {
-    fn new(policy: Policy) -> Self {
+    /// An empty report: the accumulator every verifier counts its
+    /// findings and ops into while it scans.
+    pub(crate) fn new(policy: Policy) -> Self {
         Self {
             policy,
+            ops_scanned: 0,
             rule_counts: vec![0; policy.rules().len()],
             diagnostics: Vec::new(),
-            dropped: 0,
-            ops_scanned: 0,
+            dropped_diagnostics: 0,
+            tracked_pacs: 0,
         }
     }
 
-    fn emit(&mut self, rule: usize, op_index: u64, pac: u64, detail: String) {
+    /// Records one finding under `rule` (an index into the policy's
+    /// rule registry): counted always, stored up to the cap.
+    pub(crate) fn emit(&mut self, rule: usize, op_index: u64, pac: u64, detail: String) {
         self.rule_counts[rule] += 1;
         if self.diagnostics.len() < MAX_STORED_DIAGNOSTICS {
             self.diagnostics.push(PolicyDiagnostic {
@@ -264,44 +254,22 @@ impl Findings {
                 detail,
             });
         } else {
-            self.dropped += 1;
+            self.dropped_diagnostics += 1;
         }
     }
 
-    fn into_report(self, tracked_pacs: usize, telemetry: &Telemetry) -> PolicyReport {
-        telemetry.add(
-            Counter::LintPolicyDiagnostics,
-            self.rule_counts.iter().sum::<u64>(),
-        );
-        PolicyReport {
-            policy: self.policy,
-            ops_scanned: self.ops_scanned,
-            rule_counts: self.rule_counts,
-            diagnostics: self.diagnostics,
-            dropped_diagnostics: self.dropped,
-            tracked_pacs,
+    /// Closes the scan with its memory bound. AOS findings land on the
+    /// `lint_ops_scanned` and `lint_diagnostics` counters, every other
+    /// policy's on `lint_policy_diagnostics`.
+    pub(crate) fn into_report(mut self, tracked_pacs: usize, telemetry: &Telemetry) -> Self {
+        self.tracked_pacs = tracked_pacs;
+        if self.policy == Policy::Aos {
+            telemetry.add(Counter::LintOpsScanned, self.ops_scanned);
+            telemetry.add(Counter::LintDiagnostics, self.total_diagnostics());
+        } else {
+            telemetry.add(Counter::LintPolicyDiagnostics, self.total_diagnostics());
         }
-    }
-}
-
-/// The AOS lifecycle policy: a transparent wrapper around [`Linter`].
-/// Findings are bit-identical to the pre-framework verifier because
-/// they *are* the verifier's findings.
-struct AosPolicy {
-    linter: Linter,
-}
-
-impl PolicyVerifier for AosPolicy {
-    fn policy(&self) -> Policy {
-        Policy::Aos
-    }
-
-    fn scan(&mut self, op: &Op) {
-        self.linter.scan(op);
-    }
-
-    fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport {
-        PolicyReport::from_lint(&self.linter.finish(telemetry))
+        self
     }
 }
 
@@ -330,7 +298,7 @@ struct KeyState {
 struct CryptSanPolicy {
     layout: PointerLayout,
     pacs: HashMap<u64, KeyState>,
-    findings: Findings,
+    findings: PolicyReport,
 }
 
 impl PolicyVerifier for CryptSanPolicy {
@@ -432,7 +400,7 @@ impl SealState {
 struct PacSanPolicy {
     layout: PointerLayout,
     pacs: HashMap<u64, SealState>,
-    findings: Findings,
+    findings: PolicyReport,
 }
 
 impl PolicyVerifier for PacSanPolicy {
@@ -543,7 +511,7 @@ struct PacTightPolicy {
     layout: PointerLayout,
     /// Per PAC: bitmask of AHC classes ever signed.
     pacs: HashMap<u64, u8>,
-    findings: Findings,
+    findings: PolicyReport,
 }
 
 impl PolicyVerifier for PacTightPolicy {
@@ -762,26 +730,6 @@ mod tests {
         for p in Policy::ALL {
             assert!(run(p, &ops).clean(), "{p} must be blind to pure overflow");
         }
-    }
-
-    #[test]
-    fn aos_policy_report_is_bit_identical_to_the_linter() {
-        let ptr = signed(0x4000, 7, 64);
-        let mut ops = malloc(ptr, 64);
-        ops.extend(free(ptr));
-        ops.push(load(ptr));
-        ops.push(Op::BndClr { pointer: ptr });
-        let direct = {
-            let mut linter = Linter::new(layout());
-            for op in &ops {
-                linter.scan(op);
-            }
-            linter.finish(&Telemetry::disabled())
-        };
-        let via_policy = run(Policy::Aos, &ops);
-        assert_eq!(via_policy, PolicyReport::from_lint(&direct));
-        let direct_names: Vec<&str> = direct.rules_fired().iter().map(|r| r.name()).collect();
-        assert_eq!(via_policy.rule_names_fired(), direct_names);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //!
 //! Hoisting the metadata out of the verifiers gives the reports one
 //! source of truth for *exact per-rule counts per policy* — the
-//! [`MAX_STORED_DIAGNOSTICS`](crate::verifier::MAX_STORED_DIAGNOSTICS)
+//! [`MAX_STORED_DIAGNOSTICS`](crate::policy::MAX_STORED_DIAGNOSTICS)
 //! cap bounds only the stored diagnostics, never the counts, and each
 //! policy counts into its own registry-sized array so findings from
 //! different policies can never interleave in one counter.
 
-use crate::rules::Severity;
+use crate::rules::{Rule, Severity};
 
 /// Static metadata for one rule in a policy's taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,9 +24,8 @@ pub struct RuleInfo {
 }
 
 /// The 9 AOS lifecycle rules (Fig. 7 / Algorithm 1), in the same
-/// order as [`crate::rules::Rule::ALL`] — `Rule as usize` indexes this
-/// array.
-pub const AOS_RULES: [RuleInfo; 9] = [
+/// order as [`Rule::ALL`] — `Rule as usize` indexes this array.
+pub const AOS_RULES: [RuleInfo; Rule::COUNT] = [
     RuleInfo {
         name: "use-before-bndstr",
         severity: Severity::Error,
@@ -142,18 +141,6 @@ pub const PACTIGHT_RULES: [RuleInfo; 2] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Rule;
-
-    #[test]
-    fn aos_registry_mirrors_the_rule_enum() {
-        assert_eq!(AOS_RULES.len(), Rule::COUNT);
-        for (i, rule) in Rule::ALL.iter().enumerate() {
-            assert_eq!(Rule::NAMES[i], AOS_RULES[i].name);
-            assert_eq!(rule.name(), AOS_RULES[i].name);
-            assert_eq!(rule.severity(), AOS_RULES[i].severity);
-            assert_eq!(rule.obligation(), AOS_RULES[i].obligation);
-        }
-    }
 
     #[test]
     fn wire_names_are_unique_within_each_registry() {

@@ -27,9 +27,10 @@ impl std::fmt::Display for Severity {
 /// The static protocol rules, one per lifecycle obligation of the
 /// paper's Fig. 7 instrumentation and Algorithm 1 AHC encoding.
 ///
-/// The discriminant is the per-rule counter index; [`Rule::NAMES`]
-/// (same order) are the stable wire names used by the
-/// `aos-lint-report/v1` document and the CLI table.
+/// The discriminant indexes
+/// [`AOS_RULES`](crate::registry::AOS_RULES), which holds each rule's
+/// stable wire name, severity and obligation, and the AOS report's
+/// per-rule counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Rule {
@@ -87,19 +88,6 @@ impl Rule {
         Rule::UnbalancedAtEnd,
     ];
 
-    /// Stable wire names, in the same order as [`Rule::ALL`].
-    pub const NAMES: [&'static str; Self::COUNT] = [
-        "use-before-bndstr",
-        "unknown-pac",
-        "access-after-clear",
-        "double-bndclr",
-        "xpacm-without-bndclr",
-        "bndstr-without-pacma",
-        "ahc-size-mismatch",
-        "access-ahc-mismatch",
-        "unbalanced-at-end",
-    ];
-
     /// The rule's stable wire name (from the shared
     /// [`registry`](crate::registry)).
     pub fn name(self) -> &'static str {
@@ -124,43 +112,14 @@ impl std::fmt::Display for Rule {
     }
 }
 
-/// One finding: a rule fired at a stream position, attributed to a
-/// PAC (0 when the offending op carries no pointer, e.g. `xpacm`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Diagnostic {
-    /// Which protocol obligation was violated.
-    pub rule: Rule,
-    /// Zero-based index of the offending op in the scanned stream.
-    pub op_index: u64,
-    /// The PAC the finding is attributed to.
-    pub pac: u64,
-    /// [`Rule::severity`], denormalized for direct consumption.
-    pub severity: Severity,
-    /// Human-readable specifics (sizes, classes, counts).
-    pub detail: String,
-}
-
-impl std::fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} at op {} (pac {:#x}): {}",
-            self.severity, self.rule, self.op_index, self.pac, self.detail
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn taxonomy_arrays_agree() {
-        assert_eq!(Rule::ALL.len(), Rule::COUNT);
-        assert_eq!(Rule::NAMES.len(), Rule::COUNT);
         for (i, rule) in Rule::ALL.iter().enumerate() {
             assert_eq!(*rule as usize, i, "{rule:?} discriminant drifted");
-            assert_eq!(rule.name(), Rule::NAMES[i]);
             assert!(!rule.obligation().is_empty());
         }
     }
@@ -175,20 +134,5 @@ mod tests {
             };
             assert_eq!(rule.severity(), expected, "{rule}");
         }
-    }
-
-    #[test]
-    fn diagnostics_render_for_humans() {
-        let d = Diagnostic {
-            rule: Rule::DoubleBndclr,
-            op_index: 17,
-            pac: 0xbeef,
-            severity: Rule::DoubleBndclr.severity(),
-            detail: "no live bounds record".to_string(),
-        };
-        let text = d.to_string();
-        assert!(text.contains("double-bndclr"));
-        assert!(text.contains("op 17"));
-        assert!(text.contains("0xbeef"));
     }
 }

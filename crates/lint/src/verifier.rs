@@ -6,24 +6,18 @@
 //! default layout), independent of trace length — plus O(1) global
 //! state. It buffers no ops, so composing it with the
 //! [`aos_isa::stream`] adapters preserves the pipeline's `O(window)`
-//! proof (see [`Linting`]).
+//! proof (see [`lint_stream_metered`]).
 
 use std::collections::HashMap;
 
 use aos_isa::stream::{BufferedOps, OpStream};
 use aos_isa::Op;
 use aos_ptrauth::{compute_ahc, PointerLayout};
-use aos_util::{Counter, Telemetry};
+use aos_util::Telemetry;
 
+use crate::policy::{Policy, PolicyReport, PolicyVerifier};
 use crate::report::LintReport;
-use crate::rules::{Diagnostic, Rule};
-
-/// Cap on *stored* [`Diagnostic`]s. Per-rule counts in the report are
-/// always exact; beyond the cap further findings only increment
-/// counters (`LintReport::dropped_diagnostics` says how many), so a
-/// pathological stream cannot make the linter's memory grow with its
-/// violation count.
-pub const MAX_STORED_DIAGNOSTICS: usize = 256;
+use crate::rules::Rule;
 
 /// Lifecycle state for one PAC: the abstract value the interpreter
 /// tracks per distinct signature it has seen.
@@ -52,9 +46,10 @@ impl PacState {
     }
 }
 
-/// The streaming protocol verifier. Feed ops with [`Linter::scan`],
-/// then [`Linter::finish`] for the [`LintReport`] — or use the
-/// [`lint_stream`] / [`Linting`] front ends.
+/// The streaming protocol verifier: the [`Policy::Aos`]
+/// [`PolicyVerifier`]. Feed ops with [`PolicyVerifier::scan`], then
+/// [`Linter::into_report`] for the [`LintReport`] — or use the
+/// [`lint_stream`] / [`lint_stream_metered`] front ends.
 #[derive(Debug)]
 pub struct Linter {
     layout: PointerLayout,
@@ -63,45 +58,19 @@ pub struct Linter {
     /// `xpacm` takes no operand, so strips cannot be attributed to a
     /// PAC, only balanced in aggregate.
     pending_strips: u64,
-    ops_scanned: u64,
-    rule_counts: [u64; Rule::COUNT],
-    diagnostics: Vec<Diagnostic>,
-    dropped_diagnostics: u64,
+    findings: PolicyReport,
     live_records: u64,
     peak_live_records: u64,
 }
 
-impl Linter {
-    /// A fresh linter for streams using `layout`'s pointer encoding.
-    pub fn new(layout: PointerLayout) -> Self {
-        Self {
-            layout,
-            pacs: HashMap::new(),
-            pending_strips: 0,
-            ops_scanned: 0,
-            rule_counts: [0; Rule::COUNT],
-            diagnostics: Vec::new(),
-            dropped_diagnostics: 0,
-            live_records: 0,
-            peak_live_records: 0,
-        }
+impl PolicyVerifier for Linter {
+    fn policy(&self) -> Policy {
+        Policy::Aos
     }
 
-    /// Distinct PACs currently tracked — the linter's O(live-PACs)
-    /// memory bound, surfaced so tests can assert it.
-    pub fn tracked_pacs(&self) -> usize {
-        self.pacs.len()
-    }
-
-    /// Ops scanned so far.
-    pub fn ops_scanned(&self) -> u64 {
-        self.ops_scanned
-    }
-
-    /// Advances the abstract interpretation by one op.
-    pub fn scan(&mut self, op: &Op) {
-        let index = self.ops_scanned;
-        self.ops_scanned += 1;
+    fn scan(&mut self, op: &Op) {
+        let index = self.findings.ops_scanned;
+        self.findings.ops_scanned += 1;
         match *op {
             Op::Pacma { pointer, size } => self.pacma(index, pointer, size),
             Op::BndStr { pointer, size } => self.bndstr(index, pointer, size),
@@ -116,60 +85,59 @@ impl Linter {
         }
     }
 
+    fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport {
+        self.into_report(telemetry).findings
+    }
+}
+
+impl Linter {
+    /// A fresh linter for streams using `layout`'s pointer encoding.
+    pub fn new(layout: PointerLayout) -> Self {
+        Self {
+            layout,
+            pacs: HashMap::new(),
+            pending_strips: 0,
+            findings: PolicyReport::new(Policy::Aos),
+            live_records: 0,
+            peak_live_records: 0,
+        }
+    }
+
     /// Closes the stream: emits the end-of-stream balance findings
     /// and produces the report. Counters land on `telemetry` (use
     /// [`Telemetry::disabled`] to opt out).
-    pub fn finish(mut self, telemetry: &Telemetry) -> LintReport {
+    pub fn into_report(mut self, telemetry: &Telemetry) -> LintReport {
+        let end = self.findings.ops_scanned;
         if self.pending_strips > 0 {
             let detail = format!(
                 "{} bndclr(s) with no matching xpacm at end of stream",
                 self.pending_strips
             );
-            self.emit(Rule::UnbalancedAtEnd, self.ops_scanned, 0, detail);
+            self.findings
+                .emit(Rule::UnbalancedAtEnd as usize, end, 0, detail);
         }
-        let unpaired: Vec<u64> = self
+        // Map order differs between runs; PAC order keeps the report
+        // (and its digest) identical.
+        let mut unpaired: Vec<u64> = self
             .pacs
             .iter()
             .filter(|(_, s)| s.pending_sign.is_some())
             .map(|(&pac, _)| pac)
             .collect();
+        unpaired.sort_unstable();
         for pac in unpaired {
-            self.emit(
-                Rule::UnbalancedAtEnd,
-                self.ops_scanned,
+            self.findings.emit(
+                Rule::UnbalancedAtEnd as usize,
+                end,
                 pac,
                 "pacma with no matching bndstr at end of stream".to_string(),
             );
         }
-        telemetry.add(Counter::LintOpsScanned, self.ops_scanned);
-        telemetry.add(
-            Counter::LintDiagnostics,
-            self.rule_counts.iter().sum::<u64>(),
-        );
         LintReport {
-            ops_scanned: self.ops_scanned,
-            rule_counts: self.rule_counts,
-            diagnostics: self.diagnostics,
-            dropped_diagnostics: self.dropped_diagnostics,
-            distinct_pacs: self.pacs.len(),
+            findings: self.findings.into_report(self.pacs.len(), telemetry),
             live_records_at_end: self.live_records,
             peak_live_records: self.peak_live_records,
             pipeline_peak_buffered_ops: 0,
-        }
-    }
-
-    fn emit(&mut self, rule: Rule, op_index: u64, pac: u64, detail: String) {
-        self.rule_counts[rule as usize] += 1;
-        if self.diagnostics.len() < MAX_STORED_DIAGNOSTICS {
-            self.diagnostics.push(Diagnostic {
-                rule,
-                op_index,
-                pac,
-                severity: rule.severity(),
-                detail,
-            });
-        } else {
-            self.dropped_diagnostics += 1;
         }
     }
 
@@ -191,8 +159,8 @@ impl Linter {
         let ahc = self.layout.ahc(pointer);
         let expected = compute_ahc(self.layout.address(pointer), size, self.layout.va_size());
         if ahc != expected.bits() {
-            self.emit(
-                Rule::AhcSizeMismatch,
+            self.findings.emit(
+                Rule::AhcSizeMismatch as usize,
                 index,
                 pac,
                 format!(
@@ -204,13 +172,10 @@ impl Linter {
     }
 
     fn bndstr(&mut self, index: u64, pointer: u64, size: u64) {
+        let rule = Rule::BndstrWithoutPacma as usize;
         if !self.layout.is_signed(pointer) {
-            self.emit(
-                Rule::BndstrWithoutPacma,
-                index,
-                0,
-                "bndstr of an unsigned pointer".to_string(),
-            );
+            let detail = "bndstr of an unsigned pointer".to_string();
+            self.findings.emit(rule, index, 0, detail);
             return;
         }
         let pac = self.layout.pac(pointer);
@@ -218,21 +183,20 @@ impl Linter {
         let entry = self.pacs.entry(pac).or_default();
         match entry.pending_sign.take() {
             Some(signed) if signed == size => {}
-            Some(signed) => self.emit(
-                Rule::BndstrWithoutPacma,
+            Some(signed) => self.findings.emit(
+                rule,
                 index,
                 pac,
                 format!("bndstr size {size} disagrees with pacma size {signed}"),
             ),
-            None => self.emit(
-                Rule::BndstrWithoutPacma,
+            None => self.findings.emit(
+                rule,
                 index,
                 pac,
                 "no preceding pacma signed this PAC".to_string(),
             ),
         }
         // Record the bounds regardless: the HBT would.
-        let entry = self.pacs.entry(pac).or_default();
         entry.live[ahc & 3] += 1;
         entry.ever_stored = true;
         entry.resigned_dangling = false;
@@ -245,31 +209,30 @@ impl Linter {
         // globally because xpacm carries no operand.
         self.pending_strips += 1;
         if !self.layout.is_signed(pointer) {
-            self.emit(
-                Rule::UnknownPac,
-                index,
-                0,
-                "bndclr of an unsigned pointer".to_string(),
-            );
+            let detail = "bndclr of an unsigned pointer".to_string();
+            self.findings
+                .emit(Rule::UnknownPac as usize, index, 0, detail);
             return;
         }
         let pac = self.layout.pac(pointer);
         let ahc = self.layout.ahc(pointer) as usize & 3;
-        // Resolve against the state first, emit after: `emit` needs
-        // the whole linter, so the map borrow must end before it.
-        enum Clr {
-            Unknown,
-            Double,
-            WrongClass,
-            Ok,
-        }
-        let outcome = match self.pacs.get_mut(&pac) {
-            None => Clr::Unknown,
-            Some(entry) if entry.total_live() == 0 => Clr::Double,
+        match self.pacs.get_mut(&pac) {
+            None => self.findings.emit(
+                Rule::UnknownPac as usize,
+                index,
+                pac,
+                "bndclr through a PAC no pacma produced".to_string(),
+            ),
+            Some(entry) if entry.total_live() == 0 => self.findings.emit(
+                Rule::DoubleBndclr as usize,
+                index,
+                pac,
+                "bndclr with no live bounds record under this PAC".to_string(),
+            ),
             Some(entry) => {
+                self.live_records = self.live_records.saturating_sub(1);
                 if entry.live[ahc] > 0 {
                     entry.live[ahc] -= 1;
-                    Clr::Ok
                 } else {
                     // Some record exists, just not in this AHC class:
                     // clear one anyway (fail-open on the count, flag
@@ -277,40 +240,21 @@ impl Linter {
                     if let Some(slot) = entry.live.iter_mut().find(|c| **c > 0) {
                         *slot -= 1;
                     }
-                    Clr::WrongClass
+                    self.findings.emit(
+                        Rule::AccessAhcMismatch as usize,
+                        index,
+                        pac,
+                        format!("bndclr selects AHC class {ahc} but no record lives there"),
+                    );
                 }
             }
-        };
-        match outcome {
-            Clr::Unknown => self.emit(
-                Rule::UnknownPac,
-                index,
-                pac,
-                "bndclr through a PAC no pacma produced".to_string(),
-            ),
-            Clr::Double => self.emit(
-                Rule::DoubleBndclr,
-                index,
-                pac,
-                "bndclr with no live bounds record under this PAC".to_string(),
-            ),
-            Clr::WrongClass => {
-                self.live_records = self.live_records.saturating_sub(1);
-                self.emit(
-                    Rule::AccessAhcMismatch,
-                    index,
-                    pac,
-                    format!("bndclr selects AHC class {ahc} but no record lives there"),
-                );
-            }
-            Clr::Ok => self.live_records = self.live_records.saturating_sub(1),
         }
     }
 
     fn xpacm(&mut self, index: u64) {
         if self.pending_strips == 0 {
-            self.emit(
-                Rule::XpacmWithoutBndclr,
+            self.findings.emit(
+                Rule::XpacmWithoutBndclr as usize,
                 index,
                 0,
                 "xpacm with no outstanding bndclr".to_string(),
@@ -326,56 +270,58 @@ impl Linter {
         }
         let pac = self.layout.pac(pointer);
         let ahc = self.layout.ahc(pointer) as usize & 3;
-        let rule = match self.pacs.get(&pac) {
-            None => Some(Rule::UnknownPac),
-            Some(entry) if entry.total_live() == 0 => {
-                if entry.ever_stored || entry.resigned_dangling {
-                    Some(Rule::AccessAfterClear)
-                } else {
-                    Some(Rule::UseBeforeBndstr)
-                }
-            }
-            Some(entry) if entry.live[ahc] == 0 => Some(Rule::AccessAhcMismatch),
-            Some(_) => None,
-        };
-        match rule {
-            Some(Rule::UnknownPac) => self.emit(
+        let (rule, detail) = match self.pacs.get(&pac) {
+            None => (
                 Rule::UnknownPac,
-                index,
-                pac,
                 "access through a PAC no pacma produced".to_string(),
             ),
-            Some(Rule::AccessAfterClear) => self.emit(
-                Rule::AccessAfterClear,
-                index,
-                pac,
-                "access after every bounds record under this PAC was cleared".to_string(),
-            ),
-            Some(Rule::UseBeforeBndstr) => self.emit(
-                Rule::UseBeforeBndstr,
-                index,
-                pac,
-                "access between pacma and its bndstr".to_string(),
-            ),
-            Some(rule) => self.emit(
-                rule,
-                index,
-                pac,
+            Some(entry) if entry.total_live() == 0 => {
+                if entry.ever_stored || entry.resigned_dangling {
+                    (
+                        Rule::AccessAfterClear,
+                        "access after every bounds record under this PAC was cleared".to_string(),
+                    )
+                } else {
+                    (
+                        Rule::UseBeforeBndstr,
+                        "access between pacma and its bndstr".to_string(),
+                    )
+                }
+            }
+            Some(entry) if entry.live[ahc] == 0 => (
+                Rule::AccessAhcMismatch,
                 format!("access selects AHC class {ahc} but no record lives there"),
             ),
-            None => {}
-        }
+            Some(_) => return,
+        };
+        self.findings.emit(rule as usize, index, pac, detail);
     }
 }
 
 /// Lints a whole stream in one pass. O(live-PACs) memory: the stream
 /// is consumed op by op and never materialized.
 pub fn lint_stream(stream: impl Iterator<Item = Op>, layout: PointerLayout) -> LintReport {
-    lint_stream_with_telemetry(stream, layout, &Telemetry::disabled())
+    scan_all(stream, layout, &Telemetry::disabled())
 }
 
-/// [`lint_stream`] with the scan counters recorded on `telemetry`.
-pub fn lint_stream_with_telemetry(
+/// The metered front end: wraps the stream in
+/// [`aos_isa::stream::Metered`], lints it with the scan counters
+/// recorded on `telemetry`, and records the pipeline's buffering
+/// high-water mark in the report — the executable proof that linting
+/// added no trace materialization on top of the producer's own
+/// `O(window)`.
+pub fn lint_stream_metered<I>(stream: I, layout: PointerLayout, telemetry: &Telemetry) -> LintReport
+where
+    I: Iterator<Item = Op> + BufferedOps,
+{
+    let mut metered = stream.metered();
+    let mut report = scan_all(&mut metered, layout, telemetry);
+    debug_assert_eq!(report.findings.ops_scanned, metered.ops());
+    report.pipeline_peak_buffered_ops = metered.peak_buffered_ops();
+    report
+}
+
+fn scan_all(
     stream: impl Iterator<Item = Op>,
     layout: PointerLayout,
     telemetry: &Telemetry,
@@ -384,77 +330,5 @@ pub fn lint_stream_with_telemetry(
     for op in stream {
         linter.scan(&op);
     }
-    linter.finish(telemetry)
-}
-
-/// The metered front end: wraps the stream in
-/// [`aos_isa::stream::Metered`], lints it, and records the pipeline's
-/// buffering high-water mark in the report — the executable proof
-/// that linting added no trace materialization on top of the
-/// producer's own `O(window)`.
-pub fn lint_stream_metered<I>(stream: I, layout: PointerLayout, telemetry: &Telemetry) -> LintReport
-where
-    I: Iterator<Item = Op> + BufferedOps,
-{
-    let mut metered = stream.metered();
-    let mut linter = Linter::new(layout);
-    for op in &mut metered {
-        linter.scan(&op);
-    }
-    let mut report = linter.finish(telemetry);
-    debug_assert_eq!(report.ops_scanned, metered.ops());
-    report.pipeline_peak_buffered_ops = metered.peak_buffered_ops();
-    report
-}
-
-/// A transparent pass-through adapter: ops flow to the consumer
-/// unchanged while the linter observes them, so a stream can be
-/// linted *and* simulated in the same single pass. Buffers nothing —
-/// its [`BufferedOps`] impl delegates straight to the inner stream.
-#[derive(Debug)]
-pub struct Linting<I> {
-    inner: I,
-    linter: Linter,
-}
-
-impl<I> Linting<I> {
-    /// Wraps `inner`, linting every op that flows through.
-    pub fn new(inner: I, layout: PointerLayout) -> Self {
-        Self {
-            inner,
-            linter: Linter::new(layout),
-        }
-    }
-
-    /// The linter's live state (e.g. for mid-stream assertions).
-    pub fn linter(&self) -> &Linter {
-        &self.linter
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &I {
-        &self.inner
-    }
-
-    /// Finishes the scan and returns the report. Call after the
-    /// consumer has drained the stream.
-    pub fn into_report(self, telemetry: &Telemetry) -> LintReport {
-        self.linter.finish(telemetry)
-    }
-}
-
-impl<I: Iterator<Item = Op>> Iterator for Linting<I> {
-    type Item = Op;
-
-    fn next(&mut self) -> Option<Op> {
-        let op = self.inner.next()?;
-        self.linter.scan(&op);
-        Some(op)
-    }
-}
-
-impl<I: BufferedOps> BufferedOps for Linting<I> {
-    fn peak_buffered_ops(&self) -> usize {
-        self.inner.peak_buffered_ops()
-    }
+    linter.into_report(telemetry)
 }

@@ -158,11 +158,12 @@ fn sim_result(head: [(&str, Json); 3], stats: &RunStats, trace_ops: u64) -> Json
 /// A lint job's `result` object: the `head` fields naming what ran,
 /// then the scan's counts and report digest.
 fn lint_result(head: [(&str, Json); 3], report: &LintReport) -> Json {
+    let findings = &report.findings;
     Layout::Compact.object(head.into_iter().chain([
-        ("ops_scanned", Json::num(report.ops_scanned)),
-        ("errors", Json::num(report.errors())),
-        ("warnings", Json::num(report.warnings())),
-        ("clean", Json::Bool(report.clean())),
+        ("ops_scanned", Json::num(findings.ops_scanned)),
+        ("errors", Json::num(findings.errors())),
+        ("warnings", Json::num(findings.warnings())),
+        ("clean", Json::Bool(findings.clean())),
         (
             "report_digest",
             Json::str(format!("{:016x}", report_digest(report))),

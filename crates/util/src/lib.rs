@@ -12,9 +12,8 @@
 //! - [`par`] — a `std::thread::scope` fork/join helper
 //!   ([`par::ordered_parallel_map`]) that fans independent work items
 //!   across a worker pool while preserving input order, the substrate
-//!   for the campaign runner in `aos-core`; its panic-isolating twin
-//!   [`par::ordered_parallel_catch`] turns worker panics into per-item
-//!   errors instead of poisoning the whole join.
+//!   for the campaign runner in `aos-core`; a worker panic is caught
+//!   at its item, so it never poisons the whole join.
 //! - [`error`] — the shared [`error::AosError`] taxonomy the pipeline
 //!   crates converge to at subsystem boundaries.
 //! - [`guard`] — guarded execution of untrusted work

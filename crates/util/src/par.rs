@@ -66,7 +66,8 @@ pub fn effective_threads(requested: Option<usize>) -> usize {
 /// message. Unlike a bare scope join, the panic is caught at the item
 /// that raised it, so every other item still completes first and the
 /// join itself never observes an unwinding thread; callers that want
-/// the per-item errors instead use [`ordered_parallel_catch`].
+/// the per-item outcome instead catch inside `f` (as the campaign
+/// runner does with its guarded cells).
 pub fn ordered_parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -83,21 +84,16 @@ where
 /// the item that raised it: that slot becomes `Err(message)` while
 /// every other item still completes and returns `Ok`.
 ///
-/// This is the substrate for campaign-cell isolation — one poisoned
-/// cell must never sink the whole run. Each invocation of `f` runs
-/// under [`std::panic::catch_unwind`], so the worker that claimed the
-/// item survives the panic and moves on to the next index; the scope
-/// join at the end never observes an unwinding thread.
+/// Each invocation of `f` runs under [`std::panic::catch_unwind`], so
+/// the worker that claimed the item survives the panic and moves on to
+/// the next index; the scope join at the end never observes an
+/// unwinding thread.
 ///
 /// `AssertUnwindSafe` is sound here because a panicking call's output
 /// slot is only ever written with the `Err` payload — no partially
 /// constructed `R` escapes — and `f` is shared read-only (`Sync`)
 /// exactly as in [`ordered_parallel_map`].
-pub fn ordered_parallel_catch<T, R, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> Vec<Result<R, String>>
+fn ordered_parallel_catch<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
@@ -111,7 +107,7 @@ where
 
 /// The shared fork/join machinery: maps `f` over `items` on up to
 /// `threads` scoped workers, results in input order. `f` must not
-/// panic (both public entry points wrap it in `catch_unwind`).
+/// panic ([`ordered_parallel_catch`] wraps it in `catch_unwind`).
 fn run_ordered<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -20,9 +20,11 @@ cargo test -q
 echo "== tier-1: member crate tests =="
 # The root package's tests do not run the member crates' own tests.
 # These hold the bounds-table, MCU FSM and corruption properties, the
-# per-policy verifiers, the fuzz harness's finding classification and
-# the CLI's flag and exit-code contract.
-cargo test -q -p aos-hbt -p aos-mcu -p aos-fault -p aos-lint -p aos-fuzz -p aos-cli
+# stream splice adapter, the per-policy verifiers, the fuzz harness's
+# finding classification, the serve jobs' report digests and the
+# CLI's flag and exit-code contract.
+cargo test -q -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-lint -p aos-fuzz \
+    -p aos-serve -p aos-cli
 
 echo "== tier-1: rustdoc gate (every intra-doc link resolves) =="
 # Unresolved links, links to private items and redundant link targets

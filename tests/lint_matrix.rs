@@ -19,7 +19,7 @@ use aos_fault::{
 use aos_fuzz::scenario::plan_scenario;
 use aos_fuzz::{ScenarioSpec, StepKind};
 use aos_isa::SafetyConfig;
-use aos_lint::{lint_stream, lint_stream_metered, MatrixScan, Policy, PolicyReport, Rule};
+use aos_lint::{lint_stream, lint_stream_metered, MatrixScan, Policy, Rule};
 use aos_ptrauth::PointerLayout;
 use aos_sim::Machine;
 use aos_util::Telemetry;
@@ -76,7 +76,7 @@ fn clean_traces_lint_clean_on_every_system() {
         for system in SafetyConfig::ALL {
             let report = lint_stream(TraceGenerator::new(p, system, SCALE), layout);
             assert!(
-                report.clean(),
+                report.findings.clean(),
                 "clean {name} on {system} raised findings:\n{}",
                 report.to_table()
             );
@@ -98,7 +98,7 @@ fn fault_kind_lint_matrix_is_pinned() {
                 "{kind} seed {seed} fired unexpected rules:\n{}",
                 report.to_table()
             );
-            let flagged = !report.clean();
+            let flagged = !report.findings.clean();
             assert_eq!(
                 flagged,
                 class == LintClass::StaticallyDetectable,
@@ -281,56 +281,28 @@ fn the_cross_paper_policy_matrix_is_pinned_for_all_eleven_kinds() {
     }
 }
 
-/// The refactor guarantee: the AOS policy run through [`MatrixScan`]
-/// is bit-identical to the pre-framework [`lint_stream`] verifier —
-/// same per-rule counts, same op tally — on the clean trace and on
-/// every injected kind.
+/// The linter's two front ends agree: [`lint_stream`] and the AOS
+/// column of a [`MatrixScan`] yield the same [`aos_lint::PolicyReport`]
+/// — counts, stored findings, op tally and tracked PACs — on the
+/// clean trace and on every injected kind.
 #[test]
 fn the_aos_policy_is_bit_identical_to_the_linter() {
     let layout = PointerLayout::default();
     let trace = stream;
-    let compare = |label: &str, faulted: &ScenarioPlanOrClean| {
-        let matrix_report = match faulted {
-            ScenarioPlanOrClean::Clean => MatrixScan::run(
-                &[Policy::Aos],
-                stream(),
-                layout,
-                &Telemetry::disabled(),
-            ),
-            ScenarioPlanOrClean::Planned(plan) => MatrixScan::run(
-                &[Policy::Aos],
-                plan.apply(stream()),
-                layout,
-                &Telemetry::disabled(),
-            ),
-        };
-        let legacy = match faulted {
-            ScenarioPlanOrClean::Clean => lint_stream(stream(), layout),
-            ScenarioPlanOrClean::Planned(plan) => lint_stream(plan.apply(stream()), layout),
-        };
-        let legacy = PolicyReport::from_lint(&legacy);
-        assert_eq!(
-            matrix_report[0].rule_counts, legacy.rule_counts,
-            "{label}: per-rule counts drifted between the framework and the linter"
-        );
-        assert_eq!(matrix_report[0].ops_scanned, legacy.ops_scanned, "{label}");
+    let compare = |label: &str, ops: &dyn Fn() -> Box<dyn Iterator<Item = aos_isa::Op>>| {
+        let matrix = MatrixScan::run(&[Policy::Aos], ops(), layout, &Telemetry::disabled());
+        let linted = lint_stream(ops(), layout);
+        assert_eq!(matrix, [linted.findings], "{label}");
     };
-    compare("clean", &ScenarioPlanOrClean::Clean);
+    compare("clean", &|| Box::new(stream()));
     for (i, step) in StepKind::all().enumerate() {
         let spec = ScenarioSpec {
             seed: 100 + i as u64,
             steps: vec![step],
         };
         let plan = plan_scenario(&spec, &trace, layout).expect("plan");
-        compare(step.name(), &ScenarioPlanOrClean::Planned(plan));
+        compare(step.name(), &|| Box::new(plan.apply(stream())));
     }
-}
-
-/// Helper enum for [`the_aos_policy_is_bit_identical_to_the_linter`]:
-/// the clean stream has no plan to apply.
-enum ScenarioPlanOrClean {
-    Clean,
-    Planned(aos_fuzz::ScenarioPlan),
 }
 
 /// The memory-discipline proof: linting a trace an order of magnitude
@@ -344,27 +316,30 @@ fn linting_stays_o_live_pacs_memory() {
     let telemetry = Telemetry::enabled();
     let long = TraceGenerator::new(profile(), SafetyConfig::Aos, 0.05);
     let report = lint_stream_metered(long, layout, &telemetry);
-    assert!(report.ops_scanned > 100_000, "scale 0.05 is a long stream");
+    assert!(
+        report.findings.ops_scanned > 100_000,
+        "scale 0.05 is a long stream"
+    );
     assert!(
         report.pipeline_peak_buffered_ops < 1024,
         "pipeline buffered {} ops — trace materialized?",
         report.pipeline_peak_buffered_ops
     );
     assert!(
-        (report.distinct_pacs as u64) < layout.pac_space(),
+        (report.findings.tracked_pacs as u64) < layout.pac_space(),
         "tracked PACs exceed the PAC space"
     );
     assert!(
-        (report.distinct_pacs as u64) * 100 < report.ops_scanned,
+        (report.findings.tracked_pacs as u64) * 100 < report.findings.ops_scanned,
         "linter state ({} PACs) should be orders of magnitude below ops ({})",
-        report.distinct_pacs,
-        report.ops_scanned
+        report.findings.tracked_pacs,
+        report.findings.ops_scanned
     );
     // The telemetry ledger agrees with the report's own accounting.
     let snap = telemetry.snapshot();
     assert_eq!(
         snap.counter(aos_util::Counter::LintOpsScanned),
-        report.ops_scanned
+        report.findings.ops_scanned
     );
-    assert!(report.clean(), "clean long trace must lint clean");
+    assert!(report.findings.clean(), "clean long trace must lint clean");
 }

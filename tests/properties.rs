@@ -213,7 +213,7 @@ proptest! {
     ) {
         let report = lint_stream(ops.iter().copied(), PointerLayout::default());
         prop_assert_eq!(
-            report.total_diagnostics(),
+            report.findings.total_diagnostics(),
             0,
             "well-formed stream flagged: {}",
             report.to_table()
