@@ -9,10 +9,6 @@
 //! aos repro --check results    # exit 1 naming each file that differs
 //! aos fig 14 --scale 0.01      # one report, only the cells it reads
 //! ```
-//!
-//! The crate's two binaries are throughput artifacts, not
-//! reproductions: `campaign_smoke` writes `BENCH_campaign.json` and
-//! `streaming_bench` writes `BENCH_streaming.json`.
 
 pub mod reports;
 

@@ -417,8 +417,8 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let options = campaign_options(&parsed)?;
     let profiles: Vec<_> = match parsed.flag("workload") {
         Some(name) => vec![*find_workload(name)?],
-        // The default campaign: the four workloads the streaming bench
-        // uses, a mix of allocation-heavy and check-heavy behaviour.
+        // The default campaign: four workloads mixing allocation-heavy
+        // and check-heavy behaviour.
         None => ["hmmer", "gcc", "mcf", "omnetpp"]
             .iter()
             .map(|n| *profile::by_name(n).expect("built-in workload"))
@@ -492,9 +492,11 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
             ))
         }
     };
+    // Every cell records telemetry, so the report's per-cell counter
+    // columns carry the run's counts rather than zeros.
     let cells = matrix(
         profiles,
-        SafetyConfig::ALL.map(|s| SystemUnderTest::scaled(s, scale)),
+        SafetyConfig::ALL.map(|s| SystemUnderTest::scaled(s, scale).with_telemetry(true)),
     );
     println!(
         "campaign: {} cells ({suite} x 5 systems) at scale {scale}",

@@ -172,9 +172,9 @@ impl CellResult {
         self.output().map(|o| o.peak_trace_bytes).unwrap_or(0)
     }
 
-    /// Trace ops simulated per host second — the streaming throughput
-    /// metric in `BENCH_streaming.json`. Zero for failed or unmetered
-    /// cells.
+    /// Trace ops simulated per host second — the per-cell streaming
+    /// throughput column in `BENCH_campaign.json`. Zero for failed or
+    /// unmetered cells.
     pub fn ops_per_sec(&self) -> f64 {
         self.trace_ops() as f64 / self.wall.as_secs_f64().max(1e-12)
     }
@@ -288,21 +288,6 @@ impl CampaignOptions {
         self.retry_backoff = backoff;
         self
     }
-}
-
-/// A finished-cell notification, delivered from worker threads.
-#[derive(Debug, Clone, Copy)]
-pub struct Progress<'a> {
-    /// Input index of the finished cell.
-    pub index: usize,
-    /// Cells finished so far, including this one.
-    pub completed: usize,
-    /// Total cells in the campaign.
-    pub total: usize,
-    /// The finished cell.
-    pub cell: &'a CampaignCell,
-    /// Wall-clock the cell took.
-    pub wall: Duration,
 }
 
 /// The whole campaign's results and timing.
@@ -421,56 +406,30 @@ pub type CellRunner =
 /// input order. See the [module docs](self) for the determinism
 /// guarantee and failure isolation.
 pub fn run_campaign(cells: &[CampaignCell], options: &CampaignOptions) -> CampaignReport {
-    run_campaign_with_progress(cells, options, &|_| {})
-}
-
-/// [`run_campaign`] with a per-cell completion callback.
-///
-/// `progress` is invoked from worker threads (hence `Sync`), once per
-/// finished cell (completed **or** failed), in completion order — not
-/// input order.
-pub fn run_campaign_with_progress(
-    cells: &[CampaignCell],
-    options: &CampaignOptions,
-    progress: &(dyn Fn(Progress<'_>) + Sync),
-) -> CampaignReport {
     run_campaign_custom(
         cells,
         options,
-        progress,
         Arc::new(|_index, cell: &CampaignCell| Ok(super::run_metered(&cell.profile, &cell.sut))),
     )
 }
 
-/// [`run_campaign_with_progress`] with a caller-supplied per-cell
-/// runner — the extension point the fault-injection harness uses to
-/// simulate transformed traces under campaign isolation.
+/// [`run_campaign`] with a caller-supplied per-cell runner — the
+/// extension point the fault-injection harness uses to simulate
+/// transformed traces under campaign isolation.
 pub fn run_campaign_custom(
     cells: &[CampaignCell],
     options: &CampaignOptions,
-    progress: &(dyn Fn(Progress<'_>) + Sync),
     runner: CellRunner,
 ) -> CampaignReport {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let threads = effective_threads(options.threads);
-    let completed = AtomicUsize::new(0);
     let start = Instant::now();
     let results = ordered_parallel_map(cells, threads, |index, cell| {
         let cell_start = Instant::now();
         let (outcome, attempts) = run_cell_guarded(&runner, index, cell, options);
-        let wall = cell_start.elapsed();
-        progress(Progress {
-            index,
-            completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
-            total: cells.len(),
-            cell,
-            wall,
-        });
         CellResult {
             cell: *cell,
             outcome,
-            wall,
+            wall: cell_start.elapsed(),
             attempts,
         }
     });
@@ -537,19 +496,9 @@ mod tests {
     }
 
     #[test]
-    fn campaign_preserves_input_order_and_counts_progress() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn campaign_preserves_input_order() {
         let cells = small_cells();
-        let seen = AtomicUsize::new(0);
-        let report = run_campaign_with_progress(
-            &cells,
-            &CampaignOptions::with_threads(4),
-            &|p: Progress<'_>| {
-                assert!(p.total == 10 && p.completed >= 1 && p.completed <= 10);
-                seen.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(seen.load(Ordering::Relaxed), 10);
+        let report = run_campaign(&cells, &CampaignOptions::with_threads(4));
         assert_eq!(report.results.len(), 10);
         for (cell, result) in cells.iter().zip(&report.results) {
             assert_eq!(cell.label(), result.cell.label());
@@ -617,7 +566,6 @@ mod tests {
         let report = run_campaign_custom(
             &cells,
             &CampaignOptions::with_threads(2),
-            &|_| {},
             Arc::new(|index, cell: &CampaignCell| {
                 if index == 1 {
                     panic!("deliberately poisoned cell");
@@ -643,7 +591,6 @@ mod tests {
         let report = run_campaign_custom(
             &cells,
             &options,
-            &|_| {},
             Arc::new(|index, cell: &CampaignCell| {
                 if index == 0 {
                     return Err(AosError::invalid_input("cell runner", "no anchor"));
@@ -671,7 +618,6 @@ mod tests {
         let report = run_campaign_custom(
             &cells,
             &options,
-            &|_| {},
             Arc::new(move |_, cell: &CampaignCell| {
                 if calls_in_runner.fetch_add(1, Ordering::SeqCst) == 0 {
                     panic!("transient fault");
@@ -694,7 +640,6 @@ mod tests {
         let report = run_campaign_custom(
             &cells,
             &options,
-            &|_| {},
             Arc::new(|_, _: &CampaignCell| {
                 std::thread::sleep(Duration::from_secs(60));
                 unreachable!("the watchdog must have given up on us")

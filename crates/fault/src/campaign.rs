@@ -415,7 +415,7 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
         })
     });
 
-    let mut report = run_campaign_custom(&cells, &config.options, &|_| {}, runner);
+    let mut report = run_campaign_custom(&cells, &config.options, runner);
 
     let mut matrix = TrialMatrix::default();
     for (index, result) in report.results.iter().enumerate() {

@@ -131,8 +131,9 @@ pub struct CleanBaseline {
 
 impl CleanBaseline {
     /// Measures the clean trace for `(profile, scale)` on all five
-    /// systems and all four static policies.
-    pub fn measure(profile: &WorkloadProfile, scale: f64) -> CleanBaseline {
+    /// systems and all four static policies. The scan records into
+    /// `telemetry`.
+    pub fn measure(profile: &WorkloadProfile, scale: f64, telemetry: &Telemetry) -> CleanBaseline {
         let stream = || TraceGenerator::new(profile, SafetyConfig::Aos, scale);
         let violations = SafetyConfig::ALL
             .into_iter()
@@ -142,12 +143,7 @@ impl CleanBaseline {
                 (system, result.violations)
             })
             .collect();
-        let reports = MatrixScan::run(
-            &Policy::ALL,
-            stream(),
-            PointerLayout::default(),
-            &Telemetry::disabled(),
-        );
+        let reports = MatrixScan::run(&Policy::ALL, stream(), PointerLayout::default(), telemetry);
         CleanBaseline {
             violations,
             policy_rule_counts: reports.into_iter().map(|r| r.rule_counts).collect(),
@@ -212,12 +208,14 @@ impl DifferentialOutcome {
 }
 
 /// Replays `plan` through both oracles on all five systems and
-/// classifies every disagreement with its pinned expectations.
+/// classifies every disagreement with its pinned expectations. The
+/// static scan records into `telemetry`.
 pub fn run_scenario(
     profile: &WorkloadProfile,
     scale: f64,
     plan: &ScenarioPlan,
     baseline: &CleanBaseline,
+    telemetry: &Telemetry,
 ) -> DifferentialOutcome {
     let scenario = plan.spec.id();
     let stream = || TraceGenerator::new(profile, SafetyConfig::Aos, scale);
@@ -242,12 +240,7 @@ pub fn run_scenario(
     // silent is always a finding. An unpinned rule that fires is one
     // only on fully pinned chains: a collision-unpinned tamper/forge
     // step makes every policy's verdict legitimately input-dependent.
-    let policy_reports = MatrixScan::run(
-        &Policy::ALL,
-        plan.apply(stream()),
-        layout,
-        &Telemetry::disabled(),
-    );
+    let policy_reports = MatrixScan::run(&Policy::ALL, plan.apply(stream()), layout, telemetry);
     let all_pinned = plan.steps.iter().all(|s| s.static_pinned);
     for (report, clean_counts) in policy_reports.iter().zip(&baseline.policy_rule_counts) {
         let policy = report.policy;
@@ -358,7 +351,7 @@ mod tests {
     #[test]
     fn every_composite_chain_is_clean_of_findings() {
         let profile = by_name("mcf").expect("mcf profile exists");
-        let baseline = CleanBaseline::measure(profile, SCALE);
+        let baseline = CleanBaseline::measure(profile, SCALE, &Telemetry::disabled());
         assert_eq!(
             baseline.lint_diagnostics(),
             0,
@@ -371,7 +364,7 @@ mod tests {
                 steps: vec![StepKind::Composite(kind)],
             };
             let plan = plan_scenario(&spec, trace, PointerLayout::default()).expect("plan");
-            let outcome = run_scenario(profile, SCALE, &plan, &baseline);
+            let outcome = run_scenario(profile, SCALE, &plan, &baseline, &Telemetry::disabled());
             assert!(
                 !outcome.is_finding(),
                 "{kind}: unexpected findings {:?}",
@@ -392,7 +385,7 @@ mod tests {
         // detectable chain but lie about the expected class by
         // linting a *clean* stream against the plan's expectations.
         let profile = by_name("mcf").expect("mcf profile exists");
-        let baseline = CleanBaseline::measure(profile, SCALE);
+        let baseline = CleanBaseline::measure(profile, SCALE, &Telemetry::disabled());
         let trace = || TraceGenerator::new(profile, SafetyConfig::Aos, SCALE);
         let spec = ScenarioSpec {
             seed: 5,
@@ -402,7 +395,7 @@ mod tests {
         // Drop the edits: the "faulted" stream is now the clean trace,
         // so the pinned rule cannot fire and AOS cannot detect.
         plan.edits.clear();
-        let outcome = run_scenario(profile, SCALE, &plan, &baseline);
+        let outcome = run_scenario(profile, SCALE, &plan, &baseline, &Telemetry::disabled());
         let kinds: Vec<FindingKind> = outcome.findings.iter().map(|f| f.kind).collect();
         assert!(kinds.contains(&FindingKind::DynamicMiss), "{kinds:?}");
         // Every policy with a pinned rule must flag the same lie: the
@@ -420,7 +413,7 @@ mod tests {
     #[test]
     fn policy_verdicts_split_exactly_as_the_matrix_pins() {
         let profile = by_name("mcf").expect("mcf profile exists");
-        let baseline = CleanBaseline::measure(profile, SCALE);
+        let baseline = CleanBaseline::measure(profile, SCALE, &Telemetry::disabled());
         assert_eq!(baseline.policy_rule_counts.len(), Policy::ALL.len());
         assert!(
             baseline.policy_rule_counts.iter().all(|row| row.iter().sum::<u64>() == 0),
@@ -432,7 +425,7 @@ mod tests {
             steps: vec![StepKind::Composite(CompositeKind::DanglingResign)],
         };
         let plan = plan_scenario(&spec, trace, PointerLayout::default()).expect("plan");
-        let outcome = run_scenario(profile, SCALE, &plan, &baseline);
+        let outcome = run_scenario(profile, SCALE, &plan, &baseline, &Telemetry::disabled());
         assert!(!outcome.is_finding(), "{:?}", outcome.findings);
         let verdict = |p: Policy| {
             outcome

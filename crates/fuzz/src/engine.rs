@@ -198,7 +198,7 @@ pub fn run_fuzz(config: &FuzzConfig, telemetry: &Telemetry) -> Result<FuzzReport
     let profile = resolve_workload(&config.workload)?;
     let stream = || TraceGenerator::new(profile, SafetyConfig::Aos, config.scale);
     let layout = PointerLayout::default();
-    let baseline = CleanBaseline::measure(profile, config.scale);
+    let baseline = CleanBaseline::measure(profile, config.scale, telemetry);
     let kinds: Vec<StepKind> = StepKind::all().collect();
     let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed);
     let mut plans: Vec<ScenarioPlan> = Vec::with_capacity(config.budget);
@@ -249,7 +249,7 @@ pub fn run_fuzz(config: &FuzzConfig, telemetry: &Telemetry) -> Result<FuzzReport
         match plan_scenario(&spec, stream, layout) {
             Ok(plan) => {
                 telemetry.add(Counter::FuzzSteps, plan.steps.len() as u64);
-                let outcome = run_scenario(profile, config.scale, &plan, &baseline);
+                let outcome = run_scenario(profile, config.scale, &plan, &baseline, telemetry);
                 telemetry.add(Counter::FuzzFindings, outcome.findings.len() as u64);
                 let fresh = coverage.observe(&outcome);
                 telemetry.add(Counter::FuzzCoveragePoints, fresh as u64);
@@ -329,12 +329,12 @@ pub fn bank_scenarios(
     let profile = resolve_workload(workload)?;
     let stream = || TraceGenerator::new(profile, SafetyConfig::Aos, scale);
     let layout = PointerLayout::default();
-    let baseline = CleanBaseline::measure(profile, scale);
+    let baseline = CleanBaseline::measure(profile, scale, telemetry);
     let mut writer = CorpusWriter::create(path.into(), telemetry.clone())?;
     let mut outcomes = Vec::with_capacity(specs.len());
     for spec in specs {
         let plan = plan_scenario(spec, stream, layout)?;
-        let outcome = run_scenario(profile, scale, &plan, &baseline);
+        let outcome = run_scenario(profile, scale, &plan, &baseline, telemetry);
         writer.record(
             &outcome.scenario,
             &metadata_line(workload, scale, &plan, &outcome),

@@ -141,8 +141,6 @@ pub enum McuEvent {
 pub struct CheckOutcome {
     /// `true` when the access was unsigned and skipped checking.
     pub skipped: bool,
-    /// `true` when satisfied by store→load bounds forwarding.
-    pub forwarded: bool,
     /// HBT way lines touched.
     pub ways_touched: u32,
 }
@@ -934,7 +932,6 @@ impl MemoryCheckUnit {
                     }
                     McuEvent::Retired { ways_touched, .. } => Ok(CheckOutcome {
                         skipped,
-                        forwarded: false,
                         ways_touched,
                     }),
                 });

@@ -5,8 +5,9 @@
 # vendored under vendor/ (see DESIGN.md §3).
 #
 # Usage: scripts/tier1.sh [--with-smoke]
-#   --with-smoke  also run a scaled parallel campaign and emit
-#                 BENCH_campaign.json at the repo root.
+#   --with-smoke  also run two scaled parallel campaigns and emit
+#                 BENCH_campaign.json and BENCH_campaign_long.json at
+#                 the repo root.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -120,39 +121,22 @@ else
 fi
 rm -f "$faults_json"
 
-echo "== tier-1: streaming pipeline smoke =="
-# The streaming bench asserts bit-identical RunStats and telemetry
-# between the materialized and the per-op streaming pipeline on every
-# run — a tiny single-rep pass makes that equivalence assert part of
-# the gate without the cost of the full artifact run.
-streaming_out="${TMPDIR:-/tmp}/aos_streaming_smoke_$$.json"
-cargo run -q --release -p aos-bench --bin streaming_bench -- \
-    --scale 0.004 --reps 1 --out "$streaming_out" >/dev/null
-rm -f "$streaming_out"
-
 # Hardened crates must not grow new unwrap() on input-reachable paths,
 # the streaming pipeline must not regress into collect-then-iterate
 # (needless_collect re-materializes traces the refactor made lazy),
 # library crates must not print to stdout — user-facing output belongs
-# to the CLI and bench binaries, which are exempt from the gate by not
-# being in the crate list (aos-bench is checked with --lib only) — and
-# every unsafe block or impl must carry a `// SAFETY:` comment stating
-# its soundness argument.
+# to the CLI, which is exempt from the gate by not being in the crate
+# list — and every unsafe block or impl must carry a `// SAFETY:`
+# comment stating its soundness argument.
 # The gate is advisory when clippy is not installed (offline image).
 if command -v cargo-clippy >/dev/null 2>&1; then
     echo "== tier-1: clippy unwrap + needless-collect + print-stdout + undocumented-unsafe gate (library crates) =="
-    for crate in aos-util aos-heap aos-mcu aos-hbt aos-isa aos-sim aos-core aos-fault aos-lint aos-serve aos-fuzz; do
+    for crate in aos-util aos-heap aos-mcu aos-hbt aos-isa aos-sim aos-core aos-fault aos-lint aos-serve aos-fuzz aos-bench; do
         cargo clippy -q -p "$crate" --no-deps -- \
             -D clippy::unwrap_used -D clippy::needless_collect \
             -D clippy::print_stdout \
             -D clippy::undocumented_unsafe_blocks
     done
-    # aos-bench's library renders reports as strings; its two
-    # binaries print by design, so only --lib is gated.
-    cargo clippy -q -p aos-bench --lib --no-deps -- \
-        -D clippy::unwrap_used -D clippy::needless_collect \
-        -D clippy::print_stdout \
-        -D clippy::undocumented_unsafe_blocks
 else
     echo "== tier-1: clippy not installed, skipping lint gates =="
 fi
@@ -170,29 +154,14 @@ fi
 
 if [[ "${1:-}" == "--with-smoke" ]]; then
     echo "== campaign smoke: SPEC2006 x 5 systems, scaled =="
-    cargo run -q --release -p aos-bench --bin campaign_smoke -- \
+    cargo run -q --release -p aos-cli -- campaign --suite spec2006 \
         --scale 0.01 --out BENCH_campaign.json
-    # Streaming smoke: a 10x-longer window than the default smoke run.
-    # Viable in CI memory precisely because no cell materializes its
-    # trace — peak buffered trace stays O(window) per worker.
-    echo "== streaming smoke: campaign at 10x window scale =="
-    cargo run -q --release -p aos-bench --bin campaign_smoke -- \
+    # A 10x-longer window than the default smoke run. Viable in CI
+    # memory because no cell materializes its trace: peak buffered
+    # trace stays O(window) per worker.
+    echo "== campaign smoke: 10x window scale =="
+    cargo run -q --release -p aos-cli -- campaign --suite spec2006 \
         --scale 0.1 --out BENCH_campaign_long.json
-    echo "== streaming bench: materialized / streaming pipeline =="
-    # Snapshot the committed artifact first so the regression note
-    # below can compare against it after the file is overwritten.
-    prev_bench="${TMPDIR:-/tmp}/aos_bench_prev_$$.json"
-    git show HEAD:BENCH_streaming.json >"$prev_bench" 2>/dev/null \
-        || { rm -f "$prev_bench"; prev_bench=""; }
-    cargo run -q --release -p aos-bench --bin streaming_bench -- \
-        --scale 0.02 --out BENCH_streaming.json
-    echo "== bench regression note: sim-cycles/sec vs committed baseline (report-only) =="
-    if [[ -n "$prev_bench" ]] && command -v python3 >/dev/null 2>&1; then
-        python3 scripts/bench_note.py "$prev_bench" BENCH_streaming.json || true
-    else
-        echo "no committed BENCH_streaming.json (or no python3) to compare against"
-    fi
-    [[ -z "$prev_bench" ]] || rm -f "$prev_bench"
 fi
 
 echo "tier-1 OK"

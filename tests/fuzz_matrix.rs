@@ -54,7 +54,7 @@ fn trace_factory() -> impl Fn() -> TraceGenerator {
 #[test]
 fn every_composite_chain_is_detected_by_aos_and_missed_by_baseline() {
     let profile = by_name(WORKLOAD).expect("workload profile exists");
-    let baseline = CleanBaseline::measure(profile, SCALE);
+    let baseline = CleanBaseline::measure(profile, SCALE, &Telemetry::disabled());
     let trace = trace_factory();
     for spec in golden_specs() {
         let kind = match spec.steps[0] {
@@ -62,7 +62,7 @@ fn every_composite_chain_is_detected_by_aos_and_missed_by_baseline() {
             StepKind::Base(_) => unreachable!("golden specs are composites"),
         };
         let plan = plan_scenario(&spec, &trace, PointerLayout::default()).expect("plan");
-        let outcome = run_scenario(profile, SCALE, &plan, &baseline);
+        let outcome = run_scenario(profile, SCALE, &plan, &baseline, &Telemetry::disabled());
         assert!(
             outcome.findings.is_empty(),
             "{kind}: {:?}",
@@ -94,7 +94,7 @@ fn every_composite_chain_is_detected_by_aos_and_missed_by_baseline() {
 #[test]
 fn the_full_composite_chain_composes_without_interference() {
     let profile = by_name(WORKLOAD).expect("workload profile exists");
-    let baseline = CleanBaseline::measure(profile, SCALE);
+    let baseline = CleanBaseline::measure(profile, SCALE, &Telemetry::disabled());
     let trace = trace_factory();
     let spec = ScenarioSpec {
         seed: 4242,
@@ -108,7 +108,7 @@ fn the_full_composite_chain_composes_without_interference() {
         .into_iter()
         .map(CompositeKind::exact_delta)
         .sum();
-    let outcome = run_scenario(profile, SCALE, &plan, &baseline);
+    let outcome = run_scenario(profile, SCALE, &plan, &baseline, &Telemetry::disabled());
     assert!(outcome.findings.is_empty(), "{:?}", outcome.findings);
     for verdict in &outcome.systems {
         let expected = if verdict.system.uses_aos() {
@@ -128,7 +128,7 @@ fn the_full_composite_chain_composes_without_interference() {
 #[test]
 fn base_chains_on_aliased_frees_stay_on_their_pins() {
     let profile = by_name("omnetpp").expect("workload profile exists");
-    let baseline = CleanBaseline::measure(profile, SCALE);
+    let baseline = CleanBaseline::measure(profile, SCALE, &Telemetry::disabled());
     let trace = || TraceGenerator::new(profile, SafetyConfig::Aos, SCALE);
     let uaf = StepKind::Base(FaultKind::UseAfterFree);
     for spec in [
@@ -146,7 +146,7 @@ fn base_chains_on_aliased_frees_stay_on_their_pins() {
         },
     ] {
         let plan = plan_scenario(&spec, trace, PointerLayout::default()).expect("plan");
-        let outcome = run_scenario(profile, SCALE, &plan, &baseline);
+        let outcome = run_scenario(profile, SCALE, &plan, &baseline, &Telemetry::disabled());
         assert!(
             !outcome.is_finding(),
             "{}: {:?}",
@@ -203,6 +203,14 @@ fn fuzz_telemetry_counters_ledger_the_campaign() {
     assert_eq!(snapshot.counter(Counter::FuzzScenarios), 3);
     assert!(snapshot.counter(Counter::FuzzSteps) >= report.outcomes.len() as u64);
     assert_eq!(snapshot.counter(Counter::FuzzFindings), report.findings());
+    // The clean-baseline scan and every scenario's scan record into
+    // the campaign's handle: AOS diagnostics ledger exactly (the clean
+    // trace lints clean), and the op count covers all of the scans.
+    assert_eq!(
+        snapshot.counter(Counter::LintDiagnostics),
+        report.outcomes.iter().map(|o| o.aos().diagnostics).sum::<u64>()
+    );
+    assert!(snapshot.counter(Counter::LintOpsScanned) > 0);
 }
 
 /// The banked golden corpus replays with bit-stable verdicts: the

@@ -19,7 +19,7 @@ use aos_util::{Counter, Gauge};
 use aos_workloads::profile::by_name;
 use aos_workloads::TraceGenerator;
 
-const PROFILES: [&str; 3] = ["hmmer", "gcc", "omnetpp"];
+const PROFILES: [&str; 4] = ["hmmer", "gcc", "mcf", "omnetpp"];
 const SCALE: f64 = 0.004;
 
 /// Streaming vs materialized, telemetry on: the full `RunStats`
@@ -36,6 +36,7 @@ fn streaming_and_materialized_telemetry_snapshots_are_bit_identical() {
         let trace: Vec<Op> = TraceGenerator::new(profile, SafetyConfig::Aos, SCALE)
             .with_telemetry(machine.telemetry().clone())
             .collect();
+        let trace_ops = trace.len() as u64;
         let materialized = machine.run(trace);
         let streamed = run(profile, &sut);
 
@@ -47,9 +48,11 @@ fn streaming_and_materialized_telemetry_snapshots_are_bit_identical() {
         assert!(streamed.telemetry.enabled);
         assert!(!streamed.telemetry.is_empty(), "{name}: nothing was counted");
 
-        // The metered campaign path is equally transparent.
+        // The metered campaign path is equally transparent and meters
+        // every op.
         let metered = run_metered(profile, &sut);
-        assert_eq!(materialized.telemetry, metered.stats.telemetry, "{name} metered");
+        assert_eq!(materialized, metered.stats, "{name}: metered RunStats diverged");
+        assert_eq!(metered.trace_ops, trace_ops, "{name}: metered op count diverged");
     }
 }
 
