@@ -44,14 +44,12 @@
 //! ```
 
 pub mod experiment;
-pub mod ext;
 pub mod hwcost;
 mod memory;
 pub mod os;
 mod process;
 pub mod security;
 
-pub use ext::ExtensionError;
 pub use memory::SparseMemory;
 pub use process::{AosProcess, MemorySafetyError, ProcessConfig};
 

@@ -209,21 +209,6 @@ impl AosProcess {
         self.resizes
     }
 
-    /// Split borrow for the extension methods in [`crate::ext`].
-    pub(crate) fn mcu_hbt_signer(
-        &mut self,
-    ) -> (&mut MemoryCheckUnit, &mut HashedBoundsTable, &PointerSigner) {
-        (&mut self.mcu, &mut self.hbt, &self.signer)
-    }
-
-    pub(crate) fn note_resize(&mut self) {
-        self.resizes += 1;
-    }
-
-    pub(crate) fn context(&self) -> u64 {
-        self.config.context
-    }
-
     /// `malloc(size)` with AOS instrumentation (Fig. 7a): allocates,
     /// signs the pointer (`pacma`) and stores its bounds (`bndstr`),
     /// resizing the table if the row overflows.
@@ -312,8 +297,8 @@ impl AosProcess {
     /// failures surface as `InvalidFree` too, with the original
     /// allocation left intact.
     pub fn realloc(&mut self, ptr: u64, new_size: u64) -> Result<u64, MemorySafetyError> {
-        // Only heap chunks can be reallocated; region-protected or
-        // crafted pointers are rejected before any bounds are touched.
+        // Only chunk bases can be reallocated; interior or crafted
+        // pointers are rejected before any bounds are touched.
         let old_addr = self.signer.xpacm(ptr);
         let Some(old_usable) = self
             .heap
@@ -673,16 +658,18 @@ mod tests {
     }
 
     #[test]
-    fn realloc_of_protected_region_is_invalid_and_harmless() {
-        // A region-protected pointer is not a heap chunk; realloc must
-        // refuse it without disturbing its bounds.
+    fn realloc_of_interior_pointer_is_invalid_and_harmless() {
+        // An interior pointer passes the bounds check but is not a
+        // chunk base; realloc must refuse it without disturbing the
+        // chunk's bounds.
         let mut p = AosProcess::new();
-        let region = p.protect_region(0x3F00_0000_8000, 64).unwrap();
+        let a = p.malloc(64).unwrap();
+        assert!(p.load(a + 16).is_ok(), "the interior pointer is in bounds");
         assert!(matches!(
-            p.realloc(region, 128),
+            p.realloc(a + 16, 128),
             Err(MemorySafetyError::InvalidFree { .. })
         ));
-        assert!(p.load(region).is_ok(), "bounds untouched by the refusal");
+        assert!(p.load(a).is_ok(), "bounds untouched by the refusal");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Each function stages one of the paper's attack classes against a
 //! fresh [`AosProcess`] and returns what happened, so the test suite
-//! (and `examples/attack_gallery.rs`) can assert both halves of every
+//! (and `aos attacks`) can assert both halves of every
 //! claim: the attack *works* on an unprotected baseline and is
 //! *detected* by AOS.
 

@@ -36,8 +36,8 @@ pub enum Op {
         pc: u64,
         /// Resolved direction.
         taken: bool,
-        /// Whether the (trace-replayed) predictor missed it; ignored
-        /// when the machine runs its own L-TAGE.
+        /// Whether the predictor missed it; the machine replays this
+        /// profile-calibrated flag and charges the flush penalty.
         mispredicted: bool,
     },
     /// Data load through a (possibly signed) pointer.

@@ -52,8 +52,7 @@ pub mod cache;
 pub mod hierarchy;
 pub mod machine;
 pub mod pipeline;
-pub mod tage;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{MemoryHierarchy, TrafficStats};
-pub use machine::{BranchModel, Machine, MachineConfig, RunStats, SimConfig};
+pub use machine::{Machine, MachineConfig, RunStats, SimConfig};

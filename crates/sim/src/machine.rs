@@ -10,19 +10,6 @@ use aos_ptrauth::PointerLayout;
 use crate::cache::CacheStats;
 use crate::hierarchy::{MemoryHierarchy, TrafficStats};
 use crate::pipeline::StageCore;
-use crate::tage::{Tage, TageConfig};
-
-/// How branch outcomes are predicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchModel {
-    /// Replay the trace-provided misprediction flags (a gem5-style
-    /// trace run against the profile-calibrated L-TAGE accuracy).
-    #[default]
-    TraceProvided,
-    /// Run the in-simulator L-TAGE; mispredictions emerge from the
-    /// predictor's actual behaviour on the branch stream.
-    Tage,
-}
 
 /// The named Table IV core-geometry constants. `table_iv`, the
 /// `describe()` dump, and the geometry tests all read these, so an
@@ -75,8 +62,6 @@ pub struct MachineConfig {
     pub aos_enabled: bool,
     /// Background migration bandwidth during gradual resize.
     pub migration_rows_per_cycle: u64,
-    /// Branch prediction mode.
-    pub branch_model: BranchModel,
     /// Whether runs carry a telemetry snapshot: the MCU/BWB/HBT and
     /// run-loop stats projected into it when the stats are collected,
     /// plus what the trace generator records into
@@ -113,7 +98,6 @@ impl MachineConfig {
             hbt: HbtConfig::default(),
             aos_enabled: config.uses_aos(),
             migration_rows_per_cycle: SimConfig::MIGRATION_ROWS_PER_CYCLE,
-            branch_model: BranchModel::default(),
             telemetry: false,
             event_skip: true,
         }
@@ -270,8 +254,6 @@ pub struct Machine {
     pub(crate) lsq_replays: u64,
     pub(crate) flushes: u64,
     pub(crate) mcu_events: Vec<McuEvent>,
-    /// The L-TAGE instance, when `branch_model` is `Tage`.
-    pub(crate) tage: Option<Tage>,
     /// The stage-structured pipeline state.
     pub(crate) stage: StageCore,
     /// The registry handle the cell runners share with the trace
@@ -312,10 +294,6 @@ impl Machine {
             lsq_replays: 0,
             flushes: 0,
             mcu_events: Vec::new(),
-            tage: match config.branch_model {
-                BranchModel::Tage => Some(Tage::new(TageConfig::default())),
-                BranchModel::TraceProvided => None,
-            },
             stage: StageCore::new(&config),
             debug: std::env::var_os("AOS_SIM_DEBUG").is_some(),
             telemetry,
@@ -655,32 +633,6 @@ mod tests {
         assert_eq!(cfg.mispredict_penalty, SimConfig::MISPREDICT_PENALTY);
         assert_eq!(cfg.mcu.mcq_entries, SimConfig::MCQ_ENTRIES);
         assert_eq!(cfg.mcu.bwb_entries, SimConfig::BWB_ENTRIES);
-    }
-
-    #[test]
-    fn tage_mode_predicts_biased_branches_well() {
-        // A biased branch stream: the emergent L-TAGE should charge
-        // far fewer mispredictions than the trace's pessimistic flags.
-        let trace: Vec<Op> = (0..20_000)
-            .map(|i| Op::Branch {
-                pc: 0x2000 + (i % 8) * 4,
-                taken: true,
-                mispredicted: i % 10 == 0, // replay mode would charge 10%
-            })
-            .collect();
-        let mut replay_cfg = MachineConfig::table_iv(SafetyConfig::Baseline);
-        replay_cfg.branch_model = BranchModel::TraceProvided;
-        let replay = Machine::new(replay_cfg).run(trace.clone());
-        let mut tage_cfg = MachineConfig::table_iv(SafetyConfig::Baseline);
-        tage_cfg.branch_model = BranchModel::Tage;
-        let tage = Machine::new(tage_cfg).run(trace);
-        let replay_missed = replay.charged_mispredicts + replay.waived_mispredicts;
-        let tage_missed = tage.charged_mispredicts + tage.waived_mispredicts;
-        assert!(
-            tage_missed * 10 < replay_missed,
-            "L-TAGE learns the bias: {tage_missed} vs {replay_missed}"
-        );
-        assert!(tage.cycles < replay.cycles);
     }
 
     #[test]

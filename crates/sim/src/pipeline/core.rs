@@ -406,33 +406,24 @@ impl Machine {
             } else {
                 None
             };
+            // Branch outcomes are replayed from the trace's
+            // profile-calibrated misprediction flags (DESIGN §2).
             if let Op::Branch {
-                pc,
-                taken,
-                mispredicted,
+                mispredicted: true, ..
             } = op
             {
-                let missed = match &mut self.tage {
-                    Some(tage) => {
-                        let prediction = tage.predict(pc);
-                        tage.update(pc, taken, prediction)
-                    }
-                    None => mispredicted,
-                };
-                if missed {
-                    if self.prev_cycle_stalled {
-                        // The front end was already blocked, so the
-                        // wrong path never issued (§IX-A back-pressure
-                        // effect).
-                        self.waived_mispredicts += 1;
-                    } else {
-                        self.charged_mispredicts += 1;
-                        self.stage.fetch.resume_at = self
-                            .stage
-                            .fetch
-                            .resume_at
-                            .max(complete_at + self.config.mispredict_penalty);
-                    }
+                if self.prev_cycle_stalled {
+                    // The front end was already blocked, so the
+                    // wrong path never issued (§IX-A back-pressure
+                    // effect).
+                    self.waived_mispredicts += 1;
+                } else {
+                    self.charged_mispredicts += 1;
+                    self.stage.fetch.resume_at = self
+                        .stage
+                        .fetch
+                        .resume_at
+                        .max(complete_at + self.config.mispredict_penalty);
                 }
             }
             let mcq_id = if to_mcu {

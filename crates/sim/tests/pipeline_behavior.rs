@@ -3,7 +3,7 @@
 //! mispredict waiving) and verifies its first-order effect on cycles.
 
 use aos_isa::{Op, SafetyConfig};
-use aos_sim::{BranchModel, Machine, MachineConfig};
+use aos_sim::{Machine, MachineConfig};
 
 fn baseline_config() -> MachineConfig {
     MachineConfig::table_iv(SafetyConfig::Baseline)
@@ -126,23 +126,6 @@ fn autm_is_cheap_pac_crypto_is_not() {
         a.cycles,
         c.cycles
     );
-}
-
-#[test]
-fn tage_machine_is_deterministic() {
-    let trace: Vec<Op> = (0..5000)
-        .map(|i| Op::Branch {
-            pc: 0x400 + (i % 32) * 4,
-            taken: (i / 7) % 3 != 0,
-            mispredicted: false,
-        })
-        .collect();
-    let mut cfg = baseline_config();
-    cfg.branch_model = BranchModel::Tage;
-    let a = Machine::new(cfg.clone()).run(trace.clone());
-    let b = Machine::new(cfg).run(trace);
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.charged_mispredicts, b.charged_mispredicts);
 }
 
 #[test]

@@ -84,8 +84,7 @@ pub struct WorkloadProfile {
     /// benchmark.
     pub load_chain_fraction: f64,
     /// Estimated hot text-segment size in bytes; sizes the synthetic
-    /// branch-site population (and with it the pressure a
-    /// `BranchModel::Tage` run puts on the predictor's tables).
+    /// branch-site population.
     pub code_footprint: u64,
     /// Allocation-size histogram: (bytes, weight).
     pub alloc_sizes: &'static [(u64, f64)],

@@ -152,6 +152,11 @@ else
     echo "== tier-1: cargo-llvm-cov not installed, skipping coverage report =="
 fi
 
+# Report-only: the non-test line count defined in
+# scripts/nontest_lines.sh, so a change that removes code can quote a
+# figure anyone can reproduce.
+echo "== tier-1: non-test lines (report-only): $(scripts/nontest_lines.sh) =="
+
 if [[ "${1:-}" == "--with-smoke" ]]; then
     echo "== campaign smoke: SPEC2006 x 5 systems, scaled =="
     cargo run -q --release -p aos-cli -- campaign --suite spec2006 \
