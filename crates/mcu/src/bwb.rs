@@ -338,14 +338,11 @@ mod tests {
                 x = x.wrapping_mul(1664525).wrapping_add(1013904223);
                 let tag = x % (capacity as u32 * 3 + 5);
                 if x & 0x10000 == 0 {
-                    let expected = model
-                        .iter()
-                        .position(|&(t, _)| t == tag)
-                        .map(|p| {
-                            let e = model.remove(p);
-                            model.push(e);
-                            e.1
-                        });
+                    let expected = model.iter().position(|&(t, _)| t == tag).map(|p| {
+                        let e = model.remove(p);
+                        model.push(e);
+                        e.1
+                    });
                     assert_eq!(fast.lookup(tag), expected, "step {step} cap {capacity}");
                 } else {
                     let way = step % 8;

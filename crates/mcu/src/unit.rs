@@ -661,8 +661,8 @@ impl MemoryCheckUnit {
         let mut write = 0;
         for read in 0..len {
             let e = &self.queue[read];
-            let releasable = e.state == McqState::Done
-                && (matches!(e.op, McuOp::Access { .. }) || e.committed);
+            let releasable =
+                e.state == McqState::Done && (matches!(e.op, McuOp::Access { .. }) || e.committed);
             if !releasable {
                 if write != read {
                     self.queue.swap(write, read);
@@ -687,7 +687,11 @@ impl MemoryCheckUnit {
             if matches!(op, McuOp::BndStr { .. }) {
                 self.bndstr_live -= 1;
             }
-            let ways_touched = if is_signed && !forwarded { count + 1 } else { 0 };
+            let ways_touched = if is_signed && !forwarded {
+                count + 1
+            } else {
+                0
+            };
             if self.config.use_bwb && !forwarded {
                 if let (Some(ahc), Some((way, _))) = (ahc, hit) {
                     if matches!(op, McuOp::Access { .. }) {
@@ -974,7 +978,13 @@ mod tests {
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 7);
         let survivor = mcu
-            .issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0)
+            .issue(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                0,
+            )
             .unwrap();
         let young_access = mcu
             .issue(
@@ -1015,7 +1025,11 @@ mod tests {
             }
         }
         assert!(mcu.is_empty(), "survivor must drain: {events:?}");
-        assert_eq!(mcu.squash_newer(survivor), 0, "empty queue squashes nothing");
+        assert_eq!(
+            mcu.squash_newer(survivor),
+            0,
+            "empty queue squashes nothing"
+        );
     }
 
     #[test]
@@ -1039,8 +1053,14 @@ mod tests {
     fn store_then_check_succeeds() {
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 7);
-        mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         let out = mcu
             .run_sync(
                 McuOp::Access {
@@ -1058,8 +1078,14 @@ mod tests {
     fn out_of_bounds_access_faults() {
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 7);
-        mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         let err = mcu
             .run_sync(
                 McuOp::Access {
@@ -1087,7 +1113,13 @@ mod tests {
         // a typed exception, not a panic, and not touch the table.
         let ptr = signed(layout, 0x4008, 7);
         let err = mcu
-            .run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
+            .run_sync(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                &mut hbt,
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -1121,7 +1153,13 @@ mod tests {
         let (mut mcu, _hbt, layout) = setup();
         let ptr = signed(layout, 0x4008, 7);
         let id = mcu
-            .issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0)
+            .issue(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                0,
+            )
             .unwrap();
         mcu.mark_committed(id);
         assert_eq!(mcu.state_of(id), Some(McqState::Fail));
@@ -1137,8 +1175,14 @@ mod tests {
     fn use_after_clear_faults() {
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 7);
-        mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         mcu.run_sync(McuOp::BndClr { pointer: ptr }, &mut hbt)
             .unwrap();
         assert!(mcu
@@ -1156,8 +1200,14 @@ mod tests {
     fn double_clear_faults() {
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 7);
-        mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         mcu.run_sync(McuOp::BndClr { pointer: ptr }, &mut hbt)
             .unwrap();
         let err = mcu
@@ -1171,18 +1221,36 @@ mod tests {
         let (mut mcu, mut hbt, layout) = setup();
         for i in 0..8u64 {
             let ptr = signed(layout, 0x4000 + i * 0x100, 7);
-            mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-                .unwrap();
+            mcu.run_sync(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                &mut hbt,
+            )
+            .unwrap();
         }
         let ptr = signed(layout, 0x9000, 7);
         let err = mcu
-            .run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
+            .run_sync(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                &mut hbt,
+            )
             .unwrap_err();
         assert_eq!(err, AosException::BoundsStoreFailure { pac: 7 });
         // OS resizes; retrying the operation then succeeds.
         hbt.begin_resize();
-        mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1190,15 +1258,27 @@ mod tests {
         let (mut mcu, mut hbt, layout) = setup();
         hbt.begin_resize();
         hbt.finish_migration(); // 2 ways
-        // Fill way 0 so the target lands in way 1.
+                                // Fill way 0 so the target lands in way 1.
         for i in 0..8u64 {
             let ptr = signed(layout, 0x4000 + i * 0x100, 7);
-            mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-                .unwrap();
+            mcu.run_sync(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                &mut hbt,
+            )
+            .unwrap();
         }
         let target = signed(layout, 0x9000, 7);
-        mcu.run_sync(McuOp::BndStr { pointer: target, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: target,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         let first = mcu
             .run_sync(
                 McuOp::Access {
@@ -1241,12 +1321,24 @@ mod tests {
         );
         for i in 0..8u64 {
             let ptr = signed(layout, 0x4000 + i * 0x100, 7);
-            mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-                .unwrap();
+            mcu.run_sync(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                &mut hbt,
+            )
+            .unwrap();
         }
         let target = signed(layout, 0x9000, 7);
-        mcu.run_sync(McuOp::BndStr { pointer: target, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: target,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         for _ in 0..2 {
             let out = mcu
                 .run_sync(
@@ -1278,8 +1370,14 @@ mod tests {
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 3);
         // Prepare bounds functionally.
-        mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         let id = mcu
             .issue(
                 McuOp::Access {
@@ -1300,9 +1398,7 @@ mod tests {
         mcu.mark_committed(id);
         mcu.tick(13, &mut hbt, &mut mem, &mut events);
         assert!(mcu.is_empty(), "entry retired after commit");
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, McuEvent::Retired { .. })));
+        assert!(events.iter().any(|e| matches!(e, McuEvent::Retired { .. })));
     }
 
     #[test]
@@ -1332,7 +1428,15 @@ mod tests {
             layout,
         );
         let ptr = signed(layout, 0x4000, 3);
-        let str_id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
+        let str_id = mcu
+            .issue(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                0,
+            )
+            .unwrap();
         let chk_id = mcu
             .issue(
                 McuOp::Access {
@@ -1380,7 +1484,15 @@ mod tests {
         }
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 3);
-        let _str_id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
+        let _str_id = mcu
+            .issue(
+                McuOp::BndStr {
+                    pointer: ptr,
+                    size: 64,
+                },
+                0,
+            )
+            .unwrap();
         let chk_id = mcu
             .issue(
                 McuOp::Access {
@@ -1410,13 +1522,31 @@ mod tests {
             layout,
         );
         assert!(mcu
-            .issue(McuOp::Access { pointer: 1, is_store: false }, 0)
+            .issue(
+                McuOp::Access {
+                    pointer: 1,
+                    is_store: false
+                },
+                0
+            )
             .is_ok());
         assert!(mcu
-            .issue(McuOp::Access { pointer: 2, is_store: false }, 0)
+            .issue(
+                McuOp::Access {
+                    pointer: 2,
+                    is_store: false
+                },
+                0
+            )
             .is_ok());
         assert!(!mcu.has_capacity());
-        let rejected = mcu.issue(McuOp::Access { pointer: 3, is_store: false }, 0);
+        let rejected = mcu.issue(
+            McuOp::Access {
+                pointer: 3,
+                is_store: false,
+            },
+            0,
+        );
         assert!(rejected.is_err());
         assert_eq!(mcu.len(), 2);
     }
@@ -1425,12 +1555,30 @@ mod tests {
     fn stats_accumulate_across_ops() {
         let (mut mcu, mut hbt, layout) = setup();
         let ptr = signed(layout, 0x4000, 3);
-        mcu.run_sync(McuOp::BndStr { pointer: ptr, size: 64 }, &mut hbt)
-            .unwrap();
-        mcu.run_sync(McuOp::Access { pointer: ptr, is_store: false }, &mut hbt)
-            .unwrap();
-        mcu.run_sync(McuOp::Access { pointer: 0x77, is_store: false }, &mut hbt)
-            .unwrap();
+        mcu.run_sync(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            &mut hbt,
+        )
+        .unwrap();
+        mcu.run_sync(
+            McuOp::Access {
+                pointer: ptr,
+                is_store: false,
+            },
+            &mut hbt,
+        )
+        .unwrap();
+        mcu.run_sync(
+            McuOp::Access {
+                pointer: 0x77,
+                is_store: false,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         mcu.run_sync(McuOp::BndClr { pointer: ptr }, &mut hbt)
             .unwrap();
         let s = mcu.stats();

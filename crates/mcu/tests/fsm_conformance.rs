@@ -65,7 +65,13 @@ fn covers(hbt: &HashedBoundsTable, pac: u64, addr: u64) -> bool {
 fn unsigned_access_goes_init_to_done_in_one_step() {
     let (mut mcu, mut hbt, _) = setup(1);
     let id = mcu
-        .issue(McuOp::Access { pointer: 0x5000, is_store: false }, 0)
+        .issue(
+            McuOp::Access {
+                pointer: 0x5000,
+                is_store: false,
+            },
+            0,
+        )
         .unwrap();
     assert_eq!(mcu.state_of(id), Some(McqState::Init));
     let mut events = Vec::new();
@@ -81,7 +87,13 @@ fn signed_access_walks_init_bndchk_done() {
     bndstr(&mut mcu, &mut hbt, layout, 7, 0x4000, 64);
     let ptr = layout.compose(0x4000, 7, 1);
     let id = mcu
-        .issue(McuOp::Access { pointer: ptr, is_store: false }, 0)
+        .issue(
+            McuOp::Access {
+                pointer: ptr,
+                is_store: false,
+            },
+            0,
+        )
         .unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(3);
@@ -105,7 +117,13 @@ fn way_iteration_inccnt_until_found() {
     bndstr(&mut mcu, &mut hbt, layout, 7, 0x9_0000, 64);
     let ptr = layout.compose(0x9_0000, 7, 1);
     let id = mcu
-        .issue(McuOp::Access { pointer: ptr, is_store: false }, 0)
+        .issue(
+            McuOp::Access {
+                pointer: ptr,
+                is_store: false,
+            },
+            0,
+        )
         .unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
@@ -131,7 +149,13 @@ fn count_exhaustion_fails_and_faults_at_head() {
     // Address with PAC 7 covered by nothing.
     let ptr = layout.compose(0x9_0000, 7, 1);
     let id = mcu
-        .issue(McuOp::Access { pointer: ptr, is_store: true }, 0)
+        .issue(
+            McuOp::Access {
+                pointer: ptr,
+                is_store: true,
+            },
+            0,
+        )
         .unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
@@ -140,7 +164,9 @@ fn count_exhaustion_fails_and_faults_at_head() {
     }
     assert_eq!(mcu.state_of(id), Some(McqState::Fail));
     assert!(
-        events.iter().any(|e| matches!(e, McuEvent::Exception { .. })),
+        events
+            .iter()
+            .any(|e| matches!(e, McuEvent::Exception { .. })),
         "failure at the head raises the AOS exception"
     );
     assert!(!mcu.can_retire(id), "a failed check never retires");
@@ -151,7 +177,15 @@ fn count_exhaustion_fails_and_faults_at_head() {
 fn bndstr_occchk_waits_for_commit_then_stores() {
     let (mut mcu, mut hbt, layout) = setup(1);
     let ptr = layout.compose(0x4000, 7, 1);
-    let id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
+    let id = mcu
+        .issue(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            0,
+        )
+        .unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
     mcu.tick(0, &mut hbt, &mut port, &mut events); // Init → OccChk
@@ -211,9 +245,23 @@ fn replay_rescues_fail_before_it_reaches_the_head() {
         layout,
     );
     let ptr = layout.compose(0x4000, 7, 1);
-    let str_id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
+    let str_id = mcu
+        .issue(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            0,
+        )
+        .unwrap();
     let chk_id = mcu
-        .issue(McuOp::Access { pointer: ptr + 8, is_store: false }, 0)
+        .issue(
+            McuOp::Access {
+                pointer: ptr + 8,
+                is_store: false,
+            },
+            0,
+        )
         .unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
@@ -223,7 +271,9 @@ fn replay_rescues_fail_before_it_reaches_the_head() {
     }
     assert_eq!(mcu.state_of(chk_id), Some(McqState::Fail));
     assert!(
-        !events.iter().any(|e| matches!(e, McuEvent::Exception { .. })),
+        !events
+            .iter()
+            .any(|e| matches!(e, McuEvent::Exception { .. })),
         "not at the head yet: no exception"
     );
     // Commit the bndstr; its store must replay the failed check.
@@ -233,7 +283,9 @@ fn replay_rescues_fail_before_it_reaches_the_head() {
     }
     assert!(mcu.is_empty(), "both completed after the replay");
     assert!(mcu.stats().replays >= 1);
-    assert!(!events.iter().any(|e| matches!(e, McuEvent::Exception { .. })));
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, McuEvent::Exception { .. })));
 }
 
 #[test]
@@ -243,7 +295,15 @@ fn retry_after_resize_reruns_the_fsm() {
         bndstr(&mut mcu, &mut hbt, layout, 7, 0x10_000 + i * 0x100, 64);
     }
     let ptr = layout.compose(0x9_0000, 7, 1);
-    let id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
+    let id = mcu
+        .issue(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            0,
+        )
+        .unwrap();
     mcu.mark_committed(id);
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
@@ -269,7 +329,15 @@ fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
     // chunk (a double free) fails at the head and is counted once.
     let (mut mcu, mut hbt, layout) = setup(1);
     let ptr = layout.compose(0x4000, 7, 1);
-    let str_id = mcu.issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0).unwrap();
+    let str_id = mcu
+        .issue(
+            McuOp::BndStr {
+                pointer: ptr,
+                size: 64,
+            },
+            0,
+        )
+        .unwrap();
     let clr_id = mcu.issue(McuOp::BndClr { pointer: ptr }, 0).unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
@@ -283,7 +351,9 @@ fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert!(mcu.is_empty(), "both completed after the replay");
-    assert!(!events.iter().any(|e| matches!(e, McuEvent::Exception { .. })));
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, McuEvent::Exception { .. })));
     let failed_clears = |mcu: &MemoryCheckUnit| {
         let mut snap = Telemetry::enabled().snapshot();
         mcu.record_telemetry(&mut snap);
@@ -291,6 +361,8 @@ fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
     };
     assert_eq!(failed_clears(&mcu), 0);
 
-    assert!(mcu.run_sync(McuOp::BndClr { pointer: ptr }, &mut hbt).is_err());
+    assert!(mcu
+        .run_sync(McuOp::BndClr { pointer: ptr }, &mut hbt)
+        .is_err());
     assert_eq!(failed_clears(&mcu), 1);
 }

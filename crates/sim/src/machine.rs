@@ -478,7 +478,11 @@ mod tests {
         let baseline_trace: Vec<Op> = trace
             .iter()
             .map(|op| match *op {
-                Op::Load { pointer, bytes, chained } => Op::Load {
+                Op::Load {
+                    pointer,
+                    bytes,
+                    chained,
+                } => Op::Load {
                     pointer: layout.address(pointer),
                     bytes,
                     chained,

@@ -81,12 +81,13 @@ impl Machine {
         loop {
             self.stage_tick_mcu();
             if self.hbt.in_migration() {
-                self.hbt.step_migration(self.config.migration_rows_per_cycle);
+                self.hbt
+                    .step_migration(self.config.migration_rows_per_cycle);
             }
             let committed = self.stage_commit();
             let (dispatched, stall_kind) = self.stage_dispatch(&mut trace);
-            let stalled = dispatched == 0
-                && (self.stage.fetch.has_buffered() || !self.stage.rob.is_empty());
+            let stalled =
+                dispatched == 0 && (self.stage.fetch.has_buffered() || !self.stage.rob.is_empty());
             if stalled && self.stage.fetch.has_buffered() {
                 self.stall_cycles += 1;
             }
@@ -123,9 +124,7 @@ impl Machine {
                 }
             }
             self.now += 1;
-            if !self.stage.fetch.has_buffered()
-                && self.stage.rob.is_empty()
-                && self.mcu.is_empty()
+            if !self.stage.fetch.has_buffered() && self.stage.rob.is_empty() && self.mcu.is_empty()
             {
                 // Trace might still hold ops (dispatch broke on width).
                 match trace.next() {
@@ -229,7 +228,9 @@ impl Machine {
     fn stage_commit(&mut self) -> u32 {
         let mut committed = 0;
         while committed < self.config.issue_width {
-            let Some(head) = self.stage.rob.head() else { break };
+            let Some(head) = self.stage.rob.head() else {
+                break;
+            };
             if head.faulted {
                 self.stage_raise_and_flush();
                 committed += 1;
@@ -301,10 +302,7 @@ impl Machine {
     /// LSQ and MCQ, charging structural stalls to the
     /// unit that blocked (a full MCQ back-pressures dispatch exactly
     /// like a full ROB — the paper's §IX-A effect).
-    fn stage_dispatch(
-        &mut self,
-        trace: &mut impl Iterator<Item = Op>,
-    ) -> (u32, StallKind) {
+    fn stage_dispatch(&mut self, trace: &mut impl Iterator<Item = Op>) -> (u32, StallKind) {
         let mut dispatched = 0;
         let mut stall = StallKind::None;
         while dispatched < self.config.issue_width {
@@ -382,9 +380,7 @@ impl Machine {
                         // Forwarded data arrives a cycle after both the
                         // load's start and the store's data — never
                         // slower than an L1 hit.
-                        LoadPath::Forward { data_ready_at } => {
-                            start_at.max(data_ready_at) + 1
-                        }
+                        LoadPath::Forward { data_ready_at } => start_at.max(data_ready_at) + 1,
                         // One bubble to re-issue past the conflicting
                         // store, then the ordinary access latency.
                         LoadPath::Replay => {
@@ -512,7 +508,11 @@ mod tests {
         m.stage.rob.alloc(entry(5));
         m.stage.rob.alloc(entry(0)); // younger and already due
         assert_eq!(m.stage_commit(), 0, "commit is in order");
-        assert_eq!(m.stage_wake_cycle(), 5, "the head's completion wakes the core");
+        assert_eq!(
+            m.stage_wake_cycle(),
+            5,
+            "the head's completion wakes the core"
+        );
         m.now = 4;
         assert_eq!(m.stage_commit(), 0);
         m.now = 5;

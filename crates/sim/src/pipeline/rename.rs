@@ -43,7 +43,10 @@ impl RegisterAliasTable {
     /// fail (each in-flight op holds at most one physical register).
     pub fn new(window: usize) -> Self {
         let total = LOGICAL_REGS + window;
-        assert!(total <= u16::MAX as usize, "physical register file too large");
+        assert!(
+            total <= u16::MAX as usize,
+            "physical register file too large"
+        );
         let mut map = [0u16; LOGICAL_REGS];
         for (logical, phys) in map.iter_mut().enumerate() {
             *phys = logical as u16;
