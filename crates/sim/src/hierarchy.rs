@@ -43,6 +43,8 @@ pub struct MemoryHierarchy {
     l1d: Cache,
     l1b: Option<Cache>,
     l2: Cache,
+    /// `log2` of the line size all three caches share.
+    line_shift: u32,
     /// Extra cycles when the line's L2 slice is remote (Table IV:
     /// 8-cycle local, 16-cycle remote — a two-slice NUCA L2).
     l2_remote_penalty: u64,
@@ -83,6 +85,10 @@ impl MemoryHierarchy {
     /// `l2_remote_penalty` is added on top of the L2 hit latency for
     /// lines homed in the remote NUCA slice (Table IV's 8-cycle local
     /// / 16-cycle remote L2).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all three caches share one valid line size.
     pub fn new(
         l1d: CacheConfig,
         l1b: Option<CacheConfig>,
@@ -90,7 +96,11 @@ impl MemoryHierarchy {
         l2_remote_penalty: u64,
         dram_latency: u64,
     ) -> Self {
+        let line_bytes = l1d.line_bytes;
+        let shared = l1b.iter().chain([&l2]).all(|c| c.line_bytes == line_bytes);
+        assert!(shared, "caches must share the L1-D's {line_bytes}B lines");
         Self {
+            line_shift: line_bytes.trailing_zeros(),
             l1d: Cache::new(l1d),
             l1b: l1b.map(Cache::new),
             l2: Cache::new(l2),
@@ -103,8 +113,7 @@ impl MemoryHierarchy {
     /// Whether `line_addr` is homed in the remote L2 slice: lines
     /// interleave across the two slices by line address.
     fn is_remote_slice(&self, line_addr: u64) -> bool {
-        self.l2_remote_penalty > 0
-            && (line_addr >> self.l1d.config().line_bytes.trailing_zeros()) & 1 == 1
+        self.l2_remote_penalty > 0 && (line_addr >> self.line_shift) & 1 == 1
     }
 
     /// Inter-level traffic so far.
@@ -145,30 +154,23 @@ impl MemoryHierarchy {
     }
 
     fn access_through_l1(&mut self, addr: u64, bytes: u32, is_write: bool, bounds: bool) -> u64 {
-        // `Cache::new` asserts a power-of-two line size.
-        let line_shift = self.l1d.config().line_bytes.trailing_zeros();
-        let first = addr >> line_shift;
-        let last = (addr + bytes.max(1) as u64 - 1) >> line_shift;
+        let first = addr >> self.line_shift;
+        let last = (addr + bytes.max(1) as u64 - 1) >> self.line_shift;
         let mut latency = 0u64;
         for line in first..=last {
-            let line_addr = line << line_shift;
+            let line_addr = line << self.line_shift;
             latency = latency.max(self.one_line(line_addr, is_write, bounds));
         }
         latency
     }
 
     fn one_line(&mut self, line_addr: u64, is_write: bool, bounds: bool) -> u64 {
-        let line_bytes = self.l1d.config().line_bytes as u64;
-        let (l1, l1_hit_latency) = match &mut self.l1b {
-            Some(c) if bounds => {
-                let lat = c.config().hit_latency;
-                (c, lat)
-            }
-            _ => {
-                let lat = self.l1d.config().hit_latency;
-                (&mut self.l1d, lat)
-            }
+        let line_bytes = 1u64 << self.line_shift;
+        let l1 = match &mut self.l1b {
+            Some(c) if bounds => c,
+            _ => &mut self.l1d,
         };
+        let l1_hit_latency = l1.config().hit_latency;
         match l1.access(line_addr, is_write) {
             Lookup::Hit => l1_hit_latency,
             Lookup::Miss { writeback } => {
@@ -176,9 +178,8 @@ impl MemoryHierarchy {
                 self.traffic.l1_l2_bytes += line_bytes;
                 if let Some(wb) = writeback {
                     self.traffic.l1_l2_bytes += line_bytes;
-                    if let Some(l2_wb) = self.l2.install(wb, true) {
+                    if self.l2.install(wb, true).is_some() {
                         self.traffic.l2_dram_bytes += 2 * line_bytes;
-                        let _ = l2_wb;
                     }
                 }
                 let slice_penalty = if self.is_remote_slice(line_addr) {
@@ -323,5 +324,17 @@ mod tests {
         h.access_data(0x080, 8, false); // evicts dirty 0x000
         let after = h.traffic().l1_l2_bytes;
         assert_eq!(after - before, 128, "fill + writeback");
+    }
+
+    #[test]
+    #[should_panic(expected = "64B lines")]
+    fn mixed_line_sizes_rejected() {
+        let config = |line_bytes| CacheConfig {
+            size_bytes: 1024,
+            ways: 2,
+            line_bytes,
+            hit_latency: 1,
+        };
+        MemoryHierarchy::new(config(64), Some(config(32)), config(64), 0, 100);
     }
 }
