@@ -48,7 +48,11 @@ pub struct FrameSpan {
 ///
 /// [`AosError::Corruption`] when the bytes do not parse as frames —
 /// the injector refuses to "corrupt" a file it cannot interpret.
-pub fn walk_entry_frames(bytes: &[u8], entry_offset: u64, path: &Path) -> Result<Vec<FrameSpan>, AosError> {
+pub fn walk_entry_frames(
+    bytes: &[u8],
+    entry_offset: u64,
+    path: &Path,
+) -> Result<Vec<FrameSpan>, AosError> {
     let mut frames = Vec::new();
     let mut at = entry_offset as usize;
     loop {
@@ -280,7 +284,13 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         let frames = walk_entry_frames(&bytes, victim_offset, &path).expect("walk");
         // header, one op block (200 ops < BLOCK_OPS), trailer
-        assert_eq!(frames.iter().map(|f| f.kind).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(frames[2].payload_len, 12, "trailer is op_count + block_count");
+        assert_eq!(
+            frames.iter().map(|f| f.kind).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert_eq!(
+            frames[2].payload_len, 12,
+            "trailer is op_count + block_count"
+        );
     }
 }

@@ -144,7 +144,10 @@ struct Reservoir<T> {
 
 impl<T> Reservoir<T> {
     fn new() -> Self {
-        Self { chosen: None, seen: 0 }
+        Self {
+            chosen: None,
+            seen: 0,
+        }
     }
 
     fn offer(&mut self, rng: &mut Xoshiro256StarStar, item: T) {
@@ -180,8 +183,7 @@ pub fn plan_fault(
     let mut rng = Xoshiro256StarStar::seed_from_u64(spec.seed ^ fault_salt(spec.kind));
     match spec.kind {
         FaultKind::OverflowWrite => {
-            let (scanned, (i, pointer, size)) =
-                pick_bndstr(trace, layout, &mut rng, spec.kind)?;
+            let (scanned, (i, pointer, size)) = pick_bndstr(trace, layout, &mut rng, spec.kind)?;
             Ok(FaultPlan {
                 splice: Splice::insert(
                     i + 1,
@@ -235,9 +237,9 @@ pub fn plan_fault(
                     continue;
                 }
                 let pac = layout.pac(pointer);
-                let reallocated = look.window().any(|o| {
-                    matches!(o, Op::BndStr { pointer: q, .. } if layout.pac(*q) == pac)
-                });
+                let reallocated = look
+                    .window()
+                    .any(|o| matches!(o, Op::BndStr { pointer: q, .. } if layout.pac(*q) == pac));
                 if !reallocated {
                     reservoir.offer(&mut rng, (i, pointer));
                 }
