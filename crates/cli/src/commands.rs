@@ -10,8 +10,8 @@ use aos_core::workloads::collisions;
 use aos_core::workloads::microbench::pac_distribution;
 use aos_core::workloads::profile::{self, REAL_WORLD, SPEC2006};
 use aos_fault::campaign::FaultCampaignConfig;
-use aos_fault::{plan_fault, run_fault_campaign, FaultKind, FaultSpec};
-use aos_lint::{lint_stream_metered, MatrixReport, MatrixScan, Policy};
+use aos_fault::{fault_sweep, plan_fault, run_fault_campaign, FaultKind, FaultSpec, Trial};
+use aos_lint::{lint_stream_metered, MatrixReport, Policy};
 use aos_ptrauth::PointerLayout;
 use aos_util::json::{Json, Layout};
 use aos_util::{Counter, Gauge, Telemetry};
@@ -213,6 +213,17 @@ fn parse_policies(parsed: &Parsed) -> Result<Vec<Policy>, String> {
         }
     }
     Ok(policies)
+}
+
+/// `--kinds k1,k2,..`, every fault kind by default.
+fn parse_kinds(parsed: &Parsed) -> Result<Vec<FaultKind>, String> {
+    match parsed.flag("kinds") {
+        None => Ok(FaultKind::ALL.to_vec()),
+        Some(list) => list
+            .split(',')
+            .map(|k| FaultKind::parse(k.trim()).map_err(|e| e.to_string()))
+            .collect(),
+    }
 }
 
 fn parse_system(name: &str) -> Result<SafetyConfig, String> {
@@ -699,13 +710,7 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
     if seed_count == 0 {
         return Err("--seeds must be at least 1".to_string().into());
     }
-    let kinds = match parsed.flag("kinds") {
-        None => FaultKind::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|k| FaultKind::parse(k.trim()).map_err(|e| e.to_string()))
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    let kinds = parse_kinds(&parsed)?;
     let options = campaign_options(&parsed)?;
     let strict = bool_flag(&parsed, "strict");
     let telemetry = bool_flag(&parsed, "telemetry");
@@ -730,11 +735,11 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
         "{:<12} {:>6} {:>10} {:>12} {:>12}",
         "kind", "seed", "system", "violations", "verdict"
     );
-    for trial in &outcome.matrix.trials {
+    for (spec, trial) in &outcome.matrix.trials {
         println!(
             "{:<12} {:>6} {:>10} {:>12} {:>12}",
-            trial.spec.kind.name(),
-            trial.spec.seed,
+            spec.kind.name(),
+            spec.seed,
             trial.system.to_string(),
             trial.faulty_violations,
             if trial.system.uses_aos() {
@@ -813,11 +818,7 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
         "workload scale seed budget max-chain coverage-guided corpus-out out json telemetry \
          replay-corpus",
     )?;
-    let telemetry = if bool_flag(&parsed, "telemetry") {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let telemetry = Telemetry::new(bool_flag(&parsed, "telemetry"));
 
     if let Some(path) = parsed.flag("replay-corpus") {
         let report = aos_fuzz::replay_corpus(path, &telemetry)
@@ -835,7 +836,7 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
                 }
             );
         }
-        if bool_flag(&parsed, "telemetry") {
+        if telemetry.is_enabled() {
             println!();
             print!("{}", telemetry.snapshot().to_table());
         }
@@ -930,7 +931,7 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
         if let Some(corpus) = &report.corpus {
             println!("banked {} finding stream(s) to {corpus}", report.banked);
         }
-        if bool_flag(&parsed, "telemetry") {
+        if telemetry.is_enabled() {
             println!();
             print!("{}", telemetry.snapshot().to_table());
         }
@@ -1051,34 +1052,19 @@ pub fn matrix_cmd(args: &[String]) -> Result<(), CliError> {
         None => Policy::ALL.to_vec(),
         Some(_) => parse_policies(&parsed)?,
     };
-    let kinds = match parsed.flag("kinds") {
-        None => FaultKind::ALL.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|k| FaultKind::parse(k.trim()).map_err(|e| e.to_string()))
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let telemetry = if bool_flag(&parsed, "telemetry") {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let layout = PointerLayout::default();
-    let stream = || TraceGenerator::new(workload, SafetyConfig::Aos, scale);
+    let kinds = parse_kinds(&parsed)?;
+    let telemetry = Telemetry::new(bool_flag(&parsed, "telemetry"));
     let seeds: Vec<u64> = (1..=seed_count).collect();
 
+    // The fault campaign's static sweep, with no machine: the first
+    // unplannable fault ends the command.
+    let clean = Trial::clean(*workload, scale);
+    let (clean_outcome, faults) = fault_sweep(&clean, &[], &kinds, &seeds, &policies, &telemetry);
     let mut matrix = MatrixReport::new(workload.name, scale, seeds.clone(), policies.clone());
-    matrix.absorb(
-        "clean",
-        &MatrixScan::run(&policies, stream(), layout, &telemetry),
-    );
-    for &kind in &kinds {
-        for &seed in &seeds {
-            let plan = plan_fault(stream(), layout, FaultSpec { kind, seed })
-                .map_err(|e| e.to_string())?;
-            let reports = MatrixScan::run(&policies, plan.apply(stream()), layout, &telemetry);
-            matrix.absorb(kind.name(), &reports);
-        }
+    matrix.absorb("clean", &clean_outcome.reports);
+    for (spec, planned) in faults {
+        let (_, reports) = planned.map_err(|e| e.to_string())?;
+        matrix.absorb(spec.kind.name(), &reports);
     }
 
     let as_json = bool_flag(&parsed, "json");
@@ -1086,7 +1072,7 @@ pub fn matrix_cmd(args: &[String]) -> Result<(), CliError> {
         print!("{}", matrix.to_json());
     } else {
         print!("{}", matrix.to_table());
-        if bool_flag(&parsed, "telemetry") {
+        if telemetry.is_enabled() {
             println!();
             print!("{}", telemetry.snapshot().to_table());
         }

@@ -7,14 +7,18 @@
 //! stream silently. This crate turns that claim into a measurable,
 //! regression-testable artifact:
 //!
-//! - [`inject::plan_fault`] scans a
-//!   [`TraceGenerator`](aos_workloads::TraceGenerator) stream once in
-//!   `O(window)` memory and plans one seeded fault (see
-//!   [`FaultKind`]); [`FaultPlan::apply`](inject::FaultPlan::apply)
-//!   splices it into a fresh stream without materializing the trace;
-//! - [`oracle`] replays clean and faulted streams through
-//!   [`Machine`](aos_sim::Machine) configurations and classifies each
-//!   trial as detected / missed / false positive;
+//! - [`inject::plan_fault`] scans a clean stream once in `O(window)`
+//!   memory and plans one seeded fault (see [`FaultKind`]) as one
+//!   [`Splice`](aos_isa::stream::Splice) edit;
+//!   [`FaultPlan::apply`](inject::FaultPlan::apply) splices it into a
+//!   fresh stream without materializing the trace;
+//! - [`oracle`] is the only code that turns a workload and a plan
+//!   into measurements: a [`Trial`] (profile, scale, edits) yields
+//!   the AOS stream the planners read and runs one guarded campaign
+//!   cell, and [`measure`] replays any stream on a set of
+//!   [`Machine`](aos_sim::Machine)s and scans it under a set of
+//!   static policies. The fault campaign, the fuzz harness
+//!   (`aos-fuzz`) and `aos matrix` all measure through it;
 //! - [`corrupt`] models physical bounds-record corruption (bit flips,
 //!   lost ways) against the HBT's CRC-3 fail-closed design;
 //! - [`corpus`] injects storage faults into persistent trace corpora
@@ -40,4 +44,4 @@ pub use campaign::{
     FaultCampaignOutcome, LintClass, PolicyCrossCheck, PolicyKindCheck,
 };
 pub use inject::{plan_fault, FaultKind, FaultPlan, FaultSpec, UAF_DELAY_OPS};
-pub use oracle::{FaultTrial, TrialMatrix, Verdict};
+pub use oracle::{fault_sweep, measure, Measurement, SystemTrial, Trial, TrialMatrix, Verdict};

@@ -1,17 +1,191 @@
-//! The detection oracle: replays clean and faulted traces through a
-//! system's machine model and classifies the outcome.
+//! The trial oracle: the one code path that turns a workload and a
+//! plan's edits into measurements. A [`Trial`] is the AOS-instrumented
+//! stream of one workload at one scale with [`Splice`] edits in it
+//! (none for the clean trial); [`measure`] replays a stream on
+//! machines and scans it under static policies, and [`fault_sweep`]
+//! is the static sweep the fault campaign and `aos matrix` share.
 //!
-//! A trial is **detected** when the faulted trace raises strictly
-//! more violations than the clean trace on the same machine, and a
-//! **false positive** when the clean trace raises any violation at
-//! all. The paper's security table (§VII) then reduces to: every
+//! A [`SystemTrial`] is **detected** when the faulted stream raises
+//! strictly more violations than the clean stream on the same
+//! machine, and a **false positive** when the clean stream raises any.
+//! The paper's security table (§VII) then reduces to: every
 //! spatial/temporal/forgery trial is detected under AOS and missed
 //! under Baseline, with zero false positives anywhere.
 
-use aos_isa::SafetyConfig;
+use aos_core::experiment::campaign::CellOutput;
+use aos_core::experiment::SystemUnderTest;
+use aos_isa::stream::{BufferedOps, OpStream, Splice, SpliceMany};
+use aos_isa::{Op, SafetyConfig};
+use aos_lint::{MatrixScan, Policy, PolicyReport};
+use aos_ptrauth::PointerLayout;
+use aos_sim::Machine;
 use aos_util::json::{Json, Layout};
+use aos_util::{AosError, Telemetry};
+use aos_workloads::{TraceGenerator, WorkloadProfile};
 
-use crate::inject::FaultSpec;
+use crate::inject::{plan_fault, FaultKind, FaultSpec};
+
+/// One workload stream and the edits spliced into it: what every
+/// harness measures.
+#[derive(Debug, Clone)]
+pub struct Trial {
+    /// The workload whose AOS-instrumented trace is generated.
+    pub profile: WorkloadProfile,
+    /// Window scale in `(0, 1]`.
+    pub scale: f64,
+    /// Edits in original-trace index space; empty for the clean
+    /// trial.
+    pub edits: Vec<Splice>,
+}
+
+impl Trial {
+    /// The clean trial: the generated trace, unedited.
+    pub fn clean(profile: WorkloadProfile, scale: f64) -> Trial {
+        Trial {
+            profile,
+            scale,
+            edits: Vec::new(),
+        }
+    }
+
+    /// The same workload and scale with `edits` spliced in.
+    pub fn with_edits(&self, edits: Vec<Splice>) -> Trial {
+        Trial {
+            profile: self.profile,
+            scale: self.scale,
+            edits,
+        }
+    }
+
+    /// A fresh stream of the trial: the AOS-instrumented trace with
+    /// the edits spliced in.
+    pub fn stream(&self) -> SpliceMany<TraceGenerator> {
+        self.recording(&Telemetry::disabled())
+    }
+
+    /// [`Trial::stream`] with the generator's signer and heap
+    /// recording into `telemetry`: the factory to [`measure`] a trial
+    /// with.
+    pub fn recording(&self, telemetry: &Telemetry) -> SpliceMany<TraceGenerator> {
+        TraceGenerator::new(&self.profile, SafetyConfig::Aos, self.scale)
+            .with_telemetry(telemetry.clone())
+            .splice_many(self.edits.clone())
+    }
+
+    /// Runs one guarded campaign cell on `sut`. The generator records
+    /// into the machine's telemetry handle, so the cell's snapshot
+    /// covers generation and simulation, and the stream is metered
+    /// for the report's `trace_ops` and `peak_trace_bytes` columns.
+    pub fn run_cell(&self, sut: &SystemUnderTest) -> CellOutput {
+        let mut machine = Machine::new(sut.machine_config());
+        let mut stream = self.recording(machine.telemetry()).metered();
+        let stats = machine.run(&mut stream);
+        CellOutput {
+            stats,
+            trace_ops: stream.ops(),
+            peak_trace_bytes: stream.peak_buffered_ops() as u64 * std::mem::size_of::<Op>() as u64,
+        }
+    }
+}
+
+/// What [`measure`] observed on one stream.
+#[derive(Debug, Clone)]
+pub struct Measurement {
+    /// Each system's violation count, in the order measured.
+    pub violations: Vec<(SafetyConfig, u64)>,
+    /// Each policy's report, in the order scanned.
+    pub reports: Vec<PolicyReport>,
+}
+
+impl Measurement {
+    /// This faulted measurement's per-system outcomes against `clean`,
+    /// which was measured on the same systems in the same order.
+    pub fn trials(&self, clean: &Measurement) -> Vec<SystemTrial> {
+        clean
+            .violations
+            .iter()
+            .zip(&self.violations)
+            .map(|(&(system, clean), &(_, faulty))| SystemTrial {
+                system,
+                clean_violations: clean,
+                faulty_violations: faulty,
+            })
+            .collect()
+    }
+}
+
+/// The oracle's one measurement. Scans a fresh stream under every
+/// policy in one [`MatrixScan`] pass (the scan counts into
+/// `telemetry`), then replays a fresh stream on each system's
+/// machine. `stream` gets the handle to record generation into: a
+/// disabled one for the scan, the machine's own for each replay, so
+/// each machine's snapshot covers generation and simulation; that
+/// snapshot is merged into `telemetry` (it is empty unless the
+/// system was built with telemetry on).
+pub fn measure<I, F>(
+    stream: F,
+    systems: &[SystemUnderTest],
+    policies: &[Policy],
+    telemetry: &Telemetry,
+) -> Measurement
+where
+    I: Iterator<Item = Op>,
+    F: Fn(&Telemetry) -> I,
+{
+    let reports = MatrixScan::run(
+        policies,
+        stream(&Telemetry::disabled()),
+        PointerLayout::default(),
+        telemetry,
+    );
+    let violations = systems
+        .iter()
+        .map(|sut| {
+            let mut machine = Machine::new(sut.machine_config());
+            let recorder = machine.telemetry().clone();
+            let stats = machine.run(stream(&recorder));
+            telemetry.merge(&stats.telemetry);
+            (sut.safety, stats.violations)
+        })
+        .collect();
+    Measurement {
+        violations,
+        reports,
+    }
+}
+
+/// One `(kind, seed)` of a [`fault_sweep`]: the faulted trial with
+/// its policy reports, or the planner's error.
+pub type SweptFault = (FaultSpec, Result<(Trial, Vec<PolicyReport>), AosError>);
+
+/// The static sweep the fault campaign's cross-check and `aos matrix`
+/// share. Measures the clean trial on `systems` under `policies` at
+/// once; then, lazily and in kind-major order, plans each
+/// `(kind, seed)` fault against the clean stream and yields its
+/// faulted trial with that trial's scan under `policies`. Every scan
+/// counts into `telemetry`.
+pub fn fault_sweep<'a>(
+    clean: &'a Trial,
+    systems: &[SystemUnderTest],
+    kinds: &'a [FaultKind],
+    seeds: &'a [u64],
+    policies: &'a [Policy],
+    telemetry: &'a Telemetry,
+) -> (Measurement, impl Iterator<Item = SweptFault> + 'a) {
+    let reference = measure(|t| clean.recording(t), systems, policies, telemetry);
+    let faults = kinds
+        .iter()
+        .flat_map(move |&kind| seeds.iter().map(move |&seed| FaultSpec { kind, seed }))
+        .map(move |spec| {
+            let planned = plan_fault(clean.stream(), PointerLayout::default(), spec).map(|plan| {
+                let trial = clean.with_edits(vec![plan.splice]);
+                let reports = measure(|t| trial.recording(t), &[], policies, telemetry).reports;
+                (trial, reports)
+            });
+            (spec, planned)
+        });
+    (reference, faults)
+}
 
 /// The oracle's classification of one trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,57 +205,68 @@ impl std::fmt::Display for Verdict {
     }
 }
 
-/// One `(fault × system)` trial and its measured outcome.
-#[derive(Debug, Clone)]
-pub struct FaultTrial {
-    /// The injected fault.
-    pub spec: FaultSpec,
-    /// The system the trace ran on.
+/// One system's outcome of a trial: the clean and the faulted
+/// stream's violations on the same machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SystemTrial {
+    /// The system the streams ran on.
     pub system: SafetyConfig,
-    /// Violations the *clean* trace raised (any > 0 is a false
+    /// Violations the *clean* stream raised (any > 0 is a false
     /// positive).
     pub clean_violations: u64,
-    /// Violations the faulted trace raised.
+    /// Violations the faulted stream raised.
     pub faulty_violations: u64,
 }
 
-impl FaultTrial {
-    /// Detected iff the fault added at least one violation.
+impl SystemTrial {
+    /// Extra violations the edits added.
+    pub fn delta(&self) -> u64 {
+        self.faulty_violations.saturating_sub(self.clean_violations)
+    }
+
+    /// Detected iff the edits added at least one violation.
     pub fn verdict(&self) -> Verdict {
-        if self.faulty_violations > self.clean_violations {
+        if self.delta() > 0 {
             Verdict::Detected
         } else {
             Verdict::Missed
         }
     }
 
-    /// True when the clean trace itself raised a violation.
+    /// True when the clean stream itself raised a violation.
     pub fn false_positive(&self) -> bool {
         self.clean_violations > 0
     }
 }
 
-/// An accumulated grid of trials with its summary arithmetic.
+/// An accumulated grid of fault trials with its summary arithmetic.
 #[derive(Debug, Clone, Default)]
 pub struct TrialMatrix {
-    /// Every trial run, in execution order.
-    pub trials: Vec<FaultTrial>,
+    /// Every trial run with the fault it injected, in execution
+    /// order.
+    pub trials: Vec<(FaultSpec, SystemTrial)>,
 }
 
 impl TrialMatrix {
-    /// Adds one trial.
-    pub fn push(&mut self, trial: FaultTrial) {
-        self.trials.push(trial);
+    /// Adds one trial of `spec`.
+    pub fn push(&mut self, spec: FaultSpec, trial: SystemTrial) {
+        self.trials.push((spec, trial));
     }
 
     /// Trials on systems where AOS checking is active.
-    pub fn protected(&self) -> impl Iterator<Item = &FaultTrial> {
-        self.trials.iter().filter(|t| t.system.uses_aos())
+    pub fn protected(&self) -> impl Iterator<Item = &SystemTrial> {
+        self.trials
+            .iter()
+            .map(|(_, t)| t)
+            .filter(|t| t.system.uses_aos())
     }
 
     /// Trials on systems without AOS checking.
-    pub fn unprotected(&self) -> impl Iterator<Item = &FaultTrial> {
-        self.trials.iter().filter(|t| !t.system.uses_aos())
+    pub fn unprotected(&self) -> impl Iterator<Item = &SystemTrial> {
+        self.trials
+            .iter()
+            .map(|(_, t)| t)
+            .filter(|t| !t.system.uses_aos())
     }
 
     /// Detected fraction among protected trials (1.0 when there are
@@ -101,7 +286,10 @@ impl TrialMatrix {
 
     /// Count of clean-trace violations anywhere in the matrix.
     pub fn false_positives(&self) -> usize {
-        self.trials.iter().filter(|t| t.false_positive()).count()
+        self.trials
+            .iter()
+            .filter(|(_, t)| t.false_positive())
+            .count()
     }
 
     /// The acceptance gate: every protected trial detected, every
@@ -134,64 +322,85 @@ impl TrialMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::{plan_fault, FaultKind};
-    use aos_core::experiment::SystemUnderTest;
-    use aos_ptrauth::PointerLayout;
-    use aos_sim::Machine;
+    use aos_util::Counter;
     use aos_workloads::profile::by_name;
-    use aos_workloads::{TraceGenerator, WorkloadProfile};
 
-    /// One trial: plans `spec` on the AOS-instrumented stream, then
-    /// replays the clean and the faulted stream on `sut`'s machine.
-    fn run_trial(profile: &WorkloadProfile, sut: &SystemUnderTest, spec: FaultSpec) -> FaultTrial {
-        let stream = || TraceGenerator::new(profile, SafetyConfig::Aos, sut.scale);
-        let plan = plan_fault(stream(), PointerLayout::default(), spec).unwrap();
-        let clean = Machine::new(sut.machine_config()).run(stream());
-        let faulty = Machine::new(sut.machine_config()).run(plan.apply(stream()));
-        FaultTrial {
-            spec,
-            system: sut.safety,
-            clean_violations: clean.violations,
-            faulty_violations: faulty.violations,
-        }
+    const SCALE: f64 = 0.004;
+
+    /// One trial: plans `spec` on the clean hmmer stream, then
+    /// measures the clean and the faulted stream on `system`.
+    fn run_trial(system: SafetyConfig, spec: FaultSpec) -> SystemTrial {
+        let clean = Trial::clean(*by_name("hmmer").unwrap(), SCALE);
+        let plan = plan_fault(clean.stream(), PointerLayout::default(), spec).unwrap();
+        let systems = [SystemUnderTest::scaled(system, SCALE)];
+        let off = Telemetry::disabled();
+        let faulted = clean.with_edits(vec![plan.splice]);
+        let reference = measure(|t| clean.recording(t), &systems, &[], &off);
+        measure(|t| faulted.recording(t), &systems, &[], &off).trials(&reference)[0]
     }
 
     #[test]
     fn aos_detects_overflow_and_baseline_misses_it() {
-        let p = by_name("hmmer").unwrap();
         let spec = FaultSpec {
             kind: FaultKind::OverflowWrite,
             seed: 3,
         };
-        let aos = run_trial(p, &SystemUnderTest::scaled(SafetyConfig::Aos, 0.004), spec);
+        let aos = run_trial(SafetyConfig::Aos, spec);
         assert_eq!(aos.verdict(), Verdict::Detected);
         assert!(!aos.false_positive());
-        let base = run_trial(
-            p,
-            &SystemUnderTest::scaled(SafetyConfig::Baseline, 0.004),
-            spec,
-        );
+        let base = run_trial(SafetyConfig::Baseline, spec);
         assert_eq!(base.verdict(), Verdict::Missed);
         assert_eq!(base.faulty_violations, 0);
     }
 
     #[test]
     fn matrix_summary_arithmetic() {
-        let p = by_name("hmmer").unwrap();
+        let spec = FaultSpec {
+            kind: FaultKind::UseAfterFree,
+            seed: 1,
+        };
         let mut matrix = TrialMatrix::default();
         for system in [SafetyConfig::Aos, SafetyConfig::Baseline] {
-            matrix.push(run_trial(
-                p,
-                &SystemUnderTest::scaled(system, 0.004),
-                FaultSpec {
-                    kind: FaultKind::UseAfterFree,
-                    seed: 1,
-                },
-            ));
+            matrix.push(spec, run_trial(system, spec));
         }
         assert!(matrix.is_sound());
         let json = matrix.to_json_value().to_string();
         assert!(json.contains("\"detection_rate\": 1.0000"));
         assert!(json.contains("\"false_positives\": 0"));
+    }
+
+    /// The scan counts into the caller's handle and each machine's
+    /// snapshot (generation included) is merged into it; a system
+    /// built without telemetry adds nothing.
+    #[test]
+    fn measure_merges_the_machines_snapshots() {
+        let clean = Trial::clean(*by_name("hmmer").unwrap(), SCALE);
+        let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE);
+        let telemetry = Telemetry::enabled();
+        measure(|t| clean.recording(t), &[sut], &[Policy::Aos], &telemetry);
+        let quiet = telemetry.snapshot();
+        assert!(quiet.counter(Counter::LintOpsScanned) > 0);
+        assert_eq!(quiet.counter(Counter::HeapAllocs), 0);
+        measure(
+            |t| clean.recording(t),
+            &[sut.with_telemetry(true)],
+            &[],
+            &telemetry,
+        );
+        let loud = telemetry.snapshot();
+        assert_eq!(
+            loud.counter(Counter::LintOpsScanned),
+            quiet.counter(Counter::LintOpsScanned)
+        );
+        let cell = clean.run_cell(&sut.with_telemetry(true));
+        for counter in [Counter::HeapAllocs, Counter::PtrSigns, Counter::McqEnqueued] {
+            assert!(loud.counter(counter) > 0, "{} stayed 0", counter.name());
+            assert_eq!(
+                loud.counter(counter),
+                cell.stats.telemetry.counter(counter),
+                "{}",
+                counter.name()
+            );
+        }
     }
 }

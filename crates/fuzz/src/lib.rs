@@ -27,8 +27,9 @@
 //!   one into concrete [`Splice`](aos_isa::stream::Splice) edits
 //!   against a trace;
 //! - [`differential`] — the five-system replay against *all four*
-//!   static policies (one [`aos_lint::MatrixScan`] pass) and the
-//!   finding classification;
+//!   static policies (one [`aos_lint::MatrixScan`] pass), measured
+//!   through [`aos_fault::oracle::measure`] like every fault trial,
+//!   and the finding classification;
 //! - [`coverage`] — the campaign coverage map (step kinds × policy
 //!   rules × dynamic verdicts) that feeds the engine's
 //!   coverage-guided scheduler;

@@ -470,6 +470,22 @@ impl Telemetry {
         }
     }
 
+    /// Folds a snapshot into the live cells with
+    /// [`TelemetrySnapshot::merge`]'s arithmetic — how a campaign
+    /// collects the snapshots of the machines it ran. A no-op on a
+    /// disabled handle.
+    pub fn merge(&self, other: &TelemetrySnapshot) {
+        let Some(r) = &self.registry else { return };
+        let cells = r.counters.iter().chain(r.hists.iter().flatten());
+        let values = other.counters.iter().chain(other.hists.iter().flatten());
+        for (cell, &n) in cells.zip(values) {
+            cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        }
+        for (&gauge, &value) in Gauge::ALL.iter().zip(&other.gauges) {
+            self.gauge_max(gauge, value);
+        }
+    }
+
     /// An immutable copy of every cell.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         match &self.registry {
@@ -673,6 +689,25 @@ mod tests {
         u.add(Counter::HeapAllocs, 2);
         assert_eq!(t.snapshot().counter(Counter::HeapAllocs), 3);
         assert_eq!(t.snapshot(), u.snapshot());
+    }
+
+    #[test]
+    fn merging_into_a_handle_matches_merging_snapshots() {
+        let part = Telemetry::enabled();
+        part.add(Counter::McqEnqueued, 5);
+        part.gauge_max(Gauge::HbtWays, 4);
+        part.observe(Hist::HeapAllocSize, 64);
+        let whole = Telemetry::enabled();
+        whole.add(Counter::McqEnqueued, 2);
+        whole.gauge_max(Gauge::HbtWays, 8);
+        let mut expected = whole.snapshot();
+        expected.merge(&part.snapshot());
+        whole.merge(&part.snapshot());
+        assert_eq!(whole.snapshot(), expected);
+        assert_eq!(whole.snapshot().counter(Counter::McqEnqueued), 7);
+        let off = Telemetry::disabled();
+        off.merge(&part.snapshot());
+        assert!(off.snapshot().is_empty());
     }
 
     #[test]

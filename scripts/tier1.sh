@@ -28,12 +28,12 @@ echo "== tier-1: member crate tests =="
 cargo test -q -p aos-sim -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-lint \
     -p aos-fuzz -p aos-serve -p aos-cli
 
-# The check-path crates (simulator and MCU) are held to rustfmt's
-# output; the other crates are not formatted yet. Skipped when rustfmt
-# is not installed.
+# The check-path crates (simulator and MCU) and the fault and fuzz
+# harnesses are held to rustfmt's output; the other crates are not
+# formatted yet. Skipped when rustfmt is not installed.
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu) =="
-    cargo fmt --check -p aos-sim -p aos-mcu
+    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-fault, aos-fuzz) =="
+    cargo fmt --check -p aos-sim -p aos-mcu -p aos-fault -p aos-fuzz
 else
     echo "== tier-1: rustfmt not installed, skipping the format gate =="
 fi
@@ -72,9 +72,17 @@ cargo run -q --release -p aos-cli -- matrix --scale 0.01 --seeds 1 >/dev/null
 echo "== tier-1: adversarial differential fuzz smoke (fixed seed) =="
 # A fixed-seed, fixed-budget campaign must run finding-free (exit 0):
 # every generated attack chain lands exactly on the pinned
-# static/dynamic split. The checked-in golden corpus must replay with
-# bit-stable verdicts through both oracles.
-cargo run -q --release -p aos-cli -- fuzz --seed 7 --budget 4 >/dev/null
+# static/dynamic split. With --telemetry true every machine the
+# campaign runs counts into the printed table, so the generator and
+# pipeline counters must not read 0. The checked-in golden corpus must
+# replay with bit-stable verdicts through both oracles.
+fuzz_out=$(cargo run -q --release -p aos-cli -- fuzz --seed 7 --budget 4 --telemetry true)
+for counter in mcq_enqueued heap_allocs; do
+    if ! awk -v c="$counter" '$1 == c && $2 > 0 { ok = 1 } END { exit !ok }' <<<"$fuzz_out"; then
+        echo "fuzz smoke: $counter reads 0 under --telemetry true" >&2
+        exit 1
+    fi
+done
 cargo run -q --release -p aos-cli -- fuzz \
     --replay-corpus tests/golden/fuzz/composites.aosc >/dev/null
 

@@ -18,6 +18,7 @@ use aos_fault::{
 };
 use aos_fuzz::scenario::plan_scenario;
 use aos_fuzz::{ScenarioSpec, StepKind};
+use aos_isa::stream::OpStream;
 use aos_isa::SafetyConfig;
 use aos_lint::{lint_stream, lint_stream_metered, MatrixScan, Policy, Rule};
 use aos_ptrauth::PointerLayout;
@@ -258,7 +259,7 @@ fn the_cross_paper_policy_matrix_is_pinned_for_all_eleven_kinds() {
         );
         let reports = MatrixScan::run(
             &Policy::ALL,
-            plan.apply(stream()),
+            stream().splice_many(plan.edits.clone()),
             layout,
             &Telemetry::disabled(),
         );
@@ -301,7 +302,7 @@ fn the_aos_policy_is_bit_identical_to_the_linter() {
             steps: vec![step],
         };
         let plan = plan_scenario(&spec, &trace, layout).expect("plan");
-        compare(step.name(), &|| Box::new(plan.apply(stream())));
+        compare(step.name(), &|| Box::new(stream().splice_many(plan.edits.clone())));
     }
 }
 
