@@ -11,7 +11,10 @@
 //! - the six profiles of the static detection matrix (hmmer, gcc,
 //!   omnetpp, sphinx3, povray, astar) on AOS at scale 0.03.
 //!
-//! Regenerate it with:
+//! [`PEAK_BUFFERED_OPS`] pins each of those cells' event-buffer
+//! high-water mark too.
+//!
+//! Regenerate the golden file with:
 //!
 //! ```text
 //! AOS_UPDATE_GOLDEN=1 cargo test --test generator_golden
@@ -30,6 +33,30 @@ const MATRIX_PROFILES: [&str; 6] = ["hmmer", "gcc", "omnetpp", "sphinx3", "povra
 
 /// One traced configuration: (profile, system, scale).
 type Cell = (&'static str, SafetyConfig, f64);
+
+/// `peak_buffered_ops()` after draining each cell, in [`cells`] order:
+/// one row per grid profile (systems in `SafetyConfig::ALL` order),
+/// then the six matrix cells. The generator's event buffer holds one
+/// program event plus its instrumentation, so these are small.
+const PEAK_BUFFERED_OPS: [usize; 86] = [
+    4, 8, 5, 6, 6, // bzip2
+    6, 12, 8, 11, 11, // gcc
+    4, 8, 5, 6, 6, // mcf
+    4, 8, 5, 6, 6, // milc
+    4, 8, 5, 6, 6, // namd
+    6, 12, 8, 11, 11, // gobmk
+    6, 12, 8, 11, 11, // soplex
+    6, 12, 8, 11, 11, // povray
+    6, 12, 8, 11, 11, // hmmer
+    4, 8, 5, 6, 6, // sjeng
+    4, 8, 5, 6, 6, // libquantum
+    6, 12, 8, 11, 11, // h264ref
+    4, 8, 5, 6, 6, // lbm
+    6, 12, 8, 11, 11, // omnetpp
+    6, 12, 8, 11, 11, // astar
+    6, 12, 8, 11, 11, // sphinx3
+    11, 11, 11, 11, 11, 11, // matrix
+];
 
 fn cells() -> Vec<Cell> {
     let grid = SPEC2006
@@ -250,5 +277,19 @@ fn threads_generate_identical_traces() {
     });
     for (cell, d) in forward.into_iter().chain(backward) {
         assert_eq!(d.render(), expected(&golden, cell), "{}", label(cell));
+    }
+}
+
+/// The generator's event-buffer high-water mark is pinned per cell,
+/// not just bounded: a change to how the buffer is filled or drained
+/// must keep what `peak_buffered_ops()` measures.
+#[test]
+fn peak_buffered_ops_match_pins() {
+    let cells = cells();
+    assert_eq!(cells.len(), PEAK_BUFFERED_OPS.len(), "one pin per cell");
+    for (cell, &pinned) in cells.into_iter().zip(&PEAK_BUFFERED_OPS) {
+        let mut gen = generator(cell);
+        for _ in &mut gen {}
+        assert_eq!(gen.peak_buffered_ops(), pinned, "{}", label(cell));
     }
 }
