@@ -111,7 +111,10 @@ mod tests {
         [
             Op::BndClr { pointer: ptr },
             Op::Xpacm,
-            Op::Pacma { pointer: ptr, size: 0 },
+            Op::Pacma {
+                pointer: ptr,
+                size: 0,
+            },
         ]
     }
 
@@ -132,7 +135,13 @@ mod tests {
         let p = signed(0x4000, 7, 64);
         let ops: Vec<Op> = malloc(p, 64)
             .into_iter()
-            .chain([load(p), Op::Store { pointer: p + 8, bytes: 8 }])
+            .chain([
+                load(p),
+                Op::Store {
+                    pointer: p + 8,
+                    bytes: 8,
+                },
+            ])
             .chain(free(p))
             .collect();
         let report = lint(ops);
@@ -194,7 +203,13 @@ mod tests {
     #[test]
     fn access_before_bndstr_is_flagged() {
         let p = signed(0x4000, 7, 64);
-        let ops = [Op::Pacma { pointer: p, size: 64 }, load(p)];
+        let ops = [
+            Op::Pacma {
+                pointer: p,
+                size: 64,
+            },
+            load(p),
+        ];
         let report = lint(ops);
         assert_eq!(report.count(Rule::UseBeforeBndstr), 1);
         // ... and the unpaired sign surfaces at end of stream.
@@ -229,7 +244,10 @@ mod tests {
         let p = signed(0x4000, 7, 64);
         let report = lint([Op::Xpacm]);
         assert_eq!(report.count(Rule::XpacmWithoutBndclr), 1);
-        let report = lint([Op::BndStr { pointer: p, size: 64 }]);
+        let report = lint([Op::BndStr {
+            pointer: p,
+            size: 64,
+        }]);
         assert_eq!(report.count(Rule::BndstrWithoutPacma), 1);
     }
 
@@ -237,8 +255,14 @@ mod tests {
     fn bndstr_size_must_match_pacma_size() {
         let p = signed(0x4000, 7, 64);
         let report = lint([
-            Op::Pacma { pointer: p, size: 64 },
-            Op::BndStr { pointer: p, size: 32 },
+            Op::Pacma {
+                pointer: p,
+                size: 64,
+            },
+            Op::BndStr {
+                pointer: p,
+                size: 32,
+            },
         ]);
         assert_eq!(report.count(Rule::BndstrWithoutPacma), 1);
         assert!(report.findings.diagnostics[0].detail.contains("disagrees"));
@@ -267,7 +291,10 @@ mod tests {
     fn access_in_the_wrong_ahc_class_is_flagged() {
         let small = signed(0x4000, 7, 16);
         let wrong_class = layout().compose(0x4000, 7, 3);
-        let ops: Vec<Op> = malloc(small, 16).into_iter().chain([load(wrong_class)]).collect();
+        let ops: Vec<Op> = malloc(small, 16)
+            .into_iter()
+            .chain([load(wrong_class)])
+            .collect();
         let report = lint(ops);
         assert_eq!(report.count(Rule::AccessAhcMismatch), 1);
     }
@@ -276,7 +303,10 @@ mod tests {
     fn unsigned_accesses_are_ignored() {
         let report = lint([
             load(0x4000),
-            Op::Store { pointer: 0x8000, bytes: 4 },
+            Op::Store {
+                pointer: 0x8000,
+                bytes: 4,
+            },
             Op::IntAlu,
             Op::PacCrypto,
         ]);
@@ -299,10 +329,17 @@ mod tests {
     fn telemetry_counters_record_the_scan() {
         let p = signed(0x4000, 7, 64);
         let t = Telemetry::enabled();
-        let ops: Vec<Op> = malloc(p, 64).into_iter().chain(free(p)).chain([load(p)]).collect();
+        let ops: Vec<Op> = malloc(p, 64)
+            .into_iter()
+            .chain(free(p))
+            .chain([load(p)])
+            .collect();
         let report = lint_stream_metered(ops.iter().copied(), layout(), &t);
         let snap = t.snapshot();
-        assert_eq!(snap.counter(Counter::LintOpsScanned), report.findings.ops_scanned);
+        assert_eq!(
+            snap.counter(Counter::LintOpsScanned),
+            report.findings.ops_scanned
+        );
         assert_eq!(
             snap.counter(Counter::LintDiagnostics),
             report.findings.total_diagnostics()

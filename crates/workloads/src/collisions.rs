@@ -143,9 +143,7 @@ mod tests {
         let p0 = poisson_overflow_probability(1.0, 0);
         assert!((p0 - (1.0 - (-1.0f64).exp())).abs() < 1e-12);
         // Monotone in λ.
-        assert!(
-            poisson_overflow_probability(6.0, 8) > poisson_overflow_probability(3.0, 8)
-        );
+        assert!(poisson_overflow_probability(6.0, 8) > poisson_overflow_probability(3.0, 8));
     }
 
     #[test]

@@ -48,4 +48,4 @@ pub mod profile;
 pub mod schedule;
 
 pub use generator::TraceGenerator;
-pub use profile::{WorkloadProfile, SPEC2006, REAL_WORLD};
+pub use profile::{WorkloadProfile, REAL_WORLD, SPEC2006};

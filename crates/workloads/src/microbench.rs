@@ -9,8 +9,8 @@
 use aos_heap::{HeapAllocator, HeapConfig};
 use aos_ptrauth::PointerLayout;
 use aos_qarma::{truncate_pac, PacKey, Qarma64};
-use aos_util::stats::Histogram;
 use aos_util::rng::{DiscreteTable, Xoshiro256StarStar};
+use aos_util::stats::Histogram;
 
 use crate::generator::{SIGNING_CONTEXT, SIGNING_KEY};
 
@@ -34,7 +34,13 @@ pub fn pac_distribution(allocations: u64, pac_bits: u32) -> Histogram {
     let layout = PointerLayout::default();
     let mut rng = Xoshiro256StarStar::seed_from_u64(0x000F_1611);
     // Small-object mix, as a malloc-heavy program would produce.
-    let sizes = DiscreteTable::new(vec![(16u64, 2.0), (32, 3.0), (64, 2.0), (128, 1.0), (512, 0.5)]);
+    let sizes = DiscreteTable::new(vec![
+        (16u64, 2.0),
+        (32, 3.0),
+        (64, 2.0),
+        (128, 1.0),
+        (512, 0.5),
+    ]);
     let mut histogram = Histogram::new(1usize << pac_bits);
     // Allocate in runs, then cipher each run through the multi-lane
     // batch path — every address shares SIGNING_CONTEXT, so the tweak

@@ -100,21 +100,9 @@ const MEDIUM: &[(u64, f64)] = &[(256, 2.0), (1024, 2.0), (4096, 1.0), (16384, 0.
 const SMALL_NODES: &[(u64, f64)] = &[(24, 4.0), (32, 3.0), (48, 2.0), (64, 1.5), (96, 1.0)];
 /// gcc's obstack-style mix: many small nodes plus sizeable arrays, so
 /// the data footprint far exceeds the L2.
-const GCC_NODES: &[(u64, f64)] = &[
-    (32, 3.0),
-    (64, 2.0),
-    (256, 1.5),
-    (4096, 0.8),
-    (16384, 0.4),
-];
+const GCC_NODES: &[(u64, f64)] = &[(32, 3.0), (64, 2.0), (256, 1.5), (4096, 0.8), (16384, 0.4)];
 /// A broad mix (povray, h264ref, sphinx3).
-const MIXED: &[(u64, f64)] = &[
-    (32, 3.0),
-    (64, 2.0),
-    (256, 1.5),
-    (1024, 1.0),
-    (8192, 0.4),
-];
+const MIXED: &[(u64, f64)] = &[(32, 3.0), (64, 2.0), (256, 1.5), (1024, 1.0), (8192, 0.4)];
 
 /// The sixteen SPEC CPU 2006 workloads of Table II, in the paper's
 /// order.
@@ -579,7 +567,11 @@ const fn real_world(
         full_deallocations: deallocs,
         full_max_active: max_active,
         window_instructions: 2_000_000,
-        startup_allocations: if max_active < 10_000 { max_active } else { 10_000 },
+        startup_allocations: if max_active < 10_000 {
+            max_active
+        } else {
+            10_000
+        },
         steady_alloc_period: 500,
         window_max_live: max_active,
         mem_fraction: 0.35,

@@ -7,8 +7,8 @@
 //! peak live count — against the real [`aos_heap::HeapAllocator`] and
 //! report what the allocator's own accounting measured.
 
-use aos_heap::{HeapAllocator, HeapConfig};
 use aos_heap::profile::UsageProfile;
+use aos_heap::{HeapAllocator, HeapConfig};
 use aos_util::hash::{fnv1a64, FNV1A64_OFFSET};
 use aos_util::rng::{DiscreteTable, Xoshiro256StarStar};
 use std::collections::VecDeque;
@@ -39,8 +39,7 @@ use crate::profile::WorkloadProfile;
 pub fn run_full_schedule(profile: &WorkloadProfile, scale: f64) -> UsageProfile {
     assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
     let allocs = ((profile.full_allocations as f64 * scale).round() as u64).max(1);
-    let deallocs =
-        (profile.full_deallocations as f64 * scale).round() as u64;
+    let deallocs = (profile.full_deallocations as f64 * scale).round() as u64;
     let deallocs = deallocs.min(allocs);
     let peak = ((profile.full_max_active as f64 * scale).round() as u64)
         .clamp(1, allocs)
@@ -54,14 +53,14 @@ pub fn run_full_schedule(profile: &WorkloadProfile, scale: f64) -> UsageProfile 
     let sizes = DiscreteTable::new(profile.alloc_sizes.to_vec());
     let mut live: VecDeque<u64> = VecDeque::new();
 
-    let malloc = |heap: &mut HeapAllocator, live: &mut VecDeque<u64>,
-                  rng: &mut Xoshiro256StarStar| {
-        let size = *sizes.sample(rng);
-        let a = heap
-            .malloc(size)
-            .expect("schedule stays within the heap limit");
-        live.push_back(a.base);
-    };
+    let malloc =
+        |heap: &mut HeapAllocator, live: &mut VecDeque<u64>, rng: &mut Xoshiro256StarStar| {
+            let size = *sizes.sample(rng);
+            let a = heap
+                .malloc(size)
+                .expect("schedule stays within the heap limit");
+            live.push_back(a.base);
+        };
     let free_oldest = |heap: &mut HeapAllocator, live: &mut VecDeque<u64>| {
         let base = live.pop_front().expect("free requires a live chunk");
         heap.free(base).expect("live chunks free cleanly");
