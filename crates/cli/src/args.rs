@@ -75,9 +75,9 @@ impl Parsed {
 ///
 /// # Errors
 ///
-/// [`AosError::InvalidInput`] for an unparsable, NaN, non-positive or
-/// > 1.0 value — a silent pass-through would generate an empty or
-/// runaway trace downstream.
+/// [`AosError::InvalidInput`] for a value that is unparsable, NaN,
+/// non-positive or above 1.0 — a silent pass-through would generate an
+/// empty or runaway trace downstream.
 pub fn scale(parsed: &Parsed) -> Result<f64, AosError> {
     scale_or(parsed, 1.0)
 }

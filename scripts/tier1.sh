@@ -28,12 +28,12 @@ echo "== tier-1: member crate tests =="
 cargo test -q -p aos-sim -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-lint \
     -p aos-fuzz -p aos-serve -p aos-cli
 
-# The check-path crates (simulator and MCU) and the fault and fuzz
-# harnesses are held to rustfmt's output; the other crates are not
-# formatted yet. Skipped when rustfmt is not installed.
+# The check-path crates (simulator and MCU), the generator, the static
+# verifiers and the fault and fuzz harnesses are held to rustfmt's
+# output; the other crates are not formatted yet. Skipped when rustfmt is not installed.
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-fault, aos-fuzz) =="
-    cargo fmt --check -p aos-sim -p aos-mcu -p aos-fault -p aos-fuzz
+    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-workloads, aos-lint, aos-fault, aos-fuzz) =="
+    cargo fmt --check -p aos-sim -p aos-mcu -p aos-workloads -p aos-lint -p aos-fault -p aos-fuzz
 else
     echo "== tier-1: rustfmt not installed, skipping the format gate =="
 fi
@@ -150,7 +150,7 @@ rm -f "$faults_json"
 # The gate is advisory when clippy is not installed (offline image).
 if command -v cargo-clippy >/dev/null 2>&1; then
     echo "== tier-1: clippy unwrap + needless-collect + print-stdout + undocumented-unsafe gate (library crates) =="
-    for crate in aos-util aos-heap aos-mcu aos-hbt aos-isa aos-sim aos-core aos-fault aos-lint aos-serve aos-fuzz aos-bench; do
+    for crate in aos-util aos-heap aos-mcu aos-hbt aos-isa aos-sim aos-workloads aos-core aos-fault aos-lint aos-serve aos-fuzz aos-bench; do
         cargo clippy -q -p "$crate" --no-deps -- \
             -D clippy::unwrap_used -D clippy::needless_collect \
             -D clippy::print_stdout \
