@@ -20,6 +20,7 @@
 use aos_isa::stream::{BufferedOps, Lookahead, OpStream, Splice, SpliceMany};
 use aos_isa::Op;
 use aos_ptrauth::PointerLayout;
+use aos_util::hash::PacMap;
 use aos_util::rng::Xoshiro256StarStar;
 use aos_util::AosError;
 
@@ -361,7 +362,7 @@ fn fault_salt(kind: FaultKind) -> u64 {
 /// Per-PAC count of live bounds records, fed every op in stream
 /// order: O(PAC-space) memory, independent of trace length.
 #[derive(Default)]
-struct LiveRecords(std::collections::HashMap<u64, usize>);
+struct LiveRecords(PacMap<usize>);
 
 impl LiveRecords {
     /// Counts `op` in. For a `bndclr`, returns its pointer and whether
@@ -401,7 +402,7 @@ fn pick_bndstr(
 ) -> Result<(usize, (usize, u64, u64)), AosError> {
     let mut reservoir = Reservoir::new();
     let mut scanned = 0usize;
-    let mut last_clr: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let mut last_clr: PacMap<usize> = PacMap::default();
     for (i, op) in trace.enumerate() {
         scanned = i + 1;
         match op {

@@ -8,11 +8,10 @@
 //! [`aos_isa::stream`] adapters preserves the pipeline's `O(window)`
 //! proof (see [`lint_stream_metered`]).
 
-use std::collections::HashMap;
-
 use aos_isa::stream::{BufferedOps, OpStream};
 use aos_isa::Op;
 use aos_ptrauth::{compute_ahc, PointerLayout};
+use aos_util::hash::PacMap;
 use aos_util::Telemetry;
 
 use crate::policy::{Policy, PolicyReport, PolicyVerifier};
@@ -53,7 +52,7 @@ impl PacState {
 #[derive(Debug)]
 pub struct Linter {
     layout: PointerLayout,
-    pacs: HashMap<u64, PacState>,
+    pacs: PacMap<PacState>,
     /// `bndclr`s whose paired `xpacm` has not arrived yet. Global —
     /// `xpacm` takes no operand, so strips cannot be attributed to a
     /// PAC, only balanced in aggregate.
@@ -95,7 +94,7 @@ impl Linter {
     pub fn new(layout: PointerLayout) -> Self {
         Self {
             layout,
-            pacs: HashMap::new(),
+            pacs: PacMap::default(),
             pending_strips: 0,
             findings: PolicyReport::new(Policy::Aos),
             live_records: 0,
@@ -116,7 +115,7 @@ impl Linter {
             self.findings
                 .emit(Rule::UnbalancedAtEnd as usize, end, 0, detail);
         }
-        // Map order differs between runs; PAC order keeps the report
+        // Map order is unspecified; PAC order keeps the report
         // (and its digest) identical.
         let mut unpaired: Vec<u64> = self
             .pacs

@@ -25,7 +25,8 @@
 //!   taxonomy, mergeable [`telemetry::TelemetrySnapshot`]) that every
 //!   pipeline stage records into.
 //! - [`hash`] — the FNV-1a 64 hash ([`hash::fnv1a64`]) behind workload
-//!   seeds, result digests and coverage fingerprints.
+//!   seeds, result digests and coverage fingerprints, and the
+//!   multiplicative-hash [`hash::PacMap`] behind every per-PAC table.
 //! - [`json`] — the one JSON writer ([`json::Json`], an ordered-key
 //!   value rendered in a pretty, inline or compact [`json::Layout`])
 //!   behind every report and protocol line.
@@ -55,6 +56,6 @@ pub mod stats;
 pub mod telemetry;
 
 pub use error::AosError;
-pub use telemetry::{Counter, Gauge, Hist, Telemetry, TelemetrySnapshot};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{geomean, mean, stdev, Histogram};
+pub use telemetry::{Counter, Gauge, Hist, Telemetry, TelemetrySnapshot};
