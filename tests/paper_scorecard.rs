@@ -4,10 +4,14 @@
 //! - the four Fig. 14 per-system geomeans of normalized execution
 //!   time, at scale 0.02, to three decimals (against a golden file);
 //! - the §IX-A1 gradual-resize counts on AOS at full scale: sphinx3
-//!   resizes its HBT once, omnetpp twice (the paper's own numbers).
+//!   resizes its HBT once, omnetpp twice (the paper's own numbers),
+//!   and a digest of every simulated `RunStats` field of those two
+//!   runs (against a second golden file). They are the only cells with
+//!   a gradual resize, a retried bounds store and long waits for a ROB
+//!   commit, which the scale-0.01 `sim_stats_golden` never reaches.
 //!
-//! A change that moves the geomeans on purpose regenerates the golden
-//! with:
+//! A change that moves the geomeans or the full-scale runs on purpose
+//! regenerates both goldens with:
 //!
 //! ```text
 //! AOS_UPDATE_GOLDEN=1 cargo test --test paper_scorecard
@@ -16,12 +20,15 @@
 //! and must regenerate `results/` and the EXPERIMENTS.md scorecard in
 //! the same change.
 
+mod run_stats_digest;
+
 use aos_core::experiment::campaign::{matrix, run_campaign, CampaignOptions};
 use aos_core::experiment::SystemUnderTest;
 use aos_isa::SafetyConfig;
 use aos_workloads::profile::by_name;
 
 const GOLDEN: &str = "tests/golden/paper_scorecard.txt";
+const RESIZE_GOLDEN: &str = "tests/golden/hbt_resize_digests.txt";
 const FIG14_SCALE: f64 = 0.02;
 
 /// The Fig. 14 geomean row, one `system value` line per system in the
@@ -60,8 +67,10 @@ fn fig14_geomeans_match_golden() {
 }
 
 /// §IX-A1: at full scale the AOS HBT grows by gradual resize exactly
-/// as often as the paper reports. The two cells are the slowest in
-/// the suite, so they share the campaign runner's two workers.
+/// as often as the paper reports, and every simulated statistic of
+/// those runs stays on its pinned digest. The two cells are the
+/// slowest in the suite, so they share the campaign runner's two
+/// workers.
 #[test]
 fn hbt_resize_counts_match_the_paper() {
     let expected = [("sphinx3", 1), ("omnetpp", 2)];
@@ -70,9 +79,12 @@ fn hbt_resize_counts_match_the_paper() {
         [SystemUnderTest::standard(SafetyConfig::Aos)],
     );
     let report = run_campaign(&cells, &CampaignOptions::with_threads(2));
+    let mut rendered = String::new();
     for ((name, resizes), result) in expected.iter().zip(&report.results) {
         let stats = result.stats().expect("resize cell completes");
         assert_eq!(stats.hbt_resizes, *resizes, "{name} HBT resizes");
         assert_eq!(stats.violations, 0, "{name} is benign");
+        rendered.push_str(&run_stats_digest::golden_line(&format!("{name} AOS 1"), stats));
     }
+    run_stats_digest::check_golden(RESIZE_GOLDEN, &rendered, "full-scale resize run");
 }

@@ -27,6 +27,8 @@
 //! AOS_UPDATE_GOLDEN=1 cargo test --test sim_stats_golden
 //! ```
 
+mod run_stats_digest;
+
 use std::sync::OnceLock;
 
 use aos_core::experiment::{run, SystemUnderTest};
@@ -36,41 +38,13 @@ use aos_ptrauth::PointerLayout;
 use aos_sim::{Machine, RunStats};
 use aos_workloads::profile::by_name;
 use aos_workloads::{TraceGenerator, SPEC2006};
+use run_stats_digest::{check_golden, fnv1a, golden_line};
 
 const GOLDEN: &str = "tests/golden/sim_stats_digests.txt";
 const TELEMETRY_GOLDEN: &str = "tests/golden/telemetry_digests.txt";
 const SCALE: f64 = 0.01;
 const FAULT_PROFILE: &str = "hmmer";
 const FAULT_SEED: u64 = 1;
-
-/// The `Debug` text of every simulated field, as `name: value, `
-/// pairs in declaration order. The destructure names every field and
-/// drops only `telemetry`, so a field added to `RunStats` fails to
-/// compile here until it is hashed or deliberately dropped.
-macro_rules! simulated_fields {
-    ($stats:expr; $($field:ident),* $(,)?) => {{
-        let RunStats { $($field,)* telemetry: _ } = $stats;
-        let mut text = String::new();
-        $(text.push_str(&format!("{}: {:?}, ", stringify!($field), $field));)*
-        text
-    }};
-}
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
-/// FNV-1a over the simulated fields' `Debug` text.
-fn digest(stats: &RunStats) -> u64 {
-    fnv1a(&simulated_fields!(stats;
-        cycles, retired_ops, mix, l1d, l1b, l2, traffic, mcu, bwb,
-        hbt_resizes, hbt_ways, violations, charged_mispredicts,
-        waived_mispredicts, stall_cycles, stalls_rob, stalls_lsq,
-        stalls_mcq, lsq_replays, flushes,
-    ))
-}
 
 fn grid_cell(name: &str, system: SafetyConfig) -> RunStats {
     let profile = by_name(name).expect("known profile");
@@ -116,36 +90,11 @@ fn cells() -> &'static [(String, RunStats)] {
     })
 }
 
-/// Diffs one rendered line per cell against `path` (or rewrites it
-/// under `AOS_UPDATE_GOLDEN`).
-fn check_golden(path: &str, rendered: &str, what: &str) {
-    if std::env::var_os("AOS_UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, rendered).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(path)
-        .expect("golden file missing; regenerate with AOS_UPDATE_GOLDEN=1");
-    for (fresh, pinned) in rendered.lines().zip(golden.lines()) {
-        assert_eq!(fresh, pinned, "{what} drifted from the golden digest");
-    }
-    assert_eq!(
-        rendered.lines().count(),
-        golden.lines().count(),
-        "golden covers a different set of cells"
-    );
-}
-
 #[test]
 fn sim_stats_digests_match_golden() {
     let rendered: String = cells()
         .iter()
-        .map(|(label, stats)| {
-            format!(
-                "{label} {} {} {:016x}\n",
-                stats.cycles,
-                stats.retired_ops,
-                digest(stats)
-            )
-        })
+        .map(|(label, stats)| golden_line(label, stats))
         .collect();
     check_golden(GOLDEN, &rendered, "simulator output");
 }
