@@ -195,8 +195,7 @@ impl HashedBoundsTable {
     /// untrusted-input path (a workload with pathological PAC
     /// collisions) use [`HashedBoundsTable::try_begin_resize`].
     pub fn begin_resize(&mut self) {
-        self.try_begin_resize()
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.try_begin_resize().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Whether another doubling still fits under `max_ways`.
@@ -217,10 +216,7 @@ impl HashedBoundsTable {
         if !self.can_resize() {
             return Err(aos_util::AosError::exhausted(
                 "HBT associativity",
-                format!(
-                    "HBT exceeded max associativity {}",
-                    self.config.max_ways
-                ),
+                format!("HBT exceeded max associativity {}", self.config.max_ways),
             ));
         }
         if self.migration.is_some() {
@@ -331,7 +327,12 @@ impl HashedBoundsTable {
     /// if migrating.
     pub fn row_occupancy(&self, pac: u64) -> u32 {
         (0..self.ways)
-            .map(|way| self.peek_way(pac, way).iter().filter(|b| !b.is_empty()).count() as u32)
+            .map(|way| {
+                self.peek_way(pac, way)
+                    .iter()
+                    .filter(|b| !b.is_empty())
+                    .count() as u32
+            })
             .sum()
     }
 }
