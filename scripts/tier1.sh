@@ -28,12 +28,14 @@ echo "== tier-1: member crate tests =="
 cargo test -q -p aos-sim -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-lint \
     -p aos-fuzz -p aos-serve -p aos-cli
 
-# The check-path crates (simulator and MCU), the generator, the static
-# verifiers and the fault and fuzz harnesses are held to rustfmt's
-# output; the other crates are not formatted yet. Skipped when rustfmt is not installed.
+# The check-path crates (simulator, MCU and bounds table), the heap
+# allocator, the generator, the static verifiers and the fault and fuzz
+# harnesses are held to rustfmt's output; the other crates are not
+# formatted yet. Skipped when rustfmt is not installed.
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-workloads, aos-lint, aos-fault, aos-fuzz) =="
-    cargo fmt --check -p aos-sim -p aos-mcu -p aos-workloads -p aos-lint -p aos-fault -p aos-fuzz
+    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-hbt, aos-heap, aos-workloads, aos-lint, aos-fault, aos-fuzz) =="
+    cargo fmt --check -p aos-sim -p aos-mcu -p aos-hbt -p aos-heap -p aos-workloads -p aos-lint \
+        -p aos-fault -p aos-fuzz
 else
     echo "== tier-1: rustfmt not installed, skipping the format gate =="
 fi
