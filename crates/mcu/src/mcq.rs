@@ -50,8 +50,9 @@ pub enum McqState {
 }
 
 /// One MCQ entry: the fields of paper §V-A1 plus bookkeeping for the
-/// shared functional/timing implementation.
-#[derive(Debug, Clone)]
+/// shared functional/timing implementation. `Copy`, so the drain pass
+/// moves kept entries down by plain copies.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct McqEntry {
     /// Instruction identity, used by the core model to gate retirement.
     pub id: u64,
@@ -77,7 +78,12 @@ pub(crate) struct McqEntry {
     pub committed: bool,
     /// FSM state.
     pub state: McqState,
-    /// Cycle at which the pending memory access completes.
+    /// Cycle at which the entry's next FSM step is due: when its
+    /// pending line load completes, or at once after a replay, retry
+    /// or ROB commit. `u64::MAX` while the entry is parked on a
+    /// stimulus from outside the queue: a failed entry (the OS retries
+    /// or drops it, or a replay restarts it) and a `BndStr` entry
+    /// waiting for its ROB commit.
     pub ready_at: u64,
     /// Whether the failure event was already reported.
     pub reported: bool,
@@ -90,11 +96,6 @@ pub(crate) struct McqEntry {
 }
 
 impl McqEntry {
-    /// Whether the FSM still has work to do.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self.state, McqState::Done | McqState::Fail)
-    }
-
     /// Whether the entry needs bounds checking at all.
     pub fn is_signed_access(&self) -> bool {
         matches!(self.op, McuOp::Access { .. }) && self.ahc.is_some()
@@ -127,16 +128,6 @@ mod tests {
             forwarded: false,
             malformed: false,
         }
-    }
-
-    #[test]
-    fn terminal_states() {
-        assert!(entry(McqState::Done).is_terminal());
-        assert!(entry(McqState::Fail).is_terminal());
-        assert!(!entry(McqState::Init).is_terminal());
-        assert!(!entry(McqState::BndChk).is_terminal());
-        assert!(!entry(McqState::OccChk).is_terminal());
-        assert!(!entry(McqState::BndStr).is_terminal());
     }
 
     #[test]

@@ -201,17 +201,15 @@ pub struct MemoryCheckUnit {
     /// [`step_init`](Self::step_init) only matches bounds stores, so
     /// it is skipped outright while this is zero (the common case).
     bndstr_live: u32,
-    /// Lower bound on the earliest `ready_at` of any non-terminal
-    /// entry. While `now` is below it (and nothing is releasable or
-    /// failing at the head), [`tick`](Self::tick) returns without
-    /// touching the queue at all. Recomputed exactly whenever the
-    /// step pass runs; mutations between ticks only ever lower it.
+    /// The earliest `ready_at` in the queue, exactly (`u64::MAX` when
+    /// every entry is parked or the queue is empty). Every entry has
+    /// one wake source, its `ready_at`, so while `now` is below this
+    /// floor (and the head holds no unreported failure)
+    /// [`tick`](Self::tick) returns without touching the queue, and
+    /// [`next_wake`](Self::next_wake) reads it in O(1). The step pass
+    /// recomputes it; `issue`, a ROB commit and `retry` lower it, and
+    /// the removals recompute it.
     ready_floor: u64,
-    /// Whether a ROB commit since the last tick may have turned a
-    /// `Done` bndstr/bndclr releasable. Entries that reach `Done`
-    /// *during* a tick are released by that same tick's drain pass, so
-    /// between ticks this flag is the only releasable-entry source.
-    release_pending: bool,
     bwb: BoundsWayBuffer,
     next_id: u64,
     stats: McuStats,
@@ -247,7 +245,6 @@ impl MemoryCheckUnit {
             queue: Vec::with_capacity(config.mcq_entries),
             bndstr_live: 0,
             ready_floor: u64::MAX,
-            release_pending: false,
             bwb: BoundsWayBuffer::new(config.bwb_entries),
             next_id: 0,
             stats: McuStats::default(),
@@ -355,6 +352,8 @@ impl MemoryCheckUnit {
             },
             _ => (CompressedBounds::EMPTY, false),
         };
+        // A malformed entry is born failed, so it is parked at once.
+        let ready_at = if malformed { u64::MAX } else { now };
         let id = self.next_id;
         self.next_id += 1;
         self.stats.issued += 1;
@@ -385,30 +384,47 @@ impl MemoryCheckUnit {
             } else {
                 McqState::Init
             },
-            ready_at: now,
+            ready_at,
             reported: false,
             forwarded: false,
             malformed,
         });
-        self.ready_floor = self.ready_floor.min(now);
+        self.ready_floor = self.ready_floor.min(ready_at);
         Ok(id)
     }
 
     /// Index of entry `id` in the queue. Ids are handed out in issue
     /// order and every removal preserves relative order, so the queue
-    /// is always sorted by id and the lookup is a binary search — the
-    /// per-retire cost the linear scans used to pay on a 48-deep MCQ.
+    /// is always sorted by id, and the scan stops at the first id not
+    /// below `id`. The ROB commits oldest first, and only committed
+    /// `bndstr`/`bndclr` entries awaiting their next-tick store can be
+    /// older than the head's entry, so a commit lookup ends within the
+    /// first few entries, found or not.
     #[inline]
     fn index_of(&self, id: u64) -> Option<usize> {
-        self.queue.binary_search_by_key(&id, |e| e.id).ok()
+        let i = self.queue.iter().position(|e| e.id >= id)?;
+        (self.queue[i].id == id).then_some(i)
     }
 
     /// Marks an entry as committed by the ROB.
     pub fn mark_committed(&mut self, id: u64) {
         if let Some(i) = self.index_of(id) {
-            self.queue[i].committed = true;
-            self.release_pending = true;
+            self.commit(i);
         }
+    }
+
+    /// Records the ROB commit of entry `i`. A `BndStr` entry parked on
+    /// this commit becomes due at once, so the next tick sends its
+    /// table store. An entry committed before it reached `BndStr` (a
+    /// replayed one) keeps its `ready_at` and does not park there.
+    #[inline]
+    fn commit(&mut self, i: usize) {
+        let e = &mut self.queue[i];
+        if e.state == McqState::BndStr && !e.committed {
+            e.ready_at = 0;
+            self.ready_floor = 0;
+        }
+        e.committed = true;
     }
 
     /// Current FSM state of an entry, if still queued.
@@ -458,8 +474,7 @@ impl MemoryCheckUnit {
             Some(i) => {
                 let ok = Self::retirable(&self.queue[i]);
                 if ok {
-                    self.queue[i].committed = true;
-                    self.release_pending = true;
+                    self.commit(i);
                 }
                 ok
             }
@@ -470,46 +485,37 @@ impl MemoryCheckUnit {
     /// make progress, or `u64::MAX` when every queued entry is waiting
     /// on an external stimulus (a ROB commit or an OS retry/drop). The
     /// timing simulator uses this to fast-forward over stall cycles
-    /// without stepping the FSM through each one.
+    /// without stepping the FSM through each one. O(1): an unreported
+    /// failure at the head is raised next tick, and otherwise
+    /// `ready_floor` is the exact earliest due entry.
     pub fn next_wake(&self, now: u64) -> u64 {
-        let mut wake = u64::MAX;
-        for (i, e) in self.queue.iter().enumerate() {
-            let w = match e.state {
-                // A Done entry releases on the next tick — unless it is
-                // a bndstr/bndclr still waiting for its ROB commit.
-                McqState::Done => {
-                    if matches!(e.op, McuOp::Access { .. }) || e.committed {
-                        now + 1
-                    } else {
-                        u64::MAX
-                    }
-                }
-                // A failed head raises its exception next tick; failed
-                // entries elsewhere sit until the OS intervenes or the
-                // head drains (itself a wake event).
-                McqState::Fail => {
-                    if i == 0 && !e.reported {
-                        now + 1
-                    } else {
-                        u64::MAX
-                    }
-                }
-                // The post-commit table store only runs once committed.
-                McqState::BndStr => {
-                    if e.committed {
-                        e.ready_at.max(now + 1)
-                    } else {
-                        u64::MAX
-                    }
-                }
-                McqState::Init | McqState::BndChk | McqState::OccChk => e.ready_at.max(now + 1),
-            };
-            wake = wake.min(w);
-            if wake == now + 1 {
-                break;
-            }
+        if self.head_failure_pending() {
+            now + 1
+        } else if self.ready_floor == u64::MAX {
+            u64::MAX
+        } else {
+            self.ready_floor.max(now + 1)
         }
-        wake
+    }
+
+    /// Whether the head entry has failed and not yet raised its
+    /// exception — the one piece of work with no `ready_at`.
+    #[inline]
+    fn head_failure_pending(&self) -> bool {
+        self.queue
+            .first()
+            .is_some_and(|e| e.state == McqState::Fail && !e.reported)
+    }
+
+    /// Recomputes `ready_floor` after entries leave the queue out of
+    /// band (a drop or a squash).
+    fn refloor(&mut self) {
+        self.ready_floor = self
+            .queue
+            .iter()
+            .map(|e| e.ready_at)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Resets a failed (or in-flight) entry to retry from scratch —
@@ -517,19 +523,17 @@ impl MemoryCheckUnit {
     pub fn retry(&mut self, id: u64) {
         if let Some(i) = self.index_of(id) {
             let e = &mut self.queue[i];
-            // A malformed bndstr can never succeed; it stays failed no
-            // matter how often the OS retries.
-            e.state = if e.malformed {
-                McqState::Fail
-            } else {
-                McqState::Init
-            };
             e.count = 0;
             e.way = 0;
             e.hit = None;
             e.reported = false;
-            e.ready_at = 0;
-            self.ready_floor = 0;
+            // A malformed bndstr can never succeed; it stays failed
+            // (and parked) no matter how often the OS retries.
+            if !e.malformed {
+                e.state = McqState::Init;
+                e.ready_at = 0;
+                self.ready_floor = 0;
+            }
         }
     }
 
@@ -540,6 +544,7 @@ impl MemoryCheckUnit {
             if matches!(e.op, McuOp::BndStr { .. }) {
                 self.bndstr_live -= 1;
             }
+            self.refloor();
         }
     }
 
@@ -559,12 +564,7 @@ impl MemoryCheckUnit {
             }
         }
         self.queue.truncate(keep);
-        if self.queue.is_empty() {
-            self.ready_floor = u64::MAX;
-            self.release_pending = false;
-        }
-        // `ready_floor` stays a valid lower bound after removals (the
-        // true floor can only rise), so no recompute is needed.
+        self.refloor();
         squashed
     }
 
@@ -573,11 +573,10 @@ impl MemoryCheckUnit {
         self.queue.clear();
         self.bndstr_live = 0;
         self.ready_floor = u64::MAX;
-        self.release_pending = false;
     }
 
-    /// Advances every ready entry by one FSM step and retires
-    /// completed head entries. Events are appended to `events` (an
+    /// Advances every due entry by one FSM step and retires the
+    /// entries that completed. Events are appended to `events` (an
     /// out-buffer so the per-cycle hot path does not allocate).
     pub fn tick<M: BoundsMemory + ?Sized>(
         &mut self,
@@ -586,26 +585,26 @@ impl MemoryCheckUnit {
         mem: &mut M,
         events: &mut Vec<McuEvent>,
     ) {
-        // O(1) idle check: nothing can step before `ready_floor`, no
-        // commit has armed a release since the last pass, and the head
-        // has no unreported failure. Most cycles (entries waiting on
-        // memory latencies or ROB commits) the tick ends right here
-        // without touching the queue.
-        let head_fail = self
-            .queue
-            .first()
-            .is_some_and(|e| e.state == McqState::Fail && !e.reported);
-        if now < self.ready_floor && !self.release_pending && !head_fail {
+        // O(1) idle check: no entry is due before `ready_floor`, and
+        // the only work without a `ready_at` is raising a failure at
+        // the head. Most cycles (entries waiting on memory latencies or
+        // parked on ROB commits) the tick ends right here.
+        if now < self.ready_floor && !self.head_failure_pending() {
             return;
         }
+        debug_assert!(
+            self.queue.iter().all(|e| e.state != McqState::Done),
+            "a Done entry leaves the queue in the tick that completes it"
+        );
 
         let ways = hbt.ways();
         let mut floor = u64::MAX;
+        let mut completed = false;
         for i in 0..self.queue.len() {
+            // Failed and parked entries hold `ready_at == u64::MAX`,
+            // so only Init, BndChk, OccChk and committed BndStr entries
+            // get past this check.
             let e = &self.queue[i];
-            if e.is_terminal() {
-                continue;
-            }
             if e.ready_at > now {
                 floor = floor.min(e.ready_at);
                 continue;
@@ -615,15 +614,16 @@ impl MemoryCheckUnit {
                 McqState::BndChk => self.step_bndchk(i, now, hbt, mem, ways),
                 McqState::OccChk => self.step_occchk(i, now, hbt, mem, ways),
                 McqState::BndStr => self.step_bndstr(i, now, hbt, mem),
-                McqState::Fail | McqState::Done => {}
+                McqState::Fail | McqState::Done => unreachable!("terminal entries are never due"),
             }
             let e = &self.queue[i];
-            if !e.is_terminal() {
+            if e.state == McqState::Done {
+                completed = true;
+            } else {
                 floor = floor.min(e.ready_at);
             }
         }
         self.ready_floor = floor;
-        self.release_pending = false;
 
         // A failed entry at the head raises its exception (once).
         if let Some(head) = self.queue.first_mut() {
@@ -650,58 +650,47 @@ impl MemoryCheckUnit {
             }
         }
 
-        // Deallocate completed entries. Done entries are excluded from
-        // store-load replay by construction, so they may leave the
-        // queue out of order; bndstr/bndclr additionally wait for ROB
-        // commit because their table store is sent post-commit (and
-        // commits arrive in program order, so bounds stores stay
-        // ordered). One in-place compaction pass: a `Vec::remove` per
+        // Deallocate the entries that completed this tick. Done entries
+        // are excluded from store-load replay by construction, so they
+        // may leave the queue out of order; a bndstr/bndclr only
+        // reaches Done after its ROB commit, since its table store is
+        // sent post-commit (and commits arrive in program order, so
+        // bounds stores stay ordered). One in-place compaction pass
+        // copies each kept entry down once; a `Vec::remove` per
         // released entry would memmove the tail once per release.
-        let len = self.queue.len();
+        if !completed {
+            return;
+        }
         let mut write = 0;
-        for read in 0..len {
-            let e = &self.queue[read];
-            let releasable =
-                e.state == McqState::Done && (matches!(e.op, McuOp::Access { .. }) || e.committed);
-            if !releasable {
+        for read in 0..self.queue.len() {
+            if self.queue[read].state != McqState::Done {
                 if write != read {
-                    self.queue.swap(write, read);
+                    self.queue[write] = self.queue[read];
                 }
                 write += 1;
                 continue;
             }
-            let (id, op, addr, pac, ahc, hit, count, forwarded, is_signed) = {
-                let e = &self.queue[read];
-                (
-                    e.id,
-                    e.op,
-                    e.addr,
-                    e.pac,
-                    e.ahc,
-                    e.hit,
-                    e.count,
-                    e.forwarded,
-                    e.is_signed_access(),
-                )
-            };
-            if matches!(op, McuOp::BndStr { .. }) {
+            let e = self.queue[read];
+            debug_assert!(matches!(e.op, McuOp::Access { .. }) || e.committed);
+            if matches!(e.op, McuOp::BndStr { .. }) {
                 self.bndstr_live -= 1;
             }
-            let ways_touched = if is_signed && !forwarded {
-                count + 1
+            let ways_touched = if e.is_signed_access() && !e.forwarded {
+                e.count + 1
             } else {
                 0
             };
-            if self.config.use_bwb && !forwarded {
-                if let (Some(ahc), Some((way, _))) = (ahc, hit) {
-                    if matches!(op, McuOp::Access { .. }) {
-                        self.bwb.update(bwb_tag(addr, ahc, pac), way);
-                    }
+            if self.config.use_bwb && !e.forwarded && matches!(e.op, McuOp::Access { .. }) {
+                if let (Some(ahc), Some((way, _))) = (e.ahc, e.hit) {
+                    self.bwb.update(bwb_tag(e.addr, ahc, e.pac), way);
                 }
             }
             self.stats.retired += 1;
             if self.emit_retired {
-                events.push(McuEvent::Retired { id, ways_touched });
+                events.push(McuEvent::Retired {
+                    id: e.id,
+                    ways_touched,
+                });
             }
         }
         self.queue.truncate(write);
@@ -793,8 +782,10 @@ impl MemoryCheckUnit {
         // IncCnt: try the next way or fail.
         let count = self.queue[i].count + 1;
         if count == ways {
-            self.queue[i].count = count - 1;
-            self.queue[i].state = McqState::Fail;
+            let e = &mut self.queue[i];
+            e.count = count - 1;
+            e.state = McqState::Fail;
+            e.ready_at = u64::MAX;
             self.check_misses += 1;
             return;
         }
@@ -828,12 +819,20 @@ impl MemoryCheckUnit {
             let e = &mut self.queue[i];
             e.hit = Some((way, slot as u32));
             e.state = McqState::BndStr;
+            // Bounds stores must preserve store ordering: park until
+            // the ROB commits the instruction (paper §V-A1). An entry
+            // committed already (replayed after its commit) stays due.
+            if !e.committed {
+                e.ready_at = u64::MAX;
+            }
             return;
         }
         let count = self.queue[i].count + 1;
         if count == ways {
-            self.queue[i].count = count - 1;
-            self.queue[i].state = McqState::Fail;
+            let e = &mut self.queue[i];
+            e.count = count - 1;
+            e.state = McqState::Fail;
+            e.ready_at = u64::MAX;
             return;
         }
         let e = &mut self.queue[i];
@@ -851,11 +850,7 @@ impl MemoryCheckUnit {
         hbt: &mut HashedBoundsTable,
         mem: &mut M,
     ) {
-        if !self.queue[i].committed {
-            // Bounds stores must preserve store ordering: wait for the
-            // ROB to commit the instruction (paper §V-A1).
-            return;
-        }
+        debug_assert!(self.queue[i].committed, "a parked entry is never due");
         let (pac, way, slot) = {
             let e = &self.queue[i];
             let (way, slot) = e.hit.expect("BndStr state implies a found slot");
@@ -928,10 +923,7 @@ impl MemoryCheckUnit {
             if let Some(ev) = events.drain(..).next() {
                 outcome = Some(match ev {
                     McuEvent::Exception { exception, .. } => {
-                        self.queue.clear();
-                        self.bndstr_live = 0;
-                        self.ready_floor = u64::MAX;
-                        self.release_pending = false;
+                        self.flush();
                         Err(exception)
                     }
                     McuEvent::Retired { ways_touched, .. } => Ok(CheckOutcome {
