@@ -92,6 +92,39 @@ proptest! {
         prop_assert!(!corrupted.matches_base(base));
     }
 
+    /// The range test runs before the CRC, so at an address inside a
+    /// corrupted record's own (corrupted) range only the CRC stands
+    /// between the record and a match. A single flip (`a == b`) or a
+    /// cross-class double flip still fails closed there, and never
+    /// matches the record's own lower bound either.
+    #[test]
+    fn corrupted_records_fail_closed_inside_their_own_range(
+        base16 in 1u64..(1 << 28),
+        size in 1u64..=(u32::MAX as u64),
+        a in 0u32..64,
+        b in 0u32..64,
+        offset in any::<u64>(),
+    ) {
+        if a != b && crc_class(a) == crc_class(b) {
+            return Ok(());
+        }
+        let original = CompressedBounds::encode(base16 * 16, size);
+        let corrupted = if a == b {
+            flip(original, a)
+        } else {
+            flip(flip(original, a), b)
+        };
+        let addr = corrupted.lower() + offset % corrupted.size().max(1);
+        if corrupted.size() == 0 || addr >= 1 << 33 {
+            // An empty range, or one past the 33-bit compare domain.
+            return Ok(());
+        }
+        prop_assert!(!corrupted.integrity_ok());
+        prop_assert!(corrupted.lower() <= addr && addr < corrupted.upper());
+        prop_assert!(!corrupted.check(addr), "bits {a},{b} validated {addr:#x}");
+        prop_assert!(!corrupted.matches_base(corrupted.lower()));
+    }
+
     /// The documented escape, pinned: a double flip inside one residue
     /// class keeps the CRC syndrome at zero, so the integrity check
     /// alone cannot see it. This is the exact (and only) blind spot.
