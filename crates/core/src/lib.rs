@@ -46,7 +46,6 @@
 pub mod experiment;
 pub mod hwcost;
 mod memory;
-pub mod os;
 mod process;
 pub mod security;
 

@@ -19,8 +19,6 @@
 //!   [`Machine`](aos_sim::Machine)s and scans it under a set of
 //!   static policies. The fault campaign, the fuzz harness
 //!   (`aos-fuzz`) and `aos matrix` all measure through it;
-//! - [`corrupt`] models physical bounds-record corruption (bit flips,
-//!   lost ways) against the HBT's CRC-3 fail-closed design;
 //! - [`corpus`] injects storage faults into persistent trace corpora
 //!   (bit rot inside a stored op block, power-loss truncation
 //!   mid-frame) and pins the quarantine-not-crash contract of
@@ -35,7 +33,6 @@
 
 pub mod campaign;
 pub mod corpus;
-pub mod corrupt;
 pub mod inject;
 pub mod oracle;
 

@@ -57,15 +57,6 @@ impl UsageProfile {
     pub fn note_shrink(&mut self, bytes: u64) {
         self.live_bytes = self.live_bytes.saturating_sub(bytes);
     }
-
-    /// Formats the three columns the paper reports: max active,
-    /// allocations, deallocations.
-    pub fn table_row(&self, name: &str) -> String {
-        format!(
-            "{name:<12} {:>12} {:>12} {:>12}",
-            self.max_live, self.allocations, self.deallocations
-        )
-    }
 }
 
 impl std::fmt::Display for UsageProfile {
@@ -112,19 +103,6 @@ mod tests {
         p.note_free(50);
         assert_eq!(p.live, 0);
         assert_eq!(p.live_bytes, 0);
-    }
-
-    #[test]
-    fn table_row_contains_columns() {
-        let mut p = UsageProfile::default();
-        for _ in 0..5 {
-            p.note_alloc(16);
-        }
-        p.note_free(16);
-        let row = p.table_row("mcf");
-        assert!(row.contains("mcf"));
-        assert!(row.contains('5'));
-        assert!(row.contains('1'));
     }
 
     #[test]

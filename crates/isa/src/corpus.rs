@@ -787,11 +787,6 @@ impl Replay {
             }
         }
     }
-
-    /// Ops yielded so far.
-    pub fn ops_yielded(&self) -> u64 {
-        self.ops_seen - self.block.len() as u64
-    }
 }
 
 impl Iterator for Replay {

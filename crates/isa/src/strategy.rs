@@ -28,11 +28,6 @@ use proptest::strategy::Strategy;
 
 use crate::Op;
 
-/// The shared abstract-action script shape: `(kind, a, b)` tuples with
-/// caller-chosen bounds. `kind` selects the action, `a`/`b` are its
-/// operands (address/row and size/payload by convention).
-pub type ActionScript = Vec<(u8, u64, u64)>;
-
 /// A script of `(kind, a, b)` actions: `kind in kinds`, `a in a`,
 /// `b in b`, with `len` drawn from the given size range.
 pub fn action_script(
@@ -110,7 +105,7 @@ fn interpret_lifecycles(config: &LifecycleConfig, actions: &[(u8, u64, u64)]) ->
         match kind {
             // malloc: sign and store bounds for a fresh chunk.
             0 if live.len() < config.max_live => {
-                let size = 16 + (a % (config.max_size - 15)) & !0xF;
+                let size = (16 + a % (config.max_size - 15)) & !0xF;
                 let size = size.max(16);
                 let addr = bump;
                 bump += size + 16;

@@ -162,11 +162,6 @@ impl<I> SpliceMany<I> {
         }
     }
 
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &I {
-        &self.inner
-    }
-
     /// Queues every edit targeting the current original index; returns
     /// whether one of them replaces the original op. Called only once
     /// that op exists, so an edit at the end-of-stream index falls to
@@ -253,11 +248,6 @@ impl<I> Metered<I> {
     /// Ops yielded so far.
     pub fn ops(&self) -> u64 {
         self.emitted
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &I {
-        &self.inner
     }
 }
 

@@ -230,18 +230,6 @@ impl BoundsWayBuffer {
         }
     }
 
-    /// Removes every entry (used across a table resize, where way
-    /// numbers change meaning).
-    pub fn invalidate_all(&mut self) {
-        self.tags.clear();
-        self.ways.clear();
-        self.prev.clear();
-        self.next.clear();
-        self.head = NONE;
-        self.tail = NONE;
-        self.slots.fill(0);
-    }
-
     /// Hit/miss counters.
     pub fn stats(&self) -> BwbStats {
         self.stats
@@ -297,16 +285,6 @@ mod tests {
         b.update(1, 7);
         assert_eq!(b.lookup(1), Some(7));
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn invalidate_all_clears() {
-        let mut b = BoundsWayBuffer::new(4);
-        b.update(1, 0);
-        b.update(2, 1);
-        b.invalidate_all();
-        assert!(b.is_empty());
-        assert_eq!(b.lookup(1), None);
     }
 
     #[test]

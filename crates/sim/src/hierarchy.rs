@@ -136,11 +136,6 @@ impl MemoryHierarchy {
         self.l2.stats()
     }
 
-    /// Whether a bounds cache is configured.
-    pub fn has_l1b(&self) -> bool {
-        self.l1b.is_some()
-    }
-
     /// A data access of `bytes` bytes at `addr`; returns total latency
     /// in cycles. Accesses spanning multiple 64-byte lines touch each
     /// line.
@@ -271,7 +266,6 @@ mod tests {
     #[test]
     fn bounds_pollute_l1d_without_l1b() {
         let mut h = MemoryHierarchy::table_iv(false);
-        assert!(!h.has_l1b());
         h.access_bounds(0x5000, 64, false);
         assert_eq!(h.l1d_stats().misses, 1, "bounds share the L1-D");
         assert!(h.l1b_stats().is_none());

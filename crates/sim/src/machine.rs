@@ -244,7 +244,6 @@ pub struct Machine {
     pub(crate) mix: InstMix,
     pub(crate) retired_ops: u64,
     pub(crate) violations: u64,
-    pub(crate) hbt_resizes: u64,
     pub(crate) charged_mispredicts: u64,
     pub(crate) waived_mispredicts: u64,
     pub(crate) stall_cycles: u64,
@@ -261,10 +260,6 @@ pub struct Machine {
     /// telemetry of its own: `collect_stats` projects its plain stats
     /// into each snapshot.
     pub(crate) telemetry: aos_util::Telemetry,
-    /// `AOS_SIM_DEBUG` presence, sampled once at construction — the
-    /// run loop is the hottest code in the repository and must not
-    /// query the environment every cycle.
-    pub(crate) debug: bool,
 }
 
 impl Machine {
@@ -284,7 +279,6 @@ impl Machine {
             mix: InstMix::default(),
             retired_ops: 0,
             violations: 0,
-            hbt_resizes: 0,
             charged_mispredicts: 0,
             waived_mispredicts: 0,
             stall_cycles: 0,
@@ -295,7 +289,6 @@ impl Machine {
             flushes: 0,
             mcu_events: Vec::new(),
             stage: StageCore::new(&config),
-            debug: std::env::var_os("AOS_SIM_DEBUG").is_some(),
             telemetry,
             config,
         }
@@ -350,7 +343,7 @@ impl Machine {
             traffic: self.hierarchy.traffic(),
             mcu: self.mcu.stats(),
             bwb: self.mcu.bwb_stats(),
-            hbt_resizes: self.hbt_resizes,
+            hbt_resizes: self.hbt.stats().resizes,
             hbt_ways: self.hbt.ways(),
             violations: self.violations,
             charged_mispredicts: self.charged_mispredicts,

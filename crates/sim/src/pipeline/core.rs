@@ -132,17 +132,6 @@ impl Machine {
                     None => break,
                 }
             }
-            if self.debug && self.now.is_multiple_of(1_000_000) {
-                eprintln!(
-                    "[sim] now={} retired={} rob={} mcu={} loads={} stores={}",
-                    self.now,
-                    self.retired_ops,
-                    self.stage.rob.len(),
-                    self.mcu.len(),
-                    self.stage.lsq.loads_len(),
-                    self.stage.lsq.stores_len(),
-                );
-            }
             assert!(self.now < 1 << 40, "simulation failed to make progress");
         }
         self.collect_stats()
@@ -192,7 +181,6 @@ impl Machine {
                 {
                     // OS handler: allocate a doubled table, migrate in
                     // the background, and retry the store (§V-F3).
-                    self.hbt_resizes += 1;
                     self.mcu.retry(*id);
                     continue;
                 }

@@ -29,13 +29,14 @@ cargo test -q -p aos-sim -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-li
     -p aos-fuzz -p aos-serve -p aos-cli
 
 # The check-path crates (simulator, MCU and bounds table), the heap
-# allocator, the generator, the static verifiers and the fault and fuzz
-# harnesses are held to rustfmt's output; the other crates are not
-# formatted yet. Skipped when rustfmt is not installed.
+# allocator, the generator, the static verifiers, the fault and fuzz
+# harnesses, the cipher, the pointer signer and the facade are held to
+# rustfmt's output; the other crates are not formatted yet. Skipped
+# when rustfmt is not installed.
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-hbt, aos-heap, aos-workloads, aos-lint, aos-fault, aos-fuzz) =="
+    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-hbt, aos-heap, aos-workloads, aos-lint, aos-fault, aos-fuzz, aos-qarma, aos-ptrauth, aos-core) =="
     cargo fmt --check -p aos-sim -p aos-mcu -p aos-hbt -p aos-heap -p aos-workloads -p aos-lint \
-        -p aos-fault -p aos-fuzz
+        -p aos-fault -p aos-fuzz -p aos-qarma -p aos-ptrauth -p aos-core
 else
     echo "== tier-1: rustfmt not installed, skipping the format gate =="
 fi
