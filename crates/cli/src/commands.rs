@@ -393,9 +393,12 @@ pub fn compare(args: &[String]) -> Result<(), String> {
         SafetyConfig::ALL.map(|s| SystemUnderTest::scaled(s, scale).with_telemetry(telemetry)),
     );
     let report = run_campaign(&cells, &options);
-    let baseline = report.results[0]
-        .stats()
-        .ok_or_else(|| format!("baseline cell failed: {}", report.results[0].error().unwrap_or("?")))?;
+    let baseline = report.results[0].stats().ok_or_else(|| {
+        format!(
+            "baseline cell failed: {}",
+            report.results[0].error().unwrap_or("?")
+        )
+    })?;
     println!("== {name} @ scale {scale}: all five systems ==");
     println!(
         "{:<10} {:>12} {:>10} {:>8}",
@@ -1105,8 +1108,8 @@ pub fn report(kind: &str, args: &[String]) -> Result<(), String> {
     let which = parsed
         .positional(0)
         .ok_or_else(|| format!("{kind} requires a number"))?;
-    let report = reports::named(&format!("{kind}{which}_"))
-        .ok_or_else(|| format!("no {kind} '{which}'"))?;
+    let report =
+        reports::named(&format!("{kind}{which}_")).ok_or_else(|| format!("no {kind} '{which}'"))?;
     print!("{}", report.render(scale(&parsed)?));
     Ok(())
 }
@@ -1276,7 +1279,11 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
                 eprintln!("  {:<24} {value}", counter.name());
             }
         }
-        eprintln!("  {:<24} {}", Gauge::ServeQueueDepth.name(), snap.gauge(Gauge::ServeQueueDepth));
+        eprintln!(
+            "  {:<24} {}",
+            Gauge::ServeQueueDepth.name(),
+            snap.gauge(Gauge::ServeQueueDepth)
+        );
     }
     Ok(())
 }
@@ -1329,8 +1336,8 @@ pub fn corpus(args: &[String]) -> Result<(), CliError> {
                 systems,
                 scale: scale(&parsed).map_err(CliError::Usage)?,
             };
-            let result =
-                aos_serve::execute(&spec, &telemetry).map_err(|e| CliError::Usage(e.to_string()))?;
+            let result = aos_serve::execute(&spec, &telemetry)
+                .map_err(|e| CliError::Usage(e.to_string()))?;
             println!("{result}");
             Ok(())
         }
@@ -1554,7 +1561,12 @@ mod tests {
         }
         // A small matrix sweep passes its clean-row gate end to end.
         assert!(matrix_cmd(&args(&[
-            "--scale", "0.002", "--seeds", "1", "--kinds", "uaf,pac-tamper",
+            "--scale",
+            "0.002",
+            "--seeds",
+            "1",
+            "--kinds",
+            "uaf,pac-tamper",
         ]))
         .is_ok());
     }
@@ -1587,7 +1599,14 @@ mod tests {
         // A stale `--model approximate` fails loudly instead of
         // quietly sweeping the stage core.
         match ablate(&args(&[
-            "--scale", "0.002", "--mcq", "48", "--bwb", "64", "--model", "approximate",
+            "--scale",
+            "0.002",
+            "--mcq",
+            "48",
+            "--bwb",
+            "64",
+            "--model",
+            "approximate",
         ])) {
             Err(CliError::Usage(message)) => {
                 assert!(message.contains("unknown flag --model"), "{message}")

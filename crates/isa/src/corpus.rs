@@ -95,7 +95,11 @@ const CRC_TABLE: [u32; 256] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -464,7 +468,8 @@ impl CorpusWriter {
         // Flush buffered frames before seeking under the buffer.
         self.file.flush().map_err(|e| io_err(&path, e))?;
         let file = self.file.get_mut();
-        file.seek(SeekFrom::Start(8)).map_err(|e| io_err(&path, e))?;
+        file.seek(SeekFrom::Start(8))
+            .map_err(|e| io_err(&path, e))?;
         file.write_all(&index_offset.to_le_bytes())
             .map_err(|e| io_err(&path, e))?;
         file.write_all(&entry_count.to_le_bytes())
@@ -483,17 +488,12 @@ struct Frame {
 }
 
 /// Reads and CRC-validates the frame at the reader's position.
-fn read_frame<R: Read>(
-    r: &mut R,
-    path: &Path,
-    telemetry: &Telemetry,
-) -> Result<Frame, AosError> {
+fn read_frame<R: Read>(r: &mut R, path: &Path, telemetry: &Telemetry) -> Result<Frame, AosError> {
     let mut fixed = [0u8; 8];
-    r.read_exact(&mut fixed)
-        .map_err(|_| {
-            telemetry.count(Counter::CorpusCrcFailures);
-            corrupt(path, "truncated frame header")
-        })?;
+    r.read_exact(&mut fixed).map_err(|_| {
+        telemetry.count(Counter::CorpusCrcFailures);
+        corrupt(path, "truncated frame header")
+    })?;
     let len = u32::from_le_bytes([fixed[0], fixed[1], fixed[2], fixed[3]]);
     let crc = u32::from_le_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]);
     if len == 0 || len > MAX_FRAME_LEN {
@@ -761,8 +761,7 @@ impl Replay {
                     self.telemetry.count(Counter::CorpusCrcFailures);
                     return Err(corrupt(&self.path, "entry trailer has the wrong size"));
                 }
-                let op_count =
-                    u64::from_le_bytes(frame.payload[0..8].try_into().expect("8 bytes"));
+                let op_count = u64::from_le_bytes(frame.payload[0..8].try_into().expect("8 bytes"));
                 let block_count =
                     u32::from_le_bytes(frame.payload[8..12].try_into().expect("4 bytes"));
                 if op_count != self.ops_seen || block_count != self.blocks_seen {
@@ -1012,7 +1011,8 @@ mod tests {
         let (_dir, path) = temp_corpus("multi.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         w.record("a", "first", sample_ops(10).into_iter()).unwrap();
-        w.record("b", "second", sample_ops(100).into_iter()).unwrap();
+        w.record("b", "second", sample_ops(100).into_iter())
+            .unwrap();
         w.record("empty", "", std::iter::empty()).unwrap();
         assert!(matches!(
             w.record("a", "dup", std::iter::empty()),
@@ -1022,11 +1022,19 @@ mod tests {
 
         let r = CorpusReader::open(&path, Telemetry::disabled()).unwrap();
         assert_eq!(
-            r.entries().iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
+            r.entries()
+                .iter()
+                .map(|e| e.name.as_str())
+                .collect::<Vec<_>>(),
             vec!["a", "b", "empty"]
         );
         for check in r.verify() {
-            assert!(check.status.is_ok(), "{}: {:?}", check.entry.name, check.status);
+            assert!(
+                check.status.is_ok(),
+                "{}: {:?}",
+                check.entry.name,
+                check.status
+            );
         }
         let empty = r.find("empty").unwrap().clone();
         assert_eq!(empty.op_count, 0);
@@ -1139,22 +1147,35 @@ mod tests {
                 Just(Op::FpAlu),
                 Just(Op::Xpacm),
                 Just(Op::PacCrypto),
-                (any::<u64>(), any::<bool>(), any::<bool>()).prop_map(|(pc, taken, mispredicted)| {
-                    Op::Branch { pc, taken, mispredicted }
-                }),
-                (any::<u64>(), any::<u32>(), any::<bool>()).prop_map(|(pointer, bytes, chained)| {
-                    Op::Load { pointer, bytes, chained }
-                }),
-                (any::<u64>(), any::<u32>()).prop_map(|(pointer, bytes)| Op::Store { pointer, bytes }),
-                (any::<u64>(), any::<u64>()).prop_map(|(pointer, size)| Op::Pacma { pointer, size }),
+                (any::<u64>(), any::<bool>(), any::<bool>()).prop_map(
+                    |(pc, taken, mispredicted)| {
+                        Op::Branch {
+                            pc,
+                            taken,
+                            mispredicted,
+                        }
+                    }
+                ),
+                (any::<u64>(), any::<u32>(), any::<bool>()).prop_map(
+                    |(pointer, bytes, chained)| {
+                        Op::Load {
+                            pointer,
+                            bytes,
+                            chained,
+                        }
+                    }
+                ),
+                (any::<u64>(), any::<u32>())
+                    .prop_map(|(pointer, bytes)| Op::Store { pointer, bytes }),
+                (any::<u64>(), any::<u64>())
+                    .prop_map(|(pointer, size)| Op::Pacma { pointer, size }),
                 any::<u64>().prop_map(|pointer| Op::Autm { pointer }),
-                (any::<u64>(), any::<u64>()).prop_map(|(pointer, size)| Op::BndStr { pointer, size }),
+                (any::<u64>(), any::<u64>())
+                    .prop_map(|(pointer, size)| Op::BndStr { pointer, size }),
                 any::<u64>().prop_map(|pointer| Op::BndClr { pointer }),
                 any::<u64>().prop_map(|pointer| Op::WdCheck { pointer }),
-                (any::<u64>(), any::<bool>()).prop_map(|(pointer, is_store)| Op::WdMeta {
-                    pointer,
-                    is_store
-                }),
+                (any::<u64>(), any::<bool>())
+                    .prop_map(|(pointer, is_store)| Op::WdMeta { pointer, is_store }),
             ]
         }
 

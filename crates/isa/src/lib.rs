@@ -129,7 +129,10 @@ mod tests {
         for config in SafetyConfig::ALL {
             let name = config.to_string();
             assert_eq!(SafetyConfig::parse(&name), Some(config), "{name}");
-            assert_eq!(SafetyConfig::parse(&name.to_ascii_lowercase()), Some(config));
+            assert_eq!(
+                SafetyConfig::parse(&name.to_ascii_lowercase()),
+                Some(config)
+            );
         }
         assert_eq!(SafetyConfig::parse("paaos"), Some(SafetyConfig::PaAos));
         assert_eq!(SafetyConfig::parse("bogus"), None);

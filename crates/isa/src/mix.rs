@@ -83,10 +83,36 @@ mod tests {
         let layout = PointerLayout::default();
         let mut mix = InstMix::default();
         let signed = layout.compose(0x4000, 0xAB, 1);
-        mix.record(&Op::Load { pointer: signed, bytes: 8, chained: false }, layout);
-        mix.record(&Op::Load { pointer: 0x5000, bytes: 8, chained: false }, layout);
-        mix.record(&Op::Store { pointer: signed, bytes: 8 }, layout);
-        mix.record(&Op::Store { pointer: 0x5000, bytes: 8 }, layout);
+        mix.record(
+            &Op::Load {
+                pointer: signed,
+                bytes: 8,
+                chained: false,
+            },
+            layout,
+        );
+        mix.record(
+            &Op::Load {
+                pointer: 0x5000,
+                bytes: 8,
+                chained: false,
+            },
+            layout,
+        );
+        mix.record(
+            &Op::Store {
+                pointer: signed,
+                bytes: 8,
+            },
+            layout,
+        );
+        mix.record(
+            &Op::Store {
+                pointer: 0x5000,
+                bytes: 8,
+            },
+            layout,
+        );
         mix.record(&Op::IntAlu, layout);
         assert_eq!(mix.signed_loads, 1);
         assert_eq!(mix.unsigned_loads, 1);
@@ -100,9 +126,21 @@ mod tests {
     fn counts_instrumentation_families() {
         let layout = PointerLayout::default();
         let mut mix = InstMix::default();
-        mix.record(&Op::BndStr { pointer: 0, size: 16 }, layout);
+        mix.record(
+            &Op::BndStr {
+                pointer: 0,
+                size: 16,
+            },
+            layout,
+        );
         mix.record(&Op::BndClr { pointer: 0 }, layout);
-        mix.record(&Op::Pacma { pointer: 0, size: 16 }, layout);
+        mix.record(
+            &Op::Pacma {
+                pointer: 0,
+                size: 16,
+            },
+            layout,
+        );
         mix.record(&Op::Xpacm, layout);
         mix.record(&Op::Autm { pointer: 0 }, layout);
         mix.record(&Op::PacCrypto, layout);

@@ -174,7 +174,14 @@ mod tests {
 
     #[test]
     fn latencies_match_table_iv() {
-        assert_eq!(Op::Pacma { pointer: 0, size: 0 }.exec_latency(), 4);
+        assert_eq!(
+            Op::Pacma {
+                pointer: 0,
+                size: 0
+            }
+            .exec_latency(),
+            4
+        );
         assert_eq!(Op::PacCrypto.exec_latency(), 4);
         assert_eq!(Op::Xpacm.exec_latency(), 1);
         assert_eq!(Op::Autm { pointer: 0 }.exec_latency(), 1);
@@ -209,7 +216,12 @@ mod tests {
         let layout = PointerLayout::default();
         assert!(Op::IntAlu.memory_ref(layout).is_none());
         assert!(Op::PacCrypto.memory_ref(layout).is_none());
-        assert!(Op::BndStr { pointer: 0, size: 1 }.memory_ref(layout).is_none());
+        assert!(Op::BndStr {
+            pointer: 0,
+            size: 1
+        }
+        .memory_ref(layout)
+        .is_none());
     }
 
     #[test]
@@ -231,9 +243,22 @@ mod tests {
 
     #[test]
     fn mcu_routing() {
-        assert!(Op::Load { pointer: 0, bytes: 8, chained: false }.needs_mcu());
-        assert!(Op::Store { pointer: 0, bytes: 8 }.needs_mcu());
-        assert!(Op::BndStr { pointer: 0, size: 16 }.needs_mcu());
+        assert!(Op::Load {
+            pointer: 0,
+            bytes: 8,
+            chained: false
+        }
+        .needs_mcu());
+        assert!(Op::Store {
+            pointer: 0,
+            bytes: 8
+        }
+        .needs_mcu());
+        assert!(Op::BndStr {
+            pointer: 0,
+            size: 16
+        }
+        .needs_mcu());
         assert!(Op::BndClr { pointer: 0 }.needs_mcu());
         assert!(!Op::IntAlu.needs_mcu());
         assert!(!Op::WdCheck { pointer: 0 }.needs_mcu());

@@ -35,7 +35,11 @@ pub fn action_script(
     a: std::ops::Range<u64>,
     b: std::ops::Range<u64>,
     len: impl Into<SizeRange>,
-) -> VecStrategy<(std::ops::Range<u8>, std::ops::Range<u64>, std::ops::Range<u64>)> {
+) -> VecStrategy<(
+    std::ops::Range<u8>,
+    std::ops::Range<u64>,
+    std::ops::Range<u64>,
+)> {
     vec((kinds, a, b), len)
 }
 
@@ -239,8 +243,7 @@ mod tests {
                     }
                     Op::Pacma { .. } => unreachable!(),
                     Op::BndStr { pointer, size } => {
-                        let (pac, signed_size) =
-                            pending_sign.take().expect("bndstr without pacma");
+                        let (pac, signed_size) = pending_sign.take().expect("bndstr without pacma");
                         assert_eq!(layout.pac(pointer), pac);
                         assert_eq!(size, signed_size);
                         live.push((pac, layout.address(pointer), size));

@@ -501,7 +501,9 @@ mod tests {
                 pointer: 0x4000_0000,
                 size: 64,
             },
-            Op::BndClr { pointer: 0x4000_0040 },
+            Op::BndClr {
+                pointer: 0x4000_0040,
+            },
             Op::WdCheck { pointer: 0x5000 },
             Op::WdMeta {
                 pointer: 0x5008,

@@ -102,9 +102,15 @@ impl JobSpec {
     /// A short label for error messages.
     pub fn label(&self) -> String {
         match self {
-            JobSpec::Trace { workload, system, .. } => format!("trace {workload}/{system}"),
-            JobSpec::Lint { workload, system, .. } => format!("lint {workload}/{system}"),
-            JobSpec::Campaign { workloads, systems, .. } => {
+            JobSpec::Trace {
+                workload, system, ..
+            } => format!("trace {workload}/{system}"),
+            JobSpec::Lint {
+                workload, system, ..
+            } => format!("lint {workload}/{system}"),
+            JobSpec::Campaign {
+                workloads, systems, ..
+            } => {
                 format!("campaign {}x{}", workloads.len(), systems.len())
             }
             JobSpec::CorpusRecord { path, .. } => format!("corpus_record {path}"),
@@ -249,7 +255,11 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
         ]
     };
     match spec {
-        JobSpec::Trace { workload, system, scale } => {
+        JobSpec::Trace {
+            workload,
+            system,
+            scale,
+        } => {
             let p = find_workload(workload)?;
             let sut = SystemUnderTest::scaled(*system, *scale);
             let out = run_metered(p, &sut);
@@ -259,13 +269,21 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
                 out.trace_ops,
             ))
         }
-        JobSpec::Lint { workload, system, scale } => {
+        JobSpec::Lint {
+            workload,
+            system,
+            scale,
+        } => {
             let p = find_workload(workload)?;
             let gen = TraceGenerator::new(p, *system, *scale);
             let report = lint_stream(gen, PointerLayout::default());
             Ok(lint_result(cell(workload, system, scale), &report))
         }
-        JobSpec::Campaign { workloads, systems, scale } => {
+        JobSpec::Campaign {
+            workloads,
+            systems,
+            scale,
+        } => {
             let mut profiles = Vec::with_capacity(workloads.len());
             for name in workloads {
                 profiles.push(*find_workload(name)?);
@@ -286,7 +304,12 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
                 ("total_sim_cycles", Json::num(report.total_sim_cycles())),
             ]))
         }
-        JobSpec::CorpusRecord { path, workloads, systems, scale } => {
+        JobSpec::CorpusRecord {
+            path,
+            workloads,
+            systems,
+            scale,
+        } => {
             let mut cells = Vec::new();
             for name in workloads {
                 let p = find_workload(name)?;
@@ -496,8 +519,11 @@ mod tests {
         let mut bytes = std::fs::read(&path).expect("read");
         // entry header frame: 8 (len+crc) + 1 (kind) + payload; next
         // frame starts after it — flip inside its payload.
-        let header_payload =
-            u32::from_le_bytes(bytes[offset as usize..offset as usize + 4].try_into().unwrap());
+        let header_payload = u32::from_le_bytes(
+            bytes[offset as usize..offset as usize + 4]
+                .try_into()
+                .unwrap(),
+        );
         let block_payload_at = offset as usize + 8 + header_payload as usize + 8 + 1;
         bytes[block_payload_at + 5] ^= 0x40;
         std::fs::write(&path, &bytes).expect("write");

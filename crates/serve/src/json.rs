@@ -110,8 +110,8 @@ impl<'a> Cursor<'a> {
                                 .get(self.at..end)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| err("bad \\u escape"))?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| err("bad \\u escape"))?;
                             // Surrogates are rejected rather than paired:
                             // nothing in the protocol needs astral chars.
                             let ch = char::from_u32(code)
@@ -119,9 +119,7 @@ impl<'a> Cursor<'a> {
                             out.push(ch);
                             self.at = end;
                         }
-                        other => {
-                            return Err(err(format!("unknown escape '\\{}'", other as char)))
-                        }
+                        other => return Err(err(format!("unknown escape '\\{}'", other as char))),
                     }
                 }
                 _ => {
@@ -167,7 +165,9 @@ impl<'a> Cursor<'a> {
                 }
                 let text = std::str::from_utf8(&self.bytes[start..self.at])
                     .map_err(|_| err("invalid number"))?;
-                let n: f64 = text.parse().map_err(|_| err(format!("bad number '{text}'")))?;
+                let n: f64 = text
+                    .parse()
+                    .map_err(|_| err(format!("bad number '{text}'")))?;
                 Ok(JsonValue::Num(n))
             }
             _ => Err(err(format!("unexpected byte at {}", self.at))),
@@ -248,7 +248,6 @@ mod tests {
         assert_eq!(get(&o, "x"), Some(&JsonValue::Null));
         assert_eq!(get(&o, "missing"), None);
     }
-
 
     #[test]
     fn hostile_lines_fail_typed_never_panic() {

@@ -223,7 +223,12 @@ pub fn render_ok(id: &str, attempts: u32, result: Json) -> String {
 /// explicit backpressure signal: non-null exactly when the same line
 /// can succeed later (a full queue), null when it never will (a
 /// malformed line).
-pub fn render_rejected(id: Option<&str>, kind: &str, error: &str, retry_after_ms: Option<u64>) -> String {
+pub fn render_rejected(
+    id: Option<&str>,
+    kind: &str,
+    error: &str,
+    retry_after_ms: Option<u64>,
+) -> String {
     line([
         ("id", id.map_or(Json::Null, Json::str)),
         ("status", Json::str("rejected")),
@@ -281,7 +286,12 @@ mod tests {
         .expect("campaign");
         match r {
             Request::Job {
-                spec: JobSpec::Campaign { workloads, systems, scale },
+                spec:
+                    JobSpec::Campaign {
+                        workloads,
+                        systems,
+                        scale,
+                    },
                 ..
             } => {
                 assert_eq!(workloads, vec!["mcf", "gcc"]);
@@ -328,9 +338,18 @@ mod tests {
     fn rejects_bad_requests_with_specific_messages() {
         for (line, needle) in [
             (r#"{"kind":"trace","id":"x"}"#, "missing field 'proto'"),
-            (r#"{"proto":"aos-serve/v2","kind":"trace","id":"x"}"#, "unsupported proto"),
-            (r#"{"proto":"aos-serve/v1","kind":"explode","id":"x"}"#, "unknown job kind"),
-            (r#"{"proto":"aos-serve/v1","kind":"trace"}"#, "missing field 'id'"),
+            (
+                r#"{"proto":"aos-serve/v2","kind":"trace","id":"x"}"#,
+                "unsupported proto",
+            ),
+            (
+                r#"{"proto":"aos-serve/v1","kind":"explode","id":"x"}"#,
+                "unknown job kind",
+            ),
+            (
+                r#"{"proto":"aos-serve/v1","kind":"trace"}"#,
+                "missing field 'id'",
+            ),
             (
                 r#"{"proto":"aos-serve/v1","kind":"trace","id":"x","workload":"mcf","system":"doom"}"#,
                 "unknown system",

@@ -147,10 +147,12 @@ fn collector_loop(
 ) -> Result<ServeSummary, AosError> {
     let mut summary = ServeSummary::default();
     let write_line = |writer: &mut dyn Write, line: &str| -> Result<(), AosError> {
-        writeln!(writer, "{line}").and_then(|()| writer.flush()).map_err(|e| AosError::Io {
-            context: "aos-serve response stream".to_string(),
-            detail: e.to_string(),
-        })
+        writeln!(writer, "{line}")
+            .and_then(|()| writer.flush())
+            .map_err(|e| AosError::Io {
+                context: "aos-serve response stream".to_string(),
+                detail: e.to_string(),
+            })
     };
     write_line(&mut writer, &proto::render_ready())?;
     while let Ok(event) = events.recv() {
@@ -173,7 +175,11 @@ fn collector_loop(
                     &proto::render_rejected(id.as_deref(), kind, &error, retry_after_ms),
                 )?;
             }
-            Event::Succeeded { id, attempts, result } => {
+            Event::Succeeded {
+                id,
+                attempts,
+                result,
+            } => {
                 summary.succeeded += 1;
                 if attempts > 1 {
                     summary.retried += u64::from(attempts - 1);
@@ -211,7 +217,10 @@ fn collector_loop(
                     "corruption" => telemetry.count(Counter::CorpusCrcFailures),
                     _ => {}
                 }
-                write_line(&mut writer, &proto::render_failed(&id, attempts, kind, &error))?;
+                write_line(
+                    &mut writer,
+                    &proto::render_failed(&id, attempts, kind, &error),
+                )?;
             }
             Event::Drained { shutdown_requested } => {
                 summary.shutdown_requested = shutdown_requested;
@@ -236,10 +245,7 @@ fn worker_loop(shared: &Shared, events: &mpsc::Sender<Event>, guard: &GuardOptio
                 if state.draining {
                     break None;
                 }
-                state = shared
-                    .available
-                    .wait(state)
-                    .expect("queue lock poisoned");
+                state = shared.available.wait(state).expect("queue lock poisoned");
             }
         };
         let Some((id, spec)) = job else { return };
@@ -251,7 +257,11 @@ fn worker_loop(shared: &Shared, events: &mpsc::Sender<Event>, guard: &GuardOptio
             Arc::new(move || jobs::execute(&spec, &Telemetry::disabled()))
         };
         let event = match run_guarded(work, guard) {
-            (Ok(Ok(result)), attempts) => Event::Succeeded { id, attempts, result },
+            (Ok(Ok(result)), attempts) => Event::Succeeded {
+                id,
+                attempts,
+                result,
+            },
             (Ok(Err(error)), attempts) => Event::Failed {
                 id,
                 attempts,
@@ -327,13 +337,11 @@ pub fn serve(
         match proto::parse_request(&line, options.test_jobs) {
             Err(error) => {
                 // Salvage the id if the line was at least JSON.
-                let id = crate::json::parse_object(&line)
-                    .ok()
-                    .and_then(|o| {
-                        crate::json::get(&o, "id")
-                            .and_then(crate::json::JsonValue::as_str)
-                            .map(str::to_string)
-                    });
+                let id = crate::json::parse_object(&line).ok().and_then(|o| {
+                    crate::json::get(&o, "id")
+                        .and_then(crate::json::JsonValue::as_str)
+                        .map(str::to_string)
+                });
                 let _ = events.send(Event::Rejected {
                     id,
                     kind: "input",
@@ -352,10 +360,7 @@ pub fn serve(
                     let _ = events.send(Event::Rejected {
                         id: Some(id),
                         kind: "resource",
-                        error: format!(
-                            "queue full ({} jobs queued)",
-                            options.queue_capacity
-                        ),
+                        error: format!("queue full ({} jobs queued)", options.queue_capacity),
                         retry_after_ms: Some(options.retry_after_ms),
                     });
                 } else {
@@ -456,12 +461,7 @@ mod tests {
 
     fn run_script(script: &str, options: &ServeOptions) -> (ServeSummary, String) {
         let out = SharedBuf::default();
-        let summary = serve(
-            Cursor::new(script.to_string()),
-            out.clone(),
-            options,
-        )
-        .expect("serve");
+        let summary = serve(Cursor::new(script.to_string()), out.clone(), options).expect("serve");
         (summary, out.contents())
     }
 

@@ -305,8 +305,11 @@ impl Gauge {
     pub const COUNT: usize = 3;
 
     /// Every gauge, in cell (and wire) order.
-    pub const ALL: [Gauge; Self::COUNT] =
-        [Gauge::McqPeakOccupancy, Gauge::HbtWays, Gauge::ServeQueueDepth];
+    pub const ALL: [Gauge; Self::COUNT] = [
+        Gauge::McqPeakOccupancy,
+        Gauge::HbtWays,
+        Gauge::ServeQueueDepth,
+    ];
 
     /// Stable wire names, in the same order as [`Gauge::ALL`].
     pub const NAMES: [&'static str; Self::COUNT] =
@@ -640,7 +643,12 @@ impl TelemetrySnapshot {
         for (i, name) in Gauge::NAMES.iter().enumerate() {
             let _ = writeln!(s, "  {:<24} {:>16}", name, self.gauges[i]);
         }
-        let _ = writeln!(s, "  {:<24} {:>15.1}%", "bwb_hit_rate", self.bwb_hit_rate() * 100.0);
+        let _ = writeln!(
+            s,
+            "  {:<24} {:>15.1}%",
+            "bwb_hit_rate",
+            self.bwb_hit_rate() * 100.0
+        );
         for (h, name) in Hist::NAMES.iter().enumerate() {
             let total: u64 = self.hists[h].iter().sum();
             let _ = writeln!(s, "  {:<24} {:>16} observations", name, total);

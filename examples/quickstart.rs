@@ -51,5 +51,9 @@ fn main() {
         "\nBWB hit rate so far: {:.0}%",
         process.mcu().bwb_stats().hit_rate() * 100.0
     );
-    println!("HBT: {} ways, {} bytes", process.hbt().ways(), process.hbt().table_bytes());
+    println!(
+        "HBT: {} ways, {} bytes",
+        process.hbt().ways(),
+        process.hbt().table_bytes()
+    );
 }

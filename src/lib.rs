@@ -21,8 +21,8 @@
 
 pub use aos_core as core;
 pub use aos_fault as fault;
-pub use aos_heap as heap;
 pub use aos_hbt as hbt;
+pub use aos_heap as heap;
 pub use aos_isa as isa;
 pub use aos_lint as lint;
 pub use aos_mcu as mcu;

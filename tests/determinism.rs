@@ -13,7 +13,10 @@ use aos_core::workloads::TraceGenerator;
 fn qarma_pins_the_arm_reference_vector() {
     // If this ever changes, every PAC in the repository changes.
     let q = Qarma64::new(PacKey::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9));
-    assert_eq!(q.compute(0xfb623599da6e8127, 0x477d469dec0b8762), 0xc003b93999b33765);
+    assert_eq!(
+        q.compute(0xfb623599da6e8127, 0x477d469dec0b8762),
+        0xc003b93999b33765
+    );
 }
 
 #[test]
@@ -56,7 +59,9 @@ fn allocation_schedules_are_stable() {
 
 #[test]
 fn different_workloads_produce_different_traces() {
-    let a: Vec<_> = TraceGenerator::new(by_name("mcf").unwrap(), SafetyConfig::Aos, 0.005).collect();
-    let b: Vec<_> = TraceGenerator::new(by_name("lbm").unwrap(), SafetyConfig::Aos, 0.005).collect();
+    let a: Vec<_> =
+        TraceGenerator::new(by_name("mcf").unwrap(), SafetyConfig::Aos, 0.005).collect();
+    let b: Vec<_> =
+        TraceGenerator::new(by_name("lbm").unwrap(), SafetyConfig::Aos, 0.005).collect();
     assert_ne!(a, b);
 }

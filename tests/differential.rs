@@ -69,14 +69,10 @@ fn action_strategy() -> impl Strategy<Value = Action> {
     prop_oneof![
         (1u64..2048).prop_map(Action::Malloc),
         (0usize..64).prop_map(Action::FreeLive),
-        ((0usize..64), (-64i64..2048)).prop_map(|(pick, offset)| Action::ProbeLive {
-            pick,
-            offset
-        }),
-        ((0usize..64), (0u64..256)).prop_map(|(pick, offset)| Action::ProbeDangling {
-            pick,
-            offset
-        }),
+        ((0usize..64), (-64i64..2048))
+            .prop_map(|(pick, offset)| Action::ProbeLive { pick, offset }),
+        ((0usize..64), (0u64..256))
+            .prop_map(|(pick, offset)| Action::ProbeDangling { pick, offset }),
     ]
 }
 

@@ -23,7 +23,11 @@ fn all_sixteen_workloads_run_on_all_five_systems() {
                 profile.name
             );
             assert_eq!(stats.violations, 0, "{} {config}", profile.name);
-            assert!(stats.ipc() > 0.1 && stats.ipc() <= 8.0, "{} {config}", profile.name);
+            assert!(
+                stats.ipc() > 0.1 && stats.ipc() <= 8.0,
+                "{} {config}",
+                profile.name
+            );
         }
     }
 }

@@ -213,7 +213,10 @@ fn every_policy_cross_check_lands_on_its_pinned_table() {
     let json = outcome.report.to_json();
     assert!(json.contains("\"policy_cross_check\""));
     for p in Policy::ALL {
-        assert!(json.contains(&format!("\"policy\": \"{}\"", p.name())), "{p:?}");
+        assert!(
+            json.contains(&format!("\"policy\": \"{}\"", p.name())),
+            "{p:?}"
+        );
     }
 }
 

@@ -242,14 +242,7 @@ fn fuzz_campaign_digest_is_deterministic_and_seed_steered() {
     let b = run_fuzz(&config, &telemetry).expect("fuzz");
     assert_eq!(a.digest(), b.digest());
     assert_eq!(a.to_json(), b.to_json());
-    let other = run_fuzz(
-        &FuzzConfig {
-            seed: 10,
-            ..config
-        },
-        &telemetry,
-    )
-    .expect("fuzz");
+    let other = run_fuzz(&FuzzConfig { seed: 10, ..config }, &telemetry).expect("fuzz");
     assert_ne!(a.digest(), other.digest(), "seed must steer the campaign");
 }
 
@@ -278,7 +271,11 @@ fn fuzz_telemetry_counters_ledger_the_campaign() {
     // trace lints clean), and the op count covers all of the scans.
     assert_eq!(
         snapshot.counter(Counter::LintDiagnostics),
-        report.outcomes.iter().map(|o| o.aos().diagnostics).sum::<u64>()
+        report
+            .outcomes
+            .iter()
+            .map(|o| o.aos().diagnostics)
+            .sum::<u64>()
     );
     assert!(snapshot.counter(Counter::LintOpsScanned) > 0);
 }
@@ -358,10 +355,7 @@ fn golden_corpus_matches_regeneration_bit_for_bit() {
     )
     .expect("regenerate");
     let fresh = std::fs::read(&tmp).expect("read regenerated corpus");
-    let golden = std::fs::read(GOLDEN)
-        .expect("golden corpus missing; regenerate with AOS_UPDATE_GOLDEN=1");
-    assert_eq!(
-        fresh, golden,
-        "banked corpus bytes drifted from generation"
-    );
+    let golden =
+        std::fs::read(GOLDEN).expect("golden corpus missing; regenerate with AOS_UPDATE_GOLDEN=1");
+    assert_eq!(fresh, golden, "banked corpus bytes drifted from generation");
 }

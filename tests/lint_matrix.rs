@@ -176,10 +176,7 @@ fn campaign_cross_check_agrees_with_the_pinned_matrix() {
 const POLICY_PINNED: [(&str, [&[&str]; 4]); 11] = [
     ("overflow", [&[], &[], &[], &[]]),
     ("underflow", [&[], &[], &[], &[]]),
-    (
-        "uaf",
-        [&["access-after-clear"], &["revoked-key"], &[], &[]],
-    ),
+    ("uaf", [&["access-after-clear"], &["revoked-key"], &[], &[]]),
     (
         "double-free",
         [
@@ -302,7 +299,9 @@ fn the_aos_policy_is_bit_identical_to_the_linter() {
             steps: vec![step],
         };
         let plan = plan_scenario(&spec, &trace, layout).expect("plan");
-        compare(step.name(), &|| Box::new(stream().splice_many(plan.edits.clone())));
+        compare(step.name(), &|| {
+            Box::new(stream().splice_many(plan.edits.clone()))
+        });
     }
 }
 

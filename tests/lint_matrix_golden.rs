@@ -47,7 +47,12 @@ fn matrix_json() -> String {
     .expect("fault plans against the instrumented trace");
     matrix.absorb(
         "double-free",
-        &MatrixScan::run(&policies, plan.apply(stream()), layout, &Telemetry::disabled()),
+        &MatrixScan::run(
+            &policies,
+            plan.apply(stream()),
+            layout,
+            &Telemetry::disabled(),
+        ),
     );
     matrix.to_json()
 }

@@ -84,7 +84,10 @@ fn hbt_resize_counts_match_the_paper() {
         let stats = result.stats().expect("resize cell completes");
         assert_eq!(stats.hbt_resizes, *resizes, "{name} HBT resizes");
         assert_eq!(stats.violations, 0, "{name} is benign");
-        rendered.push_str(&run_stats_digest::golden_line(&format!("{name} AOS 1"), stats));
+        rendered.push_str(&run_stats_digest::golden_line(
+            &format!("{name} AOS 1"),
+            stats,
+        ));
     }
     run_stats_digest::check_golden(RESIZE_GOLDEN, &rendered, "full-scale resize run");
 }

@@ -13,9 +13,7 @@
 //! ```
 
 use aos_isa::SafetyConfig;
-use aos_serve::proto::{
-    render_failed, render_ok, render_ready, render_rejected, render_shutdown,
-};
+use aos_serve::proto::{render_failed, render_ok, render_ready, render_rejected, render_shutdown};
 use aos_serve::{execute, parse_request, JobSpec, ReplayMode};
 use aos_util::json::Json;
 use aos_util::scratch::ScratchDir;
@@ -157,7 +155,12 @@ fn shapes() -> Vec<(&'static str, String)> {
         ("response.ok.corpus_verify", render_ok("j6", 1, verify)),
         (
             "response.rejected.backpressure",
-            render_rejected(Some("j7"), "resource", "queue full (16 jobs queued)", Some(25)),
+            render_rejected(
+                Some("j7"),
+                "resource",
+                "queue full (16 jobs queued)",
+                Some(25),
+            ),
         ),
         (
             "response.rejected.malformed",

@@ -173,10 +173,7 @@ fn poisoned_job_is_isolated_and_the_service_survives() {
     assert_eq!(summary.panicked, 1);
     assert_eq!(summary.succeeded, 1);
     assert!(summary.shutdown_requested);
-    assert_eq!(
-        telemetry.snapshot().counter(Counter::ServeJobsPanicked),
-        1
-    );
+    assert_eq!(telemetry.snapshot().counter(Counter::ServeJobsPanicked), 1);
 }
 
 #[test]
@@ -315,8 +312,8 @@ fn serve_telemetry_reaches_the_v4_report_taxonomy() {
         telemetry: telemetry.clone(),
         ..ServeOptions::default()
     };
-    let script = request("t1", "__sleep", ",\"millis\":1")
-        + &request("t2", "__sleep", ",\"millis\":1");
+    let script =
+        request("t1", "__sleep", ",\"millis\":1") + &request("t2", "__sleep", ",\"millis\":1");
     let (summary, _) = run_script(script, &options);
     assert_eq!(summary.succeeded, 2);
     let snap = telemetry.snapshot();

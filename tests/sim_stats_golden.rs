@@ -48,7 +48,10 @@ const FAULT_SEED: u64 = 1;
 
 fn grid_cell(name: &str, system: SafetyConfig) -> RunStats {
     let profile = by_name(name).expect("known profile");
-    run(profile, &SystemUnderTest::scaled(system, SCALE).with_telemetry(true))
+    run(
+        profile,
+        &SystemUnderTest::scaled(system, SCALE).with_telemetry(true),
+    )
 }
 
 fn fault_cell(kind: FaultKind) -> RunStats {
@@ -105,7 +108,10 @@ fn telemetry_digests_match_golden() {
         .iter()
         .map(|(label, stats)| {
             assert!(stats.telemetry.enabled, "{label}: telemetry was off");
-            format!("{label} {:016x}\n", fnv1a(&format!("{:?}", stats.telemetry)))
+            format!(
+                "{label} {:016x}\n",
+                fnv1a(&format!("{:?}", stats.telemetry))
+            )
         })
         .collect();
     check_golden(TELEMETRY_GOLDEN, &rendered, "telemetry snapshot");

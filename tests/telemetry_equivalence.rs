@@ -46,13 +46,22 @@ fn streaming_and_materialized_telemetry_snapshots_are_bit_identical() {
             "{name}: telemetry snapshot diverged"
         );
         assert!(streamed.telemetry.enabled);
-        assert!(!streamed.telemetry.is_empty(), "{name}: nothing was counted");
+        assert!(
+            !streamed.telemetry.is_empty(),
+            "{name}: nothing was counted"
+        );
 
         // The metered campaign path is equally transparent and meters
         // every op.
         let metered = run_metered(profile, &sut);
-        assert_eq!(materialized, metered.stats, "{name}: metered RunStats diverged");
-        assert_eq!(metered.trace_ops, trace_ops, "{name}: metered op count diverged");
+        assert_eq!(
+            materialized, metered.stats,
+            "{name}: metered RunStats diverged"
+        );
+        assert_eq!(
+            metered.trace_ops, trace_ops,
+            "{name}: metered op count diverged"
+        );
     }
 }
 
@@ -65,8 +74,14 @@ fn telemetry_snapshots_are_deterministic_across_runs() {
     let a = run(profile, &sut).telemetry;
     let b = run(profile, &sut).telemetry;
     assert_eq!(a, b);
-    assert_eq!(a.counter(Counter::McqEnqueued), b.counter(Counter::McqEnqueued));
-    assert_eq!(a.gauge(Gauge::McqPeakOccupancy), b.gauge(Gauge::McqPeakOccupancy));
+    assert_eq!(
+        a.counter(Counter::McqEnqueued),
+        b.counter(Counter::McqEnqueued)
+    );
+    assert_eq!(
+        a.gauge(Gauge::McqPeakOccupancy),
+        b.gauge(Gauge::McqPeakOccupancy)
+    );
 }
 
 /// The observer-effect differential: with telemetry off the machine
@@ -123,10 +138,17 @@ fn assert_projected(stats: &RunStats, cell: &str) -> Vec<&'static str> {
     for (counter, stat) in pairs {
         assert_eq!(t.counter(counter), stat, "{cell}: {}", counter.name());
     }
-    assert_eq!(t.gauge(Gauge::McqPeakOccupancy), mcu.peak_occupancy, "{cell}");
+    assert_eq!(
+        t.gauge(Gauge::McqPeakOccupancy),
+        mcu.peak_occupancy,
+        "{cell}"
+    );
     assert_eq!(t.gauge(Gauge::HbtWays), stats.hbt_ways as u64, "{cell}");
     let rate = t.bwb_hit_rate() - bwb.hit_rate();
-    assert!(rate.abs() < 1e-12, "{cell}: hit-rate ledgers diverged by {rate}");
+    assert!(
+        rate.abs() < 1e-12,
+        "{cell}: hit-rate ledgers diverged by {rate}"
+    );
     Counter::ALL
         .into_iter()
         .filter(|&c| t.counter(c) > 0)
