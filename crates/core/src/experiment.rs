@@ -29,10 +29,6 @@ pub struct SystemUnderTest {
     pub l1b: bool,
     /// Bounds compression enabled (§V-D).
     pub compression: bool,
-    /// Bounds way buffer enabled (§V-C).
-    pub bwb: bool,
-    /// Store→load bounds forwarding enabled (§V-F2).
-    pub forwarding: bool,
     /// Window scale in `(0, 1]`: 1.0 = the profile's full window.
     pub scale: f64,
     /// Whether the machine records pipeline telemetry (the simulated
@@ -49,8 +45,6 @@ impl SystemUnderTest {
             safety,
             l1b: true,
             compression: true,
-            bwb: true,
-            forwarding: true,
             scale: 1.0,
             telemetry: false,
         }
@@ -78,8 +72,6 @@ impl SystemUnderTest {
             compressed: self.compression,
             ..config.hbt
         };
-        config.mcu.use_bwb = self.bwb;
-        config.mcu.bounds_forwarding = self.forwarding;
         config.telemetry = self.telemetry;
         config
     }
@@ -169,7 +161,7 @@ mod tests {
         assert!(cfg.aos_enabled);
         assert!(cfg.with_l1b);
         assert!(cfg.hbt.compressed);
-        assert!(cfg.mcu.use_bwb);
+        assert!(cfg.mcu.bounds_forwarding);
         let base = SystemUnderTest::standard(SafetyConfig::Baseline).machine_config();
         assert!(!base.aos_enabled);
     }

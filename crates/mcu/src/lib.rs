@@ -22,10 +22,15 @@
 //! These FSMs are the only implementation of `bndstr`, `bndclr` and
 //! the bounds check: the table itself only stores records, routes
 //! ways during a resize and migrates rows. The same FSM code serves
-//! two callers: the timing simulator steps it cycle by cycle through
-//! [`MemoryCheckUnit::tick`] with a real cache model behind the
-//! [`BoundsMemory`] port, and the functional machine drives
-//! [`MemoryCheckUnit::run_sync`] with zero-latency memory.
+//! two drivers, and both drive it the same way: each cycle the ROB
+//! retires through [`MemoryCheckUnit::commit_if_retirable`] and the
+//! unit steps through [`MemoryCheckUnit::tick`]. The timing simulator
+//! does so with a real cache model behind the [`BoundsMemory`] port;
+//! the functional machine calls [`MemoryCheckUnit::run_sync`], which
+//! runs one op that way with zero-latency memory until the queue is
+//! empty. The one signal the unit sends back is a [`McuEvent`]: the
+//! exception of a failed entry at the queue head (§IV-D), at most one
+//! per tick.
 //!
 //! # Examples
 //!
@@ -55,6 +60,5 @@ mod unit;
 pub use bwb::{BoundsWayBuffer, BwbStats};
 pub use mcq::{McqState, McuOp};
 pub use unit::{
-    AosException, BoundsMemory, CheckOutcome, McuConfig, McuEvent, McuStats, MemoryCheckUnit,
-    ZeroLatencyMemory,
+    AosException, BoundsMemory, McuConfig, McuEvent, McuStats, MemoryCheckUnit, ZeroLatencyMemory,
 };

@@ -94,49 +94,3 @@ pub(crate) struct McqEntry {
     /// `MalformedBounds` instead of a store failure.
     pub malformed: bool,
 }
-
-impl McqEntry {
-    /// Whether the entry needs bounds checking at all.
-    pub fn is_signed_access(&self) -> bool {
-        matches!(self.op, McuOp::Access { .. }) && self.ahc.is_some()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(state: McqState) -> McqEntry {
-        McqEntry {
-            id: 0,
-            op: McuOp::Access {
-                pointer: 0,
-                is_store: false,
-            },
-            addr: 0,
-            pac: 0,
-            ahc: None,
-            bnd_data: CompressedBounds::EMPTY,
-            way: 0,
-            count: 0,
-            start_way: 0,
-            hit: None,
-            committed: false,
-            state,
-            ready_at: 0,
-            reported: false,
-            forwarded: false,
-            malformed: false,
-        }
-    }
-
-    #[test]
-    fn signed_access_requires_ahc() {
-        let mut e = entry(McqState::Init);
-        assert!(!e.is_signed_access());
-        e.ahc = Some(Ahc::Small);
-        assert!(e.is_signed_access());
-        e.op = McuOp::BndClr { pointer: 0 };
-        assert!(!e.is_signed_access(), "bndclr is not an access");
-    }
-}

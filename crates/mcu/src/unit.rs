@@ -42,8 +42,6 @@ pub struct McuConfig {
     pub mcq_entries: usize,
     /// Bounds way buffer capacity.
     pub bwb_entries: usize,
-    /// Whether the BWB is consulted (ablation knob).
-    pub use_bwb: bool,
     /// Whether store→load bounds forwarding is enabled (§V-F2).
     pub bounds_forwarding: bool,
 }
@@ -53,7 +51,6 @@ impl Default for McuConfig {
         Self {
             mcq_entries: 48,
             bwb_entries: 64,
-            use_bwb: true,
             bounds_forwarding: true,
         }
     }
@@ -116,33 +113,16 @@ impl std::fmt::Display for AosException {
 
 impl std::error::Error for AosException {}
 
-/// Events surfaced by [`MemoryCheckUnit::tick`].
+/// The one event [`MemoryCheckUnit::tick`] reports: a failed entry
+/// reached the MCQ head, and the OS must handle it (then
+/// [`MemoryCheckUnit::retry`] or [`MemoryCheckUnit::drop_failed`] the
+/// entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum McuEvent {
-    /// A failed entry reached the MCQ head; the OS must handle it
-    /// (then [`MemoryCheckUnit::retry`] or drop the entry).
-    Exception {
-        /// MCQ entry id.
-        id: u64,
-        /// What went wrong.
-        exception: AosException,
-    },
-    /// An entry completed and left the queue.
-    Retired {
-        /// MCQ entry id.
-        id: u64,
-        /// Ways touched while checking (0 for unsigned/forwarded).
-        ways_touched: u32,
-    },
-}
-
-/// Result of a synchronous (functional) MCU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckOutcome {
-    /// `true` when the access was unsigned and skipped checking.
-    pub skipped: bool,
-    /// HBT way lines touched.
-    pub ways_touched: u32,
+pub struct McuEvent {
+    /// MCQ entry id.
+    pub id: u64,
+    /// What went wrong.
+    pub exception: AosException,
 }
 
 /// Cumulative MCU statistics (Figs. 16 and 17 draw on these).
@@ -224,16 +204,6 @@ pub struct MemoryCheckUnit {
     /// (so a clear that a replay rescues is never counted). Kept
     /// outside [`McuStats`] for the same reason as `check_misses`.
     clear_failures: u64,
-    /// Whether [`tick`](Self::tick) reports clean completions as
-    /// [`McuEvent::Retired`]. The timing simulator only consumes
-    /// exception events, so it turns this off and saves one event
-    /// push-and-scan per retired operation; the functional path
-    /// ([`run_sync`](Self::run_sync)) forces it back on.
-    emit_retired: bool,
-    /// Scratch event buffer reused across [`MemoryCheckUnit::run_sync`]
-    /// calls — the functional machine runs one `run_sync` per
-    /// load/store, so a per-call `Vec` allocation is hot-path churn.
-    sync_events: Vec<McuEvent>,
 }
 
 impl MemoryCheckUnit {
@@ -250,15 +220,7 @@ impl MemoryCheckUnit {
             stats: McuStats::default(),
             check_misses: 0,
             clear_failures: 0,
-            emit_retired: true,
-            sync_events: Vec::new(),
         }
-    }
-
-    /// Enables or disables [`McuEvent::Retired`] emission from
-    /// [`tick`](Self::tick). Exception events are always emitted.
-    pub fn set_emit_retired(&mut self, on: bool) {
-        self.emit_retired = on;
     }
 
     /// Projects the unit's stats and its BWB's into a telemetry
@@ -406,7 +368,11 @@ impl MemoryCheckUnit {
         (self.queue[i].id == id).then_some(i)
     }
 
-    /// Marks an entry as committed by the ROB.
+    /// Marks an entry as committed whatever its state. The ROB commits
+    /// only through [`commit_if_retirable`](Self::commit_if_retirable);
+    /// this sets up the state of an entry the ROB committed before a
+    /// replay or a retry restarted its FSM, which the FSM conformance
+    /// tests build directly.
     pub fn mark_committed(&mut self, id: u64) {
         if let Some(i) = self.index_of(id) {
             self.commit(i);
@@ -432,53 +398,27 @@ impl MemoryCheckUnit {
         self.index_of(id).map(|i| self.queue[i].state)
     }
 
-    /// Whether the instruction may retire from the ROB: its check is
-    /// complete (or it never needed one). Entries no longer in the
-    /// queue have retired already.
-    pub fn check_complete(&self, id: u64) -> bool {
-        match self.index_of(id) {
-            Some(i) => self.queue[i].state == McqState::Done,
-            None => true,
-        }
-    }
-
-    /// Whether the ROB may retire this instruction: checks must be
-    /// `Done` (delayed retirement, §III-C4), while `bndstr`/`bndclr`
-    /// only need their occupancy check finished — their table store is
-    /// sent *after* commit to preserve store ordering.
-    pub fn can_retire(&self, id: u64) -> bool {
-        match self.index_of(id) {
-            None => true,
-            Some(i) => Self::retirable(&self.queue[i]),
-        }
-    }
-
-    #[inline]
-    fn retirable(e: &McqEntry) -> bool {
-        match e.op {
+    /// The ROB's retire step for entry `id`: returns whether the
+    /// instruction may retire, and if so records its commit. Checks
+    /// must be `Done` (delayed retirement, §III-C4), while
+    /// `bndstr`/`bndclr` only need their occupancy check finished —
+    /// their table store is sent *after* commit to preserve store
+    /// ordering. An entry no longer in the queue has retired already.
+    pub fn commit_if_retirable(&mut self, id: u64) -> bool {
+        let Some(i) = self.index_of(id) else {
+            return true;
+        };
+        let e = &self.queue[i];
+        let retirable = match e.op {
             McuOp::Access { .. } => e.state == McqState::Done,
             McuOp::BndStr { .. } | McuOp::BndClr { .. } => {
                 matches!(e.state, McqState::BndStr | McqState::Done)
             }
+        };
+        if retirable {
+            self.commit(i);
         }
-    }
-
-    /// [`MemoryCheckUnit::can_retire`] and
-    /// [`MemoryCheckUnit::mark_committed`] fused into one queue lookup
-    /// — the ROB retire stage always performs them back to back, and on
-    /// the hot path the second binary search is pure overhead. Returns
-    /// whether the instruction retired (and was marked committed).
-    pub fn commit_if_retirable(&mut self, id: u64) -> bool {
-        match self.index_of(id) {
-            None => true,
-            Some(i) => {
-                let ok = Self::retirable(&self.queue[i]);
-                if ok {
-                    self.commit(i);
-                }
-                ok
-            }
-        }
+        retirable
     }
 
     /// The next cycle at which [`MemoryCheckUnit::tick`] can possibly
@@ -576,8 +516,9 @@ impl MemoryCheckUnit {
     }
 
     /// Advances every due entry by one FSM step and retires the
-    /// entries that completed. Events are appended to `events` (an
-    /// out-buffer so the per-cycle hot path does not allocate).
+    /// entries that completed. A failed entry at the head appends its
+    /// exception to `events` (an out-buffer so the per-cycle hot path
+    /// does not allocate), at most one per tick.
     pub fn tick<M: BoundsMemory + ?Sized>(
         &mut self,
         now: u64,
@@ -643,7 +584,7 @@ impl MemoryCheckUnit {
                         AosException::BoundsClearFailure { pointer }
                     }
                 };
-                events.push(McuEvent::Exception {
+                events.push(McuEvent {
                     id: head.id,
                     exception,
                 });
@@ -675,23 +616,12 @@ impl MemoryCheckUnit {
             if matches!(e.op, McuOp::BndStr { .. }) {
                 self.bndstr_live -= 1;
             }
-            let ways_touched = if e.is_signed_access() && !e.forwarded {
-                e.count + 1
-            } else {
-                0
-            };
-            if self.config.use_bwb && !e.forwarded && matches!(e.op, McuOp::Access { .. }) {
+            if !e.forwarded && matches!(e.op, McuOp::Access { .. }) {
                 if let (Some(ahc), Some((way, _))) = (e.ahc, e.hit) {
                     self.bwb.update(bwb_tag(e.addr, ahc, e.pac), way);
                 }
             }
             self.stats.retired += 1;
-            if self.emit_retired {
-                events.push(McuEvent::Retired {
-                    id: e.id,
-                    ways_touched,
-                });
-            }
         }
         self.queue.truncate(write);
     }
@@ -729,15 +659,12 @@ impl MemoryCheckUnit {
                         return;
                     }
                 }
-                let start_way = if self.config.use_bwb {
-                    let ahc = self.queue[i].ahc.expect("signed access has an AHC");
-                    self.bwb
-                        .lookup(bwb_tag(addr, ahc, pac))
-                        .map(|w| w % ways)
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
+                let ahc = self.queue[i].ahc.expect("signed access has an AHC");
+                let start_way = self
+                    .bwb
+                    .lookup(bwb_tag(addr, ahc, pac))
+                    .map(|w| w % ways)
+                    .unwrap_or(0);
                 let e = &mut self.queue[i];
                 e.start_way = start_way;
                 e.way = start_way;
@@ -889,54 +816,38 @@ impl MemoryCheckUnit {
     }
 
     /// Runs one operation to completion with zero-latency memory — the
-    /// functional always-on machine. The queue must be empty (the
-    /// functional machine executes one instruction at a time).
+    /// functional always-on machine. The unit is driven as the stage
+    /// core drives it: the op is issued, then each cycle the ROB tries
+    /// to commit it ([`commit_if_retirable`](Self::commit_if_retirable))
+    /// and the unit ticks, until the queue is empty. The queue must be
+    /// empty to start (the functional machine executes one instruction
+    /// at a time).
     ///
     /// # Errors
     ///
-    /// Returns the [`AosException`] if the operation faults.
+    /// Returns the [`AosException`] if the operation faults; the failed
+    /// entry is flushed.
     ///
     /// # Panics
     ///
     /// Panics if the queue is not empty or the FSM fails to converge
     /// (which would be a bug).
-    pub fn run_sync(
-        &mut self,
-        op: McuOp,
-        hbt: &mut HashedBoundsTable,
-    ) -> Result<CheckOutcome, AosException> {
+    pub fn run_sync(&mut self, op: McuOp, hbt: &mut HashedBoundsTable) -> Result<(), AosException> {
         assert!(self.queue.is_empty(), "run_sync requires an idle MCU");
-        let skipped = matches!(op, McuOp::Access { pointer, .. }
-            if Ahc::from_bits(self.layout.ahc(pointer)).is_none());
         let id = self.issue(op, 0).expect("empty queue has capacity");
-        self.mark_committed(id);
-        let mut mem = ZeroLatencyMemory;
-        let mut events = std::mem::take(&mut self.sync_events);
-        events.clear();
-        // The loop below keys off the Retired event, so emission must
-        // be on regardless of how the owner configured the unit.
-        let saved_emit = self.emit_retired;
-        self.emit_retired = true;
-        let mut outcome = None;
+        let mut events = Vec::new();
         for now in 0..BOUNDS_PER_WAY as u64 * 4096 {
-            self.tick(now, hbt, &mut mem, &mut events);
-            if let Some(ev) = events.drain(..).next() {
-                outcome = Some(match ev {
-                    McuEvent::Exception { exception, .. } => {
-                        self.flush();
-                        Err(exception)
-                    }
-                    McuEvent::Retired { ways_touched, .. } => Ok(CheckOutcome {
-                        skipped,
-                        ways_touched,
-                    }),
-                });
-                break;
+            self.commit_if_retirable(id);
+            self.tick(now, hbt, &mut ZeroLatencyMemory, &mut events);
+            if let Some(event) = events.pop() {
+                self.flush();
+                return Err(event.exception);
+            }
+            if self.queue.is_empty() {
+                return Ok(());
             }
         }
-        self.sync_events = events;
-        self.emit_retired = saved_emit;
-        outcome.expect("MCQ FSM did not converge")
+        panic!("MCQ FSM did not converge")
     }
 }
 
@@ -1007,10 +918,10 @@ mod tests {
 
         // The surviving bndstr still completes and retires cleanly —
         // bndstr_live accounting survived the squash.
-        mcu.mark_committed(survivor);
         let mut events = Vec::new();
         let mut mem = ZeroLatencyMemory;
         for now in 1..64 {
+            mcu.commit_if_retirable(survivor);
             mcu.tick(now, &mut hbt, &mut mem, &mut events);
             if mcu.is_empty() {
                 break;
@@ -1027,18 +938,17 @@ mod tests {
     #[test]
     fn unsigned_access_skips_checking() {
         let (mut mcu, mut hbt, _) = setup();
-        let out = mcu
-            .run_sync(
-                McuOp::Access {
-                    pointer: 0x9999,
-                    is_store: false,
-                },
-                &mut hbt,
-            )
-            .unwrap();
-        assert!(out.skipped);
-        assert_eq!(out.ways_touched, 0);
+        mcu.run_sync(
+            McuOp::Access {
+                pointer: 0x9999,
+                is_store: false,
+            },
+            &mut hbt,
+        )
+        .unwrap();
         assert_eq!(mcu.stats().unsigned_accesses, 1);
+        assert_eq!(mcu.stats().line_loads, 0);
+        assert_eq!(mcu.stats().way_iterations, 0);
     }
 
     #[test]
@@ -1053,17 +963,16 @@ mod tests {
             &mut hbt,
         )
         .unwrap();
-        let out = mcu
-            .run_sync(
-                McuOp::Access {
-                    pointer: ptr + 32,
-                    is_store: true,
-                },
-                &mut hbt,
-            )
-            .unwrap();
-        assert!(!out.skipped);
-        assert_eq!(out.ways_touched, 1);
+        mcu.run_sync(
+            McuOp::Access {
+                pointer: ptr + 32,
+                is_store: true,
+            },
+            &mut hbt,
+        )
+        .unwrap();
+        assert_eq!(mcu.stats().signed_accesses, 1);
+        assert_eq!(mcu.stats().way_iterations, 1);
     }
 
     #[test]
@@ -1153,8 +1062,8 @@ mod tests {
                 0,
             )
             .unwrap();
-        mcu.mark_committed(id);
         assert_eq!(mcu.state_of(id), Some(McqState::Fail));
+        assert!(!mcu.commit_if_retirable(id), "a failed entry never retires");
         // An OS that mistakes this for a row overflow and retries gets
         // the same failure back instead of a corrupted table.
         mcu.retry(id);
@@ -1271,79 +1180,29 @@ mod tests {
             &mut hbt,
         )
         .unwrap();
-        let first = mcu
-            .run_sync(
-                McuOp::Access {
-                    pointer: target,
-                    is_store: false,
-                },
-                &mut hbt,
-            )
-            .unwrap();
-        assert_eq!(first.ways_touched, 2, "cold lookup iterates");
-        let second = mcu
-            .run_sync(
-                McuOp::Access {
-                    pointer: target + 8,
-                    is_store: false,
-                },
-                &mut hbt,
-            )
-            .unwrap();
-        assert_eq!(second.ways_touched, 1, "BWB hint goes straight to way 1");
-        assert!(mcu.bwb_stats().hits >= 1);
-    }
-
-    #[test]
-    fn bwb_disabled_always_scans_from_way_zero() {
-        let layout = PointerLayout::default();
-        let mut hbt = HashedBoundsTable::new(HbtConfig {
-            pac_size: 11,
-            initial_ways: 2,
-            max_ways: 16,
-            base_addr: 0x1000_0000,
-            compressed: true,
-        });
-        let mut mcu = MemoryCheckUnit::new(
-            McuConfig {
-                use_bwb: false,
-                ..McuConfig::default()
-            },
-            layout,
-        );
-        for i in 0..8u64 {
-            let ptr = signed(layout, 0x4000 + i * 0x100, 7);
-            mcu.run_sync(
-                McuOp::BndStr {
-                    pointer: ptr,
-                    size: 64,
-                },
-                &mut hbt,
-            )
-            .unwrap();
-        }
-        let target = signed(layout, 0x9000, 7);
         mcu.run_sync(
-            McuOp::BndStr {
+            McuOp::Access {
                 pointer: target,
-                size: 64,
+                is_store: false,
             },
             &mut hbt,
         )
         .unwrap();
-        for _ in 0..2 {
-            let out = mcu
-                .run_sync(
-                    McuOp::Access {
-                        pointer: target,
-                        is_store: false,
-                    },
-                    &mut hbt,
-                )
-                .unwrap();
-            assert_eq!(out.ways_touched, 2, "no hint without the BWB");
-        }
-        assert_eq!(mcu.bwb_stats().hits + mcu.bwb_stats().misses, 0);
+        assert_eq!(mcu.stats().way_iterations, 2, "cold lookup iterates");
+        mcu.run_sync(
+            McuOp::Access {
+                pointer: target + 8,
+                is_store: false,
+            },
+            &mut hbt,
+        )
+        .unwrap();
+        assert_eq!(
+            mcu.stats().way_iterations,
+            3,
+            "BWB hint goes straight to way 1"
+        );
+        assert!(mcu.bwb_stats().hits >= 1);
     }
 
     #[test]
@@ -1382,15 +1241,13 @@ mod tests {
         let mut events = Vec::new();
         let mut mem = SlowMemory;
         mcu.tick(0, &mut hbt, &mut mem, &mut events);
-        assert!(!mcu.check_complete(id), "line load still in flight");
+        assert!(!mcu.commit_if_retirable(id), "line load still in flight");
         for now in 1..=12 {
             mcu.tick(now, &mut hbt, &mut mem, &mut events);
         }
-        assert!(mcu.check_complete(id), "check done after latency");
-        mcu.mark_committed(id);
-        mcu.tick(13, &mut hbt, &mut mem, &mut events);
-        assert!(mcu.is_empty(), "entry retired after commit");
-        assert!(events.iter().any(|e| matches!(e, McuEvent::Retired { .. })));
+        assert_eq!(mcu.state_of(id), None, "check done after latency");
+        assert!(mcu.commit_if_retirable(id), "the ROB retires it");
+        assert!(events.is_empty());
     }
 
     #[test]
@@ -1448,17 +1305,15 @@ mod tests {
         assert_eq!(mcu.state_of(chk_id), Some(McqState::Fail));
         // Now the bndstr commits, sends its store, and replays the
         // younger check, which then succeeds.
-        mcu.mark_committed(str_id);
-        mcu.mark_committed(chk_id);
+        assert!(mcu.commit_if_retirable(str_id));
         for now in 40..120 {
             mcu.tick(now, &mut hbt, &mut mem, &mut events);
         }
         assert!(mcu.is_empty(), "both retired");
+        assert_eq!(mcu.state_of(chk_id), None);
         assert!(mcu.stats().replays >= 1);
         assert!(
-            !events
-                .iter()
-                .any(|e| matches!(e, McuEvent::Exception { .. })),
+            events.is_empty(),
             "replay rescued the check before it reached the head"
         );
     }
@@ -1497,9 +1352,9 @@ mod tests {
         let mut events = Vec::new();
         let mut mem = SlowMemory;
         mcu.tick(0, &mut hbt, &mut mem, &mut events);
-        // The forwarded check completes (and may even deallocate)
-        // without waiting for the table.
-        assert!(mcu.check_complete(chk_id));
+        // The forwarded check completes and deallocates without
+        // waiting for the table.
+        assert_eq!(mcu.state_of(chk_id), None);
         assert_eq!(mcu.stats().forwards, 1);
     }
 
@@ -1582,6 +1437,14 @@ mod tests {
         assert_eq!(s.completed_checks, 1);
         assert!((s.accesses_per_check() - 1.0).abs() < 1e-12);
         assert_eq!(McuStats::default().accesses_per_check(), 0.0);
+    }
+
+    #[test]
+    fn an_event_stays_32_bytes() {
+        // The stage core's event buffer is the machine's one allocation
+        // at the first table resize; its element size is part of the
+        // allocation sequence the memory measurements compare.
+        assert_eq!(std::mem::size_of::<McuEvent>(), 32);
     }
 
     #[test]

@@ -40,29 +40,30 @@ impl Bounds {
     /// `bndstr`: stores the bounds `[base, base + size)` in row `pac`.
     pub fn store(&mut self, pac: u64, base: u64, size: u64) -> Result<(), AosException> {
         let pointer = self.pointer(pac, base);
-        self.run(McuOp::BndStr { pointer, size }).map(|_| ())
+        self.run(McuOp::BndStr { pointer, size })
     }
 
     /// `bndclr`: clears the record of row `pac` whose lower bound is
     /// `base`.
     pub fn clear(&mut self, pac: u64, base: u64) -> Result<(), AosException> {
         let pointer = self.pointer(pac, base);
-        self.run(McuOp::BndClr { pointer }).map(|_| ())
+        self.run(McuOp::BndClr { pointer })
     }
 
     /// A signed load of `addr`: the number of ways the check walked,
     /// or `None` when no record in row `pac` covers it.
     pub fn check(&mut self, pac: u64, addr: u64) -> Option<u32> {
         let pointer = self.pointer(pac, addr);
+        let before = self.mcu.stats().way_iterations;
         self.run(McuOp::Access {
             pointer,
             is_store: false,
         })
         .ok()
-        .map(|outcome| outcome.ways_touched)
+        .map(|()| (self.mcu.stats().way_iterations - before) as u32)
     }
 
-    fn run(&mut self, op: McuOp) -> Result<aos_mcu::CheckOutcome, AosException> {
+    fn run(&mut self, op: McuOp) -> Result<(), AosException> {
         self.mcu.run_sync(op, &mut self.hbt)
     }
 

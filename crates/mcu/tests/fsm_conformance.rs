@@ -4,7 +4,7 @@
 //! head, commit-gated bounds stores, and replay.
 
 use aos_hbt::{HashedBoundsTable, HbtConfig};
-use aos_mcu::{BoundsMemory, McqState, McuConfig, McuEvent, McuOp, MemoryCheckUnit};
+use aos_mcu::{AosException, BoundsMemory, McqState, McuConfig, McuEvent, McuOp, MemoryCheckUnit};
 use aos_ptrauth::PointerLayout;
 use aos_util::{Counter, Telemetry};
 
@@ -78,7 +78,8 @@ fn unsigned_access_goes_init_to_done_in_one_step() {
     mcu.tick(0, &mut hbt, &mut PortWithLatency(0), &mut events);
     // Done and deallocated in the same tick (unsigned, no commit wait).
     assert_eq!(mcu.state_of(id), None);
-    assert!(matches!(events[0], McuEvent::Retired { .. }));
+    assert!(mcu.commit_if_retirable(id));
+    assert!(events.is_empty(), "a clean completion raises nothing");
 }
 
 #[test]
@@ -130,16 +131,14 @@ fn way_iteration_inccnt_until_found() {
     mcu.tick(0, &mut hbt, &mut port, &mut events); // Init → BndChk(way 0)
     mcu.tick(1, &mut hbt, &mut port, &mut events); // miss way 0 → IncCnt → way 1
     assert_eq!(mcu.state_of(id), Some(McqState::BndChk));
+    let ways_before = mcu.stats().way_iterations;
     mcu.tick(2, &mut hbt, &mut port, &mut events); // hit way 1 → Done (dealloc)
     assert_eq!(mcu.state_of(id), None);
-    let retired_ways = events
-        .iter()
-        .find_map(|e| match e {
-            McuEvent::Retired { ways_touched, .. } => Some(*ways_touched),
-            _ => None,
-        })
-        .unwrap();
-    assert_eq!(retired_ways, 2, "Count reached 1 before the hit");
+    assert_eq!(
+        mcu.stats().way_iterations - ways_before,
+        2,
+        "Count reached 1 before the hit"
+    );
 }
 
 #[test]
@@ -163,13 +162,18 @@ fn count_exhaustion_fails_and_faults_at_head() {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert_eq!(mcu.state_of(id), Some(McqState::Fail));
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, McuEvent::Exception { .. })),
+    assert_eq!(
+        events,
+        [McuEvent {
+            id,
+            exception: AosException::BoundsCheckFailure {
+                pointer: ptr,
+                is_store: true
+            }
+        }],
         "failure at the head raises the AOS exception"
     );
-    assert!(!mcu.can_retire(id), "a failed check never retires");
+    assert!(!mcu.commit_if_retirable(id), "a failed check never retires");
     assert_eq!(mcu.stats().exceptions, 1);
 }
 
@@ -191,15 +195,15 @@ fn bndstr_occchk_waits_for_commit_then_stores() {
     mcu.tick(0, &mut hbt, &mut port, &mut events); // Init → OccChk
     mcu.tick(1, &mut hbt, &mut port, &mut events); // slot found → BndStr
     assert_eq!(mcu.state_of(id), Some(McqState::BndStr));
-    assert!(mcu.can_retire(id), "occupancy done: ROB may commit");
     // Without commit the store is never sent.
     for now in 2..10 {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert_eq!(mcu.state_of(id), Some(McqState::BndStr));
     assert!(!covers(&hbt, 7, 0x4000), "no store before commit");
-    // Commit releases the store.
-    mcu.mark_committed(id);
+    // Occupancy done: the ROB may commit, and the commit releases the
+    // store.
+    assert!(mcu.commit_if_retirable(id));
     mcu.tick(10, &mut hbt, &mut port, &mut events);
     mcu.tick(11, &mut hbt, &mut port, &mut events);
     assert_eq!(mcu.state_of(id), None);
@@ -214,7 +218,6 @@ fn bndclr_occchk_matches_base_only() {
     // compares the lower bound, §V-A2).
     let interior = layout.compose(0x4010, 7, 1);
     let id = mcu.issue(McuOp::BndClr { pointer: interior }, 0).unwrap();
-    mcu.mark_committed(id);
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
     for now in 0..4 {
@@ -270,22 +273,15 @@ fn replay_rescues_fail_before_it_reaches_the_head() {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert_eq!(mcu.state_of(chk_id), Some(McqState::Fail));
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e, McuEvent::Exception { .. })),
-        "not at the head yet: no exception"
-    );
+    assert!(events.is_empty(), "not at the head yet: no exception");
     // Commit the bndstr; its store must replay the failed check.
-    mcu.mark_committed(str_id);
+    assert!(mcu.commit_if_retirable(str_id));
     for now in 4..12 {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert!(mcu.is_empty(), "both completed after the replay");
     assert!(mcu.stats().replays >= 1);
-    assert!(!events
-        .iter()
-        .any(|e| matches!(e, McuEvent::Exception { .. })));
+    assert!(events.is_empty());
 }
 
 #[test]
@@ -304,6 +300,8 @@ fn retry_after_resize_reruns_the_fsm() {
             0,
         )
         .unwrap();
+    // As if the ROB had committed the bndstr before a replay restarted
+    // it: after the retry it stores without waiting for a commit.
     mcu.mark_committed(id);
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
@@ -345,15 +343,15 @@ fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert_eq!(mcu.state_of(clr_id), Some(McqState::Fail));
-    mcu.mark_committed(str_id);
+    assert!(mcu.commit_if_retirable(str_id));
+    // As if the ROB had committed the bndclr before the store replays
+    // it: the replayed entry then stores without parking again.
     mcu.mark_committed(clr_id);
     for now in 4..12 {
         mcu.tick(now, &mut hbt, &mut port, &mut events);
     }
     assert!(mcu.is_empty(), "both completed after the replay");
-    assert!(!events
-        .iter()
-        .any(|e| matches!(e, McuEvent::Exception { .. })));
+    assert!(events.is_empty());
     let failed_clears = |mcu: &MemoryCheckUnit| {
         let mut snap = Telemetry::enabled().snapshot();
         mcu.record_telemetry(&mut snap);

@@ -197,7 +197,7 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Retired micro-ops per cycle.
+    /// Micro-ops retired per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
             0.0
@@ -266,13 +266,9 @@ impl Machine {
     /// Builds a fresh machine.
     pub fn new(config: MachineConfig) -> Self {
         let telemetry = aos_util::Telemetry::new(config.telemetry);
-        // The timing loop only consumes exception events, so clean
-        // completions need not be materialized as events.
-        let mut mcu = MemoryCheckUnit::new(config.mcu, config.layout);
-        mcu.set_emit_retired(false);
         Self {
             hierarchy: MemoryHierarchy::table_iv(config.with_l1b),
-            mcu,
+            mcu: MemoryCheckUnit::new(config.mcu, config.layout),
             hbt: HashedBoundsTable::new(config.hbt),
             now: 0,
             prev_cycle_stalled: false,

@@ -174,36 +174,34 @@ impl Machine {
         self.mcu
             .tick(self.now, &mut self.hbt, &mut port, &mut self.mcu_events);
         let events = std::mem::take(&mut self.mcu_events);
-        for ev in &events {
-            if let McuEvent::Exception { id, exception } = ev {
-                if matches!(exception, AosException::BoundsStoreFailure { .. })
-                    && self.hbt.try_begin_resize().is_ok()
-                {
-                    // OS handler: allocate a doubled table, migrate in
-                    // the background, and retry the store (§V-F3).
-                    self.mcu.retry(*id);
-                    continue;
+        for &McuEvent { id, exception } in &events {
+            if matches!(exception, AosException::BoundsStoreFailure { .. })
+                && self.hbt.try_begin_resize().is_ok()
+            {
+                // OS handler: allocate a doubled table, migrate in the
+                // background, and retry the store (§V-F3).
+                self.mcu.retry(id);
+                continue;
+            }
+            // Everything else is a real fault: latch it on the owning
+            // ROB entry for delayed retirement. A faulted entry is
+            // ready to commit whatever its `complete_at` — the op
+            // produces an exception, not a value.
+            let mut latched = false;
+            for e in self.stage.rob.iter_mut() {
+                if e.mcq_id == Some(id) {
+                    e.faulted = true;
+                    latched = true;
+                    break;
                 }
-                // Everything else is a real fault: latch it on the
-                // owning ROB entry for delayed retirement. A faulted
-                // entry is ready to commit whatever its `complete_at`
-                // — the op produces an exception, not a value.
-                let mut latched = false;
-                for e in self.stage.rob.iter_mut() {
-                    if e.mcq_id == Some(*id) {
-                        e.faulted = true;
-                        latched = true;
-                        break;
-                    }
-                }
-                if !latched {
-                    // The owning entry is gone (cannot happen while
-                    // flushes squash MCQ entries alongside ROB entries;
-                    // kept as a defensive fallback so a model bug
-                    // degrades to event-time accounting, not a hang).
-                    self.violations += 1;
-                    self.mcu.drop_failed(*id);
-                }
+            }
+            if !latched {
+                // The owning entry is gone (cannot happen while flushes
+                // squash MCQ entries alongside ROB entries; kept as a
+                // defensive fallback so a model bug degrades to
+                // event-time accounting, not a hang).
+                self.violations += 1;
+                self.mcu.drop_failed(id);
             }
         }
         self.mcu_events = events;
@@ -228,7 +226,6 @@ impl Machine {
                 break;
             }
             if let Some(id) = head.mcq_id {
-                // can_retire + mark_committed in one queue lookup.
                 if !self.mcu.commit_if_retirable(id) {
                     break;
                 }
