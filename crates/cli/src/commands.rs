@@ -1706,11 +1706,17 @@ mod tests {
 
         // Corrupt the stored block: replay and verify become findings
         // (exit 1), not usage errors and not crashes.
-        let offset = aos_core::isa::corpus::CorpusReader::open(&path, Telemetry::disabled())
+        let entry = aos_core::isa::corpus::CorpusReader::open(&path, Telemetry::disabled())
             .expect("open")
             .entries()[0]
-            .offset;
-        aos_fault::corpus::flip_block_bit(&path, offset, 0, 99).expect("inject");
+            .clone();
+        let mut bytes = std::fs::read(&path).expect("read");
+        // Past the entry's header frame (length, CRC, kind, name and
+        // metadata) and its first op block's frame header (length,
+        // CRC, kind): one payload byte of that block.
+        let header_frame = 8 + 1 + 4 + entry.name.len() + 4 + entry.metadata.len();
+        bytes[entry.offset as usize + header_frame + 9 + 12] ^= 0x08;
+        std::fs::write(&path, &bytes).expect("write");
         assert!(matches!(
             corpus(&args(&["replay", &path_str, "--entry", "mcf-baseline"])),
             Err(CliError::Findings(_))

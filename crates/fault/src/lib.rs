@@ -19,10 +19,6 @@
 //!   [`Machine`](aos_sim::Machine)s and scans it under a set of
 //!   static policies. The fault campaign, the fuzz harness
 //!   (`aos-fuzz`) and `aos matrix` all measure through it;
-//! - [`corpus`] injects storage faults into persistent trace corpora
-//!   (bit rot inside a stored op block, power-loss truncation
-//!   mid-frame) and pins the quarantine-not-crash contract of
-//!   [`aos_isa::corpus`];
 //! - [`campaign`] fans a `kind × seed × system` grid through the
 //!   hardened campaign runner and annotates the
 //!   `aos-campaign-report/v7` document with detection rates.
@@ -32,7 +28,6 @@
 //! trace position, so detection verdicts can be pinned in tests.
 
 pub mod campaign;
-pub mod corpus;
 pub mod inject;
 pub mod oracle;
 

@@ -1058,6 +1058,8 @@ mod tests {
         let ops = sample_ops(64);
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         let entry = w.record("victim", "", ops.iter().copied()).unwrap();
+        w.record("bystander", "", sample_ops(32).into_iter())
+            .unwrap();
         w.finish().unwrap();
 
         // Flip one bit inside the op-block frame's payload.
@@ -1088,6 +1090,18 @@ mod tests {
         }
         assert!(saw_error);
         assert_eq!(yielded, 0, "no op from a corrupt block may be replayed");
+
+        // The damage stays in its entry: the undamaged one in the same
+        // file still verifies and replays in full.
+        let bystander = r.find("bystander").unwrap().clone();
+        r.verify_entry(&bystander)
+            .expect("sibling entry stays clean");
+        let replayed: Vec<Op> = r
+            .replay(&bystander)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(replayed, sample_ops(32));
     }
 
     #[test]

@@ -231,11 +231,17 @@ fn corrupted_corpus_block_quarantines_and_the_service_keeps_serving() {
     let (summary, output) = run_script(record, &options);
     assert_eq!(summary.succeeded, 1, "{output}");
 
-    let offset = aos_isa::corpus::CorpusReader::open(&path, Telemetry::disabled())
+    let entry = aos_isa::corpus::CorpusReader::open(&path, Telemetry::disabled())
         .expect("open")
         .entries()[0]
-        .offset;
-    aos_fault::corpus::flip_block_bit(&path, offset, 0, 321).expect("inject");
+        .clone();
+    let mut bytes = std::fs::read(&path).expect("read");
+    // Past the entry's header frame (length, CRC, kind, name and
+    // metadata) and its first op block's frame header (length, CRC,
+    // kind): one payload byte of that block.
+    let header_frame = 8 + 1 + 4 + entry.name.len() + 4 + entry.metadata.len();
+    bytes[entry.offset as usize + header_frame + 9 + 40] ^= 0x02;
+    std::fs::write(&path, &bytes).expect("write");
 
     // Replay the damaged entry, then prove the service still serves.
     let script = request(
