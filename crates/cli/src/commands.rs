@@ -778,7 +778,7 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
         }
     }
     if telemetry {
-        println!("\naggregate over all faulted cells and static scans:");
+        println!("\naggregate over the clean reference runs, all faulted cells and static scans:");
         let mut merged = outcome.report.telemetry();
         merged.merge(&outcome.telemetry);
         print!("{}", merged.to_table());

@@ -295,11 +295,14 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
         .collect();
     let scan_telemetry = Telemetry::new(config.telemetry);
     let clean = Trial::clean(config.profile, config.scale);
-    // The clean reference (the false-positive gate) runs without
-    // telemetry: the counters cover the faulted cells and the scans.
+    // The clean reference runs (the false-positive gate) record into
+    // the scan handle, as the fuzz harness's do, so the counters cover
+    // them as well as the faulted cells and the scans.
     let reference: Vec<SystemUnderTest> = SYSTEMS
         .iter()
-        .map(|&system| SystemUnderTest::scaled(system, config.scale))
+        .map(|&system| {
+            SystemUnderTest::scaled(system, config.scale).with_telemetry(config.telemetry)
+        })
         .collect();
     let (clean_outcome, faults) = fault_sweep(
         &clean,
@@ -524,6 +527,9 @@ mod tests {
         ] {
             assert!(merged.counter(counter) > 0, "{} stayed 0", counter.name());
         }
+        // The scan handle also holds the clean reference runs' machine
+        // counters; the faulted cells' own are in the report.
+        assert!(outcome.telemetry.counter(Counter::McqEnqueued) > 0);
         let quiet = run_fault_campaign(&FaultCampaignConfig {
             telemetry: false,
             ..config
