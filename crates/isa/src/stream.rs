@@ -27,7 +27,7 @@
 //! use aos_isa::Op;
 //!
 //! // Splice one op into a stream at index 2, without collecting it.
-//! let base = std::iter::repeat(Op::IntAlu).take(4);
+//! let base = std::iter::repeat_n(Op::IntAlu, 4);
 //! let spliced: Vec<Op> = base
 //!     .splice_many(vec![Splice::insert(2, vec![Op::FpAlu])])
 //!     .collect();
@@ -35,7 +35,7 @@
 //! assert_eq!(spliced[2], Op::FpAlu);
 //!
 //! // Meter a stream while a consumer drains it.
-//! let mut stream = std::iter::repeat(Op::IntAlu).take(1000).metered();
+//! let mut stream = std::iter::repeat_n(Op::IntAlu, 1000).metered();
 //! for _op in &mut stream {}
 //! assert_eq!(stream.ops(), 1000);
 //! assert_eq!(stream.peak_buffered_ops(), 0, "a plain iterator buffers nothing");
@@ -268,7 +268,7 @@ impl<I: BufferedOps> BufferedOps for Metered<I> {
 }
 
 /// Iterators with no internal storage (slices being copied, ranges,
-/// repeat/take chains) buffer nothing. This blanket-free impl covers
+/// repeated ops) buffer nothing. This blanket-free impl covers
 /// the common leaf producers used in tests and doc examples.
 impl<'a, T: Iterator<Item = &'a Op>> BufferedOps for std::iter::Copied<T> {
     fn peak_buffered_ops(&self) -> usize {
@@ -276,13 +276,7 @@ impl<'a, T: Iterator<Item = &'a Op>> BufferedOps for std::iter::Copied<T> {
     }
 }
 
-impl<I> BufferedOps for std::iter::Take<I> {
-    fn peak_buffered_ops(&self) -> usize {
-        0
-    }
-}
-
-impl<T> BufferedOps for std::iter::Repeat<T> {
+impl<T> BufferedOps for std::iter::RepeatN<T> {
     fn peak_buffered_ops(&self) -> usize {
         0
     }
@@ -361,8 +355,8 @@ impl<I: Iterator<Item = Op>> BufferedOps for Lookahead<I> {
 mod tests {
     use super::*;
 
-    fn ints(n: usize) -> std::iter::Take<std::iter::Repeat<Op>> {
-        std::iter::repeat(Op::IntAlu).take(n)
+    fn ints(n: usize) -> std::iter::RepeatN<Op> {
+        std::iter::repeat_n(Op::IntAlu, n)
     }
 
     /// `base` with the single edit `edit` applied.

@@ -28,15 +28,12 @@ echo "== tier-1: member crate tests =="
 cargo test -q -p aos-sim -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-lint \
     -p aos-fuzz -p aos-serve -p aos-cli
 
-# The check-path crates (simulator, MCU and bounds table), the heap
-# allocator, the generator, the static verifiers, the fault and fuzz
-# harnesses, the cipher, the pointer signer and the facade are held to
-# rustfmt's output; the other crates are not formatted yet. Skipped
-# when rustfmt is not installed.
+# Every workspace package, the root package and the vendored proptest
+# shim included, is held to rustfmt's output. Skipped when rustfmt is
+# not installed.
 if cargo fmt --version >/dev/null 2>&1; then
-    echo "== tier-1: rustfmt gate (aos-sim, aos-mcu, aos-hbt, aos-heap, aos-workloads, aos-lint, aos-fault, aos-fuzz, aos-qarma, aos-ptrauth, aos-core) =="
-    cargo fmt --check -p aos-sim -p aos-mcu -p aos-hbt -p aos-heap -p aos-workloads -p aos-lint \
-        -p aos-fault -p aos-fuzz -p aos-qarma -p aos-ptrauth -p aos-core
+    echo "== tier-1: rustfmt gate (whole workspace) =="
+    cargo fmt --all --check
 else
     echo "== tier-1: rustfmt not installed, skipping the format gate =="
 fi
@@ -159,6 +156,10 @@ if command -v cargo-clippy >/dev/null 2>&1; then
             -D clippy::print_stdout \
             -D clippy::undocumented_unsafe_blocks
     done
+    # Every target (tests, examples, benches included) of every crate
+    # but the vendored shim is free of clippy's default warnings.
+    echo "== tier-1: clippy gate (all targets, default lints, warnings denied) =="
+    cargo clippy -q --all-targets --no-deps --workspace --exclude proptest -- -D warnings
 else
     echo "== tier-1: clippy not installed, skipping lint gates =="
 fi

@@ -65,7 +65,7 @@ fn every_composite_chain_is_detected_by_aos_and_missed_by_baseline() {
             StepKind::Composite(kind) => kind,
             StepKind::Base(_) => unreachable!("golden specs are composites"),
         };
-        let plan = plan_scenario(&spec, &trace, PointerLayout::default()).expect("plan");
+        let plan = plan_scenario(&spec, trace, PointerLayout::default()).expect("plan");
         let outcome = run_scenario(&clean, &baseline, &plan, &Telemetry::disabled());
         assert!(
             outcome.findings.is_empty(),
@@ -106,7 +106,7 @@ fn the_full_composite_chain_composes_without_interference() {
             .map(StepKind::Composite)
             .collect(),
     };
-    let plan = plan_scenario(&spec, &trace, PointerLayout::default()).expect("plan");
+    let plan = plan_scenario(&spec, trace, PointerLayout::default()).expect("plan");
     let expected_delta: u64 = CompositeKind::ALL
         .into_iter()
         .map(CompositeKind::exact_delta)

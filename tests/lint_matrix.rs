@@ -248,7 +248,7 @@ fn the_cross_paper_policy_matrix_is_pinned_for_all_eleven_kinds() {
             seed: 100 + i as u64,
             steps: vec![step],
         };
-        let plan = plan_scenario(&spec, &trace, layout).expect("plan");
+        let plan = plan_scenario(&spec, trace, layout).expect("plan");
         assert!(
             plan.steps.iter().all(|s| s.static_pinned),
             "{name}: seed {} collided with a trace PAC; pick another",
@@ -298,7 +298,7 @@ fn the_aos_policy_is_bit_identical_to_the_linter() {
             seed: 100 + i as u64,
             steps: vec![step],
         };
-        let plan = plan_scenario(&spec, &trace, layout).expect("plan");
+        let plan = plan_scenario(&spec, trace, layout).expect("plan");
         compare(step.name(), &|| {
             Box::new(stream().splice_many(plan.edits.clone()))
         });
