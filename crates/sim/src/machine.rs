@@ -266,9 +266,13 @@ impl Machine {
     /// Builds a fresh machine.
     pub fn new(config: MachineConfig) -> Self {
         let telemetry = aos_util::Telemetry::new(config.telemetry);
+        // The MCU's small buffers are allocated before the caches'
+        // large ones. The allocation order decides which of glibc's
+        // two heap layouts a full-scale run settles in (DESIGN §15.5).
+        let mcu = MemoryCheckUnit::new(config.mcu, config.layout);
         Self {
             hierarchy: MemoryHierarchy::table_iv(config.with_l1b),
-            mcu: MemoryCheckUnit::new(config.mcu, config.layout),
+            mcu,
             hbt: HashedBoundsTable::new(config.hbt),
             now: 0,
             prev_cycle_stalled: false,
