@@ -45,7 +45,8 @@ pub enum McqState {
     /// Bounds operation failed; raises an AOS exception at the queue
     /// head (unless rescued by a replay first).
     Fail,
-    /// Completed; deallocated once committed and at the head.
+    /// Completed; leaves the queue in the tick that completes it (a
+    /// `bndstr`/`bndclr` gets here only after its ROB commit).
     Done,
 }
 
