@@ -92,27 +92,7 @@ impl SystemUnderTest {
 /// assert!(stats.cycles > 0);
 /// ```
 pub fn run(profile: &WorkloadProfile, sut: &SystemUnderTest) -> RunStats {
-    let (trace, mut machine) = generator_and_machine(profile, sut);
-    machine.run(trace)
-}
-
-/// A cell's trace generator and machine, the generator recording into
-/// the machine's telemetry handle so one snapshot covers generation
-/// (signs, PAC computations, heap allocations) and simulation.
-///
-/// The generator is built first: building it may evict the previous
-/// cell's Zipf table from the per-thread memo, which then frees before
-/// the machine's caches and tables are allocated.
-fn generator_and_machine(
-    profile: &WorkloadProfile,
-    sut: &SystemUnderTest,
-) -> (TraceGenerator, Machine) {
-    let generator = TraceGenerator::new(profile, sut.safety, sut.scale);
-    let machine = Machine::new(sut.machine_config());
-    (
-        generator.with_telemetry(machine.telemetry().clone()),
-        machine,
-    )
+    run_metered(profile, sut).stats
 }
 
 /// [`run`] through a stream meter: same simulation, but the trace
@@ -120,13 +100,19 @@ fn generator_and_machine(
 /// how many ops it simulated and how much trace the pipeline ever held
 /// buffered (the generator's event buffer — `O(window)`, not the
 /// trace). This is the campaign's cell body: the generator streams
-/// into the machine one op at a time.
+/// into the machine one op at a time, and once it is drained its
+/// signs and allocations are projected into the run's snapshot.
+///
+/// The generator is built first: building it may evict the previous
+/// cell's Zipf table from the per-thread memo, which then frees before
+/// the machine's caches and tables are allocated.
 pub fn run_metered(profile: &WorkloadProfile, sut: &SystemUnderTest) -> campaign::CellOutput {
     use aos_isa::stream::{BufferedOps, OpStream};
 
-    let (trace, mut machine) = generator_and_machine(profile, sut);
-    let mut trace = trace.metered();
-    let stats = machine.run(&mut trace);
+    let mut trace = TraceGenerator::new(profile, sut.safety, sut.scale).metered();
+    let mut machine = Machine::new(sut.machine_config());
+    let mut stats = machine.run(&mut trace);
+    trace.record_telemetry(&mut stats.telemetry);
     campaign::CellOutput {
         stats,
         trace_ops: trace.ops(),

@@ -28,10 +28,6 @@ pub struct ProcessConfig {
     pub hbt: HbtConfig,
     /// MCU parameters.
     pub mcu: McuConfig,
-    /// Whether to record pipeline telemetry (signer and heap events
-    /// share one registry; the HBT, MCU and BWB stats are projected
-    /// into each snapshot).
-    pub telemetry: bool,
 }
 
 impl Default for ProcessConfig {
@@ -43,7 +39,6 @@ impl Default for ProcessConfig {
             heap: HeapConfig::default(),
             hbt: HbtConfig::default(),
             mcu: McuConfig::default(),
-            telemetry: false,
         }
     }
 }
@@ -121,7 +116,6 @@ pub struct AosProcess {
     mcu: MemoryCheckUnit,
     memory: SparseMemory,
     freed_regions: VecDeque<(u64, u64)>,
-    telemetry: aos_util::Telemetry,
 }
 
 impl AosProcess {
@@ -148,27 +142,15 @@ impl AosProcess {
     /// Returns [`aos_util::AosError::InvalidInput`] when the heap
     /// configuration is rejected (e.g. a misaligned base address).
     pub fn try_with_config(config: ProcessConfig) -> Result<Self, aos_util::AosError> {
-        let telemetry = aos_util::Telemetry::new(config.telemetry);
         Ok(Self {
-            signer: PointerSigner::new(config.key, config.layout).with_telemetry(telemetry.clone()),
-            heap: HeapAllocator::try_new(config.heap)?.with_telemetry(telemetry.clone()),
+            signer: PointerSigner::new(config.key, config.layout),
+            heap: HeapAllocator::try_new(config.heap)?,
             hbt: HashedBoundsTable::new(config.hbt),
             mcu: MemoryCheckUnit::new(config.mcu, config.layout),
             memory: SparseMemory::new(),
             freed_regions: VecDeque::new(),
-            telemetry,
             config,
         })
-    }
-
-    /// A snapshot of the process-wide telemetry registry with the
-    /// table's and the MCU's stats projected into it (all-zero when
-    /// the config did not enable telemetry).
-    pub fn telemetry_snapshot(&self) -> aos_util::TelemetrySnapshot {
-        let mut snapshot = self.telemetry.snapshot();
-        self.hbt.record_telemetry(&mut snapshot);
-        self.mcu.record_telemetry(&mut snapshot);
-        snapshot
     }
 
     /// The pointer layout in use.
@@ -766,33 +748,32 @@ mod tests {
         assert!(e.to_string().contains("free"));
     }
 
+    /// The process's heap, table and MCU projected into one snapshot.
+    fn snapshot(p: &AosProcess) -> aos_util::TelemetrySnapshot {
+        let mut t = aos_util::TelemetrySnapshot::new(true);
+        p.heap().record_telemetry(&mut t);
+        p.hbt().record_telemetry(&mut t);
+        p.mcu().record_telemetry(&mut t);
+        t
+    }
+
     #[test]
-    fn process_telemetry_covers_signer_heap_and_table() {
+    fn process_telemetry_covers_heap_and_table() {
         use aos_util::{Counter, Hist};
 
-        let mut p = AosProcess::try_with_config(ProcessConfig {
-            telemetry: true,
-            ..ProcessConfig::default()
-        })
-        .unwrap();
+        let mut p = AosProcess::new();
         let a = p.malloc(100).unwrap();
         let b = p.malloc(24).unwrap();
         p.store(a, 1).unwrap();
         let _ = p.load(a).unwrap();
         p.free(b).unwrap();
-        let _ = p.authenticate(p.signer().xpacm(a));
-        let before_uaf = p.telemetry_snapshot();
+        let before_uaf = snapshot(&p);
         assert!(matches!(
             p.load(b),
             Err(MemorySafetyError::UseAfterFree { .. })
         ));
 
-        let t = p.telemetry_snapshot();
-        assert!(t.enabled);
-        // Signing path: every malloc signs, which computes a PAC.
-        assert_eq!(t.counter(Counter::PtrSigns), 2);
-        assert!(t.counter(Counter::PacComputations) >= 2);
-        assert_eq!(t.counter(Counter::AuthFailures), 1);
+        let t = snapshot(&p);
         // Heap path: allocs, frees and the size-class histogram.
         assert_eq!(t.counter(Counter::HeapAllocs), 2);
         assert_eq!(t.counter(Counter::HeapFrees), 1);
@@ -817,35 +798,20 @@ mod tests {
     fn double_free_counts_one_failed_clear() {
         use aos_util::Counter;
 
-        let mut p = AosProcess::try_with_config(ProcessConfig {
-            telemetry: true,
-            ..ProcessConfig::default()
-        })
-        .unwrap();
+        let mut p = AosProcess::new();
         let ptr = p.malloc(64).unwrap();
         p.free(ptr).unwrap();
-        assert_eq!(p.telemetry_snapshot().counter(Counter::HbtFailedClears), 0);
+        assert_eq!(snapshot(&p).counter(Counter::HbtFailedClears), 0);
         assert!(matches!(
             p.free(ptr),
             Err(MemorySafetyError::InvalidFree { .. })
         ));
-        let t = p.telemetry_snapshot();
+        let t = snapshot(&p);
         assert_eq!(t.counter(Counter::HbtFailedClears), 1);
         assert_eq!(
             t.counter(Counter::HbtClears),
             1,
             "the failed clear moved no record"
         );
-    }
-
-    #[test]
-    fn disabled_process_telemetry_stays_empty() {
-        let mut p = AosProcess::new();
-        let ptr = p.malloc(64).unwrap();
-        p.store(ptr, 1).unwrap();
-        p.free(ptr).unwrap();
-        let t = p.telemetry_snapshot();
-        assert!(!t.enabled);
-        assert!(t.is_empty());
     }
 }

@@ -58,28 +58,21 @@ impl Trial {
     }
 
     /// A fresh stream of the trial: the AOS-instrumented trace with
-    /// the edits spliced in.
+    /// the edits spliced in. The factory to [`measure`] a trial with.
     pub fn stream(&self) -> SpliceMany<TraceGenerator> {
-        self.recording(&Telemetry::disabled())
-    }
-
-    /// [`Trial::stream`] with the generator's signer and heap
-    /// recording into `telemetry`: the factory to [`measure`] a trial
-    /// with.
-    pub fn recording(&self, telemetry: &Telemetry) -> SpliceMany<TraceGenerator> {
         TraceGenerator::new(&self.profile, SafetyConfig::Aos, self.scale)
-            .with_telemetry(telemetry.clone())
             .splice_many(self.edits.clone())
     }
 
-    /// Runs one guarded campaign cell on `sut`. The generator records
-    /// into the machine's telemetry handle, so the cell's snapshot
-    /// covers generation and simulation, and the stream is metered
-    /// for the report's `trace_ops` and `peak_trace_bytes` columns.
+    /// Runs one guarded campaign cell on `sut`. The drained stream's
+    /// counts are projected into the machine's snapshot, so it covers
+    /// generation and simulation, and the stream is metered for the
+    /// report's `trace_ops` and `peak_trace_bytes` columns.
     pub fn run_cell(&self, sut: &SystemUnderTest) -> CellOutput {
+        let mut stream = self.stream().metered();
         let mut machine = Machine::new(sut.machine_config());
-        let mut stream = self.recording(machine.telemetry()).metered();
-        let stats = machine.run(&mut stream);
+        let mut stats = machine.run(&mut stream);
+        stream.record_telemetry(&mut stats.telemetry);
         CellOutput {
             stats,
             trace_ops: stream.ops(),
@@ -117,10 +110,9 @@ impl Measurement {
 /// The oracle's one measurement. Scans a fresh stream under every
 /// policy in one [`MatrixScan`] pass (the scan counts into
 /// `telemetry`), then replays a fresh stream on each system's
-/// machine. `stream` gets the handle to record generation into: a
-/// disabled one for the scan, the machine's own for each replay, so
-/// each machine's snapshot covers generation and simulation; that
-/// snapshot is merged into `telemetry` (it is empty unless the
+/// machine. Each drained replay stream's counts are projected into
+/// its machine's snapshot, so the snapshot covers generation and
+/// simulation; it is merged into `telemetry` (it is empty unless the
 /// system was built with telemetry on).
 pub fn measure<I, F>(
     stream: F,
@@ -129,21 +121,17 @@ pub fn measure<I, F>(
     telemetry: &Telemetry,
 ) -> Measurement
 where
-    I: Iterator<Item = Op>,
-    F: Fn(&Telemetry) -> I,
+    I: Iterator<Item = Op> + BufferedOps,
+    F: Fn() -> I,
 {
-    let reports = MatrixScan::run(
-        policies,
-        stream(&Telemetry::disabled()),
-        PointerLayout::default(),
-        telemetry,
-    );
+    let reports = MatrixScan::run(policies, stream(), PointerLayout::default(), telemetry);
     let violations = systems
         .iter()
         .map(|sut| {
+            let mut ops = stream();
             let mut machine = Machine::new(sut.machine_config());
-            let recorder = machine.telemetry().clone();
-            let stats = machine.run(stream(&recorder));
+            let mut stats = machine.run(&mut ops);
+            ops.record_telemetry(&mut stats.telemetry);
             telemetry.merge(&stats.telemetry);
             (sut.safety, stats.violations)
         })
@@ -172,14 +160,14 @@ pub fn fault_sweep<'a>(
     policies: &'a [Policy],
     telemetry: &'a Telemetry,
 ) -> (Measurement, impl Iterator<Item = SweptFault> + 'a) {
-    let reference = measure(|t| clean.recording(t), systems, policies, telemetry);
+    let reference = measure(|| clean.stream(), systems, policies, telemetry);
     let faults = kinds
         .iter()
         .flat_map(move |&kind| seeds.iter().map(move |&seed| FaultSpec { kind, seed }))
         .map(move |spec| {
             let planned = plan_fault(clean.stream(), PointerLayout::default(), spec).map(|plan| {
                 let trial = clean.with_edits(vec![plan.splice]);
-                let reports = measure(|t| trial.recording(t), &[], policies, telemetry).reports;
+                let reports = measure(|| trial.stream(), &[], policies, telemetry).reports;
                 (trial, reports)
             });
             (spec, planned)
@@ -335,8 +323,8 @@ mod tests {
         let systems = [SystemUnderTest::scaled(system, SCALE)];
         let off = Telemetry::disabled();
         let faulted = clean.with_edits(vec![plan.splice]);
-        let reference = measure(|t| clean.recording(t), &systems, &[], &off);
-        measure(|t| faulted.recording(t), &systems, &[], &off).trials(&reference)[0]
+        let reference = measure(|| clean.stream(), &systems, &[], &off);
+        measure(|| faulted.stream(), &systems, &[], &off).trials(&reference)[0]
     }
 
     #[test]
@@ -377,12 +365,12 @@ mod tests {
         let clean = Trial::clean(*by_name("hmmer").unwrap(), SCALE);
         let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE);
         let telemetry = Telemetry::enabled();
-        measure(|t| clean.recording(t), &[sut], &[Policy::Aos], &telemetry);
+        measure(|| clean.stream(), &[sut], &[Policy::Aos], &telemetry);
         let quiet = telemetry.snapshot();
         assert!(quiet.counter(Counter::LintOpsScanned) > 0);
         assert_eq!(quiet.counter(Counter::HeapAllocs), 0);
         measure(
-            |t| clean.recording(t),
+            || clean.stream(),
             &[sut.with_telemetry(true)],
             &[],
             &telemetry,

@@ -109,7 +109,7 @@ pub fn measure_everywhere(trial: &Trial, telemetry: &Telemetry) -> Measurement {
             SystemUnderTest::scaled(system, trial.scale).with_telemetry(telemetry.is_enabled())
         })
         .collect();
-    measure(|t| trial.recording(t), &systems, &Policy::ALL, telemetry)
+    measure(|| trial.stream(), &systems, &Policy::ALL, telemetry)
 }
 
 /// One static policy's verdict on a faulted stream.

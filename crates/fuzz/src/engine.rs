@@ -407,7 +407,7 @@ pub fn replay_corpus(
                     .with_telemetry(telemetry.is_enabled())
             })
             .collect();
-        let measured = measure(|_| ops.iter().copied(), &systems, &Policy::ALL, telemetry);
+        let measured = measure(|| ops.iter().copied(), &systems, &Policy::ALL, telemetry);
         let diagnostics = |policy: Policy| {
             let report = measured.reports.iter().find(|r| r.policy == policy);
             report.map_or(0, |r| r.total_diagnostics())

@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use aos_util::telemetry::{hist_bucket_index, Counter, Hist, TelemetrySnapshot, HIST_BUCKETS};
+
 use crate::chunk::{Chunk, ChunkState, HEADER_SIZE};
 use crate::profile::UsageProfile;
 
@@ -148,7 +150,9 @@ pub struct HeapAllocator {
     /// Address where the next chunk header would be placed.
     top: u64,
     profile: UsageProfile,
-    telemetry: aos_util::Telemetry,
+    /// Allocations per usable-size class, bucketed like the
+    /// `heap_alloc_size` histogram.
+    size_classes: [u64; HIST_BUCKETS],
 }
 
 impl HeapAllocator {
@@ -187,22 +191,23 @@ impl HeapAllocator {
             bins: BTreeMap::new(),
             top: config.base_addr,
             profile: UsageProfile::default(),
-            telemetry: aos_util::Telemetry::disabled(),
+            size_classes: [0; HIST_BUCKETS],
         })
     }
 
-    /// Attaches a telemetry handle: allocations, frees and the usable
-    /// size-class histogram are recorded into it.
-    pub fn with_telemetry(mut self, telemetry: aos_util::Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
+    /// Records one served allocation of `usable` bytes.
+    fn note_alloc(&mut self, usable: u64) {
+        self.profile.note_alloc(usable);
+        self.size_classes[hist_bucket_index(usable)] += 1;
     }
 
-    /// Records one served allocation of `usable` bytes.
-    fn note_alloc_event(&self, usable: u64) {
-        self.telemetry.count(aos_util::Counter::HeapAllocs);
-        self.telemetry
-            .observe(aos_util::telemetry::Hist::HeapAllocSize, usable);
+    /// Projects the allocator's counts into a telemetry snapshot:
+    /// `heap_allocs` and `heap_frees` from the [`UsageProfile`], and
+    /// the `heap_alloc_size` histogram from the size-class counts.
+    pub fn record_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+        snapshot.add(Counter::HeapAllocs, self.profile.allocations);
+        snapshot.add(Counter::HeapFrees, self.profile.deallocations);
+        snapshot.add_hist(Hist::HeapAllocSize, &self.size_classes);
     }
 
     /// The configuration this heap was built with.
@@ -244,8 +249,7 @@ impl HeapAllocator {
                     .expect("fastbin entries always have chunk records");
                 chunk.set_state(ChunkState::InUse);
                 let usable_size = chunk.usable_size();
-                self.profile.note_alloc(usable_size);
-                self.note_alloc_event(usable_size);
+                self.note_alloc(usable_size);
                 return Ok(Allocation { base, usable_size });
             }
         }
@@ -277,8 +281,7 @@ impl HeapAllocator {
                 chunk.set_state(ChunkState::InUse);
             }
             let usable_size = self.chunks[&base].usable_size();
-            self.profile.note_alloc(usable_size);
-            self.note_alloc_event(usable_size);
+            self.note_alloc(usable_size);
             return Ok(Allocation { base, usable_size });
         }
 
@@ -294,8 +297,7 @@ impl HeapAllocator {
         let base = self.top + HEADER_SIZE;
         self.top = end;
         self.chunks.insert(base, Chunk::new(base, usable));
-        self.profile.note_alloc(usable);
-        self.note_alloc_event(usable);
+        self.note_alloc(usable);
         Ok(Allocation {
             base,
             usable_size: usable,
@@ -322,7 +324,6 @@ impl HeapAllocator {
             usable_size: chunk.usable_size(),
         };
         self.profile.note_free(chunk.usable_size());
-        self.telemetry.count(aos_util::Counter::HeapFrees);
 
         if chunk.usable_size() <= self.config.fastbin_max {
             // Fastbin path: no coalescing, LIFO reuse.

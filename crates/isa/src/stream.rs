@@ -43,15 +43,26 @@
 
 use std::collections::VecDeque;
 
+use aos_util::TelemetrySnapshot;
+
 use crate::Op;
 
 /// A stream component that buffers ops internally and can report its
 /// high-water mark — the measurable `O(window)` memory proof for the
 /// streaming pipeline. A component that holds no ops reports 0.
+///
+/// A producer that counts events of its own (the trace generator's
+/// signs and allocations) projects them through
+/// [`BufferedOps::record_telemetry`] once the stream is drained, and
+/// adapters forward the call to what they wrap.
 pub trait BufferedOps {
     /// The maximum number of ops this component (including anything it
     /// wraps) has held buffered at any point so far.
     fn peak_buffered_ops(&self) -> usize;
+
+    /// Projects the stream's own counts into a run's telemetry
+    /// snapshot. A stream that counts nothing records nothing.
+    fn record_telemetry(&self, _snapshot: &mut TelemetrySnapshot) {}
 }
 
 /// The streaming trace vocabulary: any iterator over [`Op`]s, plus the
@@ -233,6 +244,10 @@ impl<I: BufferedOps> BufferedOps for SpliceMany<I> {
         // Upper bound: every edit op is buffered until emitted.
         self.inner.peak_buffered_ops() + self.edit_ops_total
     }
+
+    fn record_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+        self.inner.record_telemetry(snapshot);
+    }
 }
 
 /// Transparent op counter; composes with [`BufferedOps`] so a consumer
@@ -264,6 +279,10 @@ impl<I: Iterator<Item = Op>> Iterator for Metered<I> {
 impl<I: BufferedOps> BufferedOps for Metered<I> {
     fn peak_buffered_ops(&self) -> usize {
         self.inner.peak_buffered_ops()
+    }
+
+    fn record_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+        self.inner.record_telemetry(snapshot);
     }
 }
 

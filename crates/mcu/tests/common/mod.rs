@@ -9,7 +9,7 @@
 use aos_hbt::{HashedBoundsTable, HbtConfig};
 use aos_mcu::{AosException, McuConfig, McuOp, MemoryCheckUnit};
 use aos_ptrauth::PointerLayout;
-use aos_util::{Telemetry, TelemetrySnapshot};
+use aos_util::TelemetrySnapshot;
 
 /// Any nonzero AHC makes a pointer signed, so its accesses are checked.
 const AHC: u8 = 1;
@@ -70,7 +70,7 @@ impl Bounds {
     /// The table's and the MCU's stats, projected into one snapshot as
     /// a machine or a process projects them.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut snap = Telemetry::enabled().snapshot();
+        let mut snap = TelemetrySnapshot::new(true);
         self.hbt.record_telemetry(&mut snap);
         self.mcu.record_telemetry(&mut snap);
         snap

@@ -6,7 +6,7 @@
 use aos_hbt::{HashedBoundsTable, HbtConfig};
 use aos_mcu::{AosException, BoundsMemory, McqState, McuConfig, McuEvent, McuOp, MemoryCheckUnit};
 use aos_ptrauth::PointerLayout;
-use aos_util::{Counter, Telemetry};
+use aos_util::{Counter, TelemetrySnapshot};
 
 /// A memory port with scriptable latency.
 struct PortWithLatency(u64);
@@ -353,7 +353,7 @@ fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
     assert!(mcu.is_empty(), "both completed after the replay");
     assert!(events.is_empty());
     let failed_clears = |mcu: &MemoryCheckUnit| {
-        let mut snap = Telemetry::enabled().snapshot();
+        let mut snap = TelemetrySnapshot::new(true);
         mcu.record_telemetry(&mut snap);
         snap.counter(Counter::HbtFailedClears)
     };

@@ -4,7 +4,6 @@
 use crate::ahc::compute_ahc;
 use crate::layout::PointerLayout;
 use aos_qarma::{truncate_pac, PacKey, Qarma64};
-use aos_util::{Counter, Telemetry};
 
 /// Error returned by [`PointerSigner::autm`] when authentication fails.
 ///
@@ -53,7 +52,6 @@ impl std::error::Error for AuthError {}
 pub struct PointerSigner {
     qarma: Qarma64,
     layout: PointerLayout,
-    telemetry: Telemetry,
 }
 
 impl PointerSigner {
@@ -63,15 +61,7 @@ impl PointerSigner {
         Self {
             qarma: Qarma64::new(key),
             layout,
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle: PAC computations, sign/strip/auth
-    /// operations and authentication failures are recorded into it.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// The pointer layout in use.
@@ -85,8 +75,7 @@ impl PointerSigner {
     /// PAC.
     pub fn pac_for(&self, base_addr: u64, modifier: u64) -> u64 {
         truncate_pac(
-            self.qarma
-                .compute_with(base_addr, modifier, &self.telemetry),
+            self.qarma.compute(base_addr, modifier),
             self.layout.pac_size(),
         )
     }
@@ -100,7 +89,6 @@ impl PointerSigner {
     ///
     /// Panics if the stripped address exceeds the layout's VA width.
     pub fn pacma(&self, pointer: u64, modifier: u64, size: u64) -> u64 {
-        self.telemetry.count(Counter::PtrSigns);
         let addr = self.layout.address(pointer);
         let pac = self.pac_for(addr, modifier);
         let ahc = compute_ahc(addr, size, self.layout.va_size());
@@ -110,7 +98,6 @@ impl PointerSigner {
     /// `xpacm <Xd>` — strips both the PAC and the AHC, recovering the
     /// raw address.
     pub fn xpacm(&self, pointer: u64) -> u64 {
-        self.telemetry.count(Counter::PtrStrips);
         self.layout.strip(pointer)
     }
 
@@ -124,11 +111,9 @@ impl PointerSigner {
     /// Returns [`AuthError`] if the AHC is zero, i.e. the pointer is
     /// not marked as an AOS-signed pointer.
     pub fn autm(&self, pointer: u64) -> Result<u64, AuthError> {
-        self.telemetry.count(Counter::PtrAuths);
         if self.layout.is_signed(pointer) {
             Ok(pointer)
         } else {
-            self.telemetry.count(Counter::AuthFailures);
             Err(AuthError { pointer })
         }
     }

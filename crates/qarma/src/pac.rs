@@ -233,15 +233,6 @@ impl Qarma64 {
         }
     }
 
-    /// [`Qarma64::compute`], recording the invocation as a
-    /// [`Counter::PacComputations`](aos_util::telemetry::Counter)
-    /// event. The cipher itself is `Copy` and cannot hold a handle, so
-    /// callers that own one (the signer, the MCU) pass it per call.
-    pub fn compute_with(&self, data: u64, modifier: u64, telemetry: &aos_util::Telemetry) -> u64 {
-        telemetry.count(aos_util::Counter::PacComputations);
-        self.compute(data, modifier)
-    }
-
     /// Inverts [`Qarma64::compute`] for a given modifier.
     ///
     /// Hardware never needs this direction — a PAC is verified by

@@ -17,7 +17,7 @@ use aos_isa::{expand, Op, SafetyConfig};
 use aos_ptrauth::{PointerLayout, PointerSigner};
 use aos_qarma::PacKey;
 use aos_util::rng::{DiscreteTable, Xoshiro256StarStar, Zipf};
-use aos_util::Telemetry;
+use aos_util::{Counter, TelemetrySnapshot};
 
 use crate::profile::WorkloadProfile;
 use crate::schedule::hash_name;
@@ -69,7 +69,8 @@ struct LiveChunk {
 /// trace. It also implements
 /// [`BufferedOps`](aos_isa::stream::BufferedOps), reporting the
 /// high-water mark of its internal event buffer (a handful of ops —
-/// one program event plus its instrumentation).
+/// one program event plus its instrumentation) and projecting its
+/// sign and allocation counts into a run's telemetry snapshot.
 ///
 /// # Examples
 ///
@@ -104,6 +105,8 @@ pub struct TraceGenerator {
     /// High-water mark of `buffer` — the generator's entire trace
     /// footprint, measured not asserted.
     peak_buffered: usize,
+    /// `pacma` signs of AOS mallocs, one QARMA computation each.
+    signs: u64,
     base_ops: u64,
     target_base_ops: u64,
     startup_remaining: u64,
@@ -147,6 +150,7 @@ impl TraceGenerator {
             buffer: Vec::with_capacity(EVENT_CAPACITY),
             cursor: 0,
             peak_buffered: 0,
+            signs: 0,
             base_ops: 0,
             target_base_ops: ((profile.window_instructions as f64 * scale) as u64).max(1),
             startup_remaining: (profile.startup_allocations as f64 * scale).ceil() as u64,
@@ -166,18 +170,6 @@ impl TraceGenerator {
                     .collect()
             },
         }
-    }
-
-    /// Attaches a telemetry handle to the generator's signer and heap
-    /// allocator, so the `pacma` signs of AOS mallocs
-    /// (`pac_computations`, `ptr_signs`) and the allocator's work
-    /// (`heap_allocs`, `heap_frees`, the allocation-size histogram)
-    /// are recorded. Recording never feeds back into generation: the
-    /// trace is the same with any handle.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.signer = self.signer.with_telemetry(telemetry.clone());
-        self.heap = self.heap.with_telemetry(telemetry);
-        self
     }
 
     /// Base (uninstrumented) ops emitted so far.
@@ -365,6 +357,7 @@ impl TraceGenerator {
             .malloc(size)
             .expect("workload stays within the heap limit");
         let ptr = if self.config.uses_aos() {
+            self.signs += 1;
             self.signer
                 .pacma(alloc.base, SIGNING_CONTEXT, alloc.usable_size)
         } else {
@@ -456,6 +449,16 @@ impl Iterator for TraceGenerator {
 impl aos_isa::stream::BufferedOps for TraceGenerator {
     fn peak_buffered_ops(&self) -> usize {
         self.peak_buffered
+    }
+
+    /// Projects generation's counts: `pac_computations` and
+    /// `ptr_signs` from the AOS mallocs' `pacma` signs, and the heap's
+    /// allocation counts and size-class histogram. Counting never
+    /// feeds back into generation.
+    fn record_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+        snapshot.add(Counter::PacComputations, self.signs);
+        snapshot.add(Counter::PtrSigns, self.signs);
+        self.heap.record_telemetry(snapshot);
     }
 }
 

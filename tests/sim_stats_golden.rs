@@ -14,8 +14,9 @@
 //! - one AOS run per fault kind on hmmer at scale 0.01, so the
 //!   precise-exception flush path is pinned too.
 //!
-//! Every cell runs with telemetry enabled, the generator recording
-//! into the machine's handle as the campaign cells do. A second golden
+//! Every cell runs with telemetry enabled, the drained generator's
+//! counts projected into the machine's snapshot as the campaign cells
+//! do. A second golden
 //! holds one FNV-1a digest over each cell's `TelemetrySnapshot`, so a
 //! change to how a counter is recorded cannot move a value unnoticed;
 //! the first file not moving with telemetry on is the zero observer
@@ -33,6 +34,7 @@ use std::sync::OnceLock;
 
 use aos_core::experiment::{run, SystemUnderTest};
 use aos_fault::{plan_fault, FaultKind, FaultSpec};
+use aos_isa::stream::BufferedOps;
 use aos_isa::SafetyConfig;
 use aos_ptrauth::PointerLayout;
 use aos_sim::{Machine, RunStats};
@@ -64,9 +66,10 @@ fn fault_cell(kind: FaultKind) -> RunStats {
     let plan = plan_fault(stream(), PointerLayout::default(), spec)
         .expect("fault plans against the instrumented trace");
     let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE).with_telemetry(true);
-    let mut machine = Machine::new(sut.machine_config());
-    let faulted = plan.apply(stream().with_telemetry(machine.telemetry().clone()));
-    machine.run(faulted)
+    let mut faulted = plan.apply(stream());
+    let mut stats = Machine::new(sut.machine_config()).run(&mut faulted);
+    faulted.record_telemetry(&mut stats.telemetry);
+    stats
 }
 
 /// Every pinned cell with its label, simulated once and shared by both

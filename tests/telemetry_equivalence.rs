@@ -13,6 +13,7 @@
 use aos_core::experiment::{run, run_metered, SystemUnderTest};
 use aos_core::sim::{Machine, RunStats};
 use aos_fault::{plan_fault, FaultKind, FaultSpec};
+use aos_isa::stream::BufferedOps;
 use aos_isa::{Op, SafetyConfig};
 use aos_ptrauth::PointerLayout;
 use aos_util::{Counter, Gauge};
@@ -30,14 +31,14 @@ fn streaming_and_materialized_telemetry_snapshots_are_bit_identical() {
         let profile = by_name(name).unwrap();
         let sut = SystemUnderTest::scaled(SafetyConfig::Aos, SCALE).with_telemetry(true);
 
-        // The cell runners hand the machine's handle to the generator;
-        // the materialized trace records into it the same way.
-        let mut machine = Machine::new(sut.machine_config());
-        let trace: Vec<Op> = TraceGenerator::new(profile, SafetyConfig::Aos, SCALE)
-            .with_telemetry(machine.telemetry().clone())
-            .collect();
+        // The cell runners project the drained generator into the
+        // machine's snapshot; the materialized trace's generator is
+        // projected the same way.
+        let mut generator = TraceGenerator::new(profile, SafetyConfig::Aos, SCALE);
+        let trace: Vec<Op> = generator.by_ref().collect();
         let trace_ops = trace.len() as u64;
-        let materialized = machine.run(trace);
+        let mut materialized = Machine::new(sut.machine_config()).run(trace);
+        generator.record_telemetry(&mut materialized.telemetry);
         let streamed = run(profile, &sut);
 
         assert_eq!(materialized, streamed, "{name}: RunStats diverged");
@@ -179,8 +180,8 @@ fn faulted_cell(sut: &SystemUnderTest, kind: FaultKind) -> RunStats {
 /// a double-free run, so that every `mcq_*`, `bwb_*`, `sim_*` and
 /// `hbt_*` counter is nonzero somewhere. A
 /// machine run twice reports cumulative stats, and its second
-/// snapshot projects exactly those: nothing is counted twice, the
-/// generator's counters included.
+/// snapshot projects exactly those: nothing is counted twice. Each
+/// generator's counts are projected by the caller that drained it.
 #[test]
 fn telemetry_cross_checks_run_stats() {
     let hmmer = by_name("hmmer").unwrap();
@@ -208,11 +209,13 @@ fn telemetry_cross_checks_run_stats() {
     }
 
     let mut machine = Machine::new(sut.machine_config());
-    let handle = machine.telemetry().clone();
-    let trace =
-        || TraceGenerator::new(hmmer, SafetyConfig::Aos, SCALE).with_telemetry(handle.clone());
-    let first = machine.run(trace());
-    let second = machine.run(trace());
+    let mut trace = TraceGenerator::new(hmmer, SafetyConfig::Aos, SCALE);
+    let mut first = machine.run(&mut trace);
+    trace.record_telemetry(&mut first.telemetry);
+    let mut again = TraceGenerator::new(hmmer, SafetyConfig::Aos, SCALE);
+    let mut second = machine.run(&mut again);
+    trace.record_telemetry(&mut second.telemetry);
+    again.record_telemetry(&mut second.telemetry);
     assert_eq!(first, stats, "a fresh machine's first run is the cell");
     assert_projected(&second, "hmmer, second run");
     for counter in [Counter::PtrSigns, Counter::HeapAllocs, Counter::McqEnqueued] {
