@@ -14,7 +14,7 @@ use aos_fault::{fault_sweep, plan_fault, run_fault_campaign, FaultKind, FaultSpe
 use aos_lint::{lint_stream_metered, MatrixReport, Policy};
 use aos_ptrauth::PointerLayout;
 use aos_util::json::{Json, Layout};
-use aos_util::{Counter, Gauge, Telemetry};
+use aos_util::{Counter, Gauge, Telemetry, TelemetrySnapshot};
 use aos_workloads::TraceGenerator;
 
 use std::path::Path;
@@ -1222,12 +1222,6 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         "socket queue workers timeout-ms retries backoff-ms retry-after-ms test-jobs telemetry",
     )
     .map_err(CliError::Usage)?;
-    let telemetry_on = bool_flag(&parsed, "telemetry");
-    let telemetry = if telemetry_on {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
     let options = aos_serve::ServeOptions {
         queue_capacity: match parsed.flag_or("queue", 16usize)? {
             0 => return Err(CliError::Usage("--queue must be at least 1".into())),
@@ -1245,7 +1239,6 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         backoff_base: Duration::from_millis(parsed.flag_or("backoff-ms", 50u64)?),
         retry_after_ms: parsed.flag_or("retry-after-ms", 25u64)?,
         test_jobs: bool_flag(&parsed, "test-jobs"),
-        telemetry: telemetry.clone(),
     };
     let summary = match parsed.flag("socket") {
         #[cfg(unix)]
@@ -1271,8 +1264,9 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         summary.rejected,
         summary.retried,
     );
-    if telemetry_on {
-        let snap = telemetry.snapshot();
+    if bool_flag(&parsed, "telemetry") {
+        let mut snap = TelemetrySnapshot::new(true);
+        summary.record_telemetry(&mut snap);
         for counter in Counter::ALL {
             let value = snap.counter(counter);
             if value > 0 {

@@ -28,7 +28,7 @@ use aos_core::experiment::{run_metered, SystemUnderTest};
 use aos_isa::SafetyConfig;
 use aos_serve::{serve, stats_digest, ServeOptions, ServeSummary};
 use aos_util::scratch::ScratchDir;
-use aos_util::{Counter, Gauge, Telemetry};
+use aos_util::{Counter, Gauge, Telemetry, TelemetrySnapshot};
 
 /// A writer the test can read back after the collector thread drops
 /// its clone.
@@ -56,6 +56,14 @@ fn run_script(script: String, options: &ServeOptions) -> (ServeSummary, String) 
     let out = SharedBuf::default();
     let summary = serve(Cursor::new(script), out.clone(), options).expect("serve session");
     (summary, out.contents())
+}
+
+/// The session's summary projected into a telemetry snapshot, as
+/// `aos serve --telemetry true` prints it.
+fn projected(summary: &ServeSummary) -> TelemetrySnapshot {
+    let mut snap = TelemetrySnapshot::new(true);
+    summary.record_telemetry(&mut snap);
+    snap
 }
 
 fn request(id: &str, kind: &str, extra: &str) -> String {
@@ -142,12 +150,10 @@ fn wedged_job_times_out_after_its_bounded_retry_budget() {
 
 #[test]
 fn poisoned_job_is_isolated_and_the_service_survives() {
-    let telemetry = Telemetry::enabled();
     let options = ServeOptions {
         workers: 1,
         test_jobs: true,
         retries: 0,
-        telemetry: telemetry.clone(),
         ..ServeOptions::default()
     };
     let script = request("boom", "__poison", "")
@@ -173,7 +179,7 @@ fn poisoned_job_is_isolated_and_the_service_survives() {
     assert_eq!(summary.panicked, 1);
     assert_eq!(summary.succeeded, 1);
     assert!(summary.shutdown_requested);
-    assert_eq!(telemetry.snapshot().counter(Counter::ServeJobsPanicked), 1);
+    assert_eq!(projected(&summary).counter(Counter::ServeJobsPanicked), 1);
 }
 
 #[test]
@@ -215,10 +221,8 @@ fn corrupted_corpus_block_quarantines_and_the_service_keeps_serving() {
     let path_str = path.display().to_string();
 
     // Record through the service, then corrupt the stored block.
-    let telemetry = Telemetry::enabled();
     let options = ServeOptions {
         workers: 1,
-        telemetry: telemetry.clone(),
         ..ServeOptions::default()
     };
     let record = request(
@@ -264,10 +268,8 @@ fn corrupted_corpus_block_quarantines_and_the_service_keeps_serving() {
     assert!(response_for(&output, "still-alive").contains("\"status\":\"ok\""));
     assert_eq!(summary.failed, 1);
     assert_eq!(summary.succeeded, 1);
-    assert!(
-        telemetry.snapshot().counter(Counter::CorpusCrcFailures) >= 1,
-        "the quarantine must be counted"
-    );
+    assert_eq!(summary.quarantined, 1, "the quarantine must be counted");
+    assert_eq!(projected(&summary).counter(Counter::CorpusCrcFailures), 1);
 }
 
 #[test]
@@ -307,22 +309,20 @@ fn service_replay_is_bit_identical_to_the_in_process_pipeline() {
 
 #[test]
 fn serve_telemetry_reaches_the_v4_report_taxonomy() {
-    // The serve_* counters and queue-depth gauge ride the same
-    // snapshot/merge machinery as every other pipeline stage, so a
-    // campaign report rendered from a serve session's registry carries
-    // them under their wire names.
-    let telemetry = Telemetry::enabled();
+    // The serve_* counters and queue-depth gauge are projected from
+    // the session's summary into the same snapshot every other
+    // pipeline stage projects into, so a report rendered from it
+    // carries them under their wire names.
     let options = ServeOptions {
         workers: 1,
         test_jobs: true,
-        telemetry: telemetry.clone(),
         ..ServeOptions::default()
     };
     let script =
         request("t1", "__sleep", ",\"millis\":1") + &request("t2", "__sleep", ",\"millis\":1");
     let (summary, _) = run_script(script, &options);
     assert_eq!(summary.succeeded, 2);
-    let snap = telemetry.snapshot();
+    let snap = projected(&summary);
     assert_eq!(snap.counter(Counter::ServeJobsAccepted), 2);
     assert!(snap.gauge(Gauge::ServeQueueDepth) >= 1);
     // Wire names are stable (the golden report test pins their order
