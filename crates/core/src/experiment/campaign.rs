@@ -15,14 +15,14 @@
 //! parallel path only changes wall-clock, never results.
 //!
 //! Degradation semantics: one poisoned cell must never sink a whole
-//! figure. Each cell runs under `catch_unwind` (and optionally a
-//! wall-clock timeout and bounded retry with linear backoff, see
-//! [`CampaignOptions`]); a cell that still fails is recorded as
-//! [`CellOutcome::Failed`] with the captured panic message while every
-//! other cell completes normally. A runner that returns an error fails
-//! its cell at once, without a panic or a retry. A cell that needed
-//! more than one attempt completes but is marked *degraded* in the
-//! report.
+//! figure. Each cell runs once under `catch_unwind`; a cell that
+//! panics is recorded as [`CellOutcome::Failed`] with the captured
+//! panic message while every other cell completes normally. A runner
+//! that returns an error fails its cell the same way, without a panic.
+//! A cell is deterministic, so a retry would only rerun the same
+//! failure, and none is made. The report keeps its per-cell `attempts`
+//! column and its *degraded* status for a cell that needed more than
+//! one attempt.
 //!
 //! # Examples
 //!
@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aos_sim::RunStats;
-use aos_util::guard::{run_guarded, Backoff, GuardOptions};
+use aos_util::guard::{run_guarded, GuardOptions};
 use aos_util::json::{Json, Layout};
 use aos_util::par::{effective_threads, ordered_parallel_map};
 use aos_util::AosError;
@@ -123,12 +123,10 @@ impl From<RunStats> for CellOutput {
 pub enum CellOutcome {
     /// The simulation ran to completion.
     Completed(CellOutput),
-    /// Every attempt panicked or timed out, or the runner returned an
-    /// error; the cell was skipped so the rest of the campaign could
-    /// finish.
+    /// The cell panicked or the runner returned an error; the cell was
+    /// skipped so the rest of the campaign could finish.
     Failed {
-        /// The captured panic message, timeout description or runner
-        /// error of the final attempt.
+        /// The captured panic message or runner error.
         error: String,
     },
 }
@@ -254,17 +252,6 @@ pub struct CampaignOptions {
     /// environment variable, then to the machine's available
     /// parallelism (see [`aos_util::par::effective_threads`]).
     pub threads: Option<usize>,
-    /// Per-cell wall-clock limit. A cell that exceeds it counts as a
-    /// failed attempt (subject to [`CampaignOptions::retries`]). `None`
-    /// (the default) disables the limit. The timed-out simulation runs
-    /// on a detached thread that cannot be cancelled; it is abandoned
-    /// and its work discarded when it eventually finishes.
-    pub cell_timeout: Option<Duration>,
-    /// Extra attempts after a failed one (0 = fail fast, the default).
-    pub retries: u32,
-    /// Base backoff slept between attempts; attempt `n` waits
-    /// `retry_backoff * n`. Default: no backoff.
-    pub retry_backoff: Duration,
 }
 
 impl CampaignOptions {
@@ -272,21 +259,7 @@ impl CampaignOptions {
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: Some(threads),
-            ..Self::default()
         }
-    }
-
-    /// Sets a per-cell wall-clock limit.
-    pub fn timeout(mut self, limit: Duration) -> Self {
-        self.cell_timeout = Some(limit);
-        self
-    }
-
-    /// Sets the retry budget and linear-backoff base.
-    pub fn retry(mut self, retries: u32, backoff: Duration) -> Self {
-        self.retries = retries;
-        self.retry_backoff = backoff;
-        self
     }
 }
 
@@ -392,13 +365,11 @@ impl CampaignReport {
     }
 }
 
-/// The function a campaign invokes per cell. Shared (`Arc`) because a
-/// timed-out attempt leaves a clone running on its abandoned thread.
-/// Runners that do not meter their stream can return a bare
-/// [`RunStats`] via `Ok(stats.into())`. An `Err` is the cell's
+/// The function a campaign invokes per cell, shared (`Arc`) by the
+/// worker threads. Runners that do not meter their stream can return
+/// a bare [`RunStats`] via `Ok(stats.into())`. An `Err` is the cell's
 /// ordinary failure (a fault that cannot be planned on the cell's
-/// trace, say): it fails the cell on that attempt, with no retry, since
-/// the runner would only fail the same way again.
+/// trace, say): it fails the cell like a panic does.
 pub type CellRunner =
     Arc<dyn Fn(usize, &CampaignCell) -> Result<CellOutput, AosError> + Send + Sync>;
 
@@ -425,7 +396,7 @@ pub fn run_campaign_custom(
     let start = Instant::now();
     let results = ordered_parallel_map(cells, threads, |index, cell| {
         let cell_start = Instant::now();
-        let (outcome, attempts) = run_cell_guarded(&runner, index, cell, options);
+        let (outcome, attempts) = run_cell_guarded(&runner, index, cell);
         CellResult {
             cell: *cell,
             outcome,
@@ -441,30 +412,16 @@ pub fn run_campaign_custom(
     }
 }
 
-/// One cell under the full protection stack
-/// ([`aos_util::guard::run_guarded`]): `catch_unwind` per attempt,
-/// optional wall-clock timeout on a watchdog thread (a timed-out
-/// attempt is abandoned — it keeps simulating in the background and
-/// its eventual result is dropped; acceptable for a campaign, whose
-/// process exits when the campaign does), bounded retry with linear
-/// backoff. Returns the final outcome and attempts consumed.
-fn run_cell_guarded(
-    runner: &CellRunner,
-    index: usize,
-    cell: &CampaignCell,
-    options: &CampaignOptions,
-) -> (CellOutcome, u32) {
+/// One cell, run once under `catch_unwind` through
+/// [`aos_util::guard::run_guarded`]. Returns the outcome and the
+/// attempts consumed (always 1).
+fn run_cell_guarded(runner: &CellRunner, index: usize, cell: &CampaignCell) -> (CellOutcome, u32) {
     let work = {
         let runner = Arc::clone(runner);
         let cell = *cell;
         Arc::new(move || runner(index, &cell))
     };
-    let guard = GuardOptions {
-        timeout: options.cell_timeout,
-        retries: options.retries,
-        backoff: Backoff::Linear(options.retry_backoff),
-    };
-    let (outcome, attempts) = run_guarded(work, &guard);
+    let (outcome, attempts) = run_guarded(work, &GuardOptions::default());
     let error = match outcome {
         Ok(Ok(output)) => return (CellOutcome::Completed(output), attempts),
         Ok(Err(error)) => format!("cell {} failed: {error}", cell.label()),
@@ -587,10 +544,9 @@ mod tests {
     #[test]
     fn runner_errors_fail_the_cell_on_the_first_attempt() {
         let cells = small_cells()[..2].to_vec();
-        let options = CampaignOptions::with_threads(1).retry(2, Duration::from_millis(0));
         let report = run_campaign_custom(
             &cells,
-            &options,
+            &CampaignOptions::with_threads(1),
             Arc::new(|index, cell: &CampaignCell| {
                 if index == 0 {
                     return Err(AosError::invalid_input("cell runner", "no anchor"));
@@ -600,53 +556,11 @@ mod tests {
         );
         let failed = &report.results[0];
         assert_eq!(failed.status(), "failed");
-        assert_eq!(failed.attempts, 1, "an error is not retried");
+        assert_eq!(failed.attempts, 1, "a cell runs once");
         assert_eq!(
             failed.error(),
             Some("cell mcf/Baseline failed: invalid input in cell runner: no anchor")
         );
         assert_eq!(report.results[1].status(), "completed");
-    }
-
-    #[test]
-    fn flaky_cell_recovers_via_retry_and_is_marked_degraded() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cells = small_cells()[..1].to_vec();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let calls_in_runner = Arc::clone(&calls);
-        let options = CampaignOptions::with_threads(1).retry(2, Duration::from_millis(0));
-        let report = run_campaign_custom(
-            &cells,
-            &options,
-            Arc::new(move |_, cell: &CampaignCell| {
-                if calls_in_runner.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient fault");
-                }
-                Ok(crate::experiment::run(&cell.profile, &cell.sut).into())
-            }),
-        );
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        let cell = &report.results[0];
-        assert_eq!(cell.status(), "degraded");
-        assert_eq!(cell.attempts, 2);
-        assert!(cell.stats().unwrap().cycles > 0);
-        assert_eq!(report.degraded(), 1);
-    }
-
-    #[test]
-    fn hung_cell_times_out_and_is_reported_failed() {
-        let cells = small_cells()[..1].to_vec();
-        let options = CampaignOptions::with_threads(1).timeout(Duration::from_millis(50));
-        let report = run_campaign_custom(
-            &cells,
-            &options,
-            Arc::new(|_, _: &CampaignCell| {
-                std::thread::sleep(Duration::from_secs(60));
-                unreachable!("the watchdog must have given up on us")
-            }),
-        );
-        let cell = &report.results[0];
-        assert!(cell.is_failed());
-        assert!(cell.error().unwrap().contains("timed out after"));
     }
 }

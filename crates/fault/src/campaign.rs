@@ -1,8 +1,8 @@
 //! The fault-injection campaign: a `kind × seed × system` grid run
 //! through the hardened campaign runner, so each trial inherits the
-//! runner's panic isolation, timeout and retry machinery, and the
-//! detection summary rides the `aos-campaign-report/v7` document as a
-//! `fault_detection` annotation.
+//! runner's panic isolation, and the detection summary rides the
+//! `aos-campaign-report/v7` document as a `fault_detection`
+//! annotation.
 
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ pub struct FaultCampaignConfig {
     /// [`PolicyCrossCheck`] and an entry in the `policy_cross_check`
     /// report annotation.
     pub policies: Vec<Policy>,
-    /// Runner execution knobs (threads, timeout, retries).
+    /// Runner execution knobs (the worker-thread count).
     pub options: CampaignOptions,
     /// Whether each cell records generator and pipeline telemetry and
     /// the static cross-check records its scan counters (the verdicts
@@ -453,13 +453,13 @@ mod tests {
     }
 
     /// mcf's window has no free to anchor a `uaf` on: the planning
-    /// error is the cell's failure, reported on the first attempt (a
-    /// panic would have been retried) with the planner's own text.
+    /// error is the cell's failure, reported with the planner's own
+    /// text and no panic.
     #[test]
     fn a_failed_plan_fails_its_cells_without_a_panic() {
         let config = FaultCampaignConfig {
             kinds: vec![FaultKind::UseAfterFree],
-            options: CampaignOptions::with_threads(1).retry(2, std::time::Duration::ZERO),
+            options: CampaignOptions::with_threads(1),
             ..FaultCampaignConfig::standard(*by_name("mcf").unwrap(), 0.004, vec![1])
         };
         let outcome = run_fault_campaign(&config).unwrap();

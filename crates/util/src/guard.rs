@@ -1,13 +1,13 @@
 //! Guarded execution of untrusted units of work.
 //!
-//! The campaign runner (PR 2) grew a protection stack — `catch_unwind`
-//! per attempt, an optional wall-clock watchdog, bounded retry with
-//! backoff — that the long-running service mode needs verbatim: a
-//! poisoned job must not take down the process, a hung job must not
-//! wedge a worker forever, and a transiently failing job deserves a
-//! bounded number of fresh attempts. This module is that stack,
-//! factored out of `aos-core::experiment::campaign` so both the
-//! campaign runner and `aos-serve` execute work through one audited
+//! One protection stack — `catch_unwind` per attempt, an optional
+//! wall-clock watchdog, bounded retry with exponential backoff — for
+//! the long-running service mode: a poisoned job must not take down
+//! the process, a hung job must not wedge a worker forever, and a
+//! transiently failing job deserves a bounded number of fresh
+//! attempts. The campaign runner runs each of its deterministic cells
+//! once through the same stack, with the default options
+//! (`catch_unwind` only), so both execute work through one audited
 //! implementation.
 //!
 //! A unit of work is a plain `Fn() -> T` closure behind an [`Arc`]
@@ -39,32 +39,6 @@ use crate::error::panic_message;
 /// abandoned clone without blocking the next attempt.
 pub type Work<T> = Arc<dyn Fn() -> T + Send + Sync>;
 
-/// How attempt `n` (1-based) waits before attempt `n + 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backoff {
-    /// `base * n` — the campaign runner's historical ramp.
-    Linear(Duration),
-    /// `base * 2^(n-1)` — the service's transient-failure ramp.
-    Exponential(Duration),
-}
-
-impl Backoff {
-    /// The sleep before the attempt after `attempt` failures.
-    pub fn delay(self, attempt: u32) -> Duration {
-        match self {
-            Backoff::Linear(base) => base * attempt,
-            Backoff::Exponential(base) => base * 2u32.saturating_pow(attempt.saturating_sub(1)),
-        }
-    }
-
-    /// Whether this backoff ever sleeps.
-    pub fn is_zero(self) -> bool {
-        match self {
-            Backoff::Linear(base) | Backoff::Exponential(base) => base.is_zero(),
-        }
-    }
-}
-
 /// The guard's knobs; the default is one attempt, no timeout.
 #[derive(Debug, Clone, Copy)]
 pub struct GuardOptions {
@@ -73,8 +47,9 @@ pub struct GuardOptions {
     pub timeout: Option<Duration>,
     /// Extra attempts after a failed one (0 = fail fast).
     pub retries: u32,
-    /// Sleep schedule between attempts.
-    pub backoff: Backoff,
+    /// Base of the exponential backoff between attempts: attempt `n`
+    /// (1-based) sleeps `backoff * 2^(n-1)` before attempt `n + 1`.
+    pub backoff: Duration,
 }
 
 impl Default for GuardOptions {
@@ -82,8 +57,15 @@ impl Default for GuardOptions {
         Self {
             timeout: None,
             retries: 0,
-            backoff: Backoff::Linear(Duration::ZERO),
+            backoff: Duration::ZERO,
         }
+    }
+}
+
+impl GuardOptions {
+    /// The sleep after `attempt` (1-based) failed.
+    fn delay(&self, attempt: u32) -> Duration {
+        self.backoff * 2u32.saturating_pow(attempt.saturating_sub(1))
     }
 }
 
@@ -146,7 +128,7 @@ pub fn run_guarded<T: Send + 'static>(
             Err(error) => {
                 last_error = error;
                 if attempt < max_attempts && !options.backoff.is_zero() {
-                    std::thread::sleep(options.backoff.delay(attempt));
+                    std::thread::sleep(options.delay(attempt));
                 }
             }
         }
@@ -244,16 +226,15 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedules_differ() {
+    fn backoff_doubles_per_attempt() {
         let base = Duration::from_millis(10);
-        assert_eq!(Backoff::Linear(base).delay(3), Duration::from_millis(30));
-        assert_eq!(
-            Backoff::Exponential(base).delay(3),
-            Duration::from_millis(40)
-        );
-        assert_eq!(Backoff::Exponential(base).delay(1), base);
-        assert!(Backoff::Linear(Duration::ZERO).is_zero());
-        assert!(!Backoff::Exponential(base).is_zero());
+        let options = GuardOptions {
+            backoff: base,
+            ..GuardOptions::default()
+        };
+        assert_eq!(options.delay(1), base);
+        assert_eq!(options.delay(3), Duration::from_millis(40));
+        assert_eq!(GuardOptions::default().delay(3), Duration::ZERO);
     }
 
     #[test]
