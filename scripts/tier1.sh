@@ -150,7 +150,7 @@ rm -f "$faults_json"
 # The gate is advisory when clippy is not installed (offline image).
 if command -v cargo-clippy >/dev/null 2>&1; then
     echo "== tier-1: clippy unwrap + needless-collect + print-stdout + undocumented-unsafe gate (library crates) =="
-    for crate in aos-util aos-heap aos-mcu aos-hbt aos-isa aos-sim aos-workloads aos-core aos-fault aos-lint aos-serve aos-fuzz aos-bench; do
+    for crate in aos-util aos-qarma aos-ptrauth aos-heap aos-mcu aos-hbt aos-isa aos-sim aos-workloads aos-core aos-fault aos-lint aos-serve aos-fuzz aos-bench; do
         cargo clippy -q -p "$crate" --no-deps -- \
             -D clippy::unwrap_used -D clippy::needless_collect \
             -D clippy::print_stdout \
