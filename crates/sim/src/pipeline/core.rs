@@ -251,6 +251,16 @@ impl Machine {
         // count, refetched ops count exactly once.
         self.mix.record(&entry.op, self.config.layout);
         self.retired_ops += 1;
+        match entry.op {
+            Op::Xpacm => self.ptr_strips += 1,
+            Op::Autm { pointer } => {
+                self.ptr_auths += 1;
+                if !self.config.layout.is_signed(pointer) {
+                    self.auth_failures += 1;
+                }
+            }
+            _ => {}
+        }
     }
 
     /// The precise-exception path: raise the latched fault at the
