@@ -10,15 +10,15 @@
 //! a **streaming abstract interpreter** over [`Op`](aos_isa::Op)
 //! streams:
 //!
-//! - [`Linter`] runs one per-PAC lifecycle state machine (Unsigned →
-//!   Signed → Bounds-live → Cleared → Re-signed-dangling) per
-//!   distinct PAC observed — `O(live-PACs)` memory, no trace
-//!   materialization, same discipline as [`aos_isa::stream`];
+//! - [`lint_stream`] / [`lint_stream_metered`] run one per-PAC
+//!   lifecycle state machine (Unsigned → Signed → Bounds-live →
+//!   Cleared → Re-signed-dangling) per distinct PAC observed —
+//!   `O(live-PACs)` memory, no trace materialization, same discipline
+//!   as [`aos_isa::stream`];
 //! - [`Rule`] names each protocol obligation and indexes its entry in
 //!   [`registry::AOS_RULES`]; violations surface as
 //!   [`PolicyDiagnostic`]s in a [`LintReport`] with exact per-rule
 //!   counts and stable `aos-lint-report/v1` JSON;
-//! - [`lint_stream`] / [`lint_stream_metered`] scan a whole stream;
 //! - scan counters thread through [`aos_util::telemetry`]
 //!   (`lint_ops_scanned`, `lint_diagnostics`).
 //!
@@ -29,16 +29,18 @@
 //! streams whose addresses are simply wrong — runtime phenomena only
 //! the HBT bounds check can catch. `aos_fault` pins that split.
 //!
-//! The [`Linter`] is one of four pluggable static policies: the
-//! [`policy`] module adds abstract models of CryptSan (lock-and-key),
-//! PACSan (PAC-sealed shadow) and PACTight (pointer integrity), each
-//! encoding what that paper's instrumentation can and cannot prove
-//! about a trace, behind one [`PolicyVerifier`] trait, each counting
-//! its findings into a [`PolicyReport`]. The [`matrix`]
-//! module runs any subset of them in a single streaming pass and
-//! renders the policy × rule × fault-kind detection matrix
-//! (`aos-lint-matrix/v1`); per-policy rule metadata lives in the
-//! shared [`registry`].
+//! The AOS lifecycle is one of four static policies: the [`policy`]
+//! module adds abstract models of CryptSan (lock-and-key), PACSan
+//! (PAC-sealed shadow) and PACTight (pointer integrity), each encoding
+//! what that paper's instrumentation can and cannot prove about a
+//! trace, each counting its findings into a [`PolicyReport`]. One
+//! scanner runs them all: a [`MatrixScan`] over any subset of
+//! [`Policy::ALL`] decodes each op once, probes one per-PAC record
+//! once and runs each enabled policy on its slot of that record; a
+//! lint scan is the same scanner with only [`Policy::Aos`] enabled.
+//! The [`matrix`] module also renders the policy × rule × fault-kind
+//! detection matrix (`aos-lint-matrix/v1`); per-policy rule metadata
+//! lives in the shared [`registry`].
 //!
 //! # Examples
 //!
@@ -74,11 +76,11 @@ pub mod rules;
 pub mod verifier;
 
 pub use matrix::{MatrixEntry, MatrixReport, MatrixScan};
-pub use policy::{Policy, PolicyDiagnostic, PolicyReport, PolicyVerifier, MAX_STORED_DIAGNOSTICS};
+pub use policy::{Policy, PolicyDiagnostic, PolicyReport, MAX_STORED_DIAGNOSTICS};
 pub use registry::RuleInfo;
 pub use report::LintReport;
 pub use rules::{Rule, Severity};
-pub use verifier::{lint_stream, lint_stream_metered, Linter};
+pub use verifier::{lint_stream, lint_stream_metered};
 
 #[cfg(test)]
 mod tests {

@@ -1,18 +1,18 @@
-//! Pluggable static policies: the abstract-interpretation framework
-//! behind the cross-paper detection matrix.
+//! The static policies: their names, reports and the transfer
+//! functions of the three non-AOS models.
 //!
-//! A [`PolicyVerifier`] is a per-op transfer function over an
-//! abstract heap/PAC state, with a policy-owned rule taxonomy (the
-//! [`registry`](crate::registry)) and one memory contract:
-//! O(distinct PACs observed) state, zero buffered ops, stored
-//! diagnostics capped at [`MAX_STORED_DIAGNOSTICS`] while per-rule
-//! counts stay exact. Every policy counts its findings and ops into
-//! a [`PolicyReport`] as it scans.
+//! A policy is a per-op transfer function over an abstract heap/PAC
+//! state, with a policy-owned rule taxonomy (the
+//! [`registry`](crate::registry)). Every policy keeps its per-PAC
+//! state in its own slot of the one record
+//! [`MatrixScan`](crate::MatrixScan) holds per PAC, and counts its
+//! findings into a [`PolicyReport`]: exact per-rule counts, stored
+//! diagnostics capped at [`MAX_STORED_DIAGNOSTICS`].
 //!
-//! Four implementations ship:
+//! Four policies ship:
 //!
-//! - [`Policy::Aos`] — the Fig. 7 / Algorithm 1 lifecycle verifier,
-//!   the [`Linter`] itself;
+//! - [`Policy::Aos`] — the Fig. 7 / Algorithm 1 lifecycle verifier
+//!   ([`verifier`](crate::verifier));
 //! - [`Policy::CryptSan`] — a lock-and-key model: allocation
 //!   registers a key, free revokes it, dereference checks it. Sees
 //!   temporal bugs and forged keys; blind to spatial overflow and to
@@ -32,26 +32,22 @@
 //! point of the matrix is which attack chains slip past which
 //! policy's evidence.
 
-use aos_isa::Op;
-use aos_ptrauth::PointerLayout;
-use aos_util::hash::PacMap;
 use aos_util::{Counter, Telemetry};
 
 use crate::registry::{RuleInfo, AOS_RULES, CRYPTSAN_RULES, PACSAN_RULES, PACTIGHT_RULES};
 use crate::rules::Severity;
-use crate::verifier::Linter;
 
 /// Cap on *stored* [`PolicyDiagnostic`]s per scan. Per-rule counts
 /// are always exact; beyond the cap further findings only increment
 /// counters ([`PolicyReport::dropped_diagnostics`] says how many), so
-/// a pathological stream cannot make a verifier's memory grow with
-/// its violation count.
+/// a pathological stream cannot make a scan's memory grow with its
+/// violation count.
 pub const MAX_STORED_DIAGNOSTICS: usize = 256;
 
 /// The static policies the matrix can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
-    /// The AOS Fig. 7 lifecycle verifier ([`Linter`]).
+    /// The AOS Fig. 7 lifecycle verifier.
     Aos,
     /// CryptSan's lock-and-key heap metadata, modeled statically.
     CryptSan,
@@ -109,26 +105,10 @@ impl Policy {
         }
     }
 
-    /// A fresh verifier for this policy.
-    pub fn new_verifier(self, layout: PointerLayout) -> Box<dyn PolicyVerifier> {
-        match self {
-            Policy::Aos => Box::new(Linter::new(layout)),
-            Policy::CryptSan => Box::new(CryptSanPolicy {
-                layout,
-                pacs: PacMap::default(),
-                findings: PolicyReport::new(self),
-            }),
-            Policy::PacSan => Box::new(PacSanPolicy {
-                layout,
-                pacs: PacMap::default(),
-                findings: PolicyReport::new(self),
-            }),
-            Policy::PacTight => Box::new(PacTightPolicy {
-                layout,
-                pacs: PacMap::default(),
-                findings: PolicyReport::new(self),
-            }),
-        }
+    /// The policy's bit in a set of policies (and in a PAC record's
+    /// tracked bits).
+    pub(crate) const fn bit(self) -> u8 {
+        1 << self as u8
     }
 }
 
@@ -138,7 +118,7 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// One finding from a policy verifier. `rule` indexes the policy's
+/// One finding from a policy. `rule` indexes the policy's
 /// [`Policy::rules`] slice (severity and wire name live there).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyDiagnostic {
@@ -150,23 +130,6 @@ pub struct PolicyDiagnostic {
     pub pac: u64,
     /// Human-readable specifics.
     pub detail: String,
-}
-
-/// A per-op abstract interpreter for one policy.
-///
-/// Contract: `scan` is called once per op in stream order; `finish`
-/// closes the stream and yields the report. Implementations hold
-/// O(distinct PACs) state and buffer no ops.
-pub trait PolicyVerifier {
-    /// Which policy this verifier implements.
-    fn policy(&self) -> Policy;
-
-    /// Advances the abstract interpretation by one op.
-    fn scan(&mut self, op: &Op);
-
-    /// Closes the stream and produces the report. Scan counters land
-    /// on `telemetry`.
-    fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport;
 }
 
 /// What one policy's scan found: exact per-rule counts (indexed like
@@ -186,7 +149,7 @@ pub struct PolicyReport {
     pub diagnostics: Vec<PolicyDiagnostic>,
     /// Findings beyond the storage cap (counted, not stored).
     pub dropped_diagnostics: u64,
-    /// Distinct PACs tracked — the verifier's memory bound.
+    /// Distinct PACs the policy tracked — its memory bound.
     pub tracked_pacs: usize,
 }
 
@@ -232,8 +195,8 @@ impl PolicyReport {
         self.total_diagnostics() - self.errors()
     }
 
-    /// An empty report: the accumulator every verifier counts its
-    /// findings and ops into while it scans.
+    /// An empty report: the accumulator a policy counts its findings
+    /// into while the scan runs.
     pub(crate) fn new(policy: Policy) -> Self {
         Self {
             policy,
@@ -261,10 +224,16 @@ impl PolicyReport {
         }
     }
 
-    /// Closes the scan with its memory bound. AOS findings land on the
-    /// `lint_ops_scanned` and `lint_diagnostics` counters, every other
-    /// policy's on `lint_policy_diagnostics`.
-    pub(crate) fn into_report(mut self, tracked_pacs: usize, telemetry: &Telemetry) -> Self {
+    /// Closes the scan with its length and memory bound. AOS findings
+    /// land on the `lint_ops_scanned` and `lint_diagnostics` counters,
+    /// every other policy's on `lint_policy_diagnostics`.
+    pub(crate) fn into_report(
+        mut self,
+        ops_scanned: u64,
+        tracked_pacs: usize,
+        telemetry: &Telemetry,
+    ) -> Self {
+        self.ops_scanned = ops_scanned;
         self.tracked_pacs = tracked_pacs;
         if self.policy == Policy::Aos {
             telemetry.add(Counter::LintOpsScanned, self.ops_scanned);
@@ -281,9 +250,14 @@ const CS_UNALLOCATED: usize = 0;
 const CS_REVOKED: usize = 1;
 const CS_DOUBLE_REVOKE: usize = 2;
 
-/// Per-key abstract state for the CryptSan model.
+/// CryptSan's slot of a PAC record: `bndstr` registers an allocation
+/// key, `bndclr` revokes it, every signed access checks it. The model
+/// is deliberately blind to `pacma`/`xpacm` (CryptSan has no pointer
+/// signing of its own) and to AHC classes and addresses (its metadata
+/// carries no size class and its check is key validity, not bounds) —
+/// so spatial overflow and class confusion pass it clean.
 #[derive(Debug, Default)]
-struct KeyState {
+pub(crate) struct KeyState {
     /// Outstanding allocation keys under this PAC (counting, so PAC
     /// collisions stay clean, exactly like the real metadata keyed by
     /// allocation identity).
@@ -292,79 +266,50 @@ struct KeyState {
     ever_allocated: bool,
 }
 
-/// CryptSan as a static policy: `bndstr` registers an allocation key,
-/// `bndclr` revokes it, every signed access checks it. The model is
-/// deliberately blind to `pacma`/`xpacm` (CryptSan has no pointer
-/// signing of its own) and to AHC classes and addresses (its metadata
-/// carries no size class and its check is key validity, not bounds) —
-/// so spatial overflow and class confusion pass it clean.
-struct CryptSanPolicy {
-    layout: PointerLayout,
-    pacs: PacMap<KeyState>,
-    findings: PolicyReport,
-}
-
-impl PolicyVerifier for CryptSanPolicy {
-    fn policy(&self) -> Policy {
-        Policy::CryptSan
+impl KeyState {
+    /// A signed `bndstr`: registers a key.
+    pub(crate) fn register(&mut self) {
+        self.keys_live += 1;
+        self.ever_allocated = true;
     }
 
-    fn scan(&mut self, op: &Op) {
-        let index = self.findings.ops_scanned;
-        self.findings.ops_scanned += 1;
-        match *op {
-            Op::BndStr { pointer, .. } if self.layout.is_signed(pointer) => {
-                let entry = self.pacs.entry(self.layout.pac(pointer)).or_default();
-                entry.keys_live += 1;
-                entry.ever_allocated = true;
-            }
-            Op::BndClr { pointer } if self.layout.is_signed(pointer) => {
-                let pac = self.layout.pac(pointer);
-                match self.pacs.get_mut(&pac) {
-                    Some(entry) if entry.keys_live > 0 => entry.keys_live -= 1,
-                    Some(entry) if entry.ever_allocated => self.findings.emit(
-                        CS_DOUBLE_REVOKE,
-                        index,
-                        pac,
-                        "key already revoked for every allocation under this PAC".to_string(),
-                    ),
-                    _ => self.findings.emit(
-                        CS_UNALLOCATED,
-                        index,
-                        pac,
-                        "revoke of a key no allocation registered".to_string(),
-                    ),
-                }
-            }
-            Op::Load { pointer, .. } | Op::Store { pointer, .. } | Op::Autm { pointer }
-                if self.layout.is_signed(pointer) =>
-            {
-                let pac = self.layout.pac(pointer);
-                match self.pacs.get(&pac) {
-                    Some(entry) if entry.keys_live > 0 => {}
-                    Some(entry) if entry.ever_allocated => self.findings.emit(
-                        CS_REVOKED,
-                        index,
-                        pac,
-                        "dereference after the allocation's key was revoked".to_string(),
-                    ),
-                    _ => self.findings.emit(
-                        CS_UNALLOCATED,
-                        index,
-                        pac,
-                        "dereference through a key no allocation registered".to_string(),
-                    ),
-                }
-            }
-            // pacma/xpacm and unsigned traffic carry no CryptSan
-            // obligations: the model has no signing of its own.
-            _ => {}
+    /// A signed `bndclr`: revokes a key of `state`, the PAC's slot if
+    /// CryptSan tracks it.
+    pub(crate) fn revoke(state: Option<&mut Self>, out: &mut PolicyReport, index: u64, pac: u64) {
+        match state {
+            Some(entry) if entry.keys_live > 0 => entry.keys_live -= 1,
+            Some(entry) if entry.ever_allocated => out.emit(
+                CS_DOUBLE_REVOKE,
+                index,
+                pac,
+                "key already revoked for every allocation under this PAC".to_string(),
+            ),
+            _ => out.emit(
+                CS_UNALLOCATED,
+                index,
+                pac,
+                "revoke of a key no allocation registered".to_string(),
+            ),
         }
     }
 
-    fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport {
-        let tracked = self.pacs.len();
-        self.findings.into_report(tracked, telemetry)
+    /// A signed access: checks that a key is live.
+    pub(crate) fn check(state: Option<&Self>, out: &mut PolicyReport, index: u64, pac: u64) {
+        match state {
+            Some(entry) if entry.keys_live > 0 => {}
+            Some(entry) if entry.ever_allocated => out.emit(
+                CS_REVOKED,
+                index,
+                pac,
+                "dereference after the allocation's key was revoked".to_string(),
+            ),
+            _ => out.emit(
+                CS_UNALLOCATED,
+                index,
+                pac,
+                "dereference through a key no allocation registered".to_string(),
+            ),
+        }
     }
 }
 
@@ -374,9 +319,15 @@ const PS_STALE: usize = 1;
 const PS_CLASS: usize = 2;
 const PS_DOUBLE_INVALIDATE: usize = 3;
 
-/// Per-PAC abstract state for the PACSan model.
+/// PACSan's slot of a PAC record: `pacma` seals a pointer (any size —
+/// including the Fig. 7b size-0 re-sign, which is the model's blind
+/// spot: a re-seal *launders* a dangling pointer, so the UAF chains
+/// that end in the re-sign pass PACSan's validation while AOS and
+/// CryptSan still flag them). `bndclr` invalidates a seal, and every
+/// signed access validates that a seal of the pointer's class is
+/// outstanding.
 #[derive(Debug, Default)]
-struct SealState {
+pub(crate) struct SealState {
     /// Outstanding seals per AHC class (counting, for collisions).
     sealed: [u32; 4],
     /// A seal was ever produced under this PAC.
@@ -391,113 +342,82 @@ impl SealState {
     fn total(&self) -> u32 {
         self.sealed.iter().sum()
     }
-}
 
-/// PACSan as a static policy: `pacma` seals a pointer (any size —
-/// including the Fig. 7b size-0 re-sign, which is the model's blind
-/// spot: a re-seal *launders* a dangling pointer, so the UAF chains
-/// that end in the re-sign pass PACSan's validation while AOS and
-/// CryptSan still flag them). `bndclr` invalidates a seal, and every
-/// signed access validates that a seal of the pointer's class is
-/// outstanding.
-struct PacSanPolicy {
-    layout: PointerLayout,
-    pacs: PacMap<SealState>,
-    findings: PolicyReport,
-}
-
-impl PolicyVerifier for PacSanPolicy {
-    fn policy(&self) -> Policy {
-        Policy::PacSan
+    /// A signed `pacma` in class `ahc`: seals.
+    pub(crate) fn seal(&mut self, ahc: usize) {
+        self.sealed[ahc] += 1;
+        self.ever_sealed = true;
+        self.just_invalidated = false;
     }
 
-    fn scan(&mut self, op: &Op) {
-        let index = self.findings.ops_scanned;
-        self.findings.ops_scanned += 1;
-        match *op {
-            Op::Pacma { pointer, .. } if self.layout.is_signed(pointer) => {
-                let ahc = self.layout.ahc(pointer) as usize & 3;
-                let entry = self.pacs.entry(self.layout.pac(pointer)).or_default();
-                entry.sealed[ahc] += 1;
-                entry.ever_sealed = true;
-                entry.just_invalidated = false;
+    /// A signed `bndclr` in class `ahc`: invalidates a seal.
+    pub(crate) fn invalidate(&mut self, out: &mut PolicyReport, index: u64, pac: u64, ahc: usize) {
+        if !self.ever_sealed {
+            out.emit(
+                PS_UNSEALED,
+                index,
+                pac,
+                "invalidation of a pointer no pacma sealed".to_string(),
+            );
+        } else if self.just_invalidated {
+            out.emit(
+                PS_DOUBLE_INVALIDATE,
+                index,
+                pac,
+                "second invalidation with no re-seal in between".to_string(),
+            );
+        } else {
+            if self.sealed[ahc] > 0 {
+                self.sealed[ahc] -= 1;
+            } else if let Some(slot) = self.sealed.iter_mut().find(|c| **c > 0) {
+                // Fail-open on the count (the class complaint belongs
+                // to the access rules, not the free).
+                *slot -= 1;
             }
-            Op::BndClr { pointer } if self.layout.is_signed(pointer) => {
-                let pac = self.layout.pac(pointer);
-                let ahc = self.layout.ahc(pointer) as usize & 3;
-                let entry = self.pacs.entry(pac).or_default();
-                if !entry.ever_sealed {
-                    self.findings.emit(
-                        PS_UNSEALED,
+            self.just_invalidated = true;
+        }
+    }
+
+    /// A signed access in class `ahc`: validates an outstanding seal.
+    pub(crate) fn validate(
+        state: Option<&Self>,
+        out: &mut PolicyReport,
+        index: u64,
+        pac: u64,
+        ahc: usize,
+    ) {
+        match state {
+            None => out.emit(
+                PS_UNSEALED,
+                index,
+                pac,
+                "use of a pointer no pacma sealed".to_string(),
+            ),
+            Some(entry) if entry.total() == 0 => {
+                if entry.ever_sealed {
+                    out.emit(
+                        PS_STALE,
                         index,
                         pac,
-                        "invalidation of a pointer no pacma sealed".to_string(),
-                    );
-                } else if entry.just_invalidated {
-                    self.findings.emit(
-                        PS_DOUBLE_INVALIDATE,
-                        index,
-                        pac,
-                        "second invalidation with no re-seal in between".to_string(),
+                        "use after every seal instance was invalidated".to_string(),
                     );
                 } else {
-                    if entry.sealed[ahc] > 0 {
-                        entry.sealed[ahc] -= 1;
-                    } else if let Some(slot) = entry.sealed.iter_mut().find(|c| **c > 0) {
-                        // Fail-open on the count (the class complaint
-                        // belongs to the access rules, not the free).
-                        *slot -= 1;
-                    }
-                    entry.just_invalidated = true;
-                }
-            }
-            Op::Load { pointer, .. } | Op::Store { pointer, .. } | Op::Autm { pointer }
-                if self.layout.is_signed(pointer) =>
-            {
-                let pac = self.layout.pac(pointer);
-                let ahc = self.layout.ahc(pointer) as usize & 3;
-                match self.pacs.get(&pac) {
-                    None => self.findings.emit(
+                    out.emit(
                         PS_UNSEALED,
                         index,
                         pac,
                         "use of a pointer no pacma sealed".to_string(),
-                    ),
-                    Some(entry) if entry.total() == 0 => {
-                        if entry.ever_sealed {
-                            self.findings.emit(
-                                PS_STALE,
-                                index,
-                                pac,
-                                "use after every seal instance was invalidated".to_string(),
-                            );
-                        } else {
-                            self.findings.emit(
-                                PS_UNSEALED,
-                                index,
-                                pac,
-                                "use of a pointer no pacma sealed".to_string(),
-                            );
-                        }
-                    }
-                    Some(entry) if entry.sealed[ahc] == 0 => self.findings.emit(
-                        PS_CLASS,
-                        index,
-                        pac,
-                        format!("use in class {ahc} but the seal was produced elsewhere"),
-                    ),
-                    Some(_) => {}
+                    );
                 }
             }
-            // bndstr/xpacm and unsigned traffic: PACSan's shadow
-            // tracks seals, not bounds records.
-            _ => {}
+            Some(entry) if entry.sealed[ahc] == 0 => out.emit(
+                PS_CLASS,
+                index,
+                pac,
+                format!("use in class {ahc} but the seal was produced elsewhere"),
+            ),
+            Some(_) => {}
         }
-    }
-
-    fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport {
-        let tracked = self.pacs.len();
-        self.findings.into_report(tracked, telemetry)
     }
 }
 
@@ -505,66 +425,52 @@ impl PolicyVerifier for PacSanPolicy {
 const PT_FORGED: usize = 0;
 const PT_CLASS: usize = 1;
 
-/// PACTight as a static policy: the weakest model. `pacma` records
-/// that (PAC, class) was signed; every signed access merely
-/// authenticates that fact. No revocation, no liveness, no bounds —
-/// every temporal and spatial chain passes, only outright forgery
-/// (a PAC or class no pacma ever produced) is caught.
-struct PacTightPolicy {
-    layout: PointerLayout,
-    /// Per PAC: bitmask of AHC classes ever signed.
-    pacs: PacMap<u8>,
-    findings: PolicyReport,
-}
+/// PACTight's slot of a PAC record, the weakest model: the bitmask of
+/// AHC classes a `pacma` ever signed under the PAC. Every signed
+/// access merely authenticates that fact. No revocation, no liveness,
+/// no bounds — every temporal and spatial chain passes, only outright
+/// forgery (a PAC or class no pacma ever produced) is caught.
+#[derive(Debug, Default)]
+pub(crate) struct SignedClasses(u8);
 
-impl PolicyVerifier for PacTightPolicy {
-    fn policy(&self) -> Policy {
-        Policy::PacTight
+impl SignedClasses {
+    /// A signed `pacma` in class `ahc`.
+    pub(crate) fn sign(&mut self, ahc: usize) {
+        self.0 |= 1 << ahc;
     }
 
-    fn scan(&mut self, op: &Op) {
-        let index = self.findings.ops_scanned;
-        self.findings.ops_scanned += 1;
-        match *op {
-            Op::Pacma { pointer, .. } if self.layout.is_signed(pointer) => {
-                let ahc = self.layout.ahc(pointer) & 3;
-                *self.pacs.entry(self.layout.pac(pointer)).or_default() |= 1 << ahc;
-            }
-            Op::Load { pointer, .. } | Op::Store { pointer, .. } | Op::Autm { pointer }
-                if self.layout.is_signed(pointer) =>
-            {
-                let pac = self.layout.pac(pointer);
-                let ahc = self.layout.ahc(pointer) & 3;
-                match self.pacs.get(&pac) {
-                    None => self.findings.emit(
-                        PT_FORGED,
-                        index,
-                        pac,
-                        "authentication of a PAC no pacma produced".to_string(),
-                    ),
-                    Some(classes) if classes & (1 << ahc) == 0 => self.findings.emit(
-                        PT_CLASS,
-                        index,
-                        pac,
-                        format!("pointer authenticates in class {ahc}, never signed there"),
-                    ),
-                    Some(_) => {}
-                }
-            }
-            _ => {}
+    /// A signed access in class `ahc`: authenticates.
+    pub(crate) fn authenticate(
+        state: Option<&Self>,
+        out: &mut PolicyReport,
+        index: u64,
+        pac: u64,
+        ahc: usize,
+    ) {
+        match state {
+            None => out.emit(
+                PT_FORGED,
+                index,
+                pac,
+                "authentication of a PAC no pacma produced".to_string(),
+            ),
+            Some(classes) if classes.0 & (1 << ahc) == 0 => out.emit(
+                PT_CLASS,
+                index,
+                pac,
+                format!("pointer authenticates in class {ahc}, never signed there"),
+            ),
+            Some(_) => {}
         }
-    }
-
-    fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport {
-        let tracked = self.pacs.len();
-        self.findings.into_report(tracked, telemetry)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aos_ptrauth::compute_ahc;
+    use crate::MatrixScan;
+    use aos_isa::Op;
+    use aos_ptrauth::{compute_ahc, PointerLayout};
 
     fn layout() -> PointerLayout {
         PointerLayout::default()
@@ -602,11 +508,13 @@ mod tests {
     }
 
     fn run(policy: Policy, ops: &[Op]) -> PolicyReport {
-        let mut v = policy.new_verifier(layout());
-        for op in ops {
-            v.scan(op);
-        }
-        v.finish(&Telemetry::disabled())
+        MatrixScan::run(
+            &[policy],
+            ops.iter().copied(),
+            layout(),
+            &Telemetry::disabled(),
+        )
+        .remove(0)
     }
 
     fn lifecycle(ptr: u64, size: u64) -> Vec<Op> {
@@ -758,9 +666,13 @@ mod tests {
     fn telemetry_counts_non_aos_policy_findings() {
         let t = Telemetry::enabled();
         let forged = signed(0x4000, 0x99, 64);
-        let mut v = Policy::PacTight.new_verifier(layout());
-        v.scan(&load(forged));
-        let report = v.finish(&t);
+        let report = MatrixScan::run(
+            &[Policy::PacTight],
+            [load(forged)].into_iter(),
+            layout(),
+            &t,
+        )
+        .remove(0);
         assert_eq!(report.total_diagnostics(), 1);
         assert_eq!(t.snapshot().counter(Counter::LintPolicyDiagnostics), 1);
     }

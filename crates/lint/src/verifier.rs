@@ -1,37 +1,44 @@
-//! The streaming abstract interpreter: per-PAC lifecycle state
-//! machines driven by one forward scan of an [`Op`] stream.
+//! The AOS policy: the Fig. 7 / Algorithm 1 lifecycle state machine
+//! per PAC, and the [`lint_stream`] front ends that run it alone.
 //!
-//! Memory discipline: the linter holds one small `PacState` per
-//! *distinct PAC observed* — bounded by the PAC space (2^16 under the
-//! default layout), independent of trace length — plus O(1) global
-//! state. It buffers no ops, so composing it with the
-//! [`aos_isa::stream`] adapters preserves the pipeline's `O(window)`
-//! proof (see [`lint_stream_metered`]).
+//! Its per-PAC state is the AOS slot of the record
+//! [`MatrixScan`] holds per PAC; its global state — the strips
+//! awaiting an `xpacm` and the live-record count and peak — lives
+//! beside its report. A lint scan is a [`MatrixScan`] with only
+//! [`Policy::Aos`] enabled, so it holds one record per PAC the policy
+//! tracks (bounded by the PAC space, 2^16 under the default layout,
+//! independent of trace length) and buffers no ops: composing it with
+//! the [`aos_isa::stream`] adapters preserves the pipeline's
+//! `O(window)` proof (see [`lint_stream_metered`]).
+
+use std::num::NonZeroU64;
 
 use aos_isa::stream::{BufferedOps, OpStream};
 use aos_isa::Op;
 use aos_ptrauth::{compute_ahc, PointerLayout};
-use aos_util::hash::PacMap;
 use aos_util::Telemetry;
 
-use crate::policy::{Policy, PolicyReport, PolicyVerifier};
+use crate::matrix::MatrixScan;
+use crate::policy::{Policy, PolicyReport};
 use crate::report::LintReport;
 use crate::rules::Rule;
 
-/// Lifecycle state for one PAC: the abstract value the interpreter
-/// tracks per distinct signature it has seen.
+/// AOS's slot of a PAC record: the lifecycle state (Unsigned →
+/// Signed → Bounds-live → Cleared → Re-signed-dangling) of one
+/// signature.
 ///
 /// `live` counts outstanding bounds records per AHC class (index =
 /// AHC bits, 1..=3; index 0 is never populated because an unsigned
 /// pointer carries no PAC). Counting — not a boolean — is what lets
 /// PAC collisions (two live chunks signed into the same PAC) pass
 /// clean, exactly as the real HBT stores both records.
-#[derive(Debug, Default, Clone)]
-struct PacState {
+#[derive(Debug, Default)]
+pub(crate) struct PacState {
     /// Outstanding bounds records, by AHC class.
     live: [u32; 4],
-    /// Size operand of a `pacma` still awaiting its paired `bndstr`.
-    pending_sign: Option<u64>,
+    /// Size operand of a `pacma` still awaiting its paired `bndstr`
+    /// (a size-0 sign never awaits one).
+    pending_sign: Option<NonZeroU64>,
     /// A `bndstr` has ever recorded bounds under this PAC.
     ever_stored: bool,
     /// The last event was the free-site re-`pacma` (size 0) that
@@ -43,125 +50,63 @@ impl PacState {
     fn total_live(&self) -> u32 {
         self.live.iter().sum()
     }
+
+    /// Whether a `pacma` still awaits its `bndstr`.
+    pub(crate) fn unpaired(&self) -> bool {
+        self.pending_sign.is_some()
+    }
 }
 
-/// The streaming protocol verifier: the [`Policy::Aos`]
-/// [`PolicyVerifier`]. Feed ops with [`PolicyVerifier::scan`], then
-/// [`Linter::into_report`] for the [`LintReport`] — or use the
-/// [`lint_stream`] / [`lint_stream_metered`] front ends.
+/// The AOS policy's global state and findings.
 #[derive(Debug)]
-pub struct Linter {
-    layout: PointerLayout,
-    pacs: PacMap<PacState>,
+pub(crate) struct AosScan {
     /// `bndclr`s whose paired `xpacm` has not arrived yet. Global —
     /// `xpacm` takes no operand, so strips cannot be attributed to a
     /// PAC, only balanced in aggregate.
     pending_strips: u64,
-    findings: PolicyReport,
     live_records: u64,
     peak_live_records: u64,
+    pub(crate) findings: PolicyReport,
 }
 
-impl PolicyVerifier for Linter {
-    fn policy(&self) -> Policy {
-        Policy::Aos
-    }
-
-    fn scan(&mut self, op: &Op) {
-        let index = self.findings.ops_scanned;
-        self.findings.ops_scanned += 1;
-        match *op {
-            Op::Pacma { pointer, size } => self.pacma(index, pointer, size),
-            Op::BndStr { pointer, size } => self.bndstr(index, pointer, size),
-            Op::BndClr { pointer } => self.bndclr(index, pointer),
-            Op::Xpacm => self.xpacm(index),
-            Op::Load { pointer, .. } | Op::Store { pointer, .. } | Op::Autm { pointer } => {
-                self.access(index, pointer)
-            }
-            // Compute, branch, generic-PA and Watchdog ops carry no
-            // AOS protocol obligations.
-            _ => {}
-        }
-    }
-
-    fn finish(self: Box<Self>, telemetry: &Telemetry) -> PolicyReport {
-        self.into_report(telemetry).findings
-    }
-}
-
-impl Linter {
-    /// A fresh linter for streams using `layout`'s pointer encoding.
-    pub fn new(layout: PointerLayout) -> Self {
+impl AosScan {
+    pub(crate) fn new() -> Self {
         Self {
-            layout,
-            pacs: PacMap::default(),
             pending_strips: 0,
-            findings: PolicyReport::new(Policy::Aos),
             live_records: 0,
             peak_live_records: 0,
+            findings: PolicyReport::new(Policy::Aos),
         }
     }
 
-    /// Closes the stream: emits the end-of-stream balance findings
-    /// and produces the report. Counters land on `telemetry` (use
-    /// [`Telemetry::disabled`] to opt out).
-    pub fn into_report(mut self, telemetry: &Telemetry) -> LintReport {
-        let end = self.findings.ops_scanned;
-        if self.pending_strips > 0 {
-            let detail = format!(
-                "{} bndclr(s) with no matching xpacm at end of stream",
-                self.pending_strips
-            );
-            self.findings
-                .emit(Rule::UnbalancedAtEnd as usize, end, 0, detail);
-        }
-        // Map order is unspecified; PAC order keeps the report
-        // (and its digest) identical.
-        let mut unpaired: Vec<u64> = self
-            .pacs
-            .iter()
-            .filter(|(_, s)| s.pending_sign.is_some())
-            .map(|(&pac, _)| pac)
-            .collect();
-        unpaired.sort_unstable();
-        for pac in unpaired {
-            self.findings.emit(
-                Rule::UnbalancedAtEnd as usize,
-                end,
-                pac,
-                "pacma with no matching bndstr at end of stream".to_string(),
-            );
-        }
-        LintReport {
-            findings: self.findings.into_report(self.pacs.len(), telemetry),
-            live_records_at_end: self.live_records,
-            peak_live_records: self.peak_live_records,
-            pipeline_peak_buffered_ops: 0,
-        }
-    }
-
-    fn pacma(&mut self, index: u64, pointer: u64, size: u64) {
-        let pac = self.layout.pac(pointer);
-        let entry = self.pacs.entry(pac).or_default();
-        if size == 0 {
+    /// Any `pacma`, signed or not, into `state`, its PAC's slot.
+    pub(crate) fn pacma(
+        &mut self,
+        state: &mut PacState,
+        layout: PointerLayout,
+        index: u64,
+        pointer: u64,
+        size: u64,
+    ) {
+        let Some(size) = NonZeroU64::new(size) else {
             // Fig. 7b: the free site re-signs the dangling pointer
             // with an xzr size to lock it. Nothing to validate
             // statically — the pointer is *meant* to be poison now.
-            entry.resigned_dangling = true;
+            state.resigned_dangling = true;
             return;
-        }
-        entry.resigned_dangling = false;
+        };
+        state.resigned_dangling = false;
         // Back-to-back signs without a bndstr in between surface as
         // the unpaired sign at end of stream; the newer size wins
         // for bndstr matching.
-        entry.pending_sign = Some(size);
-        let ahc = self.layout.ahc(pointer);
-        let expected = compute_ahc(self.layout.address(pointer), size, self.layout.va_size());
+        state.pending_sign = Some(size);
+        let ahc = layout.ahc(pointer);
+        let expected = compute_ahc(layout.address(pointer), size.get(), layout.va_size());
         if ahc != expected.bits() {
             self.findings.emit(
                 Rule::AhcSizeMismatch as usize,
                 index,
-                pac,
+                layout.pac(pointer),
                 format!(
                     "pacma size {size} implies AHC class {} but pointer carries {ahc}",
                     expected.bits()
@@ -170,18 +115,25 @@ impl Linter {
         }
     }
 
-    fn bndstr(&mut self, index: u64, pointer: u64, size: u64) {
+    /// A `bndstr` of an unsigned pointer.
+    pub(crate) fn unsigned_bndstr(&mut self, index: u64) {
+        let detail = "bndstr of an unsigned pointer".to_string();
+        self.findings
+            .emit(Rule::BndstrWithoutPacma as usize, index, 0, detail);
+    }
+
+    /// A signed `bndstr` in class `ahc`.
+    pub(crate) fn bndstr(
+        &mut self,
+        state: &mut PacState,
+        index: u64,
+        pac: u64,
+        ahc: usize,
+        size: u64,
+    ) {
         let rule = Rule::BndstrWithoutPacma as usize;
-        if !self.layout.is_signed(pointer) {
-            let detail = "bndstr of an unsigned pointer".to_string();
-            self.findings.emit(rule, index, 0, detail);
-            return;
-        }
-        let pac = self.layout.pac(pointer);
-        let ahc = self.layout.ahc(pointer) as usize;
-        let entry = self.pacs.entry(pac).or_default();
-        match entry.pending_sign.take() {
-            Some(signed) if signed == size => {}
+        match state.pending_sign.take() {
+            Some(signed) if signed.get() == size => {}
             Some(signed) => self.findings.emit(
                 rule,
                 index,
@@ -196,26 +148,36 @@ impl Linter {
             ),
         }
         // Record the bounds regardless: the HBT would.
-        entry.live[ahc & 3] += 1;
-        entry.ever_stored = true;
-        entry.resigned_dangling = false;
+        state.live[ahc] += 1;
+        state.ever_stored = true;
+        state.resigned_dangling = false;
         self.live_records += 1;
         self.peak_live_records = self.peak_live_records.max(self.live_records);
     }
 
-    fn bndclr(&mut self, index: u64, pointer: u64) {
-        // Fig. 7b pairs every clear with a strip; balance is checked
-        // globally because xpacm carries no operand.
+    /// Any `bndclr`: Fig. 7b pairs every clear with a strip; balance
+    /// is checked globally because xpacm carries no operand.
+    pub(crate) fn note_clear(&mut self) {
         self.pending_strips += 1;
-        if !self.layout.is_signed(pointer) {
-            let detail = "bndclr of an unsigned pointer".to_string();
-            self.findings
-                .emit(Rule::UnknownPac as usize, index, 0, detail);
-            return;
-        }
-        let pac = self.layout.pac(pointer);
-        let ahc = self.layout.ahc(pointer) as usize & 3;
-        match self.pacs.get_mut(&pac) {
+    }
+
+    /// A `bndclr` of an unsigned pointer.
+    pub(crate) fn unsigned_bndclr(&mut self, index: u64) {
+        let detail = "bndclr of an unsigned pointer".to_string();
+        self.findings
+            .emit(Rule::UnknownPac as usize, index, 0, detail);
+    }
+
+    /// A signed `bndclr` in class `ahc`; `state` is the PAC's slot if
+    /// AOS tracks the PAC.
+    pub(crate) fn bndclr(
+        &mut self,
+        state: Option<&mut PacState>,
+        index: u64,
+        pac: u64,
+        ahc: usize,
+    ) {
+        match state {
             None => self.findings.emit(
                 Rule::UnknownPac as usize,
                 index,
@@ -250,7 +212,8 @@ impl Linter {
         }
     }
 
-    fn xpacm(&mut self, index: u64) {
+    /// An `xpacm`.
+    pub(crate) fn xpacm(&mut self, index: u64) {
         if self.pending_strips == 0 {
             self.findings.emit(
                 Rule::XpacmWithoutBndclr as usize,
@@ -263,13 +226,10 @@ impl Linter {
         }
     }
 
-    fn access(&mut self, index: u64, pointer: u64) {
-        if !self.layout.is_signed(pointer) {
-            return;
-        }
-        let pac = self.layout.pac(pointer);
-        let ahc = self.layout.ahc(pointer) as usize & 3;
-        let (rule, detail) = match self.pacs.get(&pac) {
+    /// A signed access in class `ahc`; `state` is the PAC's slot if
+    /// AOS tracks the PAC.
+    pub(crate) fn access(&mut self, state: Option<&PacState>, index: u64, pac: u64, ahc: usize) {
+        let (rule, detail) = match state {
             None => (
                 Rule::UnknownPac,
                 "access through a PAC no pacma produced".to_string(),
@@ -294,6 +254,37 @@ impl Linter {
             Some(_) => return,
         };
         self.findings.emit(rule as usize, index, pac, detail);
+    }
+
+    /// Closes the stream at op index `end`: the end-of-stream balance
+    /// findings, with the unpaired signs' PACs in ascending order.
+    pub(crate) fn close(&mut self, end: u64, unpaired: &[u64]) {
+        if self.pending_strips > 0 {
+            let detail = format!(
+                "{} bndclr(s) with no matching xpacm at end of stream",
+                self.pending_strips
+            );
+            self.findings
+                .emit(Rule::UnbalancedAtEnd as usize, end, 0, detail);
+        }
+        for &pac in unpaired {
+            self.findings.emit(
+                Rule::UnbalancedAtEnd as usize,
+                end,
+                pac,
+                "pacma with no matching bndstr at end of stream".to_string(),
+            );
+        }
+    }
+
+    /// The closed scan as a [`LintReport`] around its `findings`.
+    pub(crate) fn into_lint_report(self, findings: PolicyReport) -> LintReport {
+        LintReport {
+            findings,
+            live_records_at_end: self.live_records,
+            peak_live_records: self.peak_live_records,
+            pipeline_peak_buffered_ops: 0,
+        }
     }
 }
 
@@ -325,9 +316,9 @@ fn scan_all(
     layout: PointerLayout,
     telemetry: &Telemetry,
 ) -> LintReport {
-    let mut linter = Linter::new(layout);
+    let mut scan = MatrixScan::new(&[Policy::Aos], layout);
     for op in stream {
-        linter.scan(&op);
+        scan.scan(&op);
     }
-    linter.into_report(telemetry)
+    scan.into_lint_report(telemetry)
 }

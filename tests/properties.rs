@@ -14,9 +14,11 @@ use aos_core::ptrauth::{bwb_tag, compute_ahc, Ahc, PointerLayout};
 use aos_core::qarma::{truncate_pac, PacKey, Qarma64};
 use aos_core::AosProcess;
 use aos_isa::strategy::{action_script, lifecycle_stream, LifecycleConfig};
+use aos_isa::Op;
 use aos_isa::SafetyConfig;
-use aos_lint::lint_stream;
+use aos_lint::{lint_stream, MatrixScan, Policy};
 use aos_sim::Machine;
+use aos_util::Telemetry;
 
 proptest! {
     /// QARMA is a permutation: invert ∘ compute = identity for any
@@ -224,4 +226,60 @@ proptest! {
             prop_assert_eq!(stats.violations, 0, "violation on clean stream");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The policies stay independent inside the shared scanner: over
+    /// arbitrary op streams — unsigned pointers, PACs colliding across
+    /// AHC classes, unpaired and repeated metadata ops — each policy's
+    /// report from a four-policy scan equals its report from scanning
+    /// alone, and the AOS one equals the linter's.
+    #[test]
+    fn each_policy_reports_alone_what_it_reports_in_the_matrix(
+        script in action_script(0..9, 0..u64::MAX, 0..u64::MAX, 1..160),
+    ) {
+        let ops = arbitrary_ops(&script);
+        let layout = PointerLayout::default();
+        let scan = |policies: &[Policy]| {
+            MatrixScan::run(policies, ops.iter().copied(), layout, &Telemetry::disabled())
+        };
+        let all = scan(&Policy::ALL);
+        for (p, report) in Policy::ALL.iter().zip(&all) {
+            prop_assert_eq!(&scan(&[*p])[0], report);
+        }
+        prop_assert_eq!(&lint_stream(ops.iter().copied(), layout).findings, &all[0]);
+    }
+}
+
+/// Interprets a `(kind, a, b)` script as arbitrary ops over four
+/// chunks, four PACs and every AHC class (0 = unsigned), so PACs
+/// collide and metadata ops arrive in any order.
+fn arbitrary_ops(script: &[(u8, u64, u64)]) -> Vec<Op> {
+    let layout = PointerLayout::default();
+    let pointer =
+        |a: u64| layout.compose(0x4000 + (a % 4) * 0x100, (a >> 2) % 4, ((a >> 4) % 4) as u8);
+    script
+        .iter()
+        .map(|&(kind, a, b)| {
+            let pointer = pointer(a);
+            let size = [0, 16, 64, 256][(b % 4) as usize];
+            match kind {
+                0 => Op::Pacma { pointer, size },
+                1 => Op::BndStr { pointer, size },
+                2 => Op::BndClr { pointer },
+                3 => Op::Xpacm,
+                4 => Op::Load {
+                    pointer,
+                    bytes: 8,
+                    chained: false,
+                },
+                5 => Op::Store { pointer, bytes: 8 },
+                6 => Op::Autm { pointer },
+                7 => Op::PacCrypto,
+                _ => Op::IntAlu,
+            }
+        })
+        .collect()
 }
