@@ -12,7 +12,7 @@ use aos_core::experiment::campaign::{matrix, run_campaign, CampaignOptions};
 use aos_core::experiment::{run_metered, SystemUnderTest};
 use aos_isa::corpus::{CorpusReader, CorpusWriter};
 use aos_isa::SafetyConfig;
-use aos_lint::{lint_stream, LintReport};
+use aos_lint::{lint_stream, lint_stream_metered, LintReport};
 use aos_ptrauth::PointerLayout;
 use aos_sim::{Machine, RunStats};
 use aos_util::hash::{fnv1a64, FNV1A64_OFFSET};
@@ -136,8 +136,16 @@ pub fn stats_digest(stats: &RunStats) -> u64 {
     digest64(format!("{stats:?}").as_bytes())
 }
 
+/// A [`LintReport`] fingerprint: FNV-1a over its
+/// `aos-lint-report/v1` document with the stream's buffering mark
+/// cleared, so a lint job and a corpus replay of the same ops digest
+/// alike whatever produced them.
 fn report_digest(report: &LintReport) -> u64 {
-    digest64(report.to_json().as_bytes())
+    let findings = LintReport {
+        pipeline_peak_buffered_ops: 0,
+        ..report.clone()
+    };
+    digest64(findings.to_json().as_bytes())
 }
 
 fn find_workload(name: &str) -> Result<&'static WorkloadProfile, AosError> {
@@ -236,10 +244,9 @@ impl Iterator for ReplayOps {
 /// Executes one job and renders its result object (the `"result"`
 /// value of an `ok` response).
 ///
-/// `telemetry` is whatever handle the *caller's threading discipline*
-/// allows: the service passes a disabled handle because its workers
-/// run concurrently and [`aos_util::telemetry`] is single-writer; the
-/// single-threaded CLI passes its live handle.
+/// Lint scans and corpus frames count on `telemetry`. A handle has a
+/// single writer, so the service gives every job attempt a handle of
+/// its own and merges the snapshots.
 ///
 /// # Errors
 ///
@@ -276,7 +283,7 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
         } => {
             let p = find_workload(workload)?;
             let gen = TraceGenerator::new(p, *system, *scale);
-            let report = lint_stream(gen, PointerLayout::default());
+            let report = lint_stream_metered(gen, PointerLayout::default(), telemetry);
             Ok(lint_result(cell(workload, system, scale), &report))
         }
         JobSpec::Campaign {

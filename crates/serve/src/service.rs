@@ -16,8 +16,11 @@
 //! - the **collector thread** is the *only* writer: every response
 //!   line goes through it, and it alone keeps the session's
 //!   [`ServeSummary`], the one ledger of the session's counts, with no
-//!   lock on the hot path. [`ServeSummary::record_telemetry`]
-//!   projects it into a telemetry snapshot.
+//!   lock on the hot path. Each job attempt records into a handle of
+//!   its own and hands its snapshot back with its answer; the
+//!   collector merges them into the summary, and
+//!   [`ServeSummary::record_telemetry`] projects it into a telemetry
+//!   snapshot.
 //!
 //! Shutdown (a `shutdown` request or EOF) is a drain, not an abort:
 //! accepting stops, queued and in-flight jobs complete and answer,
@@ -72,7 +75,7 @@ impl Default for ServeOptions {
 }
 
 /// What one [`serve`] session did, as counted by the collector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeSummary {
     /// Jobs accepted into the queue.
     pub accepted: u64,
@@ -96,6 +99,10 @@ pub struct ServeSummary {
     /// Whether an explicit `shutdown` request (vs EOF) ended the
     /// session.
     pub shutdown_requested: bool,
+    /// What the jobs counted: the merged snapshots of every job
+    /// attempt that returned an answer (lint scans, corpus frames).
+    /// An attempt abandoned to a timeout or a panic returns none.
+    pub jobs: TelemetrySnapshot,
 }
 
 impl ServeSummary {
@@ -105,16 +112,20 @@ impl ServeSummary {
     }
 
     /// Projects the session's counts into a telemetry snapshot: the
-    /// `serve_*` counters, the queue-depth gauge, and the quarantined
-    /// corpus jobs as `corpus_crc_failures`.
+    /// `serve_*` counters, the queue-depth gauge, and what the jobs
+    /// counted (a quarantined corpus job's failed frame is among them,
+    /// as `corpus_crc_failures`). A no-op on a disabled snapshot.
     pub fn record_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+        if !snapshot.enabled {
+            return;
+        }
         snapshot.add(Counter::ServeJobsAccepted, self.accepted);
         snapshot.add(Counter::ServeJobsRejected, self.rejected);
         snapshot.add(Counter::ServeJobsRetried, self.retried);
         snapshot.add(Counter::ServeJobsTimedOut, self.timed_out);
         snapshot.add(Counter::ServeJobsPanicked, self.panicked);
-        snapshot.add(Counter::CorpusCrcFailures, self.quarantined);
         snapshot.gauge_max(Gauge::ServeQueueDepth, self.peak_queue_depth);
+        snapshot.merge(&self.jobs);
     }
 
     /// Adds a later session's counts (a socket serves one session per
@@ -130,6 +141,7 @@ impl ServeSummary {
         self.quarantined += later.quarantined;
         self.peak_queue_depth = self.peak_queue_depth.max(later.peak_queue_depth);
         self.shutdown_requested = later.shutdown_requested;
+        self.jobs.merge(&later.jobs);
     }
 }
 
@@ -159,12 +171,17 @@ enum Event {
         id: String,
         attempts: u32,
         result: Json,
+        /// What the answering attempt counted.
+        telemetry: TelemetrySnapshot,
     },
     Failed {
         id: String,
         attempts: u32,
         kind: &'static str,
         error: String,
+        /// What the answering attempt counted (empty when the guard
+        /// abandoned it).
+        telemetry: TelemetrySnapshot,
     },
     Drained {
         shutdown_requested: bool,
@@ -207,8 +224,10 @@ fn collector_loop(
                 id,
                 attempts,
                 result,
+                telemetry,
             } => {
                 summary.succeeded += 1;
+                summary.jobs.merge(&telemetry);
                 summary.retried += u64::from(attempts.saturating_sub(1));
                 write_line(&mut writer, &proto::render_ok(&id, attempts, result))?;
             }
@@ -217,15 +236,15 @@ fn collector_loop(
                 attempts,
                 kind,
                 error,
+                telemetry,
             } => {
                 summary.failed += 1;
+                summary.jobs.merge(&telemetry);
                 summary.retried += u64::from(attempts.saturating_sub(1));
                 match kind {
                     "timeout" => summary.timed_out += 1,
                     "panic" => summary.panicked += 1,
-                    // A corpus job quarantined by a CRC failure: the
-                    // jobs layer ran with a disabled handle (workers
-                    // are concurrent), so account the class here.
+                    // A corpus job quarantined by a CRC failure.
                     "corruption" => summary.quarantined += 1,
                     _ => {}
                 }
@@ -261,30 +280,37 @@ fn worker_loop(shared: &Shared, events: &mpsc::Sender<Event>, guard: &GuardOptio
             }
         };
         let Some((id, spec)) = job else { return };
-        // Workers run concurrently, so the job body gets a disabled
-        // telemetry handle; the collector's summary does all counting
-        // (see the module docs).
-        let work: aos_util::guard::Work<Result<Json, AosError>> = {
+        // Each attempt records into a handle of its own (a handle has
+        // one writer, and an abandoned attempt may still be running)
+        // and returns its snapshot for the collector to merge.
+        let work: aos_util::guard::Work<(Result<Json, AosError>, TelemetrySnapshot)> = {
             let spec = spec.clone();
-            Arc::new(move || jobs::execute(&spec, &Telemetry::disabled()))
+            Arc::new(move || {
+                let telemetry = Telemetry::enabled();
+                let result = jobs::execute(&spec, &telemetry);
+                (result, telemetry.snapshot())
+            })
         };
         let event = match run_guarded(work, guard) {
-            (Ok(Ok(result)), attempts) => Event::Succeeded {
+            (Ok((Ok(result), telemetry)), attempts) => Event::Succeeded {
                 id,
                 attempts,
                 result,
+                telemetry,
             },
-            (Ok(Err(error)), attempts) => Event::Failed {
+            (Ok((Err(error), telemetry)), attempts) => Event::Failed {
                 id,
                 attempts,
                 kind: proto::error_kind(&error),
                 error: format!("{} failed: {error}", spec.label()),
+                telemetry,
             },
             (Err(guard_error), attempts) => Event::Failed {
                 id,
                 attempts,
                 kind: guard_error.kind(),
                 error: format!("{} {guard_error}", spec.label()),
+                telemetry: TelemetrySnapshot::default(),
             },
         };
         if events.send(event).is_err() {
