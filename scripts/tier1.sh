@@ -22,7 +22,7 @@ echo "== tier-1: member crate tests =="
 # The root package's tests do not run the member crates' own tests.
 # These hold the cache model's reference oracles and the pipeline
 # properties, the bounds-table, MCU FSM and corruption properties, the
-# stream splice adapter, the per-policy verifiers, the fuzz harness's
+# stream splice adapter, the static scanner's policies, the fuzz harness's
 # finding classification, the serve jobs' report digests and the
 # CLI's flag and exit-code contract.
 cargo test -q -p aos-sim -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-lint \
@@ -58,6 +58,12 @@ echo "== tier-1: fault-injection smoke (strict) =="
 # The report is kept for the JSON parse step below.
 faults_json="${TMPDIR:-/tmp}/aos_tier1_faults_$$.json"
 cargo run -q --release -p aos-cli -- faults --seeds 2 --strict true --out "$faults_json"
+
+echo "== tier-1: fault-injection smoke, every static policy (strict) =="
+# The same sweep gated against each policy's own pinned split: a
+# change to the shared static scanner that moves what CryptSan, PACSan
+# or PACTight detects fails here.
+cargo run -q --release -p aos-cli -- faults --seeds 2 --policy all --strict true >/dev/null
 
 echo "== tier-1: static protocol lint smoke (strict) =="
 # A clean generated trace must carry zero protocol findings.
