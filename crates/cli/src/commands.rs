@@ -153,18 +153,17 @@ USAGE:
                                             Fig. 11 microbenchmark + §VI
                                             collision study
   aos serve [--socket <path>] [--queue <n>] [--workers <n>]
-            [--timeout-ms <n>] [--retries <n>] [--backoff-ms <n>]
-            [--retry-after-ms <n>] [--test-jobs true] [--telemetry true]
+            [--timeout-ms <n>] [--retry-after-ms <n>]
+            [--test-jobs true] [--telemetry true]
                                             long-running job service:
                                             newline-delimited JSON
-                                            (aos-serve/v1) on stdin/stdout,
+                                            (aos-serve/v2) on stdin/stdout,
                                             or a Unix socket with --socket;
                                             bounded queue (rejects answer
-                                            retry_after_ms), per-job
-                                            timeout + retries with
-                                            exponential backoff, panics
-                                            isolated per job, drains on
-                                            shutdown/EOF
+                                            retry_after_ms), each job runs
+                                            once under a per-job timeout,
+                                            panics isolated per job,
+                                            drains on shutdown/EOF
   aos corpus record --out <path> --workloads <w1,w2,..>
                     [--systems <s1,s2,..>] [--scale <f>]
                                             record a workload x system grid
@@ -529,13 +528,12 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
     );
     let report = run_campaign(&cells, &options);
     println!(
-        "{} cells on {} threads in {:.2}s ({:.2} cells/sec; {} completed, {} degraded, {} failed)",
+        "{} cells on {} threads in {:.2}s ({:.2} cells/sec; {} completed, {} failed)",
         report.results.len(),
         report.threads,
         report.wall.as_secs_f64(),
         report.cells_per_sec(),
         report.completed(),
-        report.degraded(),
         report.failed()
     );
     write_out(&parsed, &report.to_json(), false)?;
@@ -1214,12 +1212,12 @@ pub fn workloads() -> Result<(), String> {
 }
 
 /// `aos serve [--socket <path>] [--queue <n>] [--workers <n>]
-/// [--timeout-ms <n>] [--retries <n>] [--backoff-ms <n>]
-/// [--retry-after-ms <n>] [--test-jobs true] [--telemetry true]`.
+/// [--timeout-ms <n>] [--retry-after-ms <n>] [--test-jobs true]
+/// [--telemetry true]`.
 pub fn serve(args: &[String]) -> Result<(), CliError> {
     let parsed = Parsed::parse(
         args,
-        "socket queue workers timeout-ms retries backoff-ms retry-after-ms test-jobs telemetry",
+        "socket queue workers timeout-ms retry-after-ms test-jobs telemetry",
     )
     .map_err(CliError::Usage)?;
     let options = aos_serve::ServeOptions {
@@ -1235,8 +1233,6 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
             0 => None, // 0 disables the per-job deadline
             ms => Some(Duration::from_millis(ms)),
         },
-        retries: parsed.flag_or("retries", 1u32)?,
-        backoff_base: Duration::from_millis(parsed.flag_or("backoff-ms", 50u64)?),
         retry_after_ms: parsed.flag_or("retry-after-ms", 25u64)?,
         test_jobs: bool_flag(&parsed, "test-jobs"),
     };
@@ -1255,14 +1251,13 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     // The session report goes to stderr: stdout is the protocol
     // stream.
     eprintln!(
-        "aos-serve session: {} accepted, {} ok, {} failed ({} timed out, {} panicked), {} rejected, {} retries",
+        "aos-serve session: {} accepted, {} ok, {} failed ({} timed out, {} panicked), {} rejected",
         summary.accepted,
         summary.succeeded,
         summary.failed,
         summary.timed_out,
         summary.panicked,
         summary.rejected,
-        summary.retried,
     );
     if bool_flag(&parsed, "telemetry") {
         let mut snap = TelemetrySnapshot::new(true);

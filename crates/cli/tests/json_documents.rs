@@ -53,7 +53,7 @@ fn run_json_is_pinned() {
             "--telemetry",
             "true",
         ]),
-        "addebc194f1357aa",
+        "9488d0c85889822a",
     );
 }
 
@@ -72,7 +72,7 @@ fn stats_json_is_pinned() {
             "--json",
             "true",
         ]),
-        "49a3ca6917ce072c",
+        "e2730e827fc5d01c",
     );
 }
 
@@ -119,7 +119,7 @@ fn lint_and_matrix_outputs_are_pinned() {
         "--strict",
         "false",
     ];
-    assert_pinned("lint --fault", &stdout(&faulted), "37dc41de81787ec5");
+    assert_pinned("lint --fault", &stdout(&faulted), "1fb5c29a08cc8d43");
     let mut json = faulted.to_vec();
     json.extend(["--json", "true"]);
     assert_pinned("lint --fault --json", &stdout(&json), "7255423c2021771e");

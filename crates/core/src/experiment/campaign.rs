@@ -4,7 +4,7 @@
 //! a cell list out across a scoped worker pool
 //! ([`aos_util::par::ordered_parallel_map`]), returns per-cell
 //! [`CellResult`]s **in input order**, and renders a machine-readable
-//! JSON report (`aos-campaign-report/v7`, with per-cell telemetry
+//! JSON report (`aos-campaign-report/v8`, with per-cell telemetry
 //! counter columns) so perf trajectories can be tracked across PRs.
 //!
 //! Determinism: a cell's simulation consumes no shared mutable state
@@ -14,15 +14,13 @@
 //! are identical whether the campaign runs on 1 thread or 64 — the
 //! parallel path only changes wall-clock, never results.
 //!
-//! Degradation semantics: one poisoned cell must never sink a whole
+//! Failure isolation: one poisoned cell must never sink a whole
 //! figure. Each cell runs once under `catch_unwind`; a cell that
 //! panics is recorded as [`CellOutcome::Failed`] with the captured
 //! panic message while every other cell completes normally. A runner
 //! that returns an error fails its cell the same way, without a panic.
 //! A cell is deterministic, so a retry would only rerun the same
-//! failure, and none is made. The report keeps its per-cell `attempts`
-//! column and its *degraded* status for a cell that needed more than
-//! one attempt.
+//! failure, and none is made.
 //!
 //! # Examples
 //!
@@ -41,11 +39,11 @@
 //! assert!(report.results[0].stats().unwrap().cycles > 0);
 //! ```
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use aos_sim::RunStats;
-use aos_util::guard::{run_guarded, GuardOptions};
+use aos_util::error::panic_message;
 use aos_util::json::{Json, Layout};
 use aos_util::par::{effective_threads, ordered_parallel_map};
 use aos_util::AosError;
@@ -101,18 +99,6 @@ pub struct CellOutput {
     pub peak_trace_bytes: u64,
 }
 
-/// A bare `RunStats` is a valid cell output with no metering —
-/// used by custom runners that do not stream through a meter.
-impl From<RunStats> for CellOutput {
-    fn from(stats: RunStats) -> Self {
-        Self {
-            stats,
-            trace_ops: 0,
-            peak_trace_bytes: 0,
-        }
-    }
-}
-
 /// How a cell ended: with statistics, or with a captured failure.
 // The Completed/Failed size gap is the telemetry snapshot embedded in
 // `RunStats`; one outcome exists per cell and lives exactly as long as
@@ -138,10 +124,8 @@ pub struct CellResult {
     pub cell: CampaignCell,
     /// How the cell ended.
     pub outcome: CellOutcome,
-    /// Wall-clock spent on this cell, across all attempts.
+    /// Wall-clock spent on this cell.
     pub wall: Duration,
-    /// Attempts consumed (1 = clean first run).
-    pub attempts: u32,
 }
 
 impl CellResult {
@@ -177,7 +161,7 @@ impl CellResult {
         self.trace_ops() as f64 / self.wall.as_secs_f64().max(1e-12)
     }
 
-    /// The final attempt's error, when the cell failed.
+    /// The captured error, when the cell failed.
     pub fn error(&self) -> Option<&str> {
         match &self.outcome {
             CellOutcome::Completed(_) => None,
@@ -185,23 +169,15 @@ impl CellResult {
         }
     }
 
-    /// Completed, but only after at least one failed attempt.
-    pub fn is_degraded(&self) -> bool {
-        self.stats().is_some() && self.attempts > 1
-    }
-
-    /// Every attempt failed.
+    /// The cell panicked or its runner returned an error.
     pub fn is_failed(&self) -> bool {
         self.stats().is_none()
     }
 
-    /// The report's per-cell status string: `completed`, `degraded`,
-    /// or `failed`.
+    /// The report's per-cell status string: `completed` or `failed`.
     pub fn status(&self) -> &'static str {
         if self.is_failed() {
             "failed"
-        } else if self.is_degraded() {
-            "degraded"
         } else {
             "completed"
         }
@@ -224,7 +200,6 @@ impl CellResult {
             ("system", Json::str(self.cell.sut.safety.to_string())),
             ("scale", Json::num(self.cell.sut.scale)),
             ("status", Json::str(self.status())),
-            ("attempts", Json::num(self.attempts)),
             ("wall_seconds", Json::fixed(self.wall.as_secs_f64(), 6)),
         ];
         match &self.outcome {
@@ -306,20 +281,12 @@ impl CampaignReport {
         merged
     }
 
-    /// Cells that completed on the first attempt.
+    /// Cells that completed.
     pub fn completed(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| !r.is_failed() && !r.is_degraded())
-            .count()
+        self.results.len() - self.failed()
     }
 
-    /// Cells that completed, but needed more than one attempt.
-    pub fn degraded(&self) -> usize {
-        self.results.iter().filter(|r| r.is_degraded()).count()
-    }
-
-    /// Cells whose every attempt failed.
+    /// Cells that failed.
     pub fn failed(&self) -> usize {
         self.results.iter().filter(|r| r.is_failed()).count()
     }
@@ -329,24 +296,26 @@ impl CampaignReport {
         self.annotations.push((key.into(), value));
     }
 
-    /// The `aos-campaign-report/v7` JSON document (schema documented
+    /// The `aos-campaign-report/v8` JSON document (schema documented
     /// in DESIGN.md §11 and pinned by `tests/report_schema_golden.rs`):
     /// campaign wall-clock, cell-health counters and cells/sec at the
-    /// top, then one record per cell with its status, attempts,
-    /// wall-clock, (for completed cells) simulated cycles per second
+    /// top, then one record per cell with its status, wall-clock,
+    /// (for completed cells) simulated cycles per second
     /// and the cell's telemetry counters — always present, all-zero
     /// when the cell ran with telemetry disabled, so consumers see a
     /// stable shape. Failed cells carry the captured error instead.
     /// v6 dropped the per-cell `model` token that v5 added alongside
     /// the stage-core stall/replay/flush counters; v7 dropped the two
-    /// batch-transport counters when cells became per-op only.
+    /// batch-transport counters when cells became per-op only; v8
+    /// dropped the retry bookkeeping (a per-cell attempt count, a
+    /// status and count for cells that needed a retry, and the
+    /// service's retry counter), since every cell and job runs once.
     pub fn to_json(&self) -> String {
         let header = [
-            ("schema", Json::str("aos-campaign-report/v7")),
+            ("schema", Json::str("aos-campaign-report/v8")),
             ("threads", Json::num(self.threads)),
             ("cells", Json::num(self.results.len())),
             ("completed", Json::num(self.completed())),
-            ("degraded", Json::num(self.degraded())),
             ("failed", Json::num(self.failed())),
             ("wall_seconds", Json::fixed(self.wall.as_secs_f64(), 6)),
             ("cells_per_sec", Json::fixed(self.cells_per_sec(), 3)),
@@ -365,23 +334,19 @@ impl CampaignReport {
     }
 }
 
-/// The function a campaign invokes per cell, shared (`Arc`) by the
-/// worker threads. Runners that do not meter their stream can return
-/// a bare [`RunStats`] via `Ok(stats.into())`. An `Err` is the cell's
-/// ordinary failure (a fault that cannot be planned on the cell's
-/// trace, say): it fails the cell like a panic does.
-pub type CellRunner =
-    Arc<dyn Fn(usize, &CampaignCell) -> Result<CellOutput, AosError> + Send + Sync>;
+/// The function a campaign invokes per cell, borrowed by every worker
+/// thread. An `Err` is the cell's ordinary failure (a fault that
+/// cannot be planned on the cell's trace, say): it fails the cell like
+/// a panic does.
+pub type CellRunner<'a> = dyn Fn(usize, &CampaignCell) -> Result<CellOutput, AosError> + Sync + 'a;
 
 /// Runs every cell across the worker pool and collects results in
 /// input order. See the [module docs](self) for the determinism
 /// guarantee and failure isolation.
 pub fn run_campaign(cells: &[CampaignCell], options: &CampaignOptions) -> CampaignReport {
-    run_campaign_custom(
-        cells,
-        options,
-        Arc::new(|_index, cell: &CampaignCell| Ok(super::run_metered(&cell.profile, &cell.sut))),
-    )
+    run_campaign_custom(cells, options, &|_index, cell| {
+        Ok(super::run_metered(&cell.profile, &cell.sut))
+    })
 }
 
 /// [`run_campaign`] with a caller-supplied per-cell runner — the
@@ -390,18 +355,31 @@ pub fn run_campaign(cells: &[CampaignCell], options: &CampaignOptions) -> Campai
 pub fn run_campaign_custom(
     cells: &[CampaignCell],
     options: &CampaignOptions,
-    runner: CellRunner,
+    runner: &CellRunner<'_>,
 ) -> CampaignReport {
     let threads = effective_threads(options.threads);
     let start = Instant::now();
     let results = ordered_parallel_map(cells, threads, |index, cell| {
         let cell_start = Instant::now();
-        let (outcome, attempts) = run_cell_guarded(&runner, index, cell);
+        // Once, under `catch_unwind`: a cell is deterministic, so a
+        // retry would only repeat its failure.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| runner(index, cell))) {
+            Ok(Ok(output)) => CellOutcome::Completed(output),
+            Ok(Err(error)) => CellOutcome::Failed {
+                error: format!("cell {} failed: {error}", cell.label()),
+            },
+            Err(payload) => CellOutcome::Failed {
+                error: format!(
+                    "cell {} panicked: {}",
+                    cell.label(),
+                    panic_message(payload.as_ref())
+                ),
+            },
+        };
         CellResult {
             cell: *cell,
             outcome,
             wall: cell_start.elapsed(),
-            attempts,
         }
     });
     CampaignReport {
@@ -410,24 +388,6 @@ pub fn run_campaign_custom(
         threads,
         annotations: Vec::new(),
     }
-}
-
-/// One cell, run once under `catch_unwind` through
-/// [`aos_util::guard::run_guarded`]. Returns the outcome and the
-/// attempts consumed (always 1).
-fn run_cell_guarded(runner: &CellRunner, index: usize, cell: &CampaignCell) -> (CellOutcome, u32) {
-    let work = {
-        let runner = Arc::clone(runner);
-        let cell = *cell;
-        Arc::new(move || runner(index, &cell))
-    };
-    let (outcome, attempts) = run_guarded(work, &GuardOptions::default());
-    let error = match outcome {
-        Ok(Ok(output)) => return (CellOutcome::Completed(output), attempts),
-        Ok(Err(error)) => format!("cell {} failed: {error}", cell.label()),
-        Err(error) => format!("cell {} {error}", cell.label()),
-    };
-    (CellOutcome::Failed { error }, attempts)
 }
 
 #[cfg(test)]
@@ -460,11 +420,10 @@ mod tests {
         for (cell, result) in cells.iter().zip(&report.results) {
             assert_eq!(cell.label(), result.cell.label());
             assert_eq!(result.status(), "completed");
-            assert_eq!(result.attempts, 1);
             assert!(result.stats().unwrap().cycles > 0);
         }
         assert_eq!(report.completed(), 10);
-        assert_eq!(report.degraded() + report.failed(), 0);
+        assert_eq!(report.failed(), 0);
     }
 
     #[test]
@@ -473,7 +432,7 @@ mod tests {
         let mut report = run_campaign(&cells, &CampaignOptions::with_threads(2));
         report.annotate("note", Layout::Inline.object([("tag", Json::str("smoke"))]));
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v7\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v8\""));
         assert!(json.contains("\"cells\": 3"));
         assert!(json.contains("\"completed\": 3"));
         assert!(json.contains("\"failed\": 0"));
@@ -520,16 +479,13 @@ mod tests {
     #[test]
     fn poisoned_cell_fails_without_sinking_the_campaign() {
         let cells = small_cells()[..4].to_vec();
-        let report = run_campaign_custom(
-            &cells,
-            &CampaignOptions::with_threads(2),
-            Arc::new(|index, cell: &CampaignCell| {
+        let report =
+            run_campaign_custom(&cells, &CampaignOptions::with_threads(2), &|index, cell| {
                 if index == 1 {
                     panic!("deliberately poisoned cell");
                 }
-                Ok(crate::experiment::run(&cell.profile, &cell.sut).into())
-            }),
-        );
+                Ok(crate::experiment::run_metered(&cell.profile, &cell.sut))
+            });
         assert_eq!(report.results.len(), 4);
         assert_eq!(report.failed(), 1);
         assert_eq!(report.completed(), 3);
@@ -542,21 +498,17 @@ mod tests {
     }
 
     #[test]
-    fn runner_errors_fail_the_cell_on_the_first_attempt() {
+    fn runner_errors_fail_the_cell_without_a_panic() {
         let cells = small_cells()[..2].to_vec();
-        let report = run_campaign_custom(
-            &cells,
-            &CampaignOptions::with_threads(1),
-            Arc::new(|index, cell: &CampaignCell| {
+        let report =
+            run_campaign_custom(&cells, &CampaignOptions::with_threads(1), &|index, cell| {
                 if index == 0 {
                     return Err(AosError::invalid_input("cell runner", "no anchor"));
                 }
-                Ok(crate::experiment::run(&cell.profile, &cell.sut).into())
-            }),
-        );
+                Ok(crate::experiment::run_metered(&cell.profile, &cell.sut))
+            });
         let failed = &report.results[0];
         assert_eq!(failed.status(), "failed");
-        assert_eq!(failed.attempts, 1, "a cell runs once");
         assert_eq!(
             failed.error(),
             Some("cell mcf/Baseline failed: invalid input in cell runner: no anchor")

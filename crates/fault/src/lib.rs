@@ -21,7 +21,7 @@
 //!   (`aos-fuzz`) and `aos matrix` all measure through it;
 //! - [`campaign`] fans a `kind × seed × system` grid through the
 //!   hardened campaign runner and annotates the
-//!   `aos-campaign-report/v7` document with detection rates.
+//!   `aos-campaign-report/v8` document with detection rates.
 //!
 //! Every fault is a pure function of `(workload, kind, seed)` — two
 //! runs of the same spec inject the identical op at the identical

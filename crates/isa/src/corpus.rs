@@ -715,6 +715,7 @@ impl CorpusReader {
             block: Vec::new().into_iter(),
             blocks_seen: 0,
             ops_seen: 0,
+            peak_block: 0,
             done: false,
         })
     }
@@ -730,6 +731,8 @@ pub struct Replay {
     block: std::vec::IntoIter<Op>,
     blocks_seen: u32,
     ops_seen: u64,
+    /// The longest op block decoded so far.
+    peak_block: usize,
     done: bool,
 }
 
@@ -753,6 +756,7 @@ impl Replay {
                 }
                 self.blocks_seen += 1;
                 self.ops_seen += ops.len() as u64;
+                self.peak_block = self.peak_block.max(ops.len());
                 self.block = ops.into_iter();
                 Ok(true)
             }
@@ -785,6 +789,13 @@ impl Replay {
                 ))
             }
         }
+    }
+}
+
+/// A replay holds one decoded op block at a time.
+impl crate::stream::BufferedOps for Replay {
+    fn peak_buffered_ops(&self) -> usize {
+        self.peak_block
     }
 }
 

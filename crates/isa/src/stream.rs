@@ -250,6 +250,17 @@ impl<I: BufferedOps> BufferedOps for SpliceMany<I> {
     }
 }
 
+/// A stream drained through `&mut` reports what it reports itself.
+impl<T: BufferedOps + ?Sized> BufferedOps for &mut T {
+    fn peak_buffered_ops(&self) -> usize {
+        (**self).peak_buffered_ops()
+    }
+
+    fn record_telemetry(&self, snapshot: &mut TelemetrySnapshot) {
+        (**self).record_telemetry(snapshot);
+    }
+}
+
 /// Transparent op counter; composes with [`BufferedOps`] so a consumer
 /// can drain a stream through `&mut` and read both the op count and
 /// the pipeline's peak buffer afterwards.

@@ -1,18 +1,18 @@
-//! Job bodies: what each `aos-serve/v1` job kind actually executes,
+//! Job bodies: what each `aos-serve/v2` job kind actually executes,
 //! and the rendered result objects it answers with.
 //!
-//! Every body is a pure function of its spec — the service's retry
-//! machinery may run a body more than once, and replays of a recorded
-//! corpus must be bit-identical to the in-process pipeline — so
-//! results carry [`digest64`] fingerprints of the underlying
+//! Every body is a pure function of its spec, and replays of a
+//! recorded corpus must be bit-identical to the in-process pipeline,
+//! so results carry [`digest64`] fingerprints of the underlying
 //! [`RunStats`] / lint reports that tests (and users) can compare
 //! across processes and sessions.
 
 use aos_core::experiment::campaign::{matrix, run_campaign, CampaignOptions};
 use aos_core::experiment::{run_metered, SystemUnderTest};
 use aos_isa::corpus::{CorpusReader, CorpusWriter};
+use aos_isa::stream::BufferedOps;
 use aos_isa::SafetyConfig;
-use aos_lint::{lint_stream, lint_stream_metered, LintReport};
+use aos_lint::{lint_stream_metered, LintReport};
 use aos_ptrauth::PointerLayout;
 use aos_sim::{Machine, RunStats};
 use aos_util::hash::{fnv1a64, FNV1A64_OFFSET};
@@ -129,11 +129,13 @@ pub fn digest64(bytes: &[u8]) -> u64 {
     fnv1a64(FNV1A64_OFFSET, bytes)
 }
 
-/// A [`RunStats`] fingerprint: FNV-1a over the full `Debug`
-/// rendering, which covers every counter the struct holds. Two runs
-/// agree on this digest exactly when they are bit-identical.
+/// A [`RunStats`] fingerprint: FNV-1a over the `Debug` rendering of
+/// every simulated statistic, the telemetry snapshot left out (it is
+/// a projection of the same run), so a run digests alike with
+/// telemetry on or off. Two runs agree on this digest exactly when
+/// they simulated alike.
 pub fn stats_digest(stats: &RunStats) -> u64 {
-    digest64(format!("{stats:?}").as_bytes())
+    digest64(format!("{:?}", stats.without_telemetry()).as_bytes())
 }
 
 /// A [`LintReport`] fingerprint: FNV-1a over its
@@ -214,7 +216,7 @@ fn system_from_metadata(metadata: &str) -> Result<SafetyConfig, AosError> {
 }
 
 /// Adapter: drains a corpus [`Replay`](aos_isa::corpus::Replay) as a
-/// plain op iterator for a machine or linter, parking the first error
+/// plain op stream for a machine or linter, parking the first error
 /// so the caller can fail the job after the consumer stops. The
 /// iterator fuses at the error — no op after a corrupt block is ever
 /// delivered.
@@ -241,12 +243,18 @@ impl Iterator for ReplayOps {
     }
 }
 
+impl BufferedOps for ReplayOps {
+    fn peak_buffered_ops(&self) -> usize {
+        self.inner.peak_buffered_ops()
+    }
+}
+
 /// Executes one job and renders its result object (the `"result"`
 /// value of an `ok` response).
 ///
-/// Lint scans and corpus frames count on `telemetry`. A handle has a
-/// single writer, so the service gives every job attempt a handle of
-/// its own and merges the snapshots.
+/// Lint scans, corpus frames and simulated machines count on
+/// `telemetry`; the service gives every job a handle of its own and
+/// merges the snapshots.
 ///
 /// # Errors
 ///
@@ -268,8 +276,9 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
             scale,
         } => {
             let p = find_workload(workload)?;
-            let sut = SystemUnderTest::scaled(*system, *scale);
+            let sut = SystemUnderTest::scaled(*system, *scale).with_telemetry(true);
             let out = run_metered(p, &sut);
+            telemetry.merge(&out.stats.telemetry);
             Ok(sim_result(
                 cell(workload, system, scale),
                 &out.stats,
@@ -306,7 +315,6 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
             Ok(Layout::Compact.object([
                 ("cells", Json::num(report.results.len())),
                 ("completed", Json::num(report.completed())),
-                ("degraded", Json::num(report.degraded())),
                 ("failed", Json::num(report.failed())),
                 ("total_sim_cycles", Json::num(report.total_sim_cycles())),
             ]))
@@ -372,16 +380,18 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
             ];
             match mode {
                 ReplayMode::Sim => {
-                    let config = SystemUnderTest::standard(system).machine_config();
-                    let mut machine = Machine::new(config);
-                    let stats = machine.run(&mut ops);
+                    let config = SystemUnderTest::standard(system)
+                        .with_telemetry(true)
+                        .machine_config();
+                    let stats = Machine::new(config).run(&mut ops);
+                    telemetry.merge(&stats.telemetry);
                     if let Some(e) = ops.error {
                         return Err(e);
                     }
                     Ok(sim_result(head, &stats, meta.op_count))
                 }
                 ReplayMode::Lint => {
-                    let report = lint_stream(&mut ops, PointerLayout::default());
+                    let report = lint_stream_metered(&mut ops, PointerLayout::default(), telemetry);
                     if let Some(e) = ops.error {
                         return Err(e);
                     }
@@ -416,6 +426,7 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<Json, AosError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aos_lint::lint_stream;
     use aos_util::scratch::ScratchDir;
     use aos_util::Counter;
     use std::path::PathBuf;

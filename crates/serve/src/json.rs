@@ -1,4 +1,4 @@
-//! A minimal JSON parser for the `aos-serve/v1` protocol: *flat*
+//! A minimal JSON parser for the `aos-serve/v2` protocol: *flat*
 //! objects (string / number / bool / null values — the whole request
 //! vocabulary). Responses are written by the workspace's one JSON
 //! writer, [`aos_util::json::Json`]. The parser is hand-rolled because
@@ -153,7 +153,7 @@ impl<'a> Cursor<'a> {
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b'{') | Some(b'[') => Err(err(
-                "nested objects/arrays are not part of the aos-serve/v1 request vocabulary",
+                "nested objects/arrays are not part of the aos-serve/v2 request vocabulary",
             )),
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 let start = self.at;
@@ -239,10 +239,10 @@ mod tests {
     #[test]
     fn parses_the_protocol_shapes() {
         let o = parse_object(
-            r#"{"proto":"aos-serve/v1","id":"j1","kind":"trace","scale":0.01,"flag":true,"x":null}"#,
+            r#"{"proto":"aos-serve/v2","id":"j1","kind":"trace","scale":0.01,"flag":true,"x":null}"#,
         )
         .expect("parse");
-        assert_eq!(get(&o, "proto").unwrap().as_str(), Some("aos-serve/v1"));
+        assert_eq!(get(&o, "proto").unwrap().as_str(), Some("aos-serve/v2"));
         assert_eq!(get(&o, "scale").unwrap().as_f64(), Some(0.01));
         assert_eq!(get(&o, "flag"), Some(&JsonValue::Bool(true)));
         assert_eq!(get(&o, "x"), Some(&JsonValue::Null));

@@ -4,16 +4,16 @@
 //! The reproduction's workloads (trace cells, campaign grids, lint
 //! scans) were one-shot CLI invocations; this crate wraps them in a
 //! service that accepts jobs as newline-delimited JSON
-//! (`aos-serve/v1`) over stdin/stdout or a Unix socket and *stays up*
+//! (`aos-serve/v2`) over stdin/stdout or a Unix socket and *stays up*
 //! whatever a job does:
 //!
 //! - a **bounded queue** answers overload with an explicit
 //!   `rejected` + `retry_after_ms` line — backpressure is part of the
 //!   protocol, not an unbounded buffer;
-//! - every job runs under [`aos_util::guard`]: `catch_unwind`
-//!   isolation (a poisoned job answers `failed`, the service keeps
-//!   serving), a per-job wall-clock deadline, and bounded retries
-//!   with exponential backoff;
+//! - every job runs once under a guard: `catch_unwind` isolation (a
+//!   poisoned job answers `failed`, the service keeps serving) and a
+//!   per-job wall-clock deadline. A job is a pure function of its
+//!   spec, so it is never retried;
 //! - a corpus job that hits a CRC-failing block quarantines with a
 //!   typed [`AosError::Corruption`](aos_util::AosError) and a
 //!   `corpus_crc_failures` count — graceful degradation, never a
@@ -39,10 +39,10 @@
 //! use aos_serve::{serve, ServeOptions};
 //!
 //! let script = concat!(
-//!     r#"{"proto":"aos-serve/v1","id":"j1","kind":"lint","#,
+//!     r#"{"proto":"aos-serve/v2","id":"j1","kind":"lint","#,
 //!     r#""workload":"mcf","system":"aos","scale":0.004}"#,
 //!     "\n",
-//!     r#"{"proto":"aos-serve/v1","kind":"shutdown"}"#,
+//!     r#"{"proto":"aos-serve/v2","kind":"shutdown"}"#,
 //!     "\n",
 //! );
 //! // The writer moves to the collector thread, so hand it something

@@ -1,4 +1,4 @@
-//! The `aos-serve/v1` wire protocol: newline-delimited JSON, one
+//! The `aos-serve/v2` wire protocol: newline-delimited JSON, one
 //! object per line in each direction.
 //!
 //! Requests are flat objects: `proto` and `kind` always, `id` for job
@@ -9,9 +9,9 @@
 //!
 //! ```text
 //! ready     {"proto","status"}
-//! ok        {"proto","id","status","attempts","result"}
+//! ok        {"proto","id","status","result"}
 //! rejected  {"proto","id","status","error_kind","error","retry_after_ms"}
-//! failed    {"proto","id","status","attempts","error_kind","error"}
+//! failed    {"proto","id","status","error_kind","error"}
 //! shutdown  {"proto","status","jobs_completed"}
 //! ```
 //!
@@ -29,7 +29,7 @@ use crate::jobs::{JobSpec, ReplayMode};
 use crate::json::{self, JsonObject, JsonValue};
 
 /// The protocol identifier every line carries.
-pub const PROTO: &str = "aos-serve/v1";
+pub const PROTO: &str = "aos-serve/v2";
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,11 +210,10 @@ pub fn render_ready() -> String {
 }
 
 /// A completed job's response carrying the job's `result` object.
-pub fn render_ok(id: &str, attempts: u32, result: Json) -> String {
+pub fn render_ok(id: &str, result: Json) -> String {
     line([
         ("id", Json::str(id)),
         ("status", Json::str("ok")),
-        ("attempts", Json::num(attempts)),
         ("result", result),
     ])
 }
@@ -241,12 +240,11 @@ pub fn render_rejected(
     ])
 }
 
-/// A job that ran (possibly several attempts) and produced no result.
-pub fn render_failed(id: &str, attempts: u32, kind: &str, error: &str) -> String {
+/// A job that ran and produced no result.
+pub fn render_failed(id: &str, kind: &str, error: &str) -> String {
     line([
         ("id", Json::str(id)),
         ("status", Json::str("failed")),
-        ("attempts", Json::num(attempts)),
         ("error_kind", Json::str(kind)),
         ("error", Json::str(error)),
     ])
@@ -268,7 +266,7 @@ mod tests {
     #[test]
     fn parses_each_job_kind() {
         let r = parse_request(
-            r#"{"proto":"aos-serve/v1","id":"a","kind":"trace","workload":"mcf","system":"aos","scale":0.01}"#,
+            r#"{"proto":"aos-serve/v2","id":"a","kind":"trace","workload":"mcf","system":"aos","scale":0.01}"#,
             false,
         )
         .expect("trace");
@@ -280,7 +278,7 @@ mod tests {
             }
         ));
         let r = parse_request(
-            r#"{"proto":"aos-serve/v1","id":"b","kind":"campaign","workloads":"mcf, gcc","systems":"baseline,aos"}"#,
+            r#"{"proto":"aos-serve/v2","id":"b","kind":"campaign","workloads":"mcf, gcc","systems":"baseline,aos"}"#,
             false,
         )
         .expect("campaign");
@@ -301,11 +299,11 @@ mod tests {
             other => panic!("wrong parse: {other:?}"),
         }
         assert!(matches!(
-            parse_request(r#"{"proto":"aos-serve/v1","kind":"shutdown"}"#, false),
+            parse_request(r#"{"proto":"aos-serve/v2","kind":"shutdown"}"#, false),
             Ok(Request::Shutdown)
         ));
         let r = parse_request(
-            r#"{"proto":"aos-serve/v1","id":"c","kind":"corpus_replay","corpus":"/tmp/x.aosc","entry":"mcf-aos","mode":"lint"}"#,
+            r#"{"proto":"aos-serve/v2","id":"c","kind":"corpus_replay","corpus":"/tmp/x.aosc","entry":"mcf-aos","mode":"lint"}"#,
             false,
         )
         .expect("replay");
@@ -323,7 +321,7 @@ mod tests {
 
     #[test]
     fn test_jobs_are_gated() {
-        let line = r#"{"proto":"aos-serve/v1","id":"t","kind":"__sleep","millis":5}"#;
+        let line = r#"{"proto":"aos-serve/v2","id":"t","kind":"__sleep","millis":5}"#;
         assert!(parse_request(line, false).is_err(), "gated off by default");
         assert!(matches!(
             parse_request(line, true),
@@ -339,23 +337,23 @@ mod tests {
         for (line, needle) in [
             (r#"{"kind":"trace","id":"x"}"#, "missing field 'proto'"),
             (
-                r#"{"proto":"aos-serve/v2","kind":"trace","id":"x"}"#,
+                r#"{"proto":"aos-serve/v1","kind":"trace","id":"x"}"#,
                 "unsupported proto",
             ),
             (
-                r#"{"proto":"aos-serve/v1","kind":"explode","id":"x"}"#,
+                r#"{"proto":"aos-serve/v2","kind":"explode","id":"x"}"#,
                 "unknown job kind",
             ),
             (
-                r#"{"proto":"aos-serve/v1","kind":"trace"}"#,
+                r#"{"proto":"aos-serve/v2","kind":"trace"}"#,
                 "missing field 'id'",
             ),
             (
-                r#"{"proto":"aos-serve/v1","kind":"trace","id":"x","workload":"mcf","system":"doom"}"#,
+                r#"{"proto":"aos-serve/v2","kind":"trace","id":"x","workload":"mcf","system":"doom"}"#,
                 "unknown system",
             ),
             (
-                r#"{"proto":"aos-serve/v1","kind":"trace","id":"x","workload":"mcf","system":"aos","scale":7}"#,
+                r#"{"proto":"aos-serve/v2","kind":"trace","id":"x","workload":"mcf","system":"aos","scale":7}"#,
                 "scale must be in",
             ),
         ] {
@@ -366,7 +364,7 @@ mod tests {
 
     #[test]
     fn responses_escape_hostile_ids() {
-        let line = render_ok("a\"b\nc", 1, Layout::Compact.object::<&str>([]));
+        let line = render_ok("a\"b\nc", Layout::Compact.object::<&str>([]));
         assert!(line.contains("a\\\"b\\nc"));
         assert!(!line.contains('\n'), "NDJSON lines must stay one line");
         let line = render_rejected(None, "input", "queue \"full\"", Some(25));

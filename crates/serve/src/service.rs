@@ -8,16 +8,16 @@
 //!   either enqueues (bounded — a full queue answers `rejected` with
 //!   `retry_after_ms`, it never buffers unboundedly) or forwards the
 //!   parse error;
-//! - **worker threads** pop jobs and run them through
-//!   [`aos_util::guard::run_guarded`] — `catch_unwind` isolation, a
-//!   wall-clock deadline, bounded retries with exponential backoff —
-//!   so a poisoned or wedged job costs one response, never the
-//!   service;
+//! - **worker threads** pop jobs and run each once under a guard —
+//!   `catch_unwind` isolation and a wall-clock deadline — so a
+//!   poisoned or wedged job costs one response, never the service. A
+//!   job body is a pure function of its spec, so a retry would only
+//!   repeat its panic or its hang, and none is made;
 //! - the **collector thread** is the *only* writer: every response
 //!   line goes through it, and it alone keeps the session's
 //!   [`ServeSummary`], the one ledger of the session's counts, with no
-//!   lock on the hot path. Each job attempt records into a handle of
-//!   its own and hands its snapshot back with its answer; the
+//!   lock on the hot path. Each job records into a handle of its own
+//!   and hands its snapshot back with its answer; the
 //!   collector merges them into the summary, and
 //!   [`ServeSummary::record_telemetry`] projects it into a telemetry
 //!   snapshot.
@@ -28,11 +28,12 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use aos_util::guard::{run_guarded, GuardOptions};
+use aos_util::error::panic_message;
 use aos_util::json::Json;
 use aos_util::{AosError, Counter, Gauge, Telemetry, TelemetrySnapshot};
 
@@ -47,13 +48,8 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Per-attempt wall-clock deadline; `None` disables the watchdog.
+    /// Per-job wall-clock deadline; `None` disables the watchdog.
     pub job_timeout: Option<Duration>,
-    /// Extra attempts after a panicked or timed-out first attempt.
-    pub retries: u32,
-    /// Base of the exponential backoff between attempts
-    /// (`base * 2^(attempt-1)`).
-    pub backoff_base: Duration,
     /// The hint carried by queue-full rejections.
     pub retry_after_ms: u64,
     /// Accept the `__sleep` / `__poison` test kinds.
@@ -66,8 +62,6 @@ impl Default for ServeOptions {
             queue_capacity: 16,
             workers: 2,
             job_timeout: Some(Duration::from_secs(30)),
-            retries: 1,
-            backoff_base: Duration::from_millis(50),
             retry_after_ms: 25,
             test_jobs: false,
         }
@@ -85,11 +79,9 @@ pub struct ServeSummary {
     pub succeeded: u64,
     /// Accepted jobs answered `failed`.
     pub failed: u64,
-    /// Extra attempts spent on retries.
-    pub retried: u64,
-    /// Jobs whose final attempt timed out.
+    /// Jobs that timed out.
     pub timed_out: u64,
-    /// Jobs whose final attempt panicked.
+    /// Jobs that panicked.
     pub panicked: u64,
     /// Corpus jobs that failed a CRC or framing check and were
     /// quarantined.
@@ -99,9 +91,9 @@ pub struct ServeSummary {
     /// Whether an explicit `shutdown` request (vs EOF) ended the
     /// session.
     pub shutdown_requested: bool,
-    /// What the jobs counted: the merged snapshots of every job
-    /// attempt that returned an answer (lint scans, corpus frames).
-    /// An attempt abandoned to a timeout or a panic returns none.
+    /// What the jobs counted: the merged snapshots of every job that
+    /// returned an answer (lint scans, corpus frames, simulations). A
+    /// job abandoned to a timeout or a panic returns none.
     pub jobs: TelemetrySnapshot,
 }
 
@@ -121,7 +113,6 @@ impl ServeSummary {
         }
         snapshot.add(Counter::ServeJobsAccepted, self.accepted);
         snapshot.add(Counter::ServeJobsRejected, self.rejected);
-        snapshot.add(Counter::ServeJobsRetried, self.retried);
         snapshot.add(Counter::ServeJobsTimedOut, self.timed_out);
         snapshot.add(Counter::ServeJobsPanicked, self.panicked);
         snapshot.gauge_max(Gauge::ServeQueueDepth, self.peak_queue_depth);
@@ -135,7 +126,6 @@ impl ServeSummary {
         self.rejected += later.rejected;
         self.succeeded += later.succeeded;
         self.failed += later.failed;
-        self.retried += later.retried;
         self.timed_out += later.timed_out;
         self.panicked += later.panicked;
         self.quarantined += later.quarantined;
@@ -169,18 +159,15 @@ enum Event {
     },
     Succeeded {
         id: String,
-        attempts: u32,
         result: Json,
-        /// What the answering attempt counted.
+        /// What the job counted.
         telemetry: TelemetrySnapshot,
     },
     Failed {
         id: String,
-        attempts: u32,
         kind: &'static str,
         error: String,
-        /// What the answering attempt counted (empty when the guard
-        /// abandoned it).
+        /// What the job counted (empty when the guard abandoned it).
         telemetry: TelemetrySnapshot,
     },
     Drained {
@@ -222,25 +209,21 @@ fn collector_loop(
             }
             Event::Succeeded {
                 id,
-                attempts,
                 result,
                 telemetry,
             } => {
                 summary.succeeded += 1;
                 summary.jobs.merge(&telemetry);
-                summary.retried += u64::from(attempts.saturating_sub(1));
-                write_line(&mut writer, &proto::render_ok(&id, attempts, result))?;
+                write_line(&mut writer, &proto::render_ok(&id, result))?;
             }
             Event::Failed {
                 id,
-                attempts,
                 kind,
                 error,
                 telemetry,
             } => {
                 summary.failed += 1;
                 summary.jobs.merge(&telemetry);
-                summary.retried += u64::from(attempts.saturating_sub(1));
                 match kind {
                     "timeout" => summary.timed_out += 1,
                     "panic" => summary.panicked += 1,
@@ -248,10 +231,7 @@ fn collector_loop(
                     "corruption" => summary.quarantined += 1,
                     _ => {}
                 }
-                write_line(
-                    &mut writer,
-                    &proto::render_failed(&id, attempts, kind, &error),
-                )?;
+                write_line(&mut writer, &proto::render_failed(&id, kind, &error))?;
             }
             Event::Drained { shutdown_requested } => {
                 summary.shutdown_requested = shutdown_requested;
@@ -265,7 +245,45 @@ fn collector_loop(
     Ok(summary)
 }
 
-fn worker_loop(shared: &Shared, events: &mpsc::Sender<Event>, guard: &GuardOptions) {
+/// How a guarded job failed to answer.
+enum GuardError {
+    /// The job panicked; the payload is the captured message.
+    Panicked(String),
+    /// The job exceeded its wall-clock deadline.
+    TimedOut(Duration),
+}
+
+/// Runs `work` once under `catch_unwind`. With a `timeout` it runs on
+/// a watchdog thread instead: Rust threads cannot be cancelled, so a
+/// job past its deadline is abandoned — it keeps running in the
+/// background and its eventual result is dropped with the
+/// disconnected channel.
+fn run_guarded<T: Send + 'static>(
+    work: impl FnOnce() -> T + Send + 'static,
+    timeout: Option<Duration>,
+) -> Result<T, GuardError> {
+    let guarded = move || {
+        catch_unwind(AssertUnwindSafe(work))
+            .map_err(|payload| GuardError::Panicked(panic_message(payload.as_ref())))
+    };
+    let Some(limit) = timeout else {
+        return guarded();
+    };
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        // The receiver may have timed out and gone away; ignore.
+        let _ = tx.send(guarded());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(result) => result,
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(GuardError::TimedOut(limit)),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(GuardError::Panicked(
+            "worker thread vanished without reporting".to_string(),
+        )),
+    }
+}
+
+fn worker_loop(shared: &Shared, events: &mpsc::Sender<Event>, timeout: Option<Duration>) {
     loop {
         let job = {
             let mut state = shared.state.lock().expect("queue lock poisoned");
@@ -280,36 +298,37 @@ fn worker_loop(shared: &Shared, events: &mpsc::Sender<Event>, guard: &GuardOptio
             }
         };
         let Some((id, spec)) = job else { return };
-        // Each attempt records into a handle of its own (a handle has
-        // one writer, and an abandoned attempt may still be running)
-        // and returns its snapshot for the collector to merge.
-        let work: aos_util::guard::Work<(Result<Json, AosError>, TelemetrySnapshot)> = {
-            let spec = spec.clone();
-            Arc::new(move || {
-                let telemetry = Telemetry::enabled();
-                let result = jobs::execute(&spec, &telemetry);
-                (result, telemetry.snapshot())
-            })
+        let label = spec.label();
+        // The job records into a handle of its own (an abandoned job
+        // may still be running) and returns its snapshot for the
+        // collector to merge.
+        let work = move || {
+            let telemetry = Telemetry::enabled();
+            let result = jobs::execute(&spec, &telemetry);
+            (result, telemetry.snapshot())
         };
-        let event = match run_guarded(work, guard) {
-            (Ok((Ok(result), telemetry)), attempts) => Event::Succeeded {
+        let event = match run_guarded(work, timeout) {
+            Ok((Ok(result), telemetry)) => Event::Succeeded {
                 id,
-                attempts,
                 result,
                 telemetry,
             },
-            (Ok((Err(error), telemetry)), attempts) => Event::Failed {
+            Ok((Err(error), telemetry)) => Event::Failed {
                 id,
-                attempts,
                 kind: proto::error_kind(&error),
-                error: format!("{} failed: {error}", spec.label()),
+                error: format!("{label} failed: {error}"),
                 telemetry,
             },
-            (Err(guard_error), attempts) => Event::Failed {
+            Err(GuardError::Panicked(message)) => Event::Failed {
                 id,
-                attempts,
-                kind: guard_error.kind(),
-                error: format!("{} {guard_error}", spec.label()),
+                kind: "panic",
+                error: format!("{label} panicked: {message}"),
+                telemetry: TelemetrySnapshot::default(),
+            },
+            Err(GuardError::TimedOut(limit)) => Event::Failed {
+                id,
+                kind: "timeout",
+                error: format!("{label} timed out after {:.3}s", limit.as_secs_f64()),
                 telemetry: TelemetrySnapshot::default(),
             },
         };
@@ -340,19 +359,14 @@ pub fn serve(
         available: Condvar::new(),
     });
     let (events, event_rx) = mpsc::channel::<Event>();
-    let guard = GuardOptions {
-        timeout: options.job_timeout,
-        retries: options.retries,
-        backoff: options.backoff_base,
-    };
+    let timeout = options.job_timeout;
 
     let collector = std::thread::spawn(move || collector_loop(event_rx, writer));
     let workers: Vec<_> = (0..options.workers.max(1))
         .map(|_| {
             let shared = Arc::clone(&shared);
             let events = events.clone();
-            // GuardOptions is Copy: the move closure copies it.
-            std::thread::spawn(move || worker_loop(&shared, &events, &guard))
+            std::thread::spawn(move || worker_loop(&shared, &events, timeout))
         })
         .collect();
 
@@ -509,9 +523,9 @@ mod tests {
     #[test]
     fn serves_jobs_and_drains_on_eof() {
         let script = concat!(
-            r#"{"proto":"aos-serve/v1","id":"j1","kind":"lint","workload":"mcf","system":"aos","scale":0.004}"#,
+            r#"{"proto":"aos-serve/v2","id":"j1","kind":"lint","workload":"mcf","system":"aos","scale":0.004}"#,
             "\n",
-            r#"{"proto":"aos-serve/v1","id":"j2","kind":"trace","workload":"mcf","system":"baseline","scale":0.004}"#,
+            r#"{"proto":"aos-serve/v2","id":"j2","kind":"trace","workload":"mcf","system":"baseline","scale":0.004}"#,
             "\n",
         );
         let (summary, output) = run_script(script, &ServeOptions::default());
@@ -530,11 +544,11 @@ mod tests {
     fn malformed_lines_are_rejected_not_fatal() {
         let script = concat!(
             "this is not json\n",
-            r#"{"proto":"aos-serve/v1","id":"bad","kind":"trace","workload":"mcf","system":"doom"}"#,
+            r#"{"proto":"aos-serve/v2","id":"bad","kind":"trace","workload":"mcf","system":"doom"}"#,
             "\n",
-            r#"{"proto":"aos-serve/v1","id":"good","kind":"lint","workload":"mcf","system":"aos","scale":0.004}"#,
+            r#"{"proto":"aos-serve/v2","id":"good","kind":"lint","workload":"mcf","system":"aos","scale":0.004}"#,
             "\n",
-            r#"{"proto":"aos-serve/v1","kind":"shutdown"}"#,
+            r#"{"proto":"aos-serve/v2","kind":"shutdown"}"#,
             "\n",
         );
         let (summary, output) = run_script(script, &ServeOptions::default());
@@ -562,13 +576,13 @@ mod tests {
         // Worker holds the first job; the queue (capacity 1) takes the
         // second; the third must reject.
         let script = concat!(
-            r#"{"proto":"aos-serve/v1","id":"s1","kind":"__sleep","millis":150}"#,
+            r#"{"proto":"aos-serve/v2","id":"s1","kind":"__sleep","millis":150}"#,
             "\n",
-            r#"{"proto":"aos-serve/v1","id":"s2","kind":"__sleep","millis":1}"#,
+            r#"{"proto":"aos-serve/v2","id":"s2","kind":"__sleep","millis":1}"#,
             "\n",
-            r#"{"proto":"aos-serve/v1","id":"s3","kind":"__sleep","millis":1}"#,
+            r#"{"proto":"aos-serve/v2","id":"s3","kind":"__sleep","millis":1}"#,
             "\n",
-            r#"{"proto":"aos-serve/v1","id":"s4","kind":"__sleep","millis":1}"#,
+            r#"{"proto":"aos-serve/v2","id":"s4","kind":"__sleep","millis":1}"#,
             "\n",
         );
         let (summary, _) = run_script(script, &options);

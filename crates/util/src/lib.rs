@@ -16,10 +16,6 @@
 //!   at its item, so it never poisons the whole join.
 //! - [`error`] — the shared [`error::AosError`] taxonomy the pipeline
 //!   crates converge to at subsystem boundaries.
-//! - [`guard`] — guarded execution of untrusted work
-//!   ([`guard::run_guarded`]: `catch_unwind` isolation, wall-clock
-//!   watchdog, bounded retry with linear or exponential backoff), the
-//!   protection stack shared by the campaign runner and `aos-serve`.
 //! - [`telemetry`] — the zero-cost-when-disabled metrics registry
 //!   ([`telemetry::Telemetry`] handle, fixed counter/gauge/histogram
 //!   taxonomy, mergeable [`telemetry::TelemetrySnapshot`]) that every
@@ -46,7 +42,6 @@
 //! ```
 
 pub mod error;
-pub mod guard;
 pub mod hash;
 pub mod json;
 pub mod par;

@@ -8,16 +8,17 @@
 //!
 //! - a fixed **taxonomy** of monotonic [`Counter`]s, high-watermark /
 //!   level [`Gauge`]s and power-of-two bucketed [`Hist`]ograms, each
-//!   with a stable wire name (the `aos-campaign-report/v7` counter
+//!   with a stable wire name (the `aos-campaign-report/v8` counter
 //!   keys);
 //! - a [`Telemetry`] **handle**: the session accumulator that the
 //!   lint scans, corpus frames, the fuzzer and the fault campaign
 //!   count into, and into which a campaign merges the snapshots of the
-//!   runs it made — no globals, no locks on the hot path. A disabled
-//!   handle is a `None` and every record call is a single branch; an
-//!   enabled handle shares one [`Arc`] of plain `u64` cells (relaxed
-//!   atomics, so the same registry can be read across the campaign
-//!   runner's worker threads without synchronization);
+//!   runs it made — no globals. A disabled handle is a `None` and
+//!   every record call is a single branch; an enabled handle shares
+//!   one [`TelemetrySnapshot`] behind a lock, so its `add`, `merge`
+//!   and `snapshot` are the snapshot's own arithmetic. Callers record
+//!   per scan, per corpus block or per scenario, never per op, so the
+//!   lock stays off the hot path;
 //! - an immutable [`TelemetrySnapshot`] for reporting: plain arrays,
 //!   `PartialEq`/`Eq` for the bit-identity differential tests,
 //!   [`TelemetrySnapshot::merge`] for campaign-level aggregation, and
@@ -57,15 +58,14 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::json::{Json, Layout};
 
 /// Monotonic event counters, one per instrumented pipeline event.
 ///
 /// The discriminant is the cell index; [`Counter::NAMES`] (same
-/// order) are the stable wire names used by the v7 campaign report
+/// order) are the stable wire names used by the v8 campaign report
 /// and `aos stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -136,13 +136,10 @@ pub enum Counter {
     /// Jobs the service rejected with a retry-after backpressure
     /// reply because the queue was full.
     ServeJobsRejected,
-    /// Jobs that needed at least one retry before completing or
-    /// finally failing.
-    ServeJobsRetried,
-    /// Jobs whose every attempt exceeded the per-job deadline.
+    /// Jobs that exceeded the per-job deadline.
     ServeJobsTimedOut,
-    /// Jobs whose every attempt panicked (isolated by the guard; the
-    /// service kept serving).
+    /// Jobs that panicked (isolated by the guard; the service kept
+    /// serving).
     ServeJobsPanicked,
     /// Corpus frames written (entry headers, op blocks, trailers).
     CorpusBlocksWritten,
@@ -188,7 +185,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the taxonomy.
-    pub const COUNT: usize = 46;
+    pub const COUNT: usize = 45;
 
     /// Every counter, in cell (and wire) order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -221,7 +218,6 @@ impl Counter {
         Counter::LintDiagnostics,
         Counter::ServeJobsAccepted,
         Counter::ServeJobsRejected,
-        Counter::ServeJobsRetried,
         Counter::ServeJobsTimedOut,
         Counter::ServeJobsPanicked,
         Counter::CorpusBlocksWritten,
@@ -271,7 +267,6 @@ impl Counter {
         "lint_diagnostics",
         "serve_jobs_accepted",
         "serve_jobs_rejected",
-        "serve_jobs_retried",
         "serve_jobs_timed_out",
         "serve_jobs_panicked",
         "corpus_blocks_written",
@@ -381,46 +376,28 @@ pub fn hist_bucket_name(index: usize) -> String {
     }
 }
 
-/// The shared cell store behind an enabled handle.
-#[derive(Debug)]
-struct Registry {
-    counters: [AtomicU64; Counter::COUNT],
-    gauges: [AtomicU64; Gauge::COUNT],
-    hists: [[AtomicU64; HIST_BUCKETS]; Hist::COUNT],
-}
-
-impl Registry {
-    fn new() -> Self {
-        Self {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-        }
-    }
-}
-
 /// The session accumulator.
 ///
-/// Cloning shares the registry: a campaign hands clones to its scans
+/// Cloning shares the snapshot: a campaign hands clones to its scans
 /// and corpus readers and merges its runs' snapshots in, and every
 /// part records into the same cells. The default handle is disabled;
-/// [`Telemetry::enabled`] allocates a fresh zeroed registry.
+/// [`Telemetry::enabled`] starts a fresh zeroed snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    registry: Option<Arc<Registry>>,
+    shared: Option<Arc<Mutex<TelemetrySnapshot>>>,
 }
 
 impl Telemetry {
-    /// A recording handle with a fresh, zeroed registry.
+    /// A recording handle with a fresh, zeroed snapshot.
     pub fn enabled() -> Self {
         Self {
-            registry: Some(Arc::new(Registry::new())),
+            shared: Some(Arc::new(Mutex::new(TelemetrySnapshot::new(true)))),
         }
     }
 
     /// A no-op handle: every record call is a single `None` branch.
     pub fn disabled() -> Self {
-        Self { registry: None }
+        Self { shared: None }
     }
 
     /// `enabled()` or `disabled()` by flag.
@@ -434,69 +411,44 @@ impl Telemetry {
 
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.registry.is_some()
+        self.shared.is_some()
+    }
+
+    /// Runs `f` on the shared snapshot; a no-op on a disabled handle.
+    /// Every cell is a count on its own, so a snapshot a panicking
+    /// recorder left half-merged is still valid and a poisoned lock is
+    /// used as is.
+    fn with<R>(&self, f: impl FnOnce(&mut TelemetrySnapshot) -> R) -> Option<R> {
+        let shared = self.shared.as_ref()?;
+        let mut snapshot = shared.lock().unwrap_or_else(PoisonError::into_inner);
+        Some(f(&mut snapshot))
     }
 
     /// Adds 1 to a counter.
-    #[inline]
     pub fn count(&self, counter: Counter) {
         self.add(counter, 1);
     }
 
-    /// Adds `n` to a counter.
-    ///
-    /// Recording uses plain load+store on the cells rather than atomic
-    /// read-modify-write: every cell has a single writer (the owner of
-    /// the handle and the components it hands clones to, all on one
-    /// thread),
-    /// and dropping the `lock` prefix keeps the hot-path cost at a
-    /// couple of cycles. Concurrent *snapshots* from other threads
-    /// are safe; concurrent writers of one cell are not supported and
-    /// would lose increments.
-    #[inline]
+    /// Adds `n` to a counter ([`TelemetrySnapshot::add`]).
     pub fn add(&self, counter: Counter, n: u64) {
-        if let Some(r) = &self.registry {
-            let cell = &r.counters[counter as usize];
-            cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-        }
+        self.with(|snapshot| snapshot.add(counter, n));
     }
 
-    /// Folds a snapshot into the live cells with
-    /// [`TelemetrySnapshot::merge`]'s arithmetic — how a campaign
-    /// collects the snapshots of the machines it ran. A no-op on a
-    /// disabled handle.
+    /// Folds a snapshot in with [`TelemetrySnapshot::merge`] — how a
+    /// campaign collects the snapshots of the machines it ran.
     pub fn merge(&self, other: &TelemetrySnapshot) {
-        let Some(r) = &self.registry else { return };
-        let cells = r.counters.iter().chain(r.hists.iter().flatten());
-        let values = other.counters.iter().chain(other.hists.iter().flatten());
-        for (cell, &n) in cells.zip(values) {
-            cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-        }
-        for (cell, &value) in r.gauges.iter().zip(&other.gauges) {
-            if value > cell.load(Ordering::Relaxed) {
-                cell.store(value, Ordering::Relaxed);
-            }
-        }
+        self.with(|snapshot| snapshot.merge(other));
     }
 
-    /// An immutable copy of every cell.
+    /// A copy of the shared snapshot (an empty, disabled one for a
+    /// disabled handle).
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        match &self.registry {
-            None => TelemetrySnapshot::default(),
-            Some(r) => TelemetrySnapshot {
-                enabled: true,
-                counters: std::array::from_fn(|i| r.counters[i].load(Ordering::Relaxed)),
-                gauges: std::array::from_fn(|i| r.gauges[i].load(Ordering::Relaxed)),
-                hists: std::array::from_fn(|h| {
-                    std::array::from_fn(|b| r.hists[h][b].load(Ordering::Relaxed))
-                }),
-            },
-        }
+        self.with(|snapshot| snapshot.clone()).unwrap_or_default()
     }
 }
 
-/// An immutable copy of a registry's cells, suitable for reports and
-/// the bit-identity differential tests.
+/// A copy of a handle's cells, suitable for reports and the
+/// bit-identity differential tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Whether the snapshot came from an enabled handle.
@@ -710,13 +662,28 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_registry() {
+    fn clones_share_one_snapshot() {
         let t = Telemetry::enabled();
         let u = t.clone();
         t.count(Counter::HeapAllocs);
         u.add(Counter::HeapAllocs, 2);
         assert_eq!(t.snapshot().counter(Counter::HeapAllocs), 3);
         assert_eq!(t.snapshot(), u.snapshot());
+    }
+
+    #[test]
+    fn concurrent_writers_lose_no_increment() {
+        let t = Telemetry::enabled();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..10_000 {
+                        t.count(Counter::LintOpsScanned);
+                    }
+                });
+            }
+        });
+        assert_eq!(t.snapshot().counter(Counter::LintOpsScanned), 20_000);
     }
 
     #[test]

@@ -99,7 +99,7 @@ echo "== tier-1: serve smoke (graceful rejection + clean shutdown) =="
 # a final "shutdown" line with exit 0.
 serve_out="${TMPDIR:-/tmp}/aos_serve_smoke_$$.ndjson"
 printf '%s\n%s\n' \
-    '{"proto":"aos-serve/v1","id":"smoke","kind":"lint","workload":"mcf","system":"aos","scale":0.004}' \
+    '{"proto":"aos-serve/v2","id":"smoke","kind":"lint","workload":"mcf","system":"aos","scale":0.004}' \
     'this is not a protocol line' \
   | cargo run -q --release -p aos-cli -- serve --workers 1 2>/dev/null >"$serve_out"
 grep -q '"id":"smoke","status":"ok"' "$serve_out"

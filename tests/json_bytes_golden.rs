@@ -12,7 +12,7 @@
 //! - a telemetry snapshot;
 //! - a clean and a faulted lint report, the lint matrix and a fuzz
 //!   report;
-//! - one `aos-serve/v1` response line per status from a live session,
+//! - one `aos-serve/v2` response line per status from a live session,
 //!   including a sim result (`trace`) and a lint result (`lint`).
 //!
 //! A change to how JSON is written must leave the golden unchanged.
@@ -69,7 +69,6 @@ fn campaign_report() -> (CampaignReport, String) {
             error: "cell hmmer/Baseline panicked: \"quoted\"\n\tand\\slashed".to_string(),
         },
         wall: Duration::ZERO,
-        attempts: 2,
     });
     zero_walls(&mut report);
     let telemetry = report.results[1]
@@ -146,7 +145,7 @@ impl Write for SharedBuf {
 /// is named by its status and id; completion order does not matter.
 fn serve_lines() -> Vec<(String, String)> {
     let job = |id: &str, kind: &str, extra: &str| {
-        format!("{{\"proto\":\"aos-serve/v1\",\"id\":\"{id}\",\"kind\":\"{kind}\"{extra}}}\n")
+        format!("{{\"proto\":\"aos-serve/v2\",\"id\":\"{id}\",\"kind\":\"{kind}\"{extra}}}\n")
     };
     let fields = format!(",\"workload\":\"mcf\",\"system\":\"aos\",\"scale\":{SCALE}");
     let script = [
@@ -164,7 +163,6 @@ fn serve_lines() -> Vec<(String, String)> {
     let options = ServeOptions {
         workers: 1,
         job_timeout: None,
-        retries: 0,
         test_jobs: true,
         ..ServeOptions::default()
     };

@@ -1,4 +1,4 @@
-//! Golden-file pin of the `aos-campaign-report/v7` JSON schema.
+//! Golden-file pin of the `aos-campaign-report/v8` JSON schema.
 //!
 //! The report is JSON consumed by scripts, so its shape —
 //! field names, their order, and the per-cell telemetry counter keys —
@@ -19,7 +19,7 @@ use aos_workloads::profile::by_name;
 mod common;
 use common::ordered_keys;
 
-const GOLDEN: &str = "tests/golden/campaign_report_v7.keys";
+const GOLDEN: &str = "tests/golden/campaign_report_v8.keys";
 
 fn one_cell_report(telemetry: bool) -> String {
     let cells = matrix(
@@ -35,7 +35,7 @@ fn one_cell_report(telemetry: bool) -> String {
 fn campaign_report_key_sequence_matches_golden() {
     let json = one_cell_report(true);
     assert!(
-        json.contains("\"schema\": \"aos-campaign-report/v7\""),
+        json.contains("\"schema\": \"aos-campaign-report/v8\""),
         "schema version string drifted"
     );
     let keys = ordered_keys(&json).join("\n") + "\n";
@@ -47,7 +47,7 @@ fn campaign_report_key_sequence_matches_golden() {
         .expect("golden file missing; regenerate with AOS_UPDATE_GOLDEN=1");
     assert_eq!(
         keys, golden,
-        "the v7 report's key names/order changed; if intentional, bump the \
+        "the v8 report's key names/order changed; if intentional, bump the \
          schema version and rerun with AOS_UPDATE_GOLDEN=1"
     );
 }

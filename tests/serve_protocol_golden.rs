@@ -1,4 +1,4 @@
-//! Golden-file pin of the `aos-serve/v1` wire protocol.
+//! Golden-file pin of the `aos-serve/v2` wire protocol.
 //!
 //! The service answers with JSON whose key order is part
 //! of the interface (scripts `cut`/`grep` these lines, and the
@@ -22,7 +22,7 @@ use aos_util::Telemetry;
 mod common;
 use common::ordered_keys;
 
-const GOLDEN: &str = "tests/golden/serve_protocol_v1.keys";
+const GOLDEN: &str = "tests/golden/serve_protocol_v2.keys";
 const SCALE: f64 = 0.004;
 
 fn run(spec: JobSpec) -> Json {
@@ -42,42 +42,42 @@ fn shapes() -> Vec<(&'static str, String)> {
         (
             "request.trace",
             format!(
-                r#"{{"proto":"aos-serve/v1","id":"j1","kind":"trace","workload":"mcf","system":"aos","scale":{SCALE}}}"#
+                r#"{{"proto":"aos-serve/v2","id":"j1","kind":"trace","workload":"mcf","system":"aos","scale":{SCALE}}}"#
             ),
         ),
         (
             "request.lint",
             format!(
-                r#"{{"proto":"aos-serve/v1","id":"j2","kind":"lint","workload":"mcf","system":"aos","scale":{SCALE}}}"#
+                r#"{{"proto":"aos-serve/v2","id":"j2","kind":"lint","workload":"mcf","system":"aos","scale":{SCALE}}}"#
             ),
         ),
         (
             "request.campaign",
             format!(
-                r#"{{"proto":"aos-serve/v1","id":"j3","kind":"campaign","workloads":"mcf","systems":"baseline,aos","scale":{SCALE}}}"#
+                r#"{{"proto":"aos-serve/v2","id":"j3","kind":"campaign","workloads":"mcf","systems":"baseline,aos","scale":{SCALE}}}"#
             ),
         ),
         (
             "request.corpus_record",
             format!(
-                r#"{{"proto":"aos-serve/v1","id":"j4","kind":"corpus_record","corpus":"{corpus}","workloads":"mcf","systems":"aos","scale":{SCALE}}}"#
+                r#"{{"proto":"aos-serve/v2","id":"j4","kind":"corpus_record","corpus":"{corpus}","workloads":"mcf","systems":"aos","scale":{SCALE}}}"#
             ),
         ),
         (
             "request.corpus_replay",
             format!(
-                r#"{{"proto":"aos-serve/v1","id":"j5","kind":"corpus_replay","corpus":"{corpus}","entry":"mcf-aos","mode":"sim"}}"#
+                r#"{{"proto":"aos-serve/v2","id":"j5","kind":"corpus_replay","corpus":"{corpus}","entry":"mcf-aos","mode":"sim"}}"#
             ),
         ),
         (
             "request.corpus_verify",
             format!(
-                r#"{{"proto":"aos-serve/v1","id":"j6","kind":"corpus_verify","corpus":"{corpus}"}}"#
+                r#"{{"proto":"aos-serve/v2","id":"j6","kind":"corpus_verify","corpus":"{corpus}"}}"#
             ),
         ),
         (
             "request.shutdown",
-            r#"{"proto":"aos-serve/v1","kind":"shutdown"}"#.to_string(),
+            r#"{"proto":"aos-serve/v2","kind":"shutdown"}"#.to_string(),
         ),
     ];
     for (name, line) in &requests {
@@ -111,7 +111,6 @@ fn shapes() -> Vec<(&'static str, String)> {
             "response.ok.trace",
             render_ok(
                 "j1",
-                1,
                 run(JobSpec::Trace {
                     workload: "mcf".into(),
                     system: SafetyConfig::Aos,
@@ -123,7 +122,6 @@ fn shapes() -> Vec<(&'static str, String)> {
             "response.ok.lint",
             render_ok(
                 "j2",
-                1,
                 run(JobSpec::Lint {
                     workload: "mcf".into(),
                     system: SafetyConfig::Aos,
@@ -135,7 +133,6 @@ fn shapes() -> Vec<(&'static str, String)> {
             "response.ok.campaign",
             render_ok(
                 "j3",
-                1,
                 run(JobSpec::Campaign {
                     workloads: vec!["mcf".into()],
                     systems: vec![SafetyConfig::Baseline, SafetyConfig::Aos],
@@ -143,16 +140,13 @@ fn shapes() -> Vec<(&'static str, String)> {
                 }),
             ),
         ),
-        ("response.ok.corpus_record", render_ok("j4", 1, record)),
-        (
-            "response.ok.corpus_replay.sim",
-            render_ok("j5", 1, replay_sim),
-        ),
+        ("response.ok.corpus_record", render_ok("j4", record)),
+        ("response.ok.corpus_replay.sim", render_ok("j5", replay_sim)),
         (
             "response.ok.corpus_replay.lint",
-            render_ok("j5", 1, replay_lint),
+            render_ok("j5", replay_lint),
         ),
-        ("response.ok.corpus_verify", render_ok("j6", 1, verify)),
+        ("response.ok.corpus_verify", render_ok("j6", verify)),
         (
             "response.rejected.backpressure",
             render_rejected(
@@ -168,7 +162,7 @@ fn shapes() -> Vec<(&'static str, String)> {
         ),
         (
             "response.failed",
-            render_failed("j8", 3, "timeout", "trace mcf/AOS timed out after 30000ms"),
+            render_failed("j8", "timeout", "trace mcf/AOS timed out after 30.000s"),
         ),
         ("response.shutdown", render_shutdown(4)),
     ]);
@@ -176,7 +170,7 @@ fn shapes() -> Vec<(&'static str, String)> {
 }
 
 #[test]
-fn serve_protocol_v1_key_sequences_match_golden() {
+fn serve_protocol_v2_key_sequences_match_golden() {
     let mut doc = String::new();
     for (name, line) in shapes() {
         doc.push_str("== ");
@@ -195,7 +189,7 @@ fn serve_protocol_v1_key_sequences_match_golden() {
         .expect("golden file missing; regenerate with AOS_UPDATE_GOLDEN=1");
     assert_eq!(
         doc, golden,
-        "the aos-serve/v1 key names/order changed; if intentional, bump the \
+        "the aos-serve/v2 key names/order changed; if intentional, bump the \
          protocol version and rerun with AOS_UPDATE_GOLDEN=1"
     );
 }
@@ -207,7 +201,7 @@ fn every_shape_is_single_line_and_proto_tagged() {
     for (name, line) in shapes() {
         assert!(!line.contains('\n'), "{name} spans lines: {line}");
         assert!(
-            line.starts_with("{\"proto\":\"aos-serve/v1\""),
+            line.starts_with("{\"proto\":\"aos-serve/v2\""),
             "{name} must lead with the proto tag: {line}"
         );
         assert_eq!(

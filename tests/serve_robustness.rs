@@ -7,8 +7,8 @@
 //!
 //! - a full queue answers `rejected` with a `retry_after_ms` hint
 //!   (explicit backpressure, no unbounded buffering);
-//! - a wedged job hits its per-job deadline, burns its bounded retry
-//!   budget (exponential backoff), and answers `failed`/`timeout`;
+//! - a wedged job hits its per-job deadline once, answers
+//!   `failed`/`timeout`, and the same worker serves the next job;
 //! - a poisoned (panicking) job answers `failed`/`panic` and the
 //!   *same worker* serves the next job — crash isolation;
 //! - shutdown and EOF drain: every accepted job answers before the
@@ -67,7 +67,7 @@ fn projected(summary: &ServeSummary) -> TelemetrySnapshot {
 }
 
 fn request(id: &str, kind: &str, extra: &str) -> String {
-    format!("{{\"proto\":\"aos-serve/v1\",\"id\":\"{id}\",\"kind\":\"{kind}\"{extra}}}\n")
+    format!("{{\"proto\":\"aos-serve/v2\",\"id\":\"{id}\",\"kind\":\"{kind}\"{extra}}}\n")
 }
 
 fn response_for<'a>(output: &'a str, id: &str) -> &'a str {
@@ -122,30 +122,39 @@ fn full_queue_answers_rejected_with_retry_after() {
 }
 
 #[test]
-fn wedged_job_times_out_after_its_bounded_retry_budget() {
+fn wedged_job_times_out_once_and_the_same_worker_serves_the_next_job() {
     let options = ServeOptions {
         workers: 1,
         test_jobs: true,
         job_timeout: Some(Duration::from_millis(40)),
-        retries: 2,
-        backoff_base: Duration::from_millis(5),
         ..ServeOptions::default()
     };
     let script = request("wedge", "__sleep", ",\"millis\":5000")
         + &request("after", "__sleep", ",\"millis\":1");
+    let started = std::time::Instant::now();
     let (summary, output) = run_script(script, &options);
     let wedge = response_for(&output, "wedge");
     assert!(wedge.contains("\"status\":\"failed\""), "{wedge}");
     assert!(wedge.contains("\"error_kind\":\"timeout\""), "{wedge}");
-    assert!(
-        wedge.contains("\"attempts\":3"),
-        "2 retries = 3 attempts, then the budget is spent: {wedge}"
+    assert_eq!(
+        wedge,
+        "{\"proto\":\"aos-serve/v2\",\"id\":\"wedge\",\"status\":\"failed\",\
+         \"error_kind\":\"timeout\",\"error\":\"__sleep 5000ms timed out after 0.040s\"}",
+        "one deadline, no attempt count"
     );
-    assert!(wedge.contains("timed out after"), "{wedge}");
     assert_eq!(summary.timed_out, 1);
-    assert_eq!(summary.retried, 2);
-    // The worker that abandoned the wedged attempts still serves.
+    assert_eq!(summary.failed, 1);
+    // The sole worker abandoned the wedged job and served the next.
     assert!(response_for(&output, "after").contains("\"status\":\"ok\""));
+    assert_eq!(summary.succeeded, 1);
+    // The session never waits on the abandoned body.
+    assert!(
+        started.elapsed() < Duration::from_millis(4000),
+        "the session waited on the abandoned job: {:?}",
+        started.elapsed()
+    );
+    let snap = projected(&summary);
+    assert_eq!(snap.counter(Counter::ServeJobsTimedOut), 1);
 }
 
 #[test]
@@ -153,7 +162,6 @@ fn poisoned_job_is_isolated_and_the_service_survives() {
     let options = ServeOptions {
         workers: 1,
         test_jobs: true,
-        retries: 0,
         ..ServeOptions::default()
     };
     let script = request("boom", "__poison", "")
@@ -162,7 +170,7 @@ fn poisoned_job_is_isolated_and_the_service_survives() {
             "lint",
             ",\"workload\":\"mcf\",\"system\":\"aos\",\"scale\":0.004",
         )
-        + "{\"proto\":\"aos-serve/v1\",\"kind\":\"shutdown\"}\n";
+        + "{\"proto\":\"aos-serve/v2\",\"kind\":\"shutdown\"}\n";
     let (summary, output) = run_script(script, &options);
     let boom = response_for(&output, "boom");
     assert!(boom.contains("\"status\":\"failed\""), "{boom}");
@@ -195,7 +203,7 @@ fn shutdown_and_eof_drain_all_accepted_jobs() {
             script.push_str(&request(&format!("d{i}"), "__sleep", ",\"millis\":30"));
         }
         if explicit_shutdown {
-            script.push_str("{\"proto\":\"aos-serve/v1\",\"kind\":\"shutdown\"}\n");
+            script.push_str("{\"proto\":\"aos-serve/v2\",\"kind\":\"shutdown\"}\n");
         }
         let (summary, output) = run_script(script, &options);
         assert_eq!(summary.accepted, 5);
@@ -329,7 +337,6 @@ fn serve_telemetry_reaches_the_v4_report_taxonomy() {
     // inside the v4 document).
     assert_eq!(Counter::ServeJobsAccepted.name(), "serve_jobs_accepted");
     assert_eq!(Counter::ServeJobsRejected.name(), "serve_jobs_rejected");
-    assert_eq!(Counter::ServeJobsRetried.name(), "serve_jobs_retried");
     assert_eq!(Counter::ServeJobsTimedOut.name(), "serve_jobs_timed_out");
     assert_eq!(Counter::ServeJobsPanicked.name(), "serve_jobs_panicked");
     assert_eq!(Counter::CorpusBlocksWritten.name(), "corpus_blocks_written");
