@@ -83,9 +83,14 @@ pub fn free_site_post(config: SafetyConfig, signed_ptr: u64, out: &mut Vec<Op>) 
 /// this is the check µop (Fig. 5a ® ¯); AOS needs nothing — the MCU
 /// checks as a side effect of issue (§V-A).
 pub fn access_site(config: SafetyConfig, pointer: u64, out: &mut Vec<Op>) {
-    if config == SafetyConfig::Watchdog {
+    if instruments_access(config) {
         out.push(Op::WdCheck { pointer });
     }
+}
+
+/// Whether [`access_site`] adds an op under `config`.
+pub fn instruments_access(config: SafetyConfig) -> bool {
+    config == SafetyConfig::Watchdog
 }
 
 /// Instrumentation when a *pointer value* is loaded from or stored to
@@ -107,6 +112,16 @@ pub fn pointer_memop_site(config: SafetyConfig, pointer: u64, is_store: bool, ou
     }
 }
 
+/// Whether [`pointer_memop_site`] adds an op under `config` for a
+/// load (`is_store == false`) or a store.
+pub fn instruments_pointer_memop(config: SafetyConfig, is_store: bool) -> bool {
+    match config {
+        SafetyConfig::Baseline | SafetyConfig::Aos => false,
+        SafetyConfig::Watchdog | SafetyConfig::Pa => true,
+        SafetyConfig::PaAos => !is_store,
+    }
+}
+
 /// Instrumentation at a function prologue (and, symmetrically, the
 /// epilogue): PA signs/authenticates the return address (Fig. 3).
 pub fn function_boundary(config: SafetyConfig, out: &mut Vec<Op>) {
@@ -118,9 +133,14 @@ pub fn function_boundary(config: SafetyConfig, out: &mut Vec<Op>) {
 /// Instrumentation accompanying pointer arithmetic: Watchdog must copy
 /// or select metadata between extended registers (Fig. 5a ° ±).
 pub fn pointer_arith_site(config: SafetyConfig, out: &mut Vec<Op>) {
-    if config == SafetyConfig::Watchdog {
+    if instruments_pointer_arith(config) {
         out.push(Op::IntAlu);
     }
+}
+
+/// Whether [`pointer_arith_site`] adds an op under `config`.
+pub fn instruments_pointer_arith(config: SafetyConfig) -> bool {
+    config == SafetyConfig::Watchdog
 }
 
 #[cfg(test)]
@@ -143,6 +163,24 @@ mod tests {
         assert!(ops_for(|v| pointer_memop_site(c, 0x10, false, v)).is_empty());
         assert!(ops_for(|v| function_boundary(c, v)).is_empty());
         assert!(ops_for(|v| pointer_arith_site(c, v)).is_empty());
+    }
+
+    #[test]
+    fn predicates_say_which_sites_add_an_op() {
+        for c in SafetyConfig::ALL {
+            let access = ops_for(|v| access_site(c, 0x10, v));
+            assert_eq!(instruments_access(c), !access.is_empty(), "{c}");
+            let arith = ops_for(|v| pointer_arith_site(c, v));
+            assert_eq!(instruments_pointer_arith(c), !arith.is_empty(), "{c}");
+            for is_store in [false, true] {
+                let memop = ops_for(|v| pointer_memop_site(c, 0x10, is_store, v));
+                assert_eq!(
+                    instruments_pointer_memop(c, is_store),
+                    !memop.is_empty(),
+                    "{c} store {is_store}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! - [`rng`] — a small, fast, seedable PRNG family ([`rng::SplitMix64`],
 //!   [`rng::Xoshiro256StarStar`]) plus the sampling helpers the workload
-//!   generator needs (uniform ranges, Bernoulli, Zipf, discrete tables).
+//!   generator needs (uniform ranges, Bernoulli trials against a
+//!   precomputed [`rng::Chance`], a bounded Zipf, discrete tables).
 //! - [`stats`] — the summary statistics the paper reports (mean, standard
 //!   deviation, geometric mean) and a fixed-bin [`stats::Histogram`].
 //! - [`par`] — a `std::thread::scope` fork/join helper

@@ -119,15 +119,25 @@ impl Xoshiro256StarStar {
         self.next_range(bound as u64) as usize
     }
 
-    /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    /// Uniform integer in `[0, 2⁵³)`: the draw behind [`next_f64`] and
+    /// [`chance`].
+    ///
+    /// [`next_f64`]: Self::next_f64
+    /// [`chance`]: Self::chance
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
-    /// Bernoulli trial: returns `true` with probability `p` (clamped to
-    /// `[0, 1]`).
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
+    /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
+    pub fn next_f64(&mut self) -> f64 {
+        self.next_u53() as f64 * (1.0 / UNIT as f64)
+    }
+
+    /// Bernoulli trial: returns `true` with the probability `c` was
+    /// built from. It consumes one draw and returns exactly what
+    /// `next_f64() < p` would.
+    pub fn chance(&mut self, c: Chance) -> bool {
+        c.admits(self.next_u53())
     }
 
     /// Derives an independent generator for a named sub-stream, so that
@@ -140,12 +150,60 @@ impl Xoshiro256StarStar {
     }
 }
 
+/// The number of distinct [`Xoshiro256StarStar::next_u53`] draws, 2⁵³.
+const UNIT: u64 = 1 << 53;
+
+/// A probability precomputed as an integer threshold over the 53-bit
+/// draws behind [`Xoshiro256StarStar::next_f64`], so a Bernoulli trial
+/// is one integer compare.
+///
+/// `Chance::new(p)` holds `t = ⌈p·2⁵³⌉`, clamped to `[0, 2⁵³]`; `p ≤ 0`
+/// and NaN give 0, `p ≥ 1` gives 2⁵³. A draw `k` is admitted when
+/// `k < t`. This is exactly `next_f64() < p`: `next_f64()` is `k·2⁻⁵³`,
+/// scaling by a power of two is exact in `f64`, and for an integer `k`,
+/// `k < x ⇔ k < ⌈x⌉`.
+///
+/// # Examples
+///
+/// ```
+/// use aos_util::rng::{Chance, Xoshiro256StarStar};
+/// let mut a = Xoshiro256StarStar::seed_from_u64(5);
+/// let mut b = a.clone();
+/// let c = Chance::new(0.3);
+/// for _ in 0..100 {
+///     assert_eq!(a.chance(c), b.next_f64() < 0.3);
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Chance(u64);
+
+impl Chance {
+    /// Precomputes the threshold of probability `p`.
+    pub const fn new(p: f64) -> Self {
+        if p >= 1.0 {
+            Self(UNIT)
+        } else if p > 0.0 {
+            Self((p * UNIT as f64).ceil() as u64)
+        } else {
+            Self(0)
+        }
+    }
+
+    /// Whether the 53-bit draw `k` falls below the threshold.
+    pub const fn admits(self, k: u64) -> bool {
+        k < self.0
+    }
+}
+
 /// Sampler for a (truncated) Zipf distribution over `[0, n)`.
 ///
 /// Used to model temporal locality: low ranks are chosen much more often
 /// than high ranks, which is how real programs revisit hot heap objects.
-/// Sampling uses a precomputed CDF with binary search, so per-sample
-/// cost is `O(log n)`.
+/// Sampling uses a precomputed CDF and takes a bound on the ranks the
+/// caller can use ([`sample_below`](Self::sample_below)): a draw past
+/// the bound's CDF entry is rejected with one compare, and any other
+/// is binary-searched within the bound, so per-sample cost is
+/// `O(log min(n, bound))`.
 ///
 /// Building the CDF costs one `powf` per rank — 150k of them for the
 /// largest workload profile — and every trace generator builds one, so
@@ -162,8 +220,9 @@ impl Xoshiro256StarStar {
 /// use aos_util::rng::{Xoshiro256StarStar, Zipf};
 /// let mut rng = Xoshiro256StarStar::seed_from_u64(3);
 /// let zipf = Zipf::new(100, 1.0);
-/// let r = zipf.sample(&mut rng);
+/// let r = zipf.sample_below(&mut rng, 100).expect("the bound covers every rank");
 /// assert!(r < 100);
+/// assert!(zipf.sample_below(&mut rng, 10).is_none_or(|r| r < 10));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
@@ -230,15 +289,20 @@ impl Zipf {
         self.cdf.is_empty()
     }
 
-    /// Draws a rank in `[0, n)`.
-    pub fn sample(&self, rng: &mut Xoshiro256StarStar) -> usize {
+    /// Draws a rank in `[0, n)` and returns it if it is below `bound`,
+    /// else `None`. It consumes one [`next_f64`] whatever it returns.
+    ///
+    /// The rank is the first whose CDF entry reaches the draw, so a
+    /// draw past `cdf[bound - 1]` is rejected without a search, and
+    /// any other is found by a binary search of `cdf[..bound]` alone.
+    ///
+    /// [`next_f64`]: Xoshiro256StarStar::next_f64
+    pub fn sample_below(&self, rng: &mut Xoshiro256StarStar, bound: usize) -> Option<usize> {
         let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("CDF contains no NaN"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        let live = &self.cdf[..bound.min(self.cdf.len())];
+        match live.last() {
+            Some(&last) if u <= last => Some(live.partition_point(|&c| c < u)),
+            _ => None,
         }
     }
 }
@@ -351,9 +415,93 @@ mod tests {
     #[test]
     fn bernoulli_matches_probability_roughly() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-        let hits = (0..100_000).filter(|_| rng.next_bool(0.25)).count();
+        let quarter = Chance::new(0.25);
+        let hits = (0..100_000).filter(|_| rng.chance(quarter)).count();
         let rate = hits as f64 / 100_000.0;
         assert!((rate - 0.25).abs() < 0.01, "rate was {rate}");
+    }
+
+    /// `chance(Chance::new(p))` on one stream answers what
+    /// `next_f64() < p` answers on a clone, and both streams advance
+    /// alike.
+    fn assert_chance_matches_f64_compare(p: f64, seed: u64, draws: usize) {
+        let mut by_threshold = Xoshiro256StarStar::seed_from_u64(seed);
+        let mut by_compare = by_threshold.clone();
+        let c = Chance::new(p);
+        for i in 0..draws {
+            assert_eq!(
+                by_threshold.chance(c),
+                by_compare.next_f64() < p,
+                "p = {p:e} ({:#x}), draw {i}",
+                p.to_bits()
+            );
+        }
+        assert_eq!(by_threshold, by_compare, "p = {p:e}");
+    }
+
+    /// Every draw `k·2⁻⁵³` lies on either side of `p` exactly as `k`
+    /// lies on either side of the threshold.
+    fn assert_threshold_splits_draws(p: f64) {
+        let Chance(t) = Chance::new(p);
+        let unit = 1.0 / UNIT as f64;
+        for k in [t.saturating_sub(1), t, t + 1] {
+            if k < UNIT {
+                assert_eq!(
+                    Chance(t).admits(k),
+                    k as f64 * unit < p,
+                    "p = {p:e}, k = {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chance_matches_f64_compare_at_edges() {
+        let step = 1.0 / UNIT as f64;
+        let edges = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -1.0,
+            (-60f64).exp2(),
+            step,
+            3.0 * step,
+            0.25,
+            0.8,
+            0.5,
+            0.85,
+            0.7,
+            0.95,
+            0.6,
+            12345.0 * step,
+            1.0 - step,
+            1.0,
+            1.5,
+            f64::INFINITY,
+        ];
+        for (i, &p) in edges.iter().enumerate() {
+            assert_chance_matches_f64_compare(p, i as u64, 2_000);
+            assert_threshold_splits_draws(p);
+        }
+        assert_eq!(Chance::new(0.0), Chance::new(f64::NAN));
+        assert_eq!(Chance::new(1.0), Chance::new(1.5));
+        assert_eq!(Chance::new((-60f64).exp2()), Chance(1));
+    }
+
+    #[test]
+    fn chance_matches_f64_compare_at_random_p() {
+        let mut ps = Xoshiro256StarStar::seed_from_u64(0xC4A7);
+        for i in 0..400 {
+            // Uniform p, p on the draw grid, and p with arbitrary low
+            // bits below 2⁻⁵³ resolution.
+            let p = match i % 3 {
+                0 => ps.next_f64(),
+                1 => ps.next_u53() as f64 / UNIT as f64,
+                _ => f64::from_bits(ps.next_range(1.0f64.to_bits())),
+            };
+            assert_chance_matches_f64_compare(p, i, 500);
+            assert_threshold_splits_draws(p);
+        }
     }
 
     #[test]
@@ -371,7 +519,7 @@ mod tests {
         let mut low = 0usize;
         let n = 50_000;
         for _ in 0..n {
-            if zipf.sample(&mut rng) < 10 {
+            if zipf.sample_below(&mut rng, 10).is_some() {
                 low += 1;
             }
         }
@@ -386,7 +534,9 @@ mod tests {
         let zipf = Zipf::new(4, 0.0);
         let mut counts = [0usize; 4];
         for _ in 0..40_000 {
-            counts[zipf.sample(&mut rng)] += 1;
+            counts[zipf
+                .sample_below(&mut rng, 4)
+                .expect("every rank is below 4")] += 1;
         }
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 700.0, "counts {counts:?}");
@@ -425,7 +575,43 @@ mod tests {
         assert_ne!(d.cdf, e.cdf);
         let mut rng = Xoshiro256StarStar::seed_from_u64(29);
         for _ in 0..100 {
-            assert!(c.sample(&mut rng) < 3);
+            assert!(c.sample_below(&mut rng, 3).is_some_and(|r| r < 3));
+        }
+    }
+
+    /// The unbounded search `sample_below` replaced: a binary search
+    /// of the whole CDF, clamped to the last rank.
+    fn unbounded_sample(zipf: &Zipf, rng: &mut Xoshiro256StarStar) -> usize {
+        let u = rng.next_f64();
+        match zipf
+            .cdf
+            .binary_search_by(|probe| probe.partial_cmp(&u).expect("CDF contains no NaN"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(zipf.cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn sample_below_is_the_unbounded_search_filtered_by_the_bound() {
+        let mut bounds = Xoshiro256StarStar::seed_from_u64(0x21BF);
+        for (n, exponent) in [(1, 1.0), (2, 0.0), (97, 0.9), (1000, 0.25), (150_000, 0.8)] {
+            let zipf = Zipf::new(n, exponent);
+            let mut chosen = vec![0, 1, n - 1, n, n + 7];
+            chosen.extend((0..6).map(|_| 1 + bounds.next_index(n + 8)));
+            for (i, &bound) in chosen.iter().enumerate() {
+                let mut bounded = Xoshiro256StarStar::seed_from_u64(i as u64 ^ n as u64);
+                let mut oracle = bounded.clone();
+                for draw in 0..3_000 {
+                    let want = Some(unbounded_sample(&zipf, &mut oracle)).filter(|&r| r < bound);
+                    assert_eq!(
+                        zipf.sample_below(&mut bounded, bound),
+                        want,
+                        "n {n}, exponent {exponent}, bound {bound}, draw {draw}"
+                    );
+                }
+                assert_eq!(bounded, oracle, "one draw per sample");
+            }
         }
     }
 

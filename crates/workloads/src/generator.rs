@@ -9,6 +9,16 @@
 //! binary. The generator stops after the profile's base-op budget;
 //! instrumentation ops ride along uncounted, mirroring the paper's
 //! "we do not count instrumented instructions" methodology (§VIII).
+//!
+//! Most program events are a single op under a given system's
+//! instrumentation: every branch and FP op, an integer op the system
+//! adds no pointer-arithmetic µop to, and an access the system adds no
+//! check or pointer-value op to (every Baseline and AOS access). Those
+//! go straight to the consumer. Only a multi-op event — an allocation,
+//! a free, a call, an instrumented access or integer op — is written
+//! into the generator's event buffer first. Which sites a system
+//! instruments is `aos_isa::expand`'s knowledge (its `instruments_*`
+//! predicates), not the generator's.
 
 use std::collections::VecDeque;
 
@@ -16,7 +26,7 @@ use aos_heap::{HeapAllocator, HeapConfig};
 use aos_isa::{expand, Op, SafetyConfig};
 use aos_ptrauth::{PointerLayout, PointerSigner};
 use aos_qarma::PacKey;
-use aos_util::rng::{DiscreteTable, Xoshiro256StarStar, Zipf};
+use aos_util::rng::{Chance, DiscreteTable, Xoshiro256StarStar, Zipf};
 use aos_util::{Counter, TelemetrySnapshot};
 
 use crate::profile::WorkloadProfile;
@@ -49,6 +59,62 @@ const BRANCH_SITE_STRIDE: u64 = 256;
 /// ~81.6 MiB through glibc's dynamic mmap threshold (DESIGN §15.5).
 const EVENT_CAPACITY: usize = 64;
 
+/// A branch site is strongly biased (taken 95% of the time) with this
+/// chance, else weakly (60%).
+const STRONG_SITE: Chance = Chance::new(0.8);
+
+/// A burst grows by one more access with this chance, up to 32.
+const BURST_EXTEND: Chance = Chance::new(0.8);
+
+/// A stack access hits the hot 4 KiB with this chance, else anywhere
+/// in the profile's stack span.
+const STACK_HOT: Chance = Chance::new(0.8);
+
+/// A new burst revisits the previous burst's object with this chance.
+const BURST_REVISIT: Chance = Chance::new(0.5);
+
+/// A chunk pick draws a recency rank from the Zipf with this chance,
+/// else picks uniformly.
+const ZIPF_REUSE: Chance = Chance::new(0.85);
+
+/// A free releases the oldest live chunk with this chance, else a
+/// uniformly chosen one.
+const FREE_OLDEST: Chance = Chance::new(0.7);
+
+/// The profile's probabilities as integer thresholds, computed once.
+#[derive(Clone, Copy)]
+struct Chances {
+    /// The event-type choice: one draw against the cumulative sums
+    /// `mem`, `mem + branch` and `mem + branch + fp`.
+    mem: Chance,
+    mem_branch: Chance,
+    mem_branch_fp: Chance,
+    mispredict: Chance,
+    pointer_arith: Chance,
+    store: Chance,
+    heap: Chance,
+    load_chain: Chance,
+    spatial_locality: Chance,
+    pointer_memop: Chance,
+}
+
+impl Chances {
+    fn new(p: &WorkloadProfile) -> Self {
+        Self {
+            mem: Chance::new(p.mem_fraction),
+            mem_branch: Chance::new(p.mem_fraction + p.branch_fraction),
+            mem_branch_fp: Chance::new(p.mem_fraction + p.branch_fraction + p.fp_fraction),
+            mispredict: Chance::new(p.mispredict_rate),
+            pointer_arith: Chance::new(p.pointer_arith_fraction),
+            store: Chance::new(p.store_fraction),
+            heap: Chance::new(p.heap_fraction),
+            load_chain: Chance::new(p.load_chain_fraction),
+            spatial_locality: Chance::new(p.spatial_locality),
+            pointer_memop: Chance::new(p.pointer_memop_fraction),
+        }
+    }
+}
+
 #[derive(Clone, Copy)]
 struct LiveChunk {
     /// The register pointer value (signed under AOS configurations).
@@ -69,8 +135,9 @@ struct LiveChunk {
 /// trace. It also implements
 /// [`BufferedOps`](aos_isa::stream::BufferedOps), reporting the
 /// high-water mark of its internal event buffer (a handful of ops —
-/// one program event plus its instrumentation) and projecting its
-/// sign and allocation counts into a run's telemetry snapshot.
+/// one program event plus its instrumentation; an event handed out
+/// directly counts as 1) and projecting its sign and allocation counts
+/// into a run's telemetry snapshot.
 ///
 /// # Examples
 ///
@@ -89,6 +156,7 @@ struct LiveChunk {
 /// ```
 pub struct TraceGenerator {
     profile: WorkloadProfile,
+    chances: Chances,
     config: SafetyConfig,
     signer: PointerSigner,
     heap: HeapAllocator,
@@ -96,14 +164,15 @@ pub struct TraceGenerator {
     rng: Xoshiro256StarStar,
     zipf: Zipf,
     sizes: DiscreteTable<u64>,
-    /// The current event's ops: one program event plus its
+    /// The current multi-op event's ops: one program event plus its
     /// instrumentation, written straight in by `generate_event` and
-    /// the `expand::*_site` helpers. Refilled only once drained.
+    /// the `expand::*_site` helpers. Refilled only once drained; a
+    /// single-op event bypasses it.
     buffer: Vec<Op>,
     /// Index of the next op of `buffer` that `next()` hands out.
     cursor: usize,
-    /// High-water mark of `buffer` — the generator's entire trace
-    /// footprint, measured not asserted.
+    /// High-water mark of `buffer`, a single-op event counting as 1 —
+    /// the generator's entire trace footprint, measured not asserted.
     peak_buffered: usize,
     /// `pacma` signs of AOS mallocs, one QARMA computation each.
     signs: u64,
@@ -120,7 +189,7 @@ pub struct TraceGenerator {
     burst_left: u32,
     burst_cursor: u64,
     /// Per-site taken bias for the synthetic branch sites.
-    branch_bias: Vec<f64>,
+    branch_bias: Vec<Chance>,
 }
 
 impl TraceGenerator {
@@ -137,6 +206,7 @@ impl TraceGenerator {
         let layout = PointerLayout::default();
         Self {
             profile: *profile,
+            chances: Chances::new(profile),
             config,
             signer: PointerSigner::new(PacKey::from_u128(SIGNING_KEY), layout),
             heap: HeapAllocator::new(HeapConfig {
@@ -166,7 +236,7 @@ impl TraceGenerator {
                 (0..sites)
                     // Mostly strongly biased sites with a weak tail,
                     // like real branch populations.
-                    .map(|_| if rng.next_bool(0.8) { 0.95 } else { 0.6 })
+                    .map(|_| Chance::new(if rng.chance(STRONG_SITE) { 0.95 } else { 0.6 }))
                     .collect()
             },
         }
@@ -189,18 +259,26 @@ impl TraceGenerator {
         self.peak_buffered
     }
 
-    fn push_base(&mut self, op: Op) {
+    /// Counts `op` as a base op and returns it.
+    fn count_base(&mut self, op: Op) -> Op {
         self.base_ops += 1;
         self.ops_since_alloc += 1;
         self.ops_since_call += 1;
+        op
+    }
+
+    fn push_base(&mut self, op: Op) {
+        let op = self.count_base(op);
         self.buffer.push(op);
     }
 
-    fn generate_event(&mut self) {
+    /// Generates one program event. A single-op event is returned;
+    /// any other is written into `buffer`, and `None` returned.
+    fn generate_event(&mut self) -> Option<Op> {
         if self.startup_remaining > 0 {
             self.startup_remaining -= 1;
             self.emit_malloc();
-            return;
+            return None;
         }
         let p = self.profile;
         if p.steady_alloc_period > 0 && self.ops_since_alloc >= p.steady_alloc_period {
@@ -209,55 +287,60 @@ impl TraceGenerator {
                 self.emit_free();
             }
             self.emit_malloc();
-            return;
+            return None;
         }
         if p.call_period > 0 && self.ops_since_call >= p.call_period {
             self.ops_since_call = 0;
             self.emit_call();
-            return;
+            return None;
         }
-        let r = self.rng.next_f64();
-        if r < p.mem_fraction {
-            self.emit_access();
-        } else if r < p.mem_fraction + p.branch_fraction {
+        let c = self.chances;
+        let r = self.rng.next_u53();
+        if c.mem.admits(r) {
+            self.emit_access()
+        } else if c.mem_branch.admits(r) {
             let site = self.rng.next_index(self.branch_bias.len());
             // Hot sites cluster at low addresses (zipf-free shortcut:
             // square the uniform draw).
             let site = (site * site) / self.branch_bias.len().max(1);
-            let taken = self.rng.next_bool(self.branch_bias[site]);
-            let mispredicted = self.rng.next_bool(p.mispredict_rate);
-            self.push_base(Op::Branch {
+            let taken = self.rng.chance(self.branch_bias[site]);
+            let mispredicted = self.rng.chance(c.mispredict);
+            Some(self.count_base(Op::Branch {
                 pc: BRANCH_PC_BASE + site as u64 * BRANCH_SITE_STRIDE,
                 taken,
                 mispredicted,
-            });
-        } else if r < p.mem_fraction + p.branch_fraction + p.fp_fraction {
-            self.push_base(Op::FpAlu);
-        } else {
+            }))
+        } else if c.mem_branch_fp.admits(r) {
+            Some(self.count_base(Op::FpAlu))
+        } else if self.rng.chance(c.pointer_arith) && expand::instruments_pointer_arith(self.config)
+        {
             self.push_base(Op::IntAlu);
-            if self.rng.next_bool(p.pointer_arith_fraction) {
-                expand::pointer_arith_site(self.config, &mut self.buffer);
-            }
+            expand::pointer_arith_site(self.config, &mut self.buffer);
+            None
+        } else {
+            Some(self.count_base(Op::IntAlu))
         }
     }
 
-    fn emit_access(&mut self) {
-        let p = self.profile;
-        let is_store = self.rng.next_bool(p.store_fraction);
-        let heap_access = !self.live.is_empty() && self.rng.next_bool(p.heap_fraction);
-        if heap_access {
+    /// One data access; `None` when its instrumentation made it a
+    /// multi-op event, written into `buffer`.
+    fn emit_access(&mut self) -> Option<Op> {
+        let c = self.chances;
+        let is_store = self.rng.chance(c.store);
+        let heap_access = !self.live.is_empty() && self.rng.chance(c.heap);
+        let (pointer, chained, is_pointer_value) = if heap_access {
             let mut chained = false;
             if self.burst_left == 0 || self.burst.is_none() {
                 let chunk = self.pick_burst_chunk();
                 // Pointer chasing: reaching a new object often requires
                 // the previous object's pointer field first.
-                chained = self.rng.next_bool(p.load_chain_fraction);
+                chained = self.rng.chance(c.load_chain);
                 // Burst length: 2 + geometric, mean ≈ 6 accesses.
                 let mut len = 2u32;
-                while len < 32 && self.rng.next_bool(0.8) {
+                while len < 32 && self.rng.chance(BURST_EXTEND) {
                     len += 1;
                 }
-                self.burst_cursor = if self.rng.next_bool(p.spatial_locality) {
+                self.burst_cursor = if self.rng.chance(c.spatial_locality) {
                     let window = chunk.size.min(4096);
                     (chunk.hot_offset + self.rng.next_range(window.max(8)) / 8 * 8)
                         .min(chunk.size.saturating_sub(8))
@@ -274,47 +357,42 @@ impl TraceGenerator {
             // Walk sequentially within the object, wrapping.
             self.burst_cursor = (self.burst_cursor + 8) % chunk.size.max(8) / 8 * 8;
             let pointer = chunk.ptr + offset;
-            let is_pointer_value = self.rng.next_bool(p.pointer_memop_fraction);
-            expand::access_site(self.config, pointer, &mut self.buffer);
-            self.push_base(if is_store {
-                Op::Store { pointer, bytes: 8 }
-            } else {
-                Op::Load {
-                    pointer,
-                    bytes: 8,
-                    chained,
-                }
-            });
-            if is_pointer_value {
-                expand::pointer_memop_site(self.config, pointer, is_store, &mut self.buffer);
-            }
+            (pointer, chained, self.rng.chance(c.pointer_memop))
         } else {
-            let offset = if self.rng.next_bool(0.8) {
+            let offset = if self.rng.chance(STACK_HOT) {
                 self.rng.next_range(4096) / 8 * 8
             } else {
-                self.rng.next_range(p.stack_span.max(8)) / 8 * 8
+                self.rng.next_range(self.profile.stack_span.max(8)) / 8 * 8
             };
-            let pointer = STACK_BASE + offset;
-            expand::access_site(self.config, pointer, &mut self.buffer);
-            self.push_base(if is_store {
-                Op::Store { pointer, bytes: 8 }
-            } else {
-                Op::Load {
-                    pointer,
-                    bytes: 8,
-                    chained: false,
-                }
-            });
+            (STACK_BASE + offset, false, false)
+        };
+        let access = if is_store {
+            Op::Store { pointer, bytes: 8 }
+        } else {
+            Op::Load {
+                pointer,
+                bytes: 8,
+                chained,
+            }
+        };
+        let memop = is_pointer_value && expand::instruments_pointer_memop(self.config, is_store);
+        if !memop && !expand::instruments_access(self.config) {
+            return Some(self.count_base(access));
         }
+        expand::access_site(self.config, pointer, &mut self.buffer);
+        self.push_base(access);
+        if memop {
+            expand::pointer_memop_site(self.config, pointer, is_store, &mut self.buffer);
+        }
+        None
     }
 
     /// Picks a live chunk with recency-biased (Zipf) reuse.
     fn pick_chunk(&mut self) -> usize {
         let len = self.live.len();
         debug_assert!(len > 0);
-        if self.rng.next_bool(0.85) {
-            let rank = self.zipf.sample(&mut self.rng);
-            if rank < len {
+        if self.rng.chance(ZIPF_REUSE) {
+            if let Some(rank) = self.zipf.sample_below(&mut self.rng, len) {
                 return len - 1 - rank;
             }
         }
@@ -329,13 +407,13 @@ impl TraceGenerator {
         if let Some(prev) = self.burst {
             // `emit_free` clears the burst when its chunk dies, so a
             // present burst is always live.
-            if self.rng.next_bool(0.5) {
+            if self.rng.chance(BURST_REVISIT) {
                 return prev;
             }
         } else {
             // Keep the RNG stream identical whether or not a previous
             // burst exists.
-            let _ = self.rng.next_bool(0.5);
+            let _ = self.rng.chance(BURST_REVISIT);
         }
         let idx = self.pick_chunk();
         self.live[idx]
@@ -393,7 +471,7 @@ impl TraceGenerator {
     fn emit_free(&mut self) {
         debug_assert!(!self.live.is_empty());
         // Mostly free old objects, sometimes arbitrary ones.
-        let victim = if self.rng.next_bool(0.7) {
+        let victim = if self.rng.chance(FREE_OLDEST) {
             self.live.pop_front().expect("nonempty")
         } else {
             let idx = self.rng.next_index(self.live.len());
@@ -440,7 +518,10 @@ impl Iterator for TraceGenerator {
             }
             self.buffer.clear();
             self.cursor = 0;
-            self.generate_event();
+            if let Some(op) = self.generate_event() {
+                self.peak_buffered = self.peak_buffered.max(1);
+                return Some(op);
+            }
             self.peak_buffered = self.peak_buffered.max(self.buffer.len());
         }
     }

@@ -23,10 +23,13 @@ echo "== tier-1: member crate tests =="
 # These hold the cache model's reference oracles and the pipeline
 # properties, the bounds-table, MCU FSM and corruption properties, the
 # stream splice adapter, the static scanner's policies, the fuzz harness's
-# finding classification, the serve jobs' report digests and the
-# CLI's flag and exit-code contract.
+# finding classification, the serve jobs' report digests, the CLI's
+# flag and exit-code contract, the RNG's Bernoulli and Zipf oracles,
+# the generator's and allocator's properties, QARMA's test vectors,
+# the signer, the campaign runner and the bench harness.
 cargo test -q -p aos-sim -p aos-hbt -p aos-mcu -p aos-isa -p aos-fault -p aos-lint \
-    -p aos-fuzz -p aos-serve -p aos-cli
+    -p aos-fuzz -p aos-serve -p aos-cli -p aos-util -p aos-workloads -p aos-heap \
+    -p aos-qarma -p aos-ptrauth -p aos-core -p aos-bench
 
 # Every workspace package, the root package and the vendored proptest
 # shim included, is held to rustfmt's output. Skipped when rustfmt is
