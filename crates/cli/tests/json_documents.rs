@@ -76,6 +76,9 @@ fn stats_json_is_pinned() {
     );
 }
 
+/// The ablation sweep at BWB capacities 16 and 128, the two default
+/// sweep points no other pin covers (every AOS row of
+/// `sim_stats_digests.txt` runs the Table IV capacity, 64).
 #[test]
 fn ablate_report_is_pinned() {
     let dir = ScratchDir::new("cli-ablate-pin").expect("scratch dir");
@@ -90,12 +93,12 @@ fn ablate_report_is_pinned() {
         "--mcq",
         "12,48",
         "--bwb",
-        "16",
+        "16,128",
         "--out",
         path,
     ]);
     let report = std::fs::read_to_string(path).expect("ablate wrote its report");
-    assert_pinned("ablate --out", &report, "5d6ef94f803767cf");
+    assert_pinned("ablate --out", &report, "f21dad3f0e59b0c6");
 }
 
 /// The `aos lint` table, clean and faulted (with the telemetry table
