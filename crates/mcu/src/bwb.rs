@@ -43,27 +43,12 @@ impl BwbStats {
 #[derive(Debug, Clone)]
 pub struct BoundsWayBuffer {
     capacity: usize,
-    /// Entry storage; index `i` is one (tag, way) pair.
-    tags: Vec<u32>,
-    ways: Vec<u32>,
-    /// Intrusive doubly-linked recency list over entry indices:
-    /// `head` is least recently used, `tail` most recently used. This
-    /// is the same exact-LRU order a move-to-back list keeps, at O(1)
-    /// per touch instead of a memmove.
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    tail: u32,
-    /// Open-addressed tag index: slot holds `entry index + 1`, zero
-    /// means empty. Sized to at most half full, so probes stay short
-    /// and lookups cost O(1) instead of a linear scan.
-    slots: Vec<u32>,
-    slot_mask: usize,
+    /// (tag, way) pairs in recency order, most recently used first:
+    /// a hit moves its entry to the front and a full buffer drops the
+    /// back one, the same idiom as a `Cache` set (DESIGN §15.5).
+    entries: Vec<(u32, u32)>,
     stats: BwbStats,
 }
-
-/// Null link in the recency list.
-const NONE: u32 = u32::MAX;
 
 impl BoundsWayBuffer {
     /// Creates a buffer with the given entry count.
@@ -73,127 +58,44 @@ impl BoundsWayBuffer {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "BWB capacity must be nonzero");
-        let slot_count = (capacity * 2).next_power_of_two().max(4);
         Self {
             capacity,
-            tags: Vec::with_capacity(capacity),
-            ways: Vec::with_capacity(capacity),
-            prev: Vec::with_capacity(capacity),
-            next: Vec::with_capacity(capacity),
-            head: NONE,
-            tail: NONE,
-            slots: vec![0; slot_count],
-            slot_mask: slot_count - 1,
+            entries: Vec::with_capacity(capacity),
             stats: BwbStats::default(),
         }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.entries.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.entries.is_empty()
     }
 
+    /// Moves the entry holding `tag`, if any, to the front and returns
+    /// it.
     #[inline]
-    fn slot_home(&self, tag: u32) -> usize {
-        // Fibonacci hashing: the tag already concentrates entropy in
-        // its PAC half, the multiply spreads it across the table.
-        ((tag as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize & self.slot_mask
-    }
-
-    /// The slot where `tag` lives or would be inserted: probes from
-    /// its home slot, returning the first match or empty slot.
-    #[inline]
-    fn probe(&self, tag: u32) -> usize {
-        let mut s = self.slot_home(tag);
-        loop {
-            let e = self.slots[s];
-            if e == 0 || self.tags[(e - 1) as usize] == tag {
-                return s;
-            }
-            s = (s + 1) & self.slot_mask;
-        }
-    }
-
-    /// Empties slot `s` and compacts the probe chain behind it
-    /// (standard linear-probing deletion).
-    fn vacate(&mut self, mut s: usize) {
-        self.slots[s] = 0;
-        let mut j = s;
-        loop {
-            j = (j + 1) & self.slot_mask;
-            let e = self.slots[j];
-            if e == 0 {
-                return;
-            }
-            let home = self.slot_home(self.tags[(e - 1) as usize]);
-            // Move `e` back iff its home does not lie in the cyclic
-            // interval (s, j] — i.e. probing from `home` would pass
-            // through the hole at `s`.
-            let dist_home = j.wrapping_sub(home) & self.slot_mask;
-            let dist_hole = j.wrapping_sub(s) & self.slot_mask;
-            if dist_home >= dist_hole {
-                self.slots[s] = e;
-                self.slots[j] = 0;
-                s = j;
-            }
-        }
-    }
-
-    /// Unlinks entry `i` from the recency list.
-    #[inline]
-    fn unlink(&mut self, i: u32) {
-        let (p, n) = (self.prev[i as usize], self.next[i as usize]);
-        if p == NONE {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NONE {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-    }
-
-    /// Appends entry `i` at the most-recently-used end.
-    #[inline]
-    fn push_mru(&mut self, i: u32) {
-        self.prev[i as usize] = self.tail;
-        self.next[i as usize] = NONE;
-        if self.tail == NONE {
-            self.head = i;
-        } else {
-            self.next[self.tail as usize] = i;
-        }
-        self.tail = i;
-    }
-
-    #[inline]
-    fn touch(&mut self, i: u32) {
-        if self.tail != i {
-            self.unlink(i);
-            self.push_mru(i);
-        }
+    fn promote(&mut self, tag: u32) -> Option<&mut (u32, u32)> {
+        let i = self.entries.iter().position(|&(t, _)| t == tag)?;
+        let entry = self.entries[i];
+        self.entries.copy_within(..i, 1);
+        self.entries[0] = entry;
+        Some(&mut self.entries[0])
     }
 
     /// Looks up a tag, refreshing its LRU position on hit.
     #[inline]
     pub fn lookup(&mut self, tag: u32) -> Option<u32> {
-        let e = self.slots[self.probe(tag)];
-        if e != 0 {
-            let i = e - 1;
-            self.touch(i);
+        let way = self.promote(tag).map(|&mut (_, way)| way);
+        if way.is_some() {
             self.stats.hits += 1;
-            Some(self.ways[i as usize])
         } else {
             self.stats.misses += 1;
-            None
         }
+        way
     }
 
     /// Records that `tag`'s bounds were found in `way`, evicting the
@@ -201,33 +103,15 @@ impl BoundsWayBuffer {
     #[inline]
     pub fn update(&mut self, tag: u32, way: u32) {
         self.stats.updates += 1;
-        let s = self.probe(tag);
-        let e = self.slots[s];
-        if e != 0 {
-            let i = e - 1;
-            self.ways[i as usize] = way;
-            self.touch(i);
-        } else if self.tags.len() == self.capacity {
-            self.stats.evictions += 1;
-            let lru = self.head;
-            let old = self.tags[lru as usize];
-            self.vacate(self.probe(old));
-            self.tags[lru as usize] = tag;
-            self.ways[lru as usize] = way;
-            // Re-probe: compacting the old tag's chain may have moved
-            // entries over `s`.
-            let s = self.probe(tag);
-            self.slots[s] = lru + 1;
-            self.touch(lru);
-        } else {
-            let i = self.tags.len() as u32;
-            self.tags.push(tag);
-            self.ways.push(way);
-            self.prev.push(NONE);
-            self.next.push(NONE);
-            self.slots[s] = i + 1;
-            self.push_mru(i);
+        if let Some(entry) = self.promote(tag) {
+            entry.1 = way;
+            return;
         }
+        if self.entries.len() == self.capacity {
+            self.stats.evictions += 1;
+            self.entries.pop();
+        }
+        self.entries.insert(0, (tag, way));
     }
 
     /// Hit/miss counters.
@@ -303,14 +187,17 @@ mod tests {
         BoundsWayBuffer::new(0);
     }
 
-    /// The hash-indexed buffer against the obvious move-to-back list:
-    /// every lookup result and every hit/miss count must agree under a
-    /// randomized stream, for several capacities.
+    /// The recency-ordered buffer against the obvious move-to-back
+    /// list (least recently used first, the reverse order): every
+    /// lookup result, the length and all four counters must agree
+    /// under a randomized stream, for several capacities, the default
+    /// sweep's 16, 64 and 128 among them.
     #[test]
     fn matches_naive_lru_model() {
-        for capacity in [1usize, 2, 3, 8, 64] {
+        for capacity in [1usize, 2, 3, 8, 16, 64, 128] {
             let mut fast = BoundsWayBuffer::new(capacity);
             let mut model: Vec<(u32, u32)> = Vec::new();
+            let mut counts = BwbStats::default();
             let mut x = 0x9E3779B9u32 ^ capacity as u32;
             for step in 0..20_000u32 {
                 x = x.wrapping_mul(1664525).wrapping_add(1013904223);
@@ -321,12 +208,19 @@ mod tests {
                         model.push(e);
                         e.1
                     });
+                    if expected.is_some() {
+                        counts.hits += 1;
+                    } else {
+                        counts.misses += 1;
+                    }
                     assert_eq!(fast.lookup(tag), expected, "step {step} cap {capacity}");
                 } else {
                     let way = step % 8;
+                    counts.updates += 1;
                     if let Some(p) = model.iter().position(|&(t, _)| t == tag) {
                         model.remove(p);
                     } else if model.len() == capacity {
+                        counts.evictions += 1;
                         model.remove(0);
                     }
                     model.push((tag, way));
@@ -334,6 +228,7 @@ mod tests {
                 }
                 assert_eq!(fast.len(), model.len());
             }
+            assert_eq!(fast.stats(), counts, "cap {capacity}");
         }
     }
 }

@@ -516,22 +516,21 @@ impl MemoryCheckUnit {
     }
 
     /// Advances every due entry by one FSM step and retires the
-    /// entries that completed. A failed entry at the head appends its
-    /// exception to `events` (an out-buffer so the per-cycle hot path
-    /// does not allocate), at most one per tick.
+    /// entries that completed. Returns the exception of a failed entry
+    /// that reached the head this tick, if any: at most one per tick,
+    /// each reported once (§IV-D).
     pub fn tick<M: BoundsMemory + ?Sized>(
         &mut self,
         now: u64,
         hbt: &mut HashedBoundsTable,
         mem: &mut M,
-        events: &mut Vec<McuEvent>,
-    ) {
+    ) -> Option<McuEvent> {
         // O(1) idle check: no entry is due before `ready_floor`, and
         // the only work without a `ready_at` is raising a failure at
         // the head. Most cycles (entries waiting on memory latencies or
         // parked on ROB commits) the tick ends right here.
         if now < self.ready_floor && !self.head_failure_pending() {
-            return;
+            return None;
         }
         debug_assert!(
             self.queue.iter().all(|e| e.state != McqState::Done),
@@ -567,6 +566,7 @@ impl MemoryCheckUnit {
         self.ready_floor = floor;
 
         // A failed entry at the head raises its exception (once).
+        let mut event = None;
         if let Some(head) = self.queue.first_mut() {
             if head.state == McqState::Fail && !head.reported {
                 head.reported = true;
@@ -584,7 +584,7 @@ impl MemoryCheckUnit {
                         AosException::BoundsClearFailure { pointer }
                     }
                 };
-                events.push(McuEvent {
+                event = Some(McuEvent {
                     id: head.id,
                     exception,
                 });
@@ -600,7 +600,7 @@ impl MemoryCheckUnit {
         // copies each kept entry down once; a `Vec::remove` per
         // released entry would memmove the tail once per release.
         if !completed {
-            return;
+            return event;
         }
         let mut write = 0;
         for read in 0..self.queue.len() {
@@ -624,6 +624,7 @@ impl MemoryCheckUnit {
             self.stats.retired += 1;
         }
         self.queue.truncate(write);
+        event
     }
 
     fn step_init<M: BoundsMemory + ?Sized>(
@@ -835,11 +836,9 @@ impl MemoryCheckUnit {
     pub fn run_sync(&mut self, op: McuOp, hbt: &mut HashedBoundsTable) -> Result<(), AosException> {
         assert!(self.queue.is_empty(), "run_sync requires an idle MCU");
         let id = self.issue(op, 0).expect("empty queue has capacity");
-        let mut events = Vec::new();
         for now in 0..BOUNDS_PER_WAY as u64 * 4096 {
             self.commit_if_retirable(id);
-            self.tick(now, hbt, &mut ZeroLatencyMemory, &mut events);
-            if let Some(event) = events.pop() {
+            if let Some(event) = self.tick(now, hbt, &mut ZeroLatencyMemory) {
                 self.flush();
                 return Err(event.exception);
             }
@@ -922,7 +921,7 @@ mod tests {
         let mut mem = ZeroLatencyMemory;
         for now in 1..64 {
             mcu.commit_if_retirable(survivor);
-            mcu.tick(now, &mut hbt, &mut mem, &mut events);
+            events.extend(mcu.tick(now, &mut hbt, &mut mem));
             if mcu.is_empty() {
                 break;
             }
@@ -1240,10 +1239,10 @@ mod tests {
             .unwrap();
         let mut events = Vec::new();
         let mut mem = SlowMemory;
-        mcu.tick(0, &mut hbt, &mut mem, &mut events);
+        events.extend(mcu.tick(0, &mut hbt, &mut mem));
         assert!(!mcu.commit_if_retirable(id), "line load still in flight");
         for now in 1..=12 {
-            mcu.tick(now, &mut hbt, &mut mem, &mut events);
+            events.extend(mcu.tick(now, &mut hbt, &mut mem));
         }
         assert_eq!(mcu.state_of(id), None, "check done after latency");
         assert!(mcu.commit_if_retirable(id), "the ROB retires it");
@@ -1300,14 +1299,14 @@ mod tests {
         // Let both proceed; hold the bndstr back from commit so the
         // younger check finds an empty table and "fails" first.
         for now in 0..40 {
-            mcu.tick(now, &mut hbt, &mut mem, &mut events);
+            events.extend(mcu.tick(now, &mut hbt, &mut mem));
         }
         assert_eq!(mcu.state_of(chk_id), Some(McqState::Fail));
         // Now the bndstr commits, sends its store, and replays the
         // younger check, which then succeeds.
         assert!(mcu.commit_if_retirable(str_id));
         for now in 40..120 {
-            mcu.tick(now, &mut hbt, &mut mem, &mut events);
+            events.extend(mcu.tick(now, &mut hbt, &mut mem));
         }
         assert!(mcu.is_empty(), "both retired");
         assert_eq!(mcu.state_of(chk_id), None);
@@ -1349,9 +1348,8 @@ mod tests {
                 0,
             )
             .unwrap();
-        let mut events = Vec::new();
         let mut mem = SlowMemory;
-        mcu.tick(0, &mut hbt, &mut mem, &mut events);
+        assert_eq!(mcu.tick(0, &mut hbt, &mut mem), None);
         // The forwarded check completes and deallocates without
         // waiting for the table.
         assert_eq!(mcu.state_of(chk_id), None);

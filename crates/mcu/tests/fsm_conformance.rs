@@ -75,7 +75,7 @@ fn unsigned_access_goes_init_to_done_in_one_step() {
         .unwrap();
     assert_eq!(mcu.state_of(id), Some(McqState::Init));
     let mut events = Vec::new();
-    mcu.tick(0, &mut hbt, &mut PortWithLatency(0), &mut events);
+    events.extend(mcu.tick(0, &mut hbt, &mut PortWithLatency(0)));
     // Done and deallocated in the same tick (unsigned, no commit wait).
     assert_eq!(mcu.state_of(id), None);
     assert!(mcu.commit_if_retirable(id));
@@ -99,12 +99,12 @@ fn signed_access_walks_init_bndchk_done() {
     let mut events = Vec::new();
     let mut port = PortWithLatency(3);
     // Tick 0: Init → BndChk with a line load in flight.
-    mcu.tick(0, &mut hbt, &mut port, &mut events);
+    events.extend(mcu.tick(0, &mut hbt, &mut port));
     assert_eq!(mcu.state_of(id), Some(McqState::BndChk));
     // The line arrives at cycle 0+1+3; earlier ticks leave it pending.
-    mcu.tick(2, &mut hbt, &mut port, &mut events);
+    events.extend(mcu.tick(2, &mut hbt, &mut port));
     assert_eq!(mcu.state_of(id), Some(McqState::BndChk));
-    mcu.tick(4, &mut hbt, &mut port, &mut events);
+    events.extend(mcu.tick(4, &mut hbt, &mut port));
     assert_eq!(mcu.state_of(id), None, "checked and deallocated");
 }
 
@@ -128,11 +128,11 @@ fn way_iteration_inccnt_until_found() {
         .unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
-    mcu.tick(0, &mut hbt, &mut port, &mut events); // Init → BndChk(way 0)
-    mcu.tick(1, &mut hbt, &mut port, &mut events); // miss way 0 → IncCnt → way 1
+    events.extend(mcu.tick(0, &mut hbt, &mut port)); // Init → BndChk(way 0)
+    events.extend(mcu.tick(1, &mut hbt, &mut port)); // miss way 0 → IncCnt → way 1
     assert_eq!(mcu.state_of(id), Some(McqState::BndChk));
     let ways_before = mcu.stats().way_iterations;
-    mcu.tick(2, &mut hbt, &mut port, &mut events); // hit way 1 → Done (dealloc)
+    events.extend(mcu.tick(2, &mut hbt, &mut port)); // hit way 1 → Done (dealloc)
     assert_eq!(mcu.state_of(id), None);
     assert_eq!(
         mcu.stats().way_iterations - ways_before,
@@ -159,7 +159,7 @@ fn count_exhaustion_fails_and_faults_at_head() {
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
     for now in 0..3 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert_eq!(mcu.state_of(id), Some(McqState::Fail));
     assert_eq!(
@@ -192,20 +192,20 @@ fn bndstr_occchk_waits_for_commit_then_stores() {
         .unwrap();
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
-    mcu.tick(0, &mut hbt, &mut port, &mut events); // Init → OccChk
-    mcu.tick(1, &mut hbt, &mut port, &mut events); // slot found → BndStr
+    events.extend(mcu.tick(0, &mut hbt, &mut port)); // Init → OccChk
+    events.extend(mcu.tick(1, &mut hbt, &mut port)); // slot found → BndStr
     assert_eq!(mcu.state_of(id), Some(McqState::BndStr));
     // Without commit the store is never sent.
     for now in 2..10 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert_eq!(mcu.state_of(id), Some(McqState::BndStr));
     assert!(!covers(&hbt, 7, 0x4000), "no store before commit");
     // Occupancy done: the ROB may commit, and the commit releases the
     // store.
     assert!(mcu.commit_if_retirable(id));
-    mcu.tick(10, &mut hbt, &mut port, &mut events);
-    mcu.tick(11, &mut hbt, &mut port, &mut events);
+    events.extend(mcu.tick(10, &mut hbt, &mut port));
+    events.extend(mcu.tick(11, &mut hbt, &mut port));
     assert_eq!(mcu.state_of(id), None);
     assert!(covers(&hbt, 7, 0x4000), "bounds landed at commit");
 }
@@ -221,7 +221,7 @@ fn bndclr_occchk_matches_base_only() {
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
     for now in 0..4 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert_eq!(mcu.state_of(id), Some(McqState::Fail));
     assert!(covers(&hbt, 7, 0x4000), "bounds untouched");
@@ -270,14 +270,14 @@ fn replay_rescues_fail_before_it_reaches_the_head() {
     let mut port = PortWithLatency(0);
     // Let the younger check fail first (the bndstr is not committed).
     for now in 0..4 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert_eq!(mcu.state_of(chk_id), Some(McqState::Fail));
     assert!(events.is_empty(), "not at the head yet: no exception");
     // Commit the bndstr; its store must replay the failed check.
     assert!(mcu.commit_if_retirable(str_id));
     for now in 4..12 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert!(mcu.is_empty(), "both completed after the replay");
     assert!(mcu.stats().replays >= 1);
@@ -306,14 +306,14 @@ fn retry_after_resize_reruns_the_fsm() {
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
     for now in 0..4 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert_eq!(mcu.state_of(id), Some(McqState::Fail));
     // OS path: resize, retry the entry.
     hbt.begin_resize();
     mcu.retry(id);
     for now in 4..12 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert!(mcu.is_empty());
     assert!(covers(&hbt, 7, 0x9_0000), "store succeeded after resize");
@@ -340,7 +340,7 @@ fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
     let mut events = Vec::new();
     let mut port = PortWithLatency(0);
     for now in 0..4 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert_eq!(mcu.state_of(clr_id), Some(McqState::Fail));
     assert!(mcu.commit_if_retirable(str_id));
@@ -348,7 +348,7 @@ fn failed_clears_count_at_the_head_not_when_replay_rescues_them() {
     // it: the replayed entry then stores without parking again.
     mcu.mark_committed(clr_id);
     for now in 4..12 {
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert!(mcu.is_empty(), "both completed after the replay");
     assert!(events.is_empty());

@@ -58,7 +58,7 @@ fn uncommitted_bndstr_is_parked_until_its_commit() {
     let mut now = 0;
     while mcu.state_of(id) != Some(McqState::BndStr) {
         assert!(now < 16, "the occupancy check finds the empty slot");
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
         now += 1;
     }
     assert_eq!(
@@ -68,7 +68,7 @@ fn uncommitted_bndstr_is_parked_until_its_commit() {
     );
     let stats = mcu.stats();
     for cycle in now..now + 1000 {
-        mcu.tick(cycle, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(cycle, &mut hbt, &mut port));
     }
     assert_eq!(mcu.stats(), stats, "a parked entry is never stepped");
     assert!(events.is_empty());
@@ -78,7 +78,7 @@ fn uncommitted_bndstr_is_parked_until_its_commit() {
     now += 1000;
     assert!(mcu.commit_if_retirable(id));
     assert_eq!(mcu.next_wake(now), now + 1, "the commit makes it due");
-    mcu.tick(now + 1, &mut hbt, &mut port, &mut events);
+    events.extend(mcu.tick(now + 1, &mut hbt, &mut port));
     assert_eq!(mcu.state_of(id), None, "stored and released in one tick");
     assert_eq!(hbt.row_occupancy(7), 1);
     assert_eq!(mcu.stats().line_stores, stats.line_stores + 1);
@@ -100,13 +100,13 @@ fn committed_replayed_bndstr_stores_without_waiting_again() {
     let mut now = 0;
     while mcu.state_of(younger) != Some(McqState::BndStr) {
         assert!(now < 16);
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
         now += 1;
     }
     assert_eq!(mcu.state_of(older), Some(McqState::BndStr));
     assert!(mcu.commit_if_retirable(older));
     assert!(mcu.commit_if_retirable(younger));
-    mcu.tick(now, &mut hbt, &mut port, &mut events);
+    events.extend(mcu.tick(now, &mut hbt, &mut port));
     assert_eq!(mcu.state_of(older), None, "the older store went out");
     assert_eq!(
         mcu.state_of(younger),
@@ -121,10 +121,10 @@ fn committed_replayed_bndstr_stores_without_waiting_again() {
     while mcu.state_of(younger) != Some(McqState::BndStr) {
         now = mcu.next_wake(now);
         assert!(now < 64, "the replayed entry keeps waking");
-        mcu.tick(now, &mut hbt, &mut port, &mut events);
+        events.extend(mcu.tick(now, &mut hbt, &mut port));
     }
     assert_eq!(mcu.next_wake(now), now + 1, "not parked on a second commit");
-    mcu.tick(now + 1, &mut hbt, &mut port, &mut events);
+    events.extend(mcu.tick(now + 1, &mut hbt, &mut port));
     assert!(mcu.is_empty());
     assert_eq!(hbt.row_occupancy(7), 2);
     assert_eq!(mcu.stats().line_stores, 2);
@@ -167,11 +167,7 @@ impl Harness {
     }
 
     fn tick(&mut self, now: u64) {
-        let mut events = Vec::new();
-        self.mcu
-            .tick(now, &mut self.hbt, &mut AddressedLatency, &mut events);
-        assert!(events.len() <= 1, "at most one exception per tick");
-        for ev in events {
+        if let Some(ev) = self.mcu.tick(now, &mut self.hbt, &mut AddressedLatency) {
             assert!(self.raised.is_none(), "one failure at the head at a time");
             self.raised = Some((ev.id, ev.exception));
             self.exceptions.push((now, ev));

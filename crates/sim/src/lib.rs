@@ -14,8 +14,8 @@
 //!   fixed-latency DRAM; bounds traffic routes through the L1-B when
 //!   present, otherwise it contends with data in the L1-D — the
 //!   mechanism behind the Fig. 15 ablation;
-//! - [`pipeline`] — the out-of-order core: fetch, decode/rename
-//!   (RAT and physical register file), dispatch, execute, a
+//! - [`pipeline`] — the out-of-order core: fetch, dispatch with a
+//!   pointer-chase chain register, execute, a
 //!   load/store queue with store→load forwarding and store-load
 //!   replay, a circular reorder buffer with delayed retirement for
 //!   precise AOS exceptions (fault latched in the ROB, raised at

@@ -4,7 +4,7 @@
 
 use aos_hbt::{HashedBoundsTable, HbtConfig};
 use aos_isa::{InstMix, Op, SafetyConfig};
-use aos_mcu::{BoundsMemory, BwbStats, McuConfig, McuEvent, McuStats, MemoryCheckUnit};
+use aos_mcu::{BoundsMemory, BwbStats, McuConfig, McuStats, MemoryCheckUnit};
 use aos_ptrauth::PointerLayout;
 
 use crate::cache::CacheStats;
@@ -258,7 +258,6 @@ pub struct Machine {
     pub(crate) ptr_strips: u64,
     pub(crate) ptr_auths: u64,
     pub(crate) auth_failures: u64,
-    pub(crate) mcu_events: Vec<McuEvent>,
     /// The stage-structured pipeline state.
     pub(crate) stage: StageCore,
 }
@@ -290,7 +289,6 @@ impl Machine {
             ptr_strips: 0,
             ptr_auths: 0,
             auth_failures: 0,
-            mcu_events: Vec::new(),
             stage: StageCore::new(&config),
             config,
         }

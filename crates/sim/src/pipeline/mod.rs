@@ -4,8 +4,6 @@
 //!
 //! - [`fetch::FetchUnit`] — the trace tap, structural-hazard parking
 //!   slot, post-flush refetch buffer, and redirect timer.
-//! - [`rename::RegisterAliasTable`] — decode/rename; threads the
-//!   pointer-chase dependence through a real RAT with rollback.
 //! - [`lsq::LoadStoreQueue`] — split load/store queues with a
 //!   store→load forwarding and store-load replay path.
 //! - [`rob::ReorderBuffer`] — circular ROB; an entry is complete once
@@ -16,14 +14,14 @@
 //!   ops and refetching them.
 //! - [`core::StageCore`] — the assembled core plus the cycle loop
 //!   (`Machine::run_stage`) wiring the stages to the MCU/BWB and the
-//!   memory hierarchy. The MCU's check queue is a structural unit of
-//!   this pipeline: a full MCQ back-pressures dispatch exactly like a
-//!   full ROB or LSQ.
+//!   memory hierarchy. It holds the one chain register that threads
+//!   the pointer-chase dependence, which a flush restores. The MCU's
+//!   check queue is a structural unit of this pipeline: a full MCQ
+//!   back-pressures dispatch exactly like a full ROB or LSQ.
 
 pub mod core;
 pub mod fetch;
 pub mod lsq;
-pub mod rename;
 pub mod rob;
 
 pub use self::core::StageCore;

@@ -11,8 +11,6 @@ use std::collections::VecDeque;
 
 use aos_isa::Op;
 
-use super::rename::Rename;
-
 /// One in-flight op.
 #[derive(Debug, Clone)]
 pub struct RobEntry {
@@ -32,9 +30,9 @@ pub struct RobEntry {
     pub is_load: bool,
     /// Whether the op holds a store-queue entry until retirement.
     pub is_store: bool,
-    /// Register-rename bookkeeping for rollback/commit, when the op
-    /// wrote a destination register.
-    pub dest: Option<Rename>,
+    /// For a chained load, the chain-ready cycle it overwrote at
+    /// dispatch, which a flush restores.
+    pub chain_restore: Option<u64>,
 }
 
 /// The circular reorder buffer.
@@ -139,7 +137,7 @@ mod tests {
             mcq_id: None,
             is_load: false,
             is_store: false,
-            dest: None,
+            chain_restore: None,
         }
     }
 

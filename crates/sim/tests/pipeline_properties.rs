@@ -2,8 +2,8 @@
 //! store→load forwarding path checked against an independent per-byte
 //! last-writer memory model, its per-line store filter checked against
 //! the plain youngest-first store scan it short-circuits, and ROB
-//! squash + RAT rollback checked to restore the exact pre-dispatch
-//! rename state for arbitrary flush points.
+//! squash checked to restore the exact pre-dispatch chain register
+//! for arbitrary flush points.
 //!
 //! Scripts are drawn from the shared `aos_isa::strategy::action_script`
 //! generator, interpreted here against the pipeline structures.
@@ -13,10 +13,11 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use aos_isa::strategy::action_script;
-use aos_isa::Op;
+use aos_isa::{Op, SafetyConfig};
 use aos_sim::pipeline::lsq::{LoadPath, LoadStoreQueue, LsqEntry};
-use aos_sim::pipeline::rename::{RegisterAliasTable, CHAIN_REG, LOGICAL_REGS};
-use aos_sim::pipeline::rob::{ReorderBuffer, RobEntry};
+use aos_sim::pipeline::rob::RobEntry;
+use aos_sim::pipeline::StageCore;
+use aos_sim::MachineConfig;
 
 /// Mirror of one in-flight store, kept by the reference model in the
 /// same program order as the store queue.
@@ -330,72 +331,42 @@ proptest! {
         }
     }
 
-    /// A precise-exception flush is exact: for an arbitrary rename
-    /// script and an arbitrary flush point, walking the ROB tail
-    /// youngest-first and rolling back each squashed rename restores
-    /// every logical register's mapping (observed through `ready_at`)
-    /// and the free-list population to the pre-dispatch state — and
-    /// committing the surviving prefix afterwards leaks no physical
-    /// register.
+    /// A precise-exception flush is exact: for an arbitrary script of
+    /// chained and unchained loads and an arbitrary flush point,
+    /// squashing the ROB tail youngest-first restores the chain-ready
+    /// cycle the flush point's load saw at dispatch.
     #[test]
-    fn rob_squash_with_rat_rollback_restores_pre_dispatch_state(
-        script in action_script(0u8..3, 0u64..512, 0u64..64, 1..48),
+    fn rob_squash_restores_the_pre_dispatch_chain_ready(
+        script in action_script(0u8..2, 0u64..512, 0u64..64, 1..48),
         cut in 0u64..48,
+        initial in 0u64..512,
     ) {
-        let mut rat = RegisterAliasTable::new(64);
-        let mut rob = ReorderBuffer::new(64);
-        let initial_free = rat.free_regs();
+        let mut core = StageCore::new(&MachineConfig::table_iv(SafetyConfig::Aos));
+        core.chain_ready = initial;
         let flush_at = cut as usize % (script.len() + 1);
-        let mut snapshot: Option<(Vec<u64>, usize)> = None;
-        let observe = |rat: &RegisterAliasTable| {
-            (0..LOGICAL_REGS as u8).map(|r| rat.ready_at(r)).collect::<Vec<u64>>()
-        };
-        for (i, (kind, ready, _)) in script.iter().enumerate() {
+        let mut want = None;
+        for (i, (kind, ready, slot)) in script.iter().enumerate() {
             if i == flush_at {
-                snapshot = Some((observe(&rat), rat.free_regs()));
+                want = Some(core.chain_ready);
             }
-            let dest = match kind {
-                0 => Some(rat.rename(CHAIN_REG, *ready)),
-                1 => {
-                    let scratch = rat.next_scratch();
-                    Some(rat.rename(scratch, *ready))
-                }
-                _ => None,
-            };
-            rob.alloc(RobEntry {
+            let chained = *kind == 0;
+            let chain_restore = core.link_chain(chained, *ready);
+            core.rob.alloc(RobEntry {
                 seq: 0, // assigned by alloc
-                op: Op::IntAlu,
+                op: Op::Load { pointer: 0x1000 + slot * 8, bytes: 8, chained },
                 complete_at: *ready,
                 faulted: false,
                 mcq_id: None,
-                is_load: false,
+                is_load: true,
                 is_store: false,
-                dest,
+                chain_restore,
             });
         }
-        let (want_ready, want_free) = match snapshot {
-            Some(s) => s,
-            None => (observe(&rat), rat.free_regs()), // flush point at end
-        };
-
-        // Flush: squash everything at or after the flush point,
-        // youngest first, undoing each rename.
-        while rob.len() > flush_at {
-            let squashed = rob.pop_tail().expect("tail exists while len > flush_at");
-            if let Some(rename) = squashed.dest.as_ref() {
-                rat.rollback(rename);
-            }
+        // A flush point at the end squashes nothing.
+        let want = want.unwrap_or(core.chain_ready);
+        while core.rob.len() > flush_at {
+            prop_assert!(core.squash_youngest().is_some());
         }
-        prop_assert_eq!(observe(&rat), want_ready, "mapping not restored");
-        prop_assert_eq!(rat.free_regs(), want_free, "free list not restored");
-
-        // Retire the survivors; every overwritten register comes back.
-        while !rob.is_empty() {
-            let retired = rob.pop_head();
-            if let Some(rename) = retired.dest.as_ref() {
-                rat.commit(rename);
-            }
-        }
-        prop_assert_eq!(rat.free_regs(), initial_free, "physical register leak");
+        prop_assert_eq!(core.chain_ready, want, "chain register not restored");
     }
 }
