@@ -12,8 +12,9 @@
 //! - the **memory check queue** ([`mcq`]) — 48 entries, each running
 //!   one of the two FSMs of Fig. 8 (`load/store` checking, or
 //!   `bndstr`/`bndclr` occupancy + store);
-//! - the **bounds way buffer** ([`bwb`]) — a 64-entry LRU tag buffer
-//!   remembering which HBT way held a pointer's bounds (§V-C);
+//! - the **bounds way buffer** ([`bwb`]) — a 64-entry LRU tag buffer,
+//!   kept in recency order, remembering which HBT way held a pointer's
+//!   bounds (§V-C);
 //! - **bounds forwarding** from in-flight `bndstr` entries to younger
 //!   checks (§V-F2);
 //! - **store-load replay** to preserve ordering between bounds stores
@@ -28,9 +29,9 @@
 //! does so with a real cache model behind the [`BoundsMemory`] port;
 //! the functional machine calls [`MemoryCheckUnit::run_sync`], which
 //! runs one op that way with zero-latency memory until the queue is
-//! empty. The one signal the unit sends back is a [`McuEvent`]: the
-//! exception of a failed entry at the queue head (§IV-D), at most one
-//! per tick.
+//! empty. The one signal the unit sends back is the [`McuEvent`] that
+//! [`MemoryCheckUnit::tick`] returns: the exception of a failed entry
+//! at the queue head (§IV-D), at most one per tick.
 //!
 //! # Examples
 //!

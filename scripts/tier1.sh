@@ -126,9 +126,10 @@ rm -f "$corpus_file"
 
 echo "== tier-1: MCU geometry ablation smoke =="
 # A small benign MCQ x BWB sweep on the stage core must finish cleanly
-# (exit 0 = zero violations on every sweep point).
+# (exit 0 = zero violations on every sweep point), at every BWB
+# capacity of the default sweep.
 cargo run -q --release -p aos-cli -- ablate \
-    --scale 0.002 --mcq 24,48 --bwb 64 >/dev/null
+    --scale 0.002 --mcq 24,48 --bwb 16,64,128 >/dev/null
 
 echo "== tier-1: every JSON document parses =="
 # With --json true each command's stdout is exactly one JSON document
@@ -142,7 +143,7 @@ if command -v python3 >/dev/null 2>&1; then
     aos lint --json true | parse_json
     aos matrix --scale 0.01 --seeds 1 --json true | parse_json
     aos fuzz --seed 7 --budget 4 --json true | parse_json
-    aos ablate --scale 0.002 --mcq 24,48 --bwb 64 --json true | parse_json
+    aos ablate --scale 0.002 --mcq 24,48 --bwb 16,64,128 --json true | parse_json
     parse_json <"$faults_json"
 else
     echo "no python3, skipping the JSON parse step"
